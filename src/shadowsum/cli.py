@@ -6,7 +6,8 @@
     shadowsum check --what bijection|euler|lem2 [--level K] [--samples N] FILE
 
 Exit codes: 0 success/pass, 1 check failed, 2 parse error, 3 invariant
-violation, 4 mode precondition violated.
+violation (including a value that is not finite), 4 mode precondition
+violated.
 
 Output on stdout is deterministic: byte-identical input produces
 byte-identical output.  Wall-clock timing goes to stderr.
@@ -15,6 +16,7 @@ byte-identical output.  Wall-clock timing goes to stderr.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import hashlib
 import json
@@ -23,7 +25,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .errors import ParseError, PreconditionError, ShadowsumError
+from .errors import InvariantViolation, ParseError, PreconditionError, ShadowsumError
 from .evaluators import wlo_abelian, wlo_abelian_intermediate, wlo_vertical
 from .files import load_link, load_shadow
 from .geometry import crossing_marks, face_complex, validate, winding_s1
@@ -61,7 +63,7 @@ class RunResult:
             "value": [self.value.real, self.value.imag],
             "diagnostics": self.diagnostics,
         }
-        return json.dumps(obj, sort_keys=True)
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
 
     def to_text(self) -> str:
         lines = [
@@ -83,7 +85,19 @@ def _read_digest(path) -> str:
         return _digest(fh.read())
 
 
+def _finite(obj) -> bool:
+    if isinstance(obj, dict):
+        return all(_finite(x) for x in obj.values())
+    if isinstance(obj, list):
+        return all(_finite(x) for x in obj)
+    if isinstance(obj, (float, complex)):
+        return cmath.isfinite(obj)
+    return True
+
+
 def _emit(result: RunResult, fmt: str):
+    if not _finite([result.value, result.diagnostics]):
+        raise InvariantViolation(f"{result.command} result is not finite")
     print(result.to_json() if fmt == "json" else result.to_text())
     print(f"wall_ms: {result.wall_ms:.3f}", file=sys.stderr)
 
@@ -177,8 +191,8 @@ def _cmd_wlo(args) -> int:
     level = Level(link.level)
     fc = face_complex(link)
     value = wlo_dpfree_final(link, level, fc, genus=args.genus)
-    pair_value = wlo_dpfree_pairsum(link, level, fc)
     pairs = enumerate_pairs(link, level, fc)
+    pair_value = wlo_dpfree_pairsum(link, level, fc, pairs=pairs)
     result = RunResult(
         "wlo",
         _read_digest(args.file),

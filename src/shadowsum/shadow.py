@@ -21,6 +21,12 @@ differ by the sign (-1)^(sum_t (chi_t + x_t) * 2 eta_t).  On the sphere
 that exponent reduces to (number of loops) + (sum of windings) mod 2
 independently of eta, i.e. to one global sign flip per loop of even
 circle winding; the pair sum carries that sign explicitly.
+
+The vertex-free state sum is evaluated by message passing over the face
+tree in O(F (k+1)^2) for F faces.  Shadows with vertices are still summed
+over the explicit list of enumerate_colorings, which also backs the
+bijection check and the coloring count that the CLI reports.  The pair
+route keeps its own enumeration and shares no code with either state sum.
 """
 
 from __future__ import annotations
@@ -229,16 +235,66 @@ def state_sum_general(shadow: Shadow, level: Level) -> complex:
 
 
 def state_sum_dpfree(shadow: Shadow, level: Level) -> complex:
-    """Vertex-free state sum: product over faces of v^chi * exp(2 x u)."""
+    """Vertex-free state sum: product over faces of v^chi * exp(2 x u),
+    summed over admissible colorings by message passing over the face tree.
+
+    The faces and edges of a vertex-free shadow on the sphere form a forest
+    (disjoint circles always separate), so the sum factors: each face
+    passes up m_f(t) = w_f(t) * prod_children sum_{t'} m_g(t'), with t'
+    running over the colors admissible with t and the child edge's color.
+    A face graph with a cycle cannot come from a link; it is handed to
+    state_sum_general, which agrees because z = 0 on every face here.
+    """
     if shadow.vertices:
         raise HasVertices("state sum for double-point-free links takes no vertices")
     check_shadow(shadow)
-    total = 0j
-    for col in enumerate_colorings(shadow, level):
-        term = complex(1.0)
-        for t, face in zip(col, shadow.faces):
-            term *= _face_weight(level, face, t, modified=False)
-        total += term
+    nf = len(shadow.faces)
+    km = level.k
+    root = list(range(nf))
+
+    def find(f: int) -> int:
+        while root[f] != f:
+            root[f] = root[root[f]]
+            f = root[f]
+        return f
+
+    adjacent = [[] for _ in range(nf)]
+    for e in shadow.edges:
+        if not 0 <= e.color2 <= km:
+            raise ColorOutOfRange(
+                f"edge color {Fraction(e.color2, 2)} outside color set of level {km}")
+        a, b = find(e.left), find(e.right)
+        if a == b:
+            return state_sum_general(shadow, level)
+        root[a] = b
+        adjacent[e.left].append((e.right, e.color2))
+        adjacent[e.right].append((e.left, e.color2))
+
+    colors = range(km + 1)
+    message = [[_face_weight(level, face, t, modified=False) for t in colors]
+               for face in shadow.faces]
+    total = complex(1.0)
+    seen = [False] * nf
+    for start in range(nf):
+        if seen[start]:
+            continue
+        # depth-first order from the component's lowest face: every face
+        # comes after its parent, so reversed order finishes children first
+        seen[start] = True
+        order, stack = [], [(start, -1, 0)]
+        while stack:
+            f, parent, c2 = stack.pop()
+            order.append((f, parent, c2))
+            for g, cg in adjacent[f]:
+                if not seen[g]:
+                    seen[g] = True
+                    stack.append((g, f, cg))
+        for f, parent, c2 in reversed(order[1:]):
+            m = message[f]
+            # for parent color t, sum over the colors t' of f admissible with (c2, t)
+            up = [sum(m[abs(t - c2):min(t + c2, 2 * km - t - c2) + 1:2]) for t in colors]
+            message[parent] = [x * y for x, y in zip(message[parent], up)]
+        total *= sum(message[start])
     return total
 
 
@@ -312,8 +368,10 @@ def check_bijection(link: Link, level: Level, fc: FaceComplex | None = None) -> 
     )
 
 
-def wlo_dpfree_pairsum(link: Link, level: Level, fc: FaceComplex) -> complex:
-    """Loop-observable value as a sum over admissible pairs.
+def wlo_dpfree_pairsum(link: Link, level: Level, fc: FaceComplex,
+                       pairs: list[AdmissiblePair] | None = None) -> complex:
+    """Loop-observable value as a sum over admissible pairs (enumerated
+    here unless the caller already holds enumerate_pairs' result).
 
     Each pair contributes prod_t sin(pi xi_t / rbar)^chi_t times the phase
     exp(-(pi i/rbar) * (1/2) * sum_j wind_j (xi(left_j)^2 - xi(right_j)^2));
@@ -326,7 +384,9 @@ def wlo_dpfree_pairsum(link: Link, level: Level, fc: FaceComplex) -> complex:
     winds = [winding_s1(lp) for lp in link.loops]
     parity = -1.0 if sum(1 for w in winds if w % 2 == 0) % 2 else 1.0
     total = 0j
-    for pair in enumerate_pairs(link, level, fc):
+    if pairs is None:
+        pairs = enumerate_pairs(link, level, fc)
+    for pair in pairs:
         amp = 1.0
         for f in fc.faces:
             amp *= math.sin(math.pi * pair.xi[f.id] / r) ** f.chi

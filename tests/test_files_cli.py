@@ -111,6 +111,16 @@ class TestCliEval:
         code, _ = run_cli(capsys, "eval", "--level", "1", str(tmp_path / "nope.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_non_finite_value_exit_3(self, capsys, corpus_dir, fmt):
+        # [n]! overflows a float at this level, so the 6j factors are NaN
+        code = main(["eval", "--level", "250", "--format", fmt,
+                     str(corpus_dir / "twocircles.shadow.json")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "not finite" in captured.err
+
 
 class TestCliWlo:
     def test_vertical_no_dims(self, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 import shadowsum as ss
 from shadowsum.errors import (
+    ColorOutOfRange,
     HasVertices,
     InvariantViolation,
     MissingGleams,
@@ -48,6 +49,34 @@ def brute_force_colorings(shadow, level):
         if all(ok(e.color2, col[e.left], col[e.right]) for e in shadow.edges):
             out.append(col)
     return out
+
+
+def brute_force_state_sum(shadow, level):
+    """Vertex-free state sum over brute_force_colorings, with the face
+    weights v^chi * exp(2 x u) written out from their definitions."""
+    r = level.k + 2
+
+    def weight(face, t):
+        v = (-1) ** t * math.sin((t + 1) * math.pi / r) / math.sin(math.pi / r)
+        u = math.pi * (t / 2 - t * (t + 2) / (4 * r))
+        return v ** face.chi * complex(math.cos(2 * float(face.gleam) * u),
+                                       math.sin(2 * float(face.gleam) * u))
+
+    total = 0j
+    for col in brute_force_colorings(shadow, level):
+        term = 1 + 0j
+        for t, face in zip(col, shadow.faces):
+            term *= weight(face, t)
+        total += term
+    return total
+
+
+def circle_row(n, level, winds):
+    """n disjoint 16-gon circles side by side, windings cycling through winds."""
+    loops = tuple(polygon_circle(3.0 * i, 0, 1.0, 16, winding=winds[i % len(winds)],
+                                 theta0=0.5, phase=0.13)
+                  for i in range(n))
+    return ss.Link(loops, t0=0.0, level=level)
 
 
 class TestShadowConstruction:
@@ -133,6 +162,66 @@ class TestStateSums:
             a = ss.state_sum_dpfree(shadow, Level(k))
             b = ss.state_sum_general(shadow, Level(k))
             assert a == pytest.approx(b, abs=1e-12)
+
+    def test_dpfree_matches_brute_force_weighted(self):
+        rng = random.Random(21)
+        checked = 0
+        for _ in range(40):
+            k = rng.randint(1, 4)
+            link = random_dpfree_link(rng, max_loops=4, level=k)
+            shadow, _ = dpfree_shadow(link)
+            if len(shadow.faces) > 5:
+                continue
+            # the same face tree with higher edge colors, where the bound
+            # t + t' + c <= 2k starts to cut
+            recolored = ss.Shadow(shadow.faces, tuple(
+                ss.ShadowEdge(rng.randint(0, k), e.left, e.right) for e in shadow.edges))
+            for sh in (shadow, recolored):
+                expected = brute_force_state_sum(sh, Level(k))
+                assert ss.state_sum_dpfree(sh, Level(k)) == pytest.approx(
+                    expected, rel=1e-10, abs=1e-12)
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_long_rows_match_pairsum(self, n):
+        link = circle_row(n, 6, (0, 1, -1, 2))
+        fc = ss.face_complex(link)
+        final = ss.wlo_dpfree_final(link, Level(6), fc)
+        pair = ss.wlo_dpfree_pairsum(link, Level(6), fc)
+        assert abs(final) > 1.0
+        assert final == pytest.approx(pair, rel=1e-9)
+
+    @pytest.mark.parametrize("faces,edges", [
+        # two faces glued along two edges (a repeated face pair)
+        ((1, 1), ((2, 0, 1), (0, 0, 1))),
+        # a single face bounded on both sides by one edge (a self-loop)
+        ((2,), ((2, 0, 0),)),
+        # a cycle in one component next to a tree in another
+        ((0, 1, 1, 1), ((0, 0, 1), (2, 1, 0), (1, 2, 3))),
+    ])
+    def test_face_graph_cycle_matches_general(self, faces, edges):
+        shadow = ss.Shadow(
+            faces=tuple(ss.ShadowFace(chi=chi, gleam=F(i - 1, 2))
+                        for i, chi in enumerate(faces)),
+            edges=tuple(ss.ShadowEdge(c, a, b) for c, a, b in edges))
+        for k in (2, 3, 4):
+            general = ss.state_sum_general(shadow, Level(k))
+            assert abs(general) > 1e-6
+            assert ss.state_sum_dpfree(shadow, Level(k)) == pytest.approx(general, abs=1e-12)
+
+    def test_edge_color_above_level(self):
+        shadow = ss.Shadow(
+            faces=(ss.ShadowFace(chi=1, gleam=F(0)), ss.ShadowFace(chi=1, gleam=F(0))),
+            edges=(ss.ShadowEdge(color2=3, left=0, right=1),))
+        for state_sum in (ss.state_sum_dpfree, ss.state_sum_general):
+            with pytest.raises(ColorOutOfRange):
+                state_sum(shadow, Level(2))
+
+    def test_edges_without_faces(self):
+        shadow = ss.Shadow(faces=(), edges=(ss.ShadowEdge(color2=1, left=0, right=0),))
+        with pytest.raises(InvariantViolation):
+            ss.state_sum_dpfree(shadow, Level(1))
 
     def test_dpfree_rejects_vertices(self):
         shadow = ss.Shadow(
