@@ -130,7 +130,7 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _load_validated_link(args):
+def _load_link_arg(args):
     if args.file is None:
         raise ParseError("this mode requires a link file")
     link = load_link(args.file)
@@ -143,7 +143,7 @@ def _cmd_wlo(args) -> int:
     start = time.perf_counter()
     if args.mode == "vertical":
         if args.file is not None and not args.dims:
-            link = _load_validated_link(args)
+            link = _load_link_arg(args)
             if not all(lp.vertical for lp in link.loops):
                 raise PreconditionError("vertical mode requires vertical loops or --dims")
             dims = tuple(lp.color2 + 1 for lp in link.loops)
@@ -160,11 +160,11 @@ def _cmd_wlo(args) -> int:
         _emit(result, args.format)
         return EXIT_OK
 
-    link = _load_validated_link(args)
-    report = validate(link)
-    if not report.ok:
-        raise PreconditionError("link failed admissibility validation")
+    link = _load_link_arg(args)
     if args.mode == "abelian":
+        report = validate(link)
+        if not report.ok:
+            raise PreconditionError("link failed admissibility validation")
         winds = [winding_s1(lp) for lp in link.loops]
         value = wlo_abelian(link)
         marks = crossing_marks(link)
@@ -184,12 +184,10 @@ def _cmd_wlo(args) -> int:
         return EXIT_OK
 
     # dpfree
-    if report.double_points:
-        raise PreconditionError("dpfree mode requires a projection without double points")
+    fc = face_complex(link)
     if args.genus != 0:
         raise PreconditionError("dpfree mode evaluates spherical geometry; --genus must be 0")
     level = Level(link.level)
-    fc = face_complex(link)
     value = wlo_dpfree_final(link, level, fc, genus=args.genus)
     pairs = enumerate_pairs(link, level, fc)
     pair_value = wlo_dpfree_pairsum(link, level, fc, pairs=pairs)
@@ -232,24 +230,20 @@ def _cmd_check(args) -> int:
             (time.perf_counter() - start) * 1e3)
         _emit(result, args.format)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
-    link = _load_validated_link(args)
-    report = validate(link)
+    link = _load_link_arg(args)
     diag: dict = {"level": link.level}
     if args.what == "euler":
-        if not report.ok or report.double_points:
-            raise PreconditionError("euler check requires an admissible dpfree link")
         fc = face_complex(link)
         total = sum(f.chi for f in fc.faces)
         ok = total == 2
         diag.update({"chi": [f.chi for f in fc.faces], "chi_sum": total})
     elif args.what == "bijection":
-        if not report.ok or report.double_points:
-            raise PreconditionError("bijection check requires an admissible dpfree link")
-        br = check_bijection(link, Level(link.level))
+        br = check_bijection(link, Level(link.level), face_complex(link))
         ok = br.ok
         diag.update({"colorings": br.colorings_count, "pairs": br.pairs_count,
                      "injective": br.injective, "surjective": br.surjective})
     else:  # lem2
+        report = validate(link)
         if len(link.loops) != 2:
             raise PreconditionError("lem2 check requires a two-loop link")
         if not report.ok:

@@ -118,6 +118,13 @@ class Loop:
     color: Fraction = Fraction(1, 2)
     framing: int = 0
     vertical: bool = False
+    # projections of `vertices`, built once
+    planar: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
+    lifts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "planar", tuple((x, y) for x, y, _ in self.vertices))
+        object.__setattr__(self, "lifts", tuple(t for _, _, t in self.vertices))
 
     @property
     def nseg(self) -> int:
@@ -126,14 +133,6 @@ class Loop:
     @property
     def color2(self) -> int:
         return int(self.color * 2)
-
-    @property
-    def planar(self) -> tuple[tuple[float, float], ...]:
-        return tuple((x, y) for x, y, _ in self.vertices)
-
-    @property
-    def lifts(self) -> tuple[float, ...]:
-        return tuple(t for _, _, t in self.vertices)
 
     def segments(self):
         pl = self.planar
@@ -316,7 +315,6 @@ class AdmissibilityReport:
     ok: bool
     double_points: tuple[DoublePoint, ...]
     triple_points: tuple[tuple[float, float], ...]
-    parallel_tangents: tuple[tuple[float, float], ...]
     t0_degeneracies: tuple[tuple[int, str, float], ...]
     t0_double_point_hits: tuple[tuple[float, float], ...]
     strand_collisions: tuple[tuple[float, float], ...]
@@ -424,7 +422,6 @@ def validate(link: Link) -> AdmissibilityReport:
         ok=ok,
         double_points=tuple(double_points),
         triple_points=tuple(sorted(triple_points)),
-        parallel_tangents=(),  # grazing PL tangencies raise DegenerateGeometry instead
         t0_degeneracies=tuple(sorted(t0_deg)),
         t0_double_point_hits=tuple(sorted(t0_hits)),
         strand_collisions=tuple(sorted(strand_collisions)),
@@ -582,7 +579,6 @@ class Face:
     id: int
     chi: int
     boundary: tuple[int, ...]          # loop indices on the face boundary
-    inner_of: int | None               # loop whose interior region this is
 
 
 @dataclass(frozen=True)
@@ -645,6 +641,11 @@ class FaceComplex:
 def face_complex(link: Link) -> FaceComplex:
     """Decompose the complement of a double-point-free link projection.
 
+    This is the admissibility check for double-point-free work: it runs
+    `validate` once and raises DegenerateGeometry for non-generic PL input,
+    HasDoublePoints for double or triple points, and PreconditionError for
+    vertical loops or any other failed admissibility condition.
+
     Faces are indexed 0..n-1 (region immediately inside loop j) plus the
     outer face n containing sigma_0; Euler characteristics satisfy
     sum_t chi(X_t) = 2.
@@ -655,7 +656,7 @@ def face_complex(link: Link) -> FaceComplex:
     if report.vertical_loops:
         raise PreconditionError("vertical loops have no planar face structure")
     if not report.ok:
-        raise InvariantViolation("link failed admissibility validation")
+        raise PreconditionError("link failed admissibility validation")
 
     loops = link.loops
     n = len(loops)
@@ -684,9 +685,8 @@ def face_complex(link: Link) -> FaceComplex:
     outer = n
     faces = []
     for j in range(n):
-        faces.append(Face(id=j, chi=1 - len(children[j]),
-                          boundary=tuple([j] + children[j]), inner_of=j))
-    faces.append(Face(id=outer, chi=2 - len(roots), boundary=tuple(roots), inner_of=None))
+        faces.append(Face(id=j, chi=1 - len(children[j]), boundary=tuple([j] + children[j])))
+    faces.append(Face(id=outer, chi=2 - len(roots), boundary=tuple(roots)))
 
     if sum(f.chi for f in faces) != 2:
         raise InvariantViolation("face Euler characteristics do not sum to 2")

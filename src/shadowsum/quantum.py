@@ -52,10 +52,6 @@ class Level:
     def colors(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(t, 2) for t in range(self.k + 1))
 
-    @property
-    def doubled_colors(self) -> range:
-        return range(self.k + 1)
-
     def check_color(self, j) -> int:
         t = doubled(j)
         if not 0 <= t <= self.k:

@@ -45,7 +45,7 @@ from .errors import (
     PreconditionError,
     UnsupportedColor,
 )
-from .geometry import FaceComplex, Link, face_complex, gleams_dpfree, winding_s1
+from .geometry import FaceComplex, Link, gleams_dpfree, winding_s1
 from .quantum import Level, _triple_ok, sixj, u_exponent, v_dim
 
 __all__ = [
@@ -348,11 +348,9 @@ class BijectionReport:
         return self.injective and self.surjective and not self.missing and not self.extra
 
 
-def check_bijection(link: Link, level: Level, fc: FaceComplex | None = None) -> BijectionReport:
+def check_bijection(link: Link, level: Level, fc: FaceComplex) -> BijectionReport:
     """Verify that pair -> coloring is a bijection onto the admissible
     colorings of the shadow with all edges colored 1/2."""
-    if fc is None:
-        fc = face_complex(link)
     pairs = enumerate_pairs(link, level, fc)
     images = [coloring_of_pair(p) for p in pairs]
     shadow = shadow_from_dpfree(link, fc, gleams_dpfree(link, fc))

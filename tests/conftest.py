@@ -8,6 +8,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from shadowsum.geometry import Link  # noqa: E402
+from shadowsum.random_links import polygon_circle  # noqa: E402
+
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
@@ -15,6 +18,14 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 def corpus_dir() -> pathlib.Path:
     assert CORPUS.is_dir(), "regression corpus missing"
     return CORPUS
+
+
+def tangential_t0_link() -> Link:
+    """One 16-gon circle whose lift is 1.0 except 0.5 at vertex 0: at
+    t0 = 0.5 the lift touches t0 without crossing it, so the link has no
+    double points but is not admissible."""
+    loop = polygon_circle(0.0, 0.0, 1.0, 16, theta_fn=lambda u: 0.5 if u in (0.0, 1.0) else 1.0)
+    return Link((loop,), t0=0.5, level=2)
 
 
 def winding_oracle(loop, p) -> int:

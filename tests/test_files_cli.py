@@ -4,8 +4,12 @@ import math
 import pytest
 
 import shadowsum as ss
+import shadowsum.cli
+import shadowsum.geometry
 from shadowsum.cli import main
 from shadowsum.errors import ParseError
+
+from conftest import tangential_t0_link
 
 TAU = 2 * math.pi
 
@@ -205,6 +209,48 @@ class TestCliCheck:
         code, _ = run_cli(capsys, "check", "--what", "lem2",
                           str(corpus_dir / "circle_w0.link.json"))
         assert code == 4
+
+
+DPFREE_COMMANDS = (
+    ("wlo", "--mode", "dpfree"),
+    ("check", "--what", "euler"),
+    ("check", "--what", "bijection"),
+)
+
+
+class TestDpfreeAdmissibility:
+    """face_complex is the one admissibility check of every dpfree command."""
+
+    @pytest.mark.parametrize("command", DPFREE_COMMANDS)
+    def test_validates_once(self, capsys, corpus_dir, monkeypatch, command):
+        calls = []
+        real = shadowsum.geometry.validate
+
+        def counting(link):
+            calls.append(link)
+            return real(link)
+
+        monkeypatch.setattr(shadowsum.cli, "validate", counting)
+        monkeypatch.setattr(shadowsum.geometry, "validate", counting)
+        code, _ = run_cli(capsys, *command, str(corpus_dir / "nested_pair.link.json"))
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", DPFREE_COMMANDS)
+    def test_inadmissible_link_exit_4(self, capsys, tmp_path, command):
+        path = tmp_path / "tangential.link.json"
+        path.write_text(ss.dumps_link(tangential_t0_link()))
+        code = main([*command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "precondition violated" in captured.err
+
+    @pytest.mark.parametrize("command", DPFREE_COMMANDS[1:])
+    def test_check_rejects_double_points(self, capsys, corpus_dir, command):
+        code, out = run_cli(capsys, *command, str(corpus_dir / "hopf.link.json"))
+        assert code == 4
+        assert out == ""
 
 
 class TestDeterminism:

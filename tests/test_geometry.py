@@ -11,10 +11,11 @@ from shadowsum.errors import (
     HasDoublePoints,
     InvariantViolation,
     PointOnCurve,
+    PreconditionError,
 )
 from shadowsum.random_links import polygon_circle, random_dpfree_link
 
-from conftest import crossing_count_oracle, mark_oracle, winding_oracle
+from conftest import crossing_count_oracle, mark_oracle, tangential_t0_link, winding_oracle
 
 TAU = 2 * math.pi
 HALF = Fraction(1, 2)
@@ -274,6 +275,12 @@ class TestFaceComplex:
         b = polygon_circle(1.0, 0.1, 1.0, 14, theta0=1.3, phase=0.31)
         with pytest.raises(HasDoublePoints):
             ss.face_complex(ss.Link((a, b), t0=0.0, level=1))
+
+    def test_rejects_inadmissible_link(self):
+        link = tangential_t0_link()
+        assert not ss.validate(link).double_points
+        with pytest.raises(PreconditionError, match="admissibility"):
+            ss.face_complex(link)
 
     def test_ind_left_minus_right_is_one(self):
         rng = random.Random(21)

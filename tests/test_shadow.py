@@ -312,12 +312,14 @@ class TestPairs:
 
 class TestBijection:
     def test_circle(self):
-        report = ss.check_bijection(circle_link(0), Level(1))
+        link = circle_link(0)
+        report = ss.check_bijection(link, Level(1), ss.face_complex(link))
         assert report.ok and report.pairs_count == 2 and report.colorings_count == 2
 
     def test_empty(self):
         for k in (1, 4):
-            report = ss.check_bijection(empty_link(level=k), Level(k))
+            link = empty_link(level=k)
+            report = ss.check_bijection(link, Level(k), ss.face_complex(link))
             assert report.ok and report.pairs_count == k + 1
 
     def test_randomized(self):
