@@ -35,6 +35,7 @@ from .geometry import (
     FaceComplex,
     Link,
     Loop,
+    admissible_at,
     crossing_marks,
     face_complex,
     gleams_dpfree,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from .errors import InvariantViolation, ParseError, PreconditionError, ShadowsumError
 from .evaluators import wlo_abelian, wlo_abelian_intermediate, wlo_vertical
 from .files import load_link, load_shadow
-from .geometry import crossing_marks, face_complex, validate, winding_s1
+from .geometry import admissible_at, crossing_marks, face_complex, validate, winding_s1
 from .linking import link_number
 from .quantum import Level
 from .shadow import (
@@ -174,7 +174,7 @@ def _cmd_wlo(args) -> int:
             "level": link.level,
             "windings": winds,
         }
-        if sum(winds) == 0 and all(w == 0 for w in winds):
+        if not any(winds):
             other = wlo_abelian_intermediate(link)
             diag["intermediate"] = [other.real, other.imag]
             diag["difference"] = abs(value - other)
@@ -254,10 +254,8 @@ def _cmd_check(args) -> int:
         while len(values) < args.samples and tries < 100 * args.samples:
             tries += 1
             t0 = rng.uniform(0.0, 6.283185)
-            cand = dataclasses.replace(link, t0=t0)
-            if not validate(cand).ok:
-                continue
-            values.append(link_number(cand.loops[0], cand.loops[1], t0))
+            if admissible_at(link, report, t0):
+                values.append(link_number(link.loops[0], link.loops[1], t0))
         ok = len(values) == args.samples and len(set(values)) == 1
         diag.update({"samples": len(values), "values": sorted(set(values))})
     result = RunResult(f"check:{args.what}", _read_digest(args.file),

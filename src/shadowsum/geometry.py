@@ -45,6 +45,7 @@ __all__ = [
     "FaceComplex",
     "make_loop",
     "validate",
+    "admissible_at",
     "winding_s1",
     "crossing_marks",
     "mark_side_points",
@@ -238,9 +239,11 @@ def _proper_crossings(la: Loop, lb: Loop, same: bool):
     lexicographically in (segment of la, segment of lb).
 
     Yields (seg_a, seg_b, ta, tb, point, cross_sign) with exact Fraction
-    parameters.  Raises DegenerateGeometry for grazing or overlapping
-    segments.  With same=True, la and lb are the same loop and adjacent
-    segments are skipped.
+    parameters.  The one scan that rejects non-generic PL input: raises
+    DegenerateGeometry when an endpoint of one segment lies within
+    COINCIDENCE_TOL of the other (bar the vertex adjacent segments share),
+    or when segments graze or overlap.  With same=True, la and lb are the
+    same loop and adjacent segments get only that endpoint test.
     """
     na = la.nseg
     pa = la.planar
@@ -248,14 +251,20 @@ def _proper_crossings(la: Loop, lb: Loop, same: bool):
     out = []
     for i in range(na):
         a1, a2 = pa[i], pa[i + 1]
-        for j in range(lb.nseg):
-            if same:
-                if j <= i:
-                    continue
-                if j == i + 1 or (i == 0 and j == na - 1):
-                    continue
+        for j in range(i + 1 if same else 0, lb.nseg):
             b1, b2 = pb[j], pb[j + 1]
             if not _bbox_overlap(a1, a2, b1, b2):
+                continue
+            after = same and j == i + 1  # a2 is b1
+            before = same and i == 0 and j == na - 1  # a1 is b2
+            if (
+                (not before and _seg_point_dist(a1, b1, b2) <= COINCIDENCE_TOL)
+                or (not after and _seg_point_dist(a2, b1, b2) <= COINCIDENCE_TOL)
+                or (not after and _seg_point_dist(b1, a1, a2) <= COINCIDENCE_TOL)
+                or (not before and _seg_point_dist(b2, a1, a2) <= COINCIDENCE_TOL)
+            ):
+                raise DegenerateGeometry(f"a vertex lies on a segment (segments {i}, {j})")
+            if after or before:
                 continue
             o1 = _orient(a1, a2, b1)
             o2 = _orient(a1, a2, b2)
@@ -282,22 +291,6 @@ def _proper_crossings(la: Loop, lb: Loop, same: bool):
                     raise DegenerateGeometry(
                         f"segments graze or overlap (segments {i}, {j})")
     return out
-
-
-def _vertex_clearance_check(loops: Sequence[Loop]):
-    """Reject vertices lying within the coincidence tolerance of a foreign
-    (non-incident) segment."""
-    for li, la in enumerate(loops):
-        for vi, v in enumerate(la.planar[:-1]):
-            for lj, lb in enumerate(loops):
-                for j, b1, b2 in lb.segments():
-                    if li == lj:
-                        n = la.nseg
-                        if j == vi or (j + 1) % n == vi:
-                            continue
-                    if _seg_point_dist(v, b1, b2) <= COINCIDENCE_TOL:
-                        raise DegenerateGeometry(
-                            f"vertex {vi} of loop {li} lies on segment {j} of loop {lj}")
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +353,15 @@ def _t0_degeneracies(j: int, loop: Loop, t0: float):
     return out
 
 
+def _t0_events(link: Link, double_points: Iterable[DoublePoint], t0: float):
+    """Double points with a strand at t0, and lift degeneracies at t0."""
+    hits = [d.point for d in double_points
+            if _angle_eq(d.thetas[0], t0) or _angle_eq(d.thetas[1], t0)]
+    degeneracies = [x for i, lp in enumerate(link.loops) if not lp.vertical
+                    for x in _t0_degeneracies(i, lp, t0)]
+    return hits, degeneracies
+
+
 def validate(link: Link) -> AdmissibilityReport:
     """Check the admissibility of a link: finitely many transversal double
     points, no triple points, no degenerate circle-coordinate events at t0,
@@ -371,8 +373,6 @@ def validate(link: Link) -> AdmissibilityReport:
     loops = link.loops
     vertical = tuple(i for i, lp in enumerate(loops) if lp.vertical)
     regular = [(i, lp) for i, lp in enumerate(loops) if not lp.vertical]
-
-    _vertex_clearance_check([lp for _, lp in regular])
 
     events = []  # (point, (loop, param), (loop, param), thetas)
     for ai in range(len(regular)):
@@ -400,7 +400,6 @@ def validate(link: Link) -> AdmissibilityReport:
     double_points = []
     triple_points = []
     strand_collisions = []
-    t0_hits = []
     for cl in clusters:
         if len(cl) > 1:
             triple_points.append(cl[0][0])
@@ -409,13 +408,8 @@ def validate(link: Link) -> AdmissibilityReport:
         double_points.append(DoublePoint(pt, tuple(sorted((sa, sb))), (tha, thb)))
         if _angle_eq(tha, thb):
             strand_collisions.append(pt)
-        if _angle_eq(tha, link.t0) or _angle_eq(thb, link.t0):
-            t0_hits.append(pt)
 
-    t0_deg = []
-    for i, lp in regular:
-        t0_deg.extend(_t0_degeneracies(i, lp, link.t0))
-
+    t0_hits, t0_deg = _t0_events(link, double_points, link.t0)
     double_points.sort(key=lambda d: d.strands)
     ok = not (triple_points or t0_deg or t0_hits or strand_collisions or vertical)
     return AdmissibilityReport(
@@ -427,6 +421,15 @@ def validate(link: Link) -> AdmissibilityReport:
         strand_collisions=tuple(sorted(strand_collisions)),
         vertical_loops=vertical,
     )
+
+
+def admissible_at(link: Link, report: AdmissibilityReport, t0: float) -> bool:
+    """Whether `link` is admissible cut at t0 instead of link.t0, given its
+    `validate` report; only the conditions that depend on t0 are rechecked."""
+    if report.triple_points or report.strand_collisions or report.vertical_loops:
+        return False
+    hits, degeneracies = _t0_events(link, report.double_points, t0)
+    return not (hits or degeneracies)
 
 
 # ---------------------------------------------------------------------------

@@ -201,13 +201,11 @@ def enumerate_colorings(shadow: Shadow, level: Level) -> list[AreaColoring]:
     return out
 
 
-def _face_weight(level: Level, face: ShadowFace, t: int, modified: bool) -> complex:
+def _face_weight(level: Level, face: ShadowFace, t: int) -> complex:
     if face.gleam is None:
         raise MissingGleams("state sum requires a gleam on every face")
     spin = Fraction(t, 2)
-    x = Fraction(face.gleam)
-    if modified:
-        x -= Fraction(face.z, 2)
+    x = Fraction(face.gleam) - Fraction(face.z, 2)
     amp = v_dim(level, spin) ** face.chi
     return amp * cmath.exp(2.0 * float(x) * u_exponent(level, spin))
 
@@ -229,7 +227,7 @@ def state_sum_general(shadow: Shadow, level: Level) -> complex:
             continue
         term = complex(vertex_part)
         for t, face in zip(col, shadow.faces):
-            term *= _face_weight(level, face, t, modified=True)
+            term *= _face_weight(level, face, t)
         total += term
     return total
 
@@ -271,8 +269,7 @@ def state_sum_dpfree(shadow: Shadow, level: Level) -> complex:
         adjacent[e.right].append((e.left, e.color2))
 
     colors = range(km + 1)
-    message = [[_face_weight(level, face, t, modified=False) for t in colors]
-               for face in shadow.faces]
+    message = [[_face_weight(level, face, t) for t in colors] for face in shadow.faces]
     total = complex(1.0)
     seen = [False] * nf
     for start in range(nf):

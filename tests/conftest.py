@@ -40,6 +40,29 @@ def winding_oracle(loop, p) -> int:
     return round(total / (2.0 * math.pi))
 
 
+def vertex_on_segment_oracle(loops) -> bool:
+    """Brute-force genericity oracle: whether some vertex lies within 1e-9
+    of a segment not incident to it, measuring every vertex against every
+    segment of every loop with no pruning."""
+    def dist(p, a, b):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / (dx * dx + dy * dy)
+        t = min(1.0, max(0.0, t))
+        return math.hypot(p[0] - (a[0] + t * dx), p[1] - (a[1] + t * dy))
+
+    for li, la in enumerate(loops):
+        n = la.nseg
+        for vi, v in enumerate(la.planar[:-1]):
+            for lj, lb in enumerate(loops):
+                pb = lb.planar
+                for j in range(lb.nseg):
+                    if li == lj and (j == vi or (j + 1) % n == vi):
+                        continue
+                    if dist(v, pb[j], pb[j + 1]) <= 1e-9:
+                        return True
+    return False
+
+
 def crossing_count_oracle(la, lb) -> int:
     """Float-based proper-crossing count over all segment pairs."""
     def orient(a, b, c):

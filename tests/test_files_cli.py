@@ -85,6 +85,21 @@ def last_value(out: str):
     raise AssertionError(f"no value line in output: {out!r}")
 
 
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """The links passed to `validate`, from the CLI or from geometry."""
+    calls = []
+    real = shadowsum.geometry.validate
+
+    def counting(link):
+        calls.append(link)
+        return real(link)
+
+    monkeypatch.setattr(shadowsum.cli, "validate", counting)
+    monkeypatch.setattr(shadowsum.geometry, "validate", counting)
+    return calls
+
+
 class TestCliEval:
     def test_empty_shadow(self, capsys, corpus_dir):
         code, out = run_cli(capsys, "eval", "--level", "1",
@@ -205,6 +220,12 @@ class TestCliCheck:
         values = [l for l in out.splitlines() if l.startswith("values")]
         assert values and json.loads(values[0].split(": ", 1)[1]) in ([1], [-1])
 
+    def test_lem2_validates_once(self, capsys, corpus_dir, validate_calls):
+        code, _ = run_cli(capsys, "check", "--what", "lem2",
+                          str(corpus_dir / "hopf.link.json"))
+        assert code == 0
+        assert len(validate_calls) == 1
+
     def test_lem2_needs_two_loops(self, capsys, corpus_dir):
         code, _ = run_cli(capsys, "check", "--what", "lem2",
                           str(corpus_dir / "circle_w0.link.json"))
@@ -222,19 +243,10 @@ class TestDpfreeAdmissibility:
     """face_complex is the one admissibility check of every dpfree command."""
 
     @pytest.mark.parametrize("command", DPFREE_COMMANDS)
-    def test_validates_once(self, capsys, corpus_dir, monkeypatch, command):
-        calls = []
-        real = shadowsum.geometry.validate
-
-        def counting(link):
-            calls.append(link)
-            return real(link)
-
-        monkeypatch.setattr(shadowsum.cli, "validate", counting)
-        monkeypatch.setattr(shadowsum.geometry, "validate", counting)
+    def test_validates_once(self, capsys, corpus_dir, validate_calls, command):
         code, _ = run_cli(capsys, *command, str(corpus_dir / "nested_pair.link.json"))
         assert code == 0
-        assert len(calls) == 1
+        assert len(validate_calls) == 1
 
     @pytest.mark.parametrize("command", DPFREE_COMMANDS)
     def test_inadmissible_link_exit_4(self, capsys, tmp_path, command):

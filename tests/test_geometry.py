@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -13,19 +14,65 @@ from shadowsum.errors import (
     PointOnCurve,
     PreconditionError,
 )
-from shadowsum.random_links import polygon_circle, random_dpfree_link
+from shadowsum.random_links import polygon_circle, random_crossing_pair, random_dpfree_link
 
-from conftest import crossing_count_oracle, mark_oracle, tangential_t0_link, winding_oracle
+from conftest import (
+    crossing_count_oracle,
+    mark_oracle,
+    tangential_t0_link,
+    vertex_on_segment_oracle,
+    winding_oracle,
+)
 
 TAU = 2 * math.pi
 HALF = Fraction(1, 2)
+
+
+def polygon(pts, theta0=0.5):
+    return ss.make_loop([(x, y, theta0) for x, y in pts] + [(pts[0][0], pts[0][1], theta0)])
 
 
 def square(side=2.0, center=(0.0, 0.0), theta0=0.5):
     cx, cy = center
     h = side / 2
     pts = [(cx - h, cy - h), (cx + h, cy - h), (cx + h, cy + h), (cx - h, cy + h)]
-    return ss.make_loop([(x, y, theta0) for x, y in pts] + [(pts[0][0], pts[0][1], theta0)])
+    return polygon(pts, theta0)
+
+
+def raises_degenerate(link) -> bool:
+    try:
+        ss.validate(link)
+    except DegenerateGeometry:
+        return True
+    return False
+
+
+def moved_vertex_link(rng, gap):
+    """1-3 random polygons (triangles included) with one vertex moved to
+    `gap` off a segment of its own loop or of another loop; None if the
+    move makes a zero-length segment."""
+    loops = [polygon_circle(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.5, 1.5),
+                            rng.choice((3, 3, 4, 5, 8)), theta0=rng.uniform(0.1, 6.0),
+                            phase=rng.uniform(0, TAU))
+             for _ in range(rng.randint(1, 3))]
+    li, lj = rng.randrange(len(loops)), rng.randrange(len(loops))
+    la, lb = loops[li], loops[lj]
+    vi = rng.randrange(la.nseg)
+    j = rng.choice([s for s in range(lb.nseg)
+                    if li != lj or (s != vi and (s + 1) % lb.nseg != vi)])
+    (ax, ay), (bx, by) = lb.planar[j], lb.planar[j + 1]
+    s = rng.uniform(0.1, 0.9)
+    nx, ny = -(by - ay), bx - ax
+    scale = rng.choice((-1, 1)) * gap / math.hypot(nx, ny)
+    moved = (ax + s * (bx - ax) + scale * nx, ay + s * (by - ay) + scale * ny)
+    verts = list(la.vertices[:-1])
+    verts[vi] = (*moved, verts[vi][2])
+    verts.append((*verts[0][:2], la.vertices[-1][2]))
+    try:
+        loops[li] = ss.make_loop(verts)
+    except DegenerateGeometry:
+        return None
+    return ss.Link(tuple(loops), t0=0.0, level=1)
 
 
 class TestLoopBasics:
@@ -100,6 +147,63 @@ class TestValidate:
         b = square(2.0, (2.0, 0.0), 1.3)  # shares the edge x = 1
         with pytest.raises(DegenerateGeometry):
             ss.validate(ss.Link((a, b), t0=0.0, level=1))
+
+    def test_vertex_clearance_matches_brute_force(self):
+        rng = random.Random(2718)
+        outcomes = {True: 0, False: 0}
+        for _ in range(600):
+            link = moved_vertex_link(rng, rng.choice((0.0, 1e-12, 5e-10, 2e-9)))
+            if link is None:
+                continue
+            expected = vertex_on_segment_oracle(link.loops)
+            assert raises_degenerate(link) == expected
+            outcomes[expected] += 1
+        assert min(outcomes.values()) >= 100
+
+    @pytest.mark.parametrize("gap, degenerate", [(5e-10, True), (2e-9, False)])
+    def test_sliver_triangle(self, gap, degenerate):
+        # every segment pair of a triangle is adjacent
+        lp = polygon([(0.0, 0.0), (2.0, 0.0), (1.0, gap)])
+        assert raises_degenerate(ss.Link((lp,), t0=0.0, level=1)) == degenerate
+
+    @pytest.mark.parametrize("gap, degenerate", [(5e-10, True), (2e-9, False)])
+    def test_triangle_tip_near_foreign_edge(self, gap, degenerate):
+        a = square(2.0, (0, 0), 0.3)  # right edge on x = 1
+        b = polygon([(1.0 + gap, 0.1), (3.0, -1.0), (3.0, 1.0)], 1.3)
+        assert raises_degenerate(ss.Link((a, b), t0=0.0, level=1)) == degenerate
+
+    def test_other_scans_reject_vertex_near_segment(self):
+        a = square(2.0, (0, 0), 0.3)
+        b = polygon([(1.0 + 5e-10, 0.1), (3.0, -1.0), (3.0, 1.0)], 1.3)
+        with pytest.raises(DegenerateGeometry):
+            ss.lk(a, b, 0.0)
+        with pytest.raises(DegenerateGeometry):
+            ss.geometry.loop_min_clearance(
+                polygon([(0.0, 0.0), (2.0, 0.0), (1.0, 5e-10), (1.0, 1.0)]))
+
+    def test_admissible_at_matches_revalidation(self):
+        rng = random.Random(31)
+        outcomes = {True: 0, False: 0}
+        for _ in range(40):
+            link = random_crossing_pair(rng)
+            rep = ss.validate(link)
+            probes = [rng.uniform(0.0, TAU) for _ in range(4)]
+            probes += [th + d for dp in rep.double_points for th in dp.thetas
+                       for d in (0.0, 5e-10, 2e-9)]
+            probes += [th + d for lp in link.loops for th in lp.lifts[:3] for d in (0.0, 1e-6)]
+            for t0 in (p % TAU for p in probes):
+                if not 0.0 <= t0 < TAU:
+                    continue
+                expected = ss.validate(dataclasses.replace(link, t0=t0)).ok
+                assert ss.admissible_at(link, rep, t0) == expected
+                outcomes[expected] += 1
+        assert min(outcomes.values()) >= 50
+
+    def test_admissible_at_rejects_t0_free_defects(self):
+        a = polygon_circle(0, 0, 1.0, 16, theta0=0.7, phase=0.13)
+        b = polygon_circle(1.0, 0.1, 1.0, 14, theta0=0.7, phase=0.31)
+        link = ss.Link((a, b), t0=0.0, level=1)
+        assert not ss.admissible_at(link, ss.validate(link), 2.0)
 
     def test_strand_collision_flagged(self):
         a = polygon_circle(0, 0, 1.0, 16, theta0=0.7, phase=0.13)
