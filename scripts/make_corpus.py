@@ -168,9 +168,10 @@ def main():
                          ("twocircles.shadow", (1, 2))):
         shadow = ss.load_shadow(CORPUS / f"{name}.json")
         for k in levels:
-            val = ss.state_sum_general(shadow, ss.Level(k))
-            print(f"eval {name} k={k}: {val:.12g} "
-                  f"({len(ss.enumerate_colorings(shadow, ss.Level(k)))} colorings)")
+            lev = ss.Level(k)
+            colorings = ss.enumerate_colorings(shadow, lev)
+            val = ss.state_sum_general(shadow, lev, colorings=colorings)
+            print(f"eval {name} k={k}: {val:.12g} ({len(colorings)} colorings)")
 
 
 if __name__ == "__main__":

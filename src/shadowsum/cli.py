@@ -112,14 +112,14 @@ def _cmd_eval(args) -> int:
     shadow = load_shadow(args.file)
     level = Level(_require_level(args))
     start = time.perf_counter()
-    value = state_sum_general(shadow, level)
-    colorings = len(enumerate_colorings(shadow, level))
+    colorings = enumerate_colorings(shadow, level)
+    value = state_sum_general(shadow, level, colorings=colorings)
     result = RunResult(
         command="eval",
         digest=_read_digest(args.file),
         value=value,
         diagnostics={
-            "colorings": colorings,
+            "colorings": len(colorings),
             "edges": len(shadow.edges),
             "faces": len(shadow.faces),
             "vertices": len(shadow.vertices),

@@ -39,6 +39,9 @@ class Level:
 
     k: int
     _sixj_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # [0]!, [1]!, ...: the prefix of the [n]! table that the 6j-symbols
+    # evaluated so far have needed (see _qfactorials)
+    _qfactorial_table: tuple = field(default=(1.0,), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 1:
@@ -94,13 +97,23 @@ def triple_admissible(level: Level, i, j, k) -> bool:
     return _triple_ok(level.k, ti, tj, tk)
 
 
-def _qfactorials(level: Level) -> list[float]:
-    """[n]! for n = 0 .. rbar-1 ([rbar-1]! is the last nonzero value)."""
-    r = level.rbar
-    out = [1.0]
-    for n in range(1, r):
-        out.append(out[-1] * quantum_int(level, n))
-    return out
+def _qfactorials(level: Level, n: int) -> tuple[float, ...]:
+    """[0]!, ..., [n]! for n <= rbar-1 ([rbar-1]! is the last nonzero value).
+
+    The level keeps the table and extends it on demand by [m]! = [m-1]! * [m],
+    so each entry is the same product whenever it was built, and a huge
+    level pays only for the entries its colors reach.
+    """
+    qf = level._qfactorial_table
+    if len(qf) <= n:
+        grown = list(qf)
+        for m in range(len(qf), n + 1):
+            grown.append(grown[-1] * quantum_int(level, m))
+        qf = tuple(grown)
+        # one rebinding publishes the whole longer table; a concurrent
+        # caller keeps the table it read and at worst repeats the work
+        object.__setattr__(level, "_qfactorial_table", qf)
+    return qf
 
 
 def _sixj_doubled(level: Level, t1: int, t2: int, t3: int, t4: int, t5: int, t6: int) -> float:
@@ -115,7 +128,9 @@ def _sixj_doubled(level: Level, t1: int, t2: int, t3: int, t4: int, t5: int, t6:
         if not _triple_ok(km, ta, tb, tc):
             return 0.0
 
-    qf = _qfactorials(level)
+    # every index below is at most half the color sum plus one, and at most
+    # rbar-1 for admissible triads
+    qf = _qfactorials(level, min(level.rbar - 1, (t1 + t2 + t3 + t4 + t5 + t6) // 2 + 1))
 
     def fact(t: int) -> float:
         # t is a doubled even quantity here; argument of [.]! is t//2

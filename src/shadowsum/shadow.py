@@ -23,10 +23,16 @@ independently of eta, i.e. to one global sign flip per loop of even
 circle winding; the pair sum carries that sign explicitly.
 
 The vertex-free state sum is evaluated by message passing over the face
-tree in O(F (k+1)^2) for F faces.  Shadows with vertices are still summed
-over the explicit list of enumerate_colorings, which also backs the
-bijection check and the coloring count that the CLI reports.  The pair
-route keeps its own enumeration and shares no code with either state sum.
+tree in O(F (k+1)^2) for F faces.  Shadows with vertices are summed over
+the explicit list of enumerate_colorings in one pass.  The enumeration
+colors faces in id order and draws a face's candidates from the fusion
+range of an already colored lower-numbered neighbour, so only faces
+without one try all k+1 colors.  state_sum_general evaluates each distinct
+6j-symbol and each (face, color) weight once per call and accepts the list
+from a caller that already holds it: the CLI's eval enumerates once for
+both the value and the coloring count it prints.  The same list backs the
+bijection check.  The pair route keeps its own enumeration and shares no
+code with either state sum.
 """
 
 from __future__ import annotations
@@ -166,37 +172,59 @@ def shadow_from_dpfree(link: Link, fc: FaceComplex, gleams) -> Shadow:
 
 def enumerate_colorings(shadow: Shadow, level: Level) -> list[AreaColoring]:
     """All area colorings admissible with the edge colors, as tuples of
-    doubled colors indexed by face id, in lexicographic order."""
+    doubled colors indexed by face id, in lexicographic order.
+
+    Faces are colored in id order.  A face with an already colored
+    lower-numbered neighbour draws its candidates from the colors
+    admissible with that neighbour across their edge (the one of least
+    color c, so at most c + 1 candidates); its other edges are checked
+    one by one.  Only a face without a lower-numbered neighbour tries
+    every color 0 .. k.
+    """
     nf = len(shadow.faces)
-    if shadow.edges and nf == 0:
-        raise InvariantViolation("shadow has edges but no faces")
-    deferred = [[] for _ in range(max(nf, 1))]
+    if nf == 0:
+        if shadow.edges:
+            raise InvariantViolation("shadow has edges but no faces")
+        return [()]
+    km = level.k
+    constraints = [[] for _ in range(nf)]
     for e in shadow.edges:
-        if not 0 <= e.color2 <= level.k:
+        if not 0 <= e.color2 <= km:
             raise ColorOutOfRange(
-                f"edge color {Fraction(e.color2, 2)} outside color set of level {level.k}")
+                f"edge color {Fraction(e.color2, 2)} outside color set of level {km}")
         a, b = sorted((e.left, e.right))
-        deferred[b].append((a, e.color2))
+        constraints[b].append((a, e.color2))
+    # per face: the (neighbour, edge color) its candidates come from, or
+    # None, and the constraints left to check on each candidate
+    plan = []
+    for f, checks in enumerate(constraints):
+        driver = min((gc for gc in checks if gc[0] < f), key=lambda gc: gc[1], default=None)
+        if driver is not None:
+            checks.remove(driver)
+        plan.append((driver, checks))
     out: list[AreaColoring] = []
     assignment = [0] * nf
+    every_color = range(km + 1)
 
     def backtrack(f: int):
         if f == nf:
             out.append(tuple(assignment))
             return
-        for t in range(level.k + 1):
-            ok = True
-            for g, c2 in deferred[f]:
-                tg = t if g == f else assignment[g]
-                if not _triple_ok(level.k, c2, t, tg):
-                    ok = False
+        driver, checks = plan[f]
+        if driver is None:
+            candidates = every_color
+        else:
+            g, c2 = driver
+            tg = assignment[g]
+            candidates = range(abs(tg - c2), min(tg + c2, 2 * km - tg - c2) + 1, 2)
+        for t in candidates:
+            for g, c2 in checks:
+                if not _triple_ok(km, c2, t, t if g == f else assignment[g]):
                     break
-            if ok:
+            else:
                 assignment[f] = t
                 backtrack(f + 1)
 
-    if nf == 0:
-        return [()]
     backtrack(0)
     return out
 
@@ -210,24 +238,38 @@ def _face_weight(level: Level, face: ShadowFace, t: int) -> complex:
     return amp * cmath.exp(2.0 * float(x) * u_exponent(level, spin))
 
 
-def state_sum_general(shadow: Shadow, level: Level) -> complex:
-    """State sum over admissible colorings: one 6j-symbol per double point
-    and one v^chi * exp(2 * modified-gleam * u) factor per face."""
+def state_sum_general(shadow: Shadow, level: Level,
+                      colorings: list[AreaColoring] | None = None) -> complex:
+    """State sum over admissible colorings (enumerated here unless the
+    caller already holds enumerate_colorings' result): one 6j-symbol per
+    double point and one v^chi * exp(2 * modified-gleam * u) factor per face.
+
+    Each distinct 6j argument and each (face, color) weight is evaluated
+    once per call.  Terms are built in a fixed factor order and added in
+    the colorings' order, so the value does not depend on the memos.
+    """
     check_shadow(shadow)
+    if colorings is None:
+        colorings = enumerate_colorings(shadow, level)
+    sixjs: dict[tuple, float] = {}
+    weights = [{} for _ in shadow.faces]
     total = 0j
-    for col in enumerate_colorings(shadow, level):
+    for col in colorings:
         vertex_part = 1.0
         for v in shadow.vertices:
-            vertex_part *= sixj(
-                level,
-                Fraction(v.e1_2, 2), Fraction(col[v.j], 2), Fraction(col[v.k], 2),
-                Fraction(v.e2_2, 2), Fraction(col[v.m], 2), Fraction(col[v.n], 2),
-            )
+            ts = (v.e1_2, col[v.j], col[v.k], v.e2_2, col[v.m], col[v.n])
+            s = sixjs.get(ts)
+            if s is None:
+                s = sixjs[ts] = sixj(level, *(Fraction(t, 2) for t in ts))
+            vertex_part *= s
         if vertex_part == 0.0:
             continue
         term = complex(vertex_part)
-        for t, face in zip(col, shadow.faces):
-            term *= _face_weight(level, face, t)
+        for t, face, memo in zip(col, shadow.faces, weights):
+            w = memo.get(t)
+            if w is None:
+                w = memo[t] = _face_weight(level, face, t)
+            term *= w
         total += term
     return total
 

@@ -6,6 +6,7 @@ import pytest
 import shadowsum as ss
 import shadowsum.cli
 import shadowsum.geometry
+import shadowsum.shadow
 from shadowsum.cli import main
 from shadowsum.errors import ParseError
 
@@ -100,6 +101,22 @@ def validate_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def enumerate_colorings_calls(monkeypatch):
+    """The shadows passed to `enumerate_colorings`, from the CLI or from
+    the state sum."""
+    calls = []
+    real = shadowsum.shadow.enumerate_colorings
+
+    def counting(shadow, level):
+        calls.append(shadow)
+        return real(shadow, level)
+
+    monkeypatch.setattr(shadowsum.cli, "enumerate_colorings", counting)
+    monkeypatch.setattr(shadowsum.shadow, "enumerate_colorings", counting)
+    return calls
+
+
 class TestCliEval:
     def test_empty_shadow(self, capsys, corpus_dir):
         code, out = run_cli(capsys, "eval", "--level", "1",
@@ -112,6 +129,15 @@ class TestCliEval:
                             str(corpus_dir / "circle_w0.shadow.json"))
         assert code == 0
         assert last_value(out) == pytest.approx(-2.0)
+
+    def test_enumerates_once(self, capsys, corpus_dir, enumerate_colorings_calls):
+        code, out = run_cli(capsys, "eval", "--level", "3",
+                            str(corpus_dir / "twocircles.shadow.json"))
+        assert code == 0
+        assert len(enumerate_colorings_calls) == 1
+        shadow = ss.load_shadow(corpus_dir / "twocircles.shadow.json")
+        count = len(ss.enumerate_colorings(shadow, ss.Level(3)))
+        assert f"colorings: {count}" in out.splitlines()
 
     def test_malformed_reference_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.shadow.json"

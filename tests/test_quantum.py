@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -105,6 +106,33 @@ class TestSixJ:
     def test_inadmissible_is_zero(self):
         lev = Level(2)
         assert sixj(lev, HALF, HALF, HALF, 0, 0, 0) == 0.0
+
+    def test_qfactorial_table_grows_on_demand(self):
+        # a huge level builds only the [n]! entries its colors reach
+        lev = Level(10**7 - 2)
+        assert sixj(lev, HALF, HALF, 0, HALF, HALF, 0) != 0.0
+        assert lev._qfactorial_table == tuple(itertools.accumulate(
+            (quantum_int(lev, n) for n in range(1, 4)), operator.mul, initial=1.0))
+
+    def test_evaluation_order_immaterial(self):
+        # the table grows at different points when the same symbols come in
+        # another order; every value must come out bit for bit the same
+        rng = random.Random(8)
+        for k in (4, 32, 200):
+            ts_list = []
+            while len(ts_list) < 40:
+                ts = [rng.randint(0, k) for _ in range(6)]
+                # draw the third color of two triads from their fusion ranges
+                for a, b, c in ((0, 1, 2), (0, 4, 5)):
+                    ta, tb = ts[a], ts[b]
+                    fusion = range(abs(ta - tb), min(ta + tb, 2 * k - ta - tb) + 1, 2)
+                    ts[c] = rng.choice(fusion) if fusion else 0
+                if sixj(Level(k), *_spins(ts)) != 0.0:
+                    ts_list.append(ts)
+            forward, backward = Level(k), Level(k)
+            a = [sixj(forward, *_spins(ts)) for ts in ts_list]
+            b = [sixj(backward, *_spins(ts)) for ts in reversed(ts_list)][::-1]
+            assert a == b
 
     def test_column_swap(self):
         lev = Level(4)

@@ -13,7 +13,8 @@ from shadowsum.errors import (
     MissingGleams,
     UnsupportedColor,
 )
-from shadowsum.quantum import Level
+from shadowsum.quantum import Level, sixj
+from shadowsum.shadow import _face_weight
 from shadowsum.random_links import polygon_circle, random_dpfree_link
 
 F = Fraction
@@ -52,23 +53,64 @@ def brute_force_colorings(shadow, level):
 
 
 def brute_force_state_sum(shadow, level):
-    """Vertex-free state sum over brute_force_colorings, with the face
-    weights v^chi * exp(2 x u) written out from their definitions."""
+    """State sum over brute_force_colorings: sixj at each double point, and
+    the face weights v^chi * exp(2 x u) with modified gleam x = gleam - z/2
+    written out from their definitions."""
     r = level.k + 2
 
     def weight(face, t):
+        x = float(face.gleam) - face.z / 2
         v = (-1) ** t * math.sin((t + 1) * math.pi / r) / math.sin(math.pi / r)
         u = math.pi * (t / 2 - t * (t + 2) / (4 * r))
-        return v ** face.chi * complex(math.cos(2 * float(face.gleam) * u),
-                                       math.sin(2 * float(face.gleam) * u))
+        return v ** face.chi * complex(math.cos(2 * x * u), math.sin(2 * x * u))
 
     total = 0j
     for col in brute_force_colorings(shadow, level):
         term = 1 + 0j
+        for v in shadow.vertices:
+            term *= sixj(level, F(v.e1_2, 2), F(col[v.j], 2), F(col[v.k], 2),
+                         F(v.e2_2, 2), F(col[v.m], 2), F(col[v.n], 2))
         for t, face in zip(col, shadow.faces):
             term *= weight(face, t)
         total += term
     return total
+
+
+def random_vertex_shadow(rng, k):
+    """A well-formed shadow with 1-3 double points on at most four faces.
+
+    Each double point brings the four edges that border its quadrants
+    (e1 between j and k and between m and n, e2 between j and n and
+    between k and m), so its 6j-symbol is admissible on every admissible
+    coloring; quadrants may repeat, which gives self-loop edges.  Up to two
+    further random edges are added, faces may be left without edges, and
+    z counts the double points each face touches.
+    """
+    nf = rng.randint(1, 4)
+    vertices, edges = [], []
+    for _ in range(rng.randint(1, 3)):
+        e1, e2 = rng.randint(0, k), rng.randint(0, k)
+        j, kq, m, n = (rng.randrange(nf) for _ in range(4))
+        vertices.append(ss.ShadowVertex(e1_2=e1, e2_2=e2, j=j, k=kq, m=m, n=n))
+        edges += [ss.ShadowEdge(e1, j, kq), ss.ShadowEdge(e1, m, n),
+                  ss.ShadowEdge(e2, j, n), ss.ShadowEdge(e2, kq, m)]
+    for _ in range(rng.randint(0, 2)):
+        edges.append(ss.ShadowEdge(rng.randint(0, k), rng.randrange(nf), rng.randrange(nf)))
+    touch = [sum(f in v.quadrants for v in vertices) for f in range(nf)]
+    faces = tuple(ss.ShadowFace(chi=rng.randint(-1, 2), gleam=F(rng.randint(-4, 4), 2),
+                                z=touch[f])
+                  for f in range(nf))
+    return ss.Shadow(faces=faces, edges=tuple(edges), vertices=tuple(vertices))
+
+
+def relabel_faces(shadow, perm):
+    """The same shadow with face perm[i] renamed i."""
+    new = {old: i for i, old in enumerate(perm)}
+    return ss.Shadow(
+        faces=tuple(shadow.faces[p] for p in perm),
+        edges=tuple(ss.ShadowEdge(e.color2, new[e.left], new[e.right]) for e in shadow.edges),
+        vertices=tuple(ss.ShadowVertex(v.e1_2, v.e2_2, new[v.j], new[v.k], new[v.m], new[v.n])
+                       for v in shadow.vertices))
 
 
 def circle_row(n, level, winds):
@@ -142,7 +184,66 @@ class TestEnumerateColorings:
             assert ss.enumerate_colorings(shadow, lev) == brute_force_colorings(shadow, lev)
 
 
+    def test_relabelled_vertex_shadows_match_brute_force(self):
+        # faces are colored in id order, so relabelling moves which faces
+        # draw candidates from a colored neighbour and which scan 0..k
+        rng = random.Random(22)
+        seen = {"no lower neighbour": 0, "self-loop": 0, "no edges": 0}
+        for _ in range(150):
+            k = rng.randint(1, 4)
+            base = random_vertex_shadow(rng, k)
+            perm = list(range(len(base.faces)))
+            rng.shuffle(perm)
+            shadow = relabel_faces(base, perm)
+            lev = Level(k)
+            assert ss.enumerate_colorings(shadow, lev) == brute_force_colorings(shadow, lev)
+            ends = [(e.left, e.right) for e in shadow.edges]
+            seen["self-loop"] += any(a == b for a, b in ends)
+            for f in range(len(shadow.faces)):
+                others = {b if a == f else a for a, b in ends if f in (a, b)} - {f}
+                seen["no edges"] += not any(f in ab for ab in ends)
+                seen["no lower neighbour"] += f > 0 and bool(others) and min(others) > f
+        assert min(seen.values()) >= 10, seen
+
+
 class TestStateSums:
+    def test_vertex_shadows_match_brute_force(self):
+        rng = random.Random(23)
+        nonzero = 0
+        for _ in range(300):
+            k = rng.randint(1, 4)
+            shadow = random_vertex_shadow(rng, k)
+            lev = Level(k)
+            expected = brute_force_state_sum(shadow, lev)
+            assert ss.state_sum_general(shadow, lev) == pytest.approx(
+                expected, rel=1e-10, abs=1e-12)
+            nonzero += abs(expected) > 1e-6
+        assert nonzero >= 40
+
+    @pytest.mark.parametrize("k", [2, 32, 128, 200])
+    def test_twocircles_bit_identical_to_term_by_term_sum(self, corpus_dir, k):
+        # every term is built as complex(prod of 6j) times the face weights
+        # in face order and added in lexicographic order, so the memoized
+        # sum must agree to the last bit, not merely within a tolerance
+        two = ss.load_shadow(corpus_dir / "twocircles.shadow.json")
+        lev = Level(k)
+        cols = ss.enumerate_colorings(two, lev)
+        assert cols == sorted(cols)
+        expected = 0j
+        for col in cols:
+            vertex_part = 1.0
+            for v in two.vertices:
+                vertex_part *= sixj(lev, F(v.e1_2, 2), F(col[v.j], 2), F(col[v.k], 2),
+                                    F(v.e2_2, 2), F(col[v.m], 2), F(col[v.n], 2))
+            if vertex_part == 0.0:
+                continue
+            term = complex(vertex_part)
+            for t, face in zip(col, two.faces):
+                term *= _face_weight(lev, face, t)
+            expected += term
+        assert ss.state_sum_general(two, Level(k)) == expected
+        assert ss.state_sum_general(two, Level(k), colorings=cols) == expected
+
     def test_empty_link_level_one(self):
         shadow, _ = dpfree_shadow(empty_link())
         assert ss.state_sum_general(shadow, Level(1)) == pytest.approx(2.0, abs=1e-12)
