@@ -12,7 +12,13 @@ considered coincident iff they are within 1e-9.  Non-generic input is
 rejected, never perturbed.
 
 All operations are pure functions of immutable inputs and are safe to call
-concurrently.
+concurrently.  A `Loop` computes its self-crossings and its clearance
+lazily, at most once, and caches them on the instance; a race between
+threads only computes the same value twice.
+
+The segment-pair scans sweep the segments' x-extents (Shamos and Hoey,
+"Geometric intersection problems", FOCS 1976), so they visit only pairs
+whose bounding boxes can meet or lie close, not all O(S^2) pairs.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -156,6 +163,15 @@ class Loop:
         i = min(int(u * n), n - 1)
         return i, u * n - i
 
+    @cached_property
+    def self_crossings(self) -> tuple:
+        """`_proper_crossings(self, self, same=True)`, scanned once."""
+        return tuple(_proper_crossings(self, self, same=True))
+
+    @cached_property
+    def _clearance(self) -> float:
+        return _min_clearance(self)
+
     def rotated(self, r: int) -> "Loop":
         """Move the base point to vertex r, preserving the lift increments."""
         n = self.nseg
@@ -234,6 +250,32 @@ def winding_s1(loop: Loop) -> int:
 # ---------------------------------------------------------------------------
 # pairwise crossing enumeration
 
+def _x_overlaps(la: Loop, lb: Loop, same: bool) -> list[tuple[int, int]]:
+    """Segment pairs (i of la, j of lb), sorted, whose x-extents meet as
+    `_bbox_overlap` tests them: [min x - COINCIDENCE_TOL, max x].  This is
+    a superset of the pairs that pass `_bbox_overlap`.  With same=True, la
+    is lb and only pairs i < j are listed."""
+    events = []
+    for side, lp in enumerate((la,) if same else (la, lb)):
+        pl = lp.planar
+        for i in range(lp.nseg):
+            x1, x2 = pl[i][0], pl[i + 1][0]
+            events.append((min(x1, x2) - COINCIDENCE_TOL, max(x1, x2), side, i))
+    events.sort()
+    pairs = []
+    active = []  # (max x, side, index) of the segments that reach the sweep line
+    for lo, hi, side, i in events:
+        active = [a for a in active if a[0] >= lo]
+        for _hi, other, j in active:
+            if same:
+                pairs.append((j, i) if j < i else (i, j))
+            elif other != side:
+                pairs.append((j, i) if other == 0 else (i, j))
+        active.append((hi, side, i))
+    pairs.sort()
+    return pairs
+
+
 def _proper_crossings(la: Loop, lb: Loop, same: bool):
     """All transversal crossings of the two projected polygons, ordered
     lexicographically in (segment of la, segment of lb).
@@ -243,53 +285,54 @@ def _proper_crossings(la: Loop, lb: Loop, same: bool):
     DegenerateGeometry when an endpoint of one segment lies within
     COINCIDENCE_TOL of the other (bar the vertex adjacent segments share),
     or when segments graze or overlap.  With same=True, la and lb are the
-    same loop and adjacent segments get only that endpoint test.
+    same loop and adjacent segments get only that endpoint test.  Pairs
+    are visited in lexicographic order, so the first defect found is the
+    same as in an all-pairs scan.
     """
     na = la.nseg
     pa = la.planar
     pb = lb.planar
     out = []
-    for i in range(na):
+    for i, j in _x_overlaps(la, lb, same):
         a1, a2 = pa[i], pa[i + 1]
-        for j in range(i + 1 if same else 0, lb.nseg):
-            b1, b2 = pb[j], pb[j + 1]
-            if not _bbox_overlap(a1, a2, b1, b2):
-                continue
-            after = same and j == i + 1  # a2 is b1
-            before = same and i == 0 and j == na - 1  # a1 is b2
+        b1, b2 = pb[j], pb[j + 1]
+        if not _bbox_overlap(a1, a2, b1, b2):
+            continue
+        after = same and j == i + 1  # a2 is b1
+        before = same and i == 0 and j == na - 1  # a1 is b2
+        if (
+            (not before and _seg_point_dist(a1, b1, b2) <= COINCIDENCE_TOL)
+            or (not after and _seg_point_dist(a2, b1, b2) <= COINCIDENCE_TOL)
+            or (not after and _seg_point_dist(b1, a1, a2) <= COINCIDENCE_TOL)
+            or (not before and _seg_point_dist(b2, a1, a2) <= COINCIDENCE_TOL)
+        ):
+            raise DegenerateGeometry(f"a vertex lies on a segment (segments {i}, {j})")
+        if after or before:
+            continue
+        o1 = _orient(a1, a2, b1)
+        o2 = _orient(a1, a2, b2)
+        o3 = _orient(b1, b2, a1)
+        o4 = _orient(b1, b2, a2)
+        if o1 * o2 < 0 and o3 * o4 < 0:
+            r = (Fraction(a2[0]) - Fraction(a1[0]), Fraction(a2[1]) - Fraction(a1[1]))
+            s = (Fraction(b2[0]) - Fraction(b1[0]), Fraction(b2[1]) - Fraction(b1[1]))
+            q = (Fraction(b1[0]) - Fraction(a1[0]), Fraction(b1[1]) - Fraction(a1[1]))
+            den = r[0] * s[1] - r[1] * s[0]
+            ta = (q[0] * s[1] - q[1] * s[0]) / den
+            tb = (q[0] * r[1] - q[1] * r[0]) / den
+            pt = (float(Fraction(a1[0]) + ta * r[0]),
+                  float(Fraction(a1[1]) + ta * r[1]))
+            out.append((i, j, ta, tb, pt, 1 if den > 0 else -1))
+        elif (o1, o2, o3, o4).count(0) > 0:
+            # an endpoint grazes or the segments are collinear
             if (
-                (not before and _seg_point_dist(a1, b1, b2) <= COINCIDENCE_TOL)
-                or (not after and _seg_point_dist(a2, b1, b2) <= COINCIDENCE_TOL)
-                or (not after and _seg_point_dist(b1, a1, a2) <= COINCIDENCE_TOL)
-                or (not before and _seg_point_dist(b2, a1, a2) <= COINCIDENCE_TOL)
+                (o1 == 0 and _bbox_overlap(a1, a2, b1, b1, 0.0))
+                or (o2 == 0 and _bbox_overlap(a1, a2, b2, b2, 0.0))
+                or (o3 == 0 and _bbox_overlap(b1, b2, a1, a1, 0.0))
+                or (o4 == 0 and _bbox_overlap(b1, b2, a2, a2, 0.0))
             ):
-                raise DegenerateGeometry(f"a vertex lies on a segment (segments {i}, {j})")
-            if after or before:
-                continue
-            o1 = _orient(a1, a2, b1)
-            o2 = _orient(a1, a2, b2)
-            o3 = _orient(b1, b2, a1)
-            o4 = _orient(b1, b2, a2)
-            if o1 * o2 < 0 and o3 * o4 < 0:
-                r = (Fraction(a2[0]) - Fraction(a1[0]), Fraction(a2[1]) - Fraction(a1[1]))
-                s = (Fraction(b2[0]) - Fraction(b1[0]), Fraction(b2[1]) - Fraction(b1[1]))
-                q = (Fraction(b1[0]) - Fraction(a1[0]), Fraction(b1[1]) - Fraction(a1[1]))
-                den = r[0] * s[1] - r[1] * s[0]
-                ta = (q[0] * s[1] - q[1] * s[0]) / den
-                tb = (q[0] * r[1] - q[1] * r[0]) / den
-                pt = (float(Fraction(a1[0]) + ta * r[0]),
-                      float(Fraction(a1[1]) + ta * r[1]))
-                out.append((i, j, ta, tb, pt, 1 if den > 0 else -1))
-            elif (o1, o2, o3, o4).count(0) > 0:
-                # an endpoint grazes or the segments are collinear
-                if (
-                    (o1 == 0 and _bbox_overlap(a1, a2, b1, b1, 0.0))
-                    or (o2 == 0 and _bbox_overlap(a1, a2, b2, b2, 0.0))
-                    or (o3 == 0 and _bbox_overlap(b1, b2, a1, a1, 0.0))
-                    or (o4 == 0 and _bbox_overlap(b1, b2, a2, a2, 0.0))
-                ):
-                    raise DegenerateGeometry(
-                        f"segments graze or overlap (segments {i}, {j})")
+                raise DegenerateGeometry(
+                    f"segments graze or overlap (segments {i}, {j})")
     return out
 
 
@@ -379,7 +422,8 @@ def validate(link: Link) -> AdmissibilityReport:
         i, la = regular[ai]
         for bi in range(ai, len(regular)):
             j, lb = regular[bi]
-            for (si, sj, ta, tb, pt, _sign) in _proper_crossings(la, lb, same=(ai == bi)):
+            pairs = la.self_crossings if ai == bi else _proper_crossings(la, lb, same=False)
+            for (si, sj, ta, tb, pt, _sign) in pairs:
                 ua = float((si + ta) / la.nseg)
                 ub = float((sj + tb) / lb.nseg)
                 tha = la.theta_at(ua)
@@ -746,18 +790,40 @@ def gleams_dpfree(link: Link, fc: FaceComplex) -> tuple[int, ...]:
 
 def loop_min_clearance(loop: Loop) -> float:
     """Minimum distance between non-adjacent, non-crossing segments of the
-    projection; the push-off admissibility threshold is a third of this."""
-    crossing = {(i, j) for (i, j, *_rest) in _proper_crossings(loop, loop, same=True)}
+    projection; the push-off admissibility threshold is a third of this.
+    Computed once per loop."""
+    return loop._clearance
+
+
+def _min_clearance(loop: Loop) -> float:
+    """Closest pair over a sweep of x-extents.  A pair is skipped only when
+    its bounding-box gap exceeds the best distance so far by a margin far
+    above the rounding error of `_seg_seg_dist` (a few ulps of the largest
+    coordinate), so the float minimum is the all-pairs one."""
+    crossing = {(i, j) for (i, j, *_rest) in loop.self_crossings}
     n = loop.nseg
     pl = loop.planar
+    scale = max(max(abs(x), abs(y)) for x, y in pl)
+    boxes = sorted(
+        (min(pl[i][0], pl[i + 1][0]), max(pl[i][0], pl[i + 1][0]),
+         min(pl[i][1], pl[i + 1][1]), max(pl[i][1], pl[i + 1][1]), i)
+        for i in range(n))
     best = math.inf
-    for i in range(n):
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
+    bound = math.inf  # gaps above this cannot lower `best`
+    active = []
+    for x0, x1, y0, y1, j in boxes:
+        active = [a for a in active if x0 - a[1] <= bound]
+        for ax0, ax1, ay0, ay1, i in active:
+            if max(x0 - ax1, y0 - ay1, ay0 - y1) > bound:
                 continue
-            if (i, j) in crossing:
+            lo, hi = (i, j) if i < j else (j, i)
+            if hi - lo == 1 or (lo == 0 and hi == n - 1) or (lo, hi) in crossing:
                 continue
-            best = min(best, _seg_seg_dist(pl[i], pl[i + 1], pl[j], pl[j + 1]))
+            d = _seg_seg_dist(pl[lo], pl[lo + 1], pl[hi], pl[hi + 1])
+            if d < best:
+                best = d
+                bound = best * (1.0 + 1e-9) + 1e-12 * scale
+        active.append((x0, x1, y0, y1, j))
     if not math.isfinite(best):
         raise DegenerateGeometry("loop has no non-adjacent segment pairs")
     return best

@@ -121,7 +121,7 @@ def pushoff(l: Loop, offset: float) -> Loop:
     )
     off = Loop(verts, l.color, l.framing, l.vertical)
     try:
-        if _proper_crossings(off, off, same=True) and not _proper_crossings(l, l, same=True):
+        if off.self_crossings and not l.self_crossings:
             raise OffsetTooLarge("offset curve of a simple projection self-intersects")
         _proper_crossings(l, off, same=False)
     except DegenerateGeometry as exc:

@@ -206,26 +206,33 @@ def enumerate_colorings(shadow: Shadow, level: Level) -> list[AreaColoring]:
     assignment = [0] * nf
     every_color = range(km + 1)
 
-    def backtrack(f: int):
-        if f == nf:
-            out.append(tuple(assignment))
-            return
-        driver, checks = plan[f]
-        if driver is None:
-            candidates = every_color
-        else:
-            g, c2 = driver
-            tg = assignment[g]
-            candidates = range(abs(tg - c2), min(tg + c2, 2 * km - tg - c2) + 1, 2)
-        for t in candidates:
+    def candidates(f: int):
+        if plan[f][0] is None:
+            return iter(every_color)
+        g, c2 = plan[f][0]
+        tg = assignment[g]
+        return iter(range(abs(tg - c2), min(tg + c2, 2 * km - tg - c2) + 1, 2))
+
+    # depth-first with an explicit stack: stack[f] holds the candidates of
+    # face f not tried yet, so a shadow of any size needs no recursion
+    stack = [candidates(0)]
+    while stack:
+        f = len(stack) - 1
+        checks = plan[f][1]
+        for t in stack[f]:
             for g, c2 in checks:
                 if not _triple_ok(km, c2, t, t if g == f else assignment[g]):
                     break
             else:
-                assignment[f] = t
-                backtrack(f + 1)
-
-    backtrack(0)
+                break  # t passes every check
+        else:
+            stack.pop()  # face f has no candidates left
+            continue
+        assignment[f] = t
+        if f + 1 == nf:
+            out.append(tuple(assignment))
+        else:
+            stack.append(candidates(f + 1))
     return out
 
 

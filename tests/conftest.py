@@ -124,3 +124,81 @@ def mark_oracle(loop, t0) -> list:
             prev = cur
     events.sort()
     return [e for _, e in events]
+
+
+def proper_crossings_oracle(la, lb, same):
+    """All-pairs crossing scan: every segment pair passes the bounding-box
+    filter and the body of `geometry._proper_crossings`, in lexicographic
+    order, with no sweep."""
+    from fractions import Fraction
+
+    from shadowsum.errors import DegenerateGeometry
+    from shadowsum.geometry import COINCIDENCE_TOL, _bbox_overlap, _orient, _seg_point_dist
+
+    na = la.nseg
+    pa = la.planar
+    pb = lb.planar
+    out = []
+    for i in range(na):
+        a1, a2 = pa[i], pa[i + 1]
+        for j in range(i + 1 if same else 0, lb.nseg):
+            b1, b2 = pb[j], pb[j + 1]
+            if not _bbox_overlap(a1, a2, b1, b2):
+                continue
+            after = same and j == i + 1
+            before = same and i == 0 and j == na - 1
+            if (
+                (not before and _seg_point_dist(a1, b1, b2) <= COINCIDENCE_TOL)
+                or (not after and _seg_point_dist(a2, b1, b2) <= COINCIDENCE_TOL)
+                or (not after and _seg_point_dist(b1, a1, a2) <= COINCIDENCE_TOL)
+                or (not before and _seg_point_dist(b2, a1, a2) <= COINCIDENCE_TOL)
+            ):
+                raise DegenerateGeometry(f"a vertex lies on a segment (segments {i}, {j})")
+            if after or before:
+                continue
+            o1 = _orient(a1, a2, b1)
+            o2 = _orient(a1, a2, b2)
+            o3 = _orient(b1, b2, a1)
+            o4 = _orient(b1, b2, a2)
+            if o1 * o2 < 0 and o3 * o4 < 0:
+                r = (Fraction(a2[0]) - Fraction(a1[0]), Fraction(a2[1]) - Fraction(a1[1]))
+                s = (Fraction(b2[0]) - Fraction(b1[0]), Fraction(b2[1]) - Fraction(b1[1]))
+                q = (Fraction(b1[0]) - Fraction(a1[0]), Fraction(b1[1]) - Fraction(a1[1]))
+                den = r[0] * s[1] - r[1] * s[0]
+                ta = (q[0] * s[1] - q[1] * s[0]) / den
+                tb = (q[0] * r[1] - q[1] * r[0]) / den
+                pt = (float(Fraction(a1[0]) + ta * r[0]),
+                      float(Fraction(a1[1]) + ta * r[1]))
+                out.append((i, j, ta, tb, pt, 1 if den > 0 else -1))
+            elif (o1, o2, o3, o4).count(0) > 0:
+                if (
+                    (o1 == 0 and _bbox_overlap(a1, a2, b1, b1, 0.0))
+                    or (o2 == 0 and _bbox_overlap(a1, a2, b2, b2, 0.0))
+                    or (o3 == 0 and _bbox_overlap(b1, b2, a1, a1, 0.0))
+                    or (o4 == 0 and _bbox_overlap(b1, b2, a2, a2, 0.0))
+                ):
+                    raise DegenerateGeometry(
+                        f"segments graze or overlap (segments {i}, {j})")
+    return out
+
+
+def min_clearance_oracle(loop) -> float:
+    """All-pairs minimum distance between non-adjacent, non-crossing
+    segments of one loop, with no pruning."""
+    from shadowsum.errors import DegenerateGeometry
+    from shadowsum.geometry import _seg_seg_dist
+
+    crossing = {(i, j) for (i, j, *_rest) in proper_crossings_oracle(loop, loop, same=True)}
+    n = loop.nseg
+    pl = loop.planar
+    best = math.inf
+    for i in range(n):
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue
+            if (i, j) in crossing:
+                continue
+            best = min(best, _seg_seg_dist(pl[i], pl[i + 1], pl[j], pl[j + 1]))
+    if not math.isfinite(best):
+        raise DegenerateGeometry("loop has no non-adjacent segment pairs")
+    return best

@@ -6,6 +6,7 @@ import pytest
 import shadowsum as ss
 import shadowsum.cli
 import shadowsum.geometry
+import shadowsum.linking
 import shadowsum.shadow
 from shadowsum.cli import main
 from shadowsum.errors import ParseError
@@ -102,6 +103,29 @@ def validate_calls(monkeypatch):
 
 
 @pytest.fixture
+def loop_scans(monkeypatch):
+    """The loops whose clearance is computed, and the loops scanned for
+    their own crossings (`_proper_crossings(l, l, same=True)`)."""
+    scans = {"clearance": [], "self_crossings": []}
+    real_clearance = shadowsum.geometry._min_clearance
+    real_crossings = shadowsum.geometry._proper_crossings
+
+    def clearance(loop):
+        scans["clearance"].append(loop)
+        return real_clearance(loop)
+
+    def crossings(la, lb, same):
+        if same:
+            scans["self_crossings"].append(la)
+        return real_crossings(la, lb, same)
+
+    monkeypatch.setattr(shadowsum.geometry, "_min_clearance", clearance)
+    monkeypatch.setattr(shadowsum.geometry, "_proper_crossings", crossings)
+    monkeypatch.setattr(shadowsum.linking, "_proper_crossings", crossings)
+    return scans
+
+
+@pytest.fixture
 def enumerate_colorings_calls(monkeypatch):
     """The shadows passed to `enumerate_colorings`, from the CLI or from
     the state sum."""
@@ -138,6 +162,24 @@ class TestCliEval:
         shadow = ss.load_shadow(corpus_dir / "twocircles.shadow.json")
         count = len(ss.enumerate_colorings(shadow, ss.Level(3)))
         assert f"colorings: {count}" in out.splitlines()
+
+    def test_long_face_chain(self, capsys, tmp_path, corpus_dir):
+        # 1100 faces in a row, split by color-0 edges: far past the
+        # interpreter's recursion limit if enumeration recursed per face
+        nf = 1100
+        chain = ss.Shadow(
+            faces=[ss.ShadowFace(chi=1 if f in (0, nf - 1) else 0, gleam=0)
+                   for f in range(nf)],
+            edges=[ss.ShadowEdge(color2=0, left=f, right=f + 1) for f in range(nf - 1)],
+        )
+        path = tmp_path / "chain.shadow.json"
+        path.write_text(ss.dumps_shadow(chain))
+        code, out = run_cli(capsys, "eval", "--level", "1", str(path))
+        assert code == 0
+        assert "colorings: 2" in out.splitlines()
+        # color-0 edges are invisible: the chain evaluates like the empty shadow
+        _, empty = run_cli(capsys, "eval", "--level", "1", str(corpus_dir / "empty.shadow.json"))
+        assert last_value(out) == pytest.approx(last_value(empty))
 
     def test_malformed_reference_exit_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.shadow.json"
@@ -193,6 +235,17 @@ class TestCliWlo:
                             str(corpus_dir / "circle_wp1.link.json"))
         assert code == 0
         assert last_value(out) == 0
+
+    def test_abelian_scans_each_loop_once(self, capsys, corpus_dir, loop_scans):
+        # both Abelian routes run; between them they ask 5 times per loop
+        # for the clearance
+        path = corpus_dir / "hopf.link.json"
+        code, out = run_cli(capsys, "wlo", "--mode", "abelian", str(path))
+        assert code == 0
+        assert any(line.startswith("intermediate") for line in out.splitlines())
+        for lp in ss.load_link(path).loops:
+            assert loop_scans["clearance"].count(lp) == 1
+            assert loop_scans["self_crossings"].count(lp) == 1
 
     def test_dpfree_rejects_double_points(self, capsys, corpus_dir):
         code, _ = run_cli(capsys, "wlo", "--mode", "dpfree",

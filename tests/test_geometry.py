@@ -19,6 +19,8 @@ from shadowsum.random_links import polygon_circle, random_crossing_pair, random_
 from conftest import (
     crossing_count_oracle,
     mark_oracle,
+    min_clearance_oracle,
+    proper_crossings_oracle,
     tangential_t0_link,
     vertex_on_segment_oracle,
     winding_oracle,
@@ -73,6 +75,87 @@ def moved_vertex_link(rng, gap):
     except DegenerateGeometry:
         return None
     return ss.Link(tuple(loops), t0=0.0, level=1)
+
+
+def scan_polygon(rng):
+    """3-40 vertices star-shaped about a random centre, or 3-12 scattered
+    ones (and then self-crossing); 40% are rounded to 0.1, which gives
+    vertical segments and segments whose x-extents share an end."""
+    if rng.random() < 0.8:
+        n = rng.randint(3, 40)
+        cx, cy = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        angles = sorted(rng.uniform(0, TAU) for _ in range(n))
+        radii = [rng.uniform(0.3, 2.0) for _ in range(n)]
+        pts = [(cx + r * math.cos(a), cy + r * math.sin(a)) for a, r in zip(angles, radii)]
+    else:
+        pts = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(rng.randint(3, 12))]
+    if rng.random() < 0.4:
+        pts = [(round(x, 1), round(y, 1)) for x, y in pts]
+    return pts
+
+
+def nudge(rng, pts, host):
+    """Move one vertex of `pts` onto, or to 1e-12, 5e-10 or 2e-9 off, a
+    segment of the closed polygon `host` (which may be `pts` itself).
+    Vertical segments are preferred: off one of them, the moved vertex
+    meets it only through the margin of the bounding-box test."""
+    gap = rng.choice((0.0, 1e-12, 5e-10, 2e-9))
+    m = len(host)
+    vertical = [j for j in range(m) if host[j][0] == host[(j + 1) % m][0]]
+    j = rng.choice(vertical) if vertical and rng.random() < 0.5 else rng.randrange(m)
+    (ax, ay), (bx, by) = host[j], host[(j + 1) % m]
+    nx, ny = -(by - ay), bx - ax
+    norm = math.hypot(nx, ny)
+    if norm == 0.0:
+        return pts
+    s = rng.choice((0.5, rng.uniform(0.05, 0.95)))
+    off = rng.choice((-1, 1)) * gap / norm
+    out = list(pts)
+    out[rng.randrange(len(out))] = (ax + s * (bx - ax) + off * nx, ay + s * (by - ay) + off * ny)
+    return out
+
+
+class TestSweptScans:
+    """The swept scans against their all-pairs oracles, exceptions included."""
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except DegenerateGeometry as exc:
+            return (type(exc), str(exc))
+
+    def test_match_all_pairs_oracles(self):
+        rng = random.Random(6)
+        seen = {"raised": 0, "crossings": 0, "clearance": 0}
+        cases = 0
+        while cases < 100:
+            pa, pb = scan_polygon(rng), scan_polygon(rng)
+            if rng.random() < 0.7:
+                pa = nudge(rng, pa, pb if rng.random() < 0.5 else pa)
+            if rng.random() < 0.3:
+                pb = nudge(rng, pb, pa if rng.random() < 0.5 else pb)
+            try:
+                la, lb = polygon(pa), polygon(pb, 2.0)
+            except DegenerateGeometry:
+                continue  # a nudge made a zero-length segment
+            cases += 1
+            for args in ((la, la, True), (lb, lb, True), (la, lb, False), (lb, la, False)):
+                got = self.outcome(ss.geometry._proper_crossings, *args)
+                assert got == self.outcome(proper_crossings_oracle, *args)
+                seen["raised" if isinstance(got, tuple) else "crossings"] += bool(got)
+            for lp in (la, lb):
+                got = self.outcome(ss.geometry.loop_min_clearance, lp)
+                assert got == self.outcome(min_clearance_oracle, lp)
+                seen["clearance"] += isinstance(got, float)
+        assert min(seen.values()) >= 40, seen
+
+    def test_clearance_prune_margin_covers_rounding(self):
+        # two pairs at distance 0.1 whose float distances differ by 2 ulps;
+        # a prune on the bare bounding-box gap would keep the larger one
+        lp = polygon([(-1.3, -0.2), (-1.2, -1.4), (-0.2, 1.5), (-0.9, 2.0),
+                      (1.3, -1.9), (-0.1, 1.5), (0.6, 1.5), (1.8, 1.8)])
+        assert ss.geometry.loop_min_clearance(lp) == min_clearance_oracle(lp)
 
 
 class TestLoopBasics:

@@ -195,14 +195,24 @@ class TestSixJ:
         wigner = pytest.importorskip("sympy.physics.wigner")
         lev = Level(10**7 - 2)
         rng = random.Random(0)
+
+        def triad(a, b, c):
+            return (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b
+
+        nonzero = 0
         for _ in range(15):
-            ts = [rng.randint(0, 4) for _ in range(6)]
+            # an admissible tuple: all four triads satisfy the triangle
+            # inequalities with even doubled sums
+            while True:
+                ts = [rng.randint(0, 4) for _ in range(6)]
+                i, j, k, l, m, n = ts
+                if all(triad(*t) for t in ((i, j, k), (i, m, n), (l, j, n), (l, m, k))):
+                    break
             mine = sixj(lev, *_spins(ts))
-            try:
-                ref = float(wigner.wigner_6j(*(F(t, 2) for t in ts)))
-            except ValueError:
-                ref = 0.0
+            ref = float(wigner.wigner_6j(*_spins(ts)))
+            nonzero += ref != 0.0
             assert mine == pytest.approx(ref, abs=1e-9)
+        assert nonzero >= 10
 
 
 def pentagon_residual(lev, ts):
