@@ -5,9 +5,9 @@
                     [--dims a,b,...] [--format ...] [FILE]
     shadowsum check --what bijection|euler|lem2 [--level K] [--samples N] FILE
 
-Exit codes: 0 success/pass, 1 check failed, 2 parse error, 3 invariant
-violation (including a value that is not finite), 4 mode precondition
-violated.
+Exit codes: 0 success/pass, 1 check failed, 2 parse error (including an
+input file that cannot be read or is not UTF-8), 3 invariant violation
+(including a value that is not finite), 4 mode precondition violated.
 
 Output on stdout is deterministic: byte-identical input produces
 byte-identical output.  Wall-clock timing goes to stderr.
@@ -27,11 +27,12 @@ from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, ParseError, PreconditionError, ShadowsumError
 from .evaluators import wlo_abelian, wlo_abelian_intermediate, wlo_vertical
-from .files import load_link, load_shadow
+from .files import load_link, load_link_or_shadow, load_shadow
 from .geometry import admissible_at, crossing_marks, face_complex, validate, winding_s1
 from .linking import link_number
 from .quantum import Level
 from .shadow import (
+    Shadow,
     check_bijection,
     enumerate_colorings,
     enumerate_pairs,
@@ -130,13 +131,14 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _with_level_arg(link, args):
+    return link if args.level is None else dataclasses.replace(link, level=args.level)
+
+
 def _load_link_arg(args):
     if args.file is None:
         raise ParseError("this mode requires a link file")
-    link = load_link(args.file)
-    if args.level is not None:
-        link = dataclasses.replace(link, level=args.level)
-    return link
+    return _with_level_arg(load_link(args.file), args)
 
 
 def _cmd_wlo(args) -> int:
@@ -188,7 +190,7 @@ def _cmd_wlo(args) -> int:
     if args.genus != 0:
         raise PreconditionError("dpfree mode evaluates spherical geometry; --genus must be 0")
     level = Level(link.level)
-    value = wlo_dpfree_final(link, level, fc, genus=args.genus)
+    value = wlo_dpfree_final(link, level, fc)
     pairs = enumerate_pairs(link, level, fc)
     pair_value = wlo_dpfree_pairsum(link, level, fc, pairs=pairs)
     result = RunResult(
@@ -208,29 +210,23 @@ def _cmd_wlo(args) -> int:
     return EXIT_OK
 
 
-def _is_shadow_file(path) -> bool:
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.read()
-    try:
-        obj = json.loads(head)
-    except json.JSONDecodeError:
-        return False
-    return isinstance(obj, dict) and "faces" in obj
-
-
 def _cmd_check(args) -> int:
     start = time.perf_counter()
-    if args.what == "euler" and args.file is not None and _is_shadow_file(args.file):
-        shadow = load_shadow(args.file)
-        total = sum(f.chi for f in shadow.faces)
-        ok = euler_identity_holds(shadow)
-        result = RunResult(
-            "check:euler", _read_digest(args.file), complex(1.0 if ok else 0.0),
-            {"chi_sum": total, "edges": len(shadow.edges), "vertices": len(shadow.vertices)},
-            (time.perf_counter() - start) * 1e3)
-        _emit(result, args.format)
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
-    link = _load_link_arg(args)
+    if args.what == "euler":
+        parsed = load_link_or_shadow(args.file)
+        if isinstance(parsed, Shadow):
+            total = sum(f.chi for f in parsed.faces)
+            ok = euler_identity_holds(parsed)
+            result = RunResult(
+                "check:euler", _read_digest(args.file), complex(1.0 if ok else 0.0),
+                {"chi_sum": total, "edges": len(parsed.edges),
+                 "vertices": len(parsed.vertices)},
+                (time.perf_counter() - start) * 1e3)
+            _emit(result, args.format)
+            return EXIT_OK if ok else EXIT_CHECK_FAILED
+        link = _with_level_arg(parsed, args)
+    else:
+        link = _load_link_arg(args)
     diag: dict = {"level": link.level}
     if args.what == "euler":
         fc = face_complex(link)
@@ -307,7 +303,7 @@ def main(argv=None) -> int:
         if args.command == "wlo":
             return _cmd_wlo(args)
         return _cmd_check(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ParseError as exc:

@@ -77,16 +77,15 @@ def _lk_products(link: Link) -> Fraction:
     return total
 
 
-def wlo_abelian(link: Link, lam: float | None = None, framings=None) -> complex:
-    """Abelian loop observable from integer linking data.
+def wlo_abelian(link: Link, framings=None) -> complex:
+    """Abelian loop observable from integer linking data, lam = 1/level.
 
     Returns exactly 0 unless the circle windings sum to zero; otherwise the
     product of exp(lam*pi*i*framing_j) over loops and exp(lam*pi*i*Link_jk)
     over ordered pairs.  Framings default to the horizontal self-linking.
     """
     _reject_vertical(link)
-    if lam is None:
-        lam = 1.0 / link.level
+    lam = 1.0 / link.level
     if sum(winding_s1(lp) for lp in link.loops) != 0:
         return complex(0.0)
     loops = link.loops
@@ -99,20 +98,18 @@ def wlo_abelian(link: Link, lam: float | None = None, framings=None) -> complex:
     return cmath.exp(complex(0.0, math.pi * lam * total))
 
 
-def wlo_abelian_intermediate(link: Link, lam: float | None = None) -> complex:
+def wlo_abelian_intermediate(link: Link) -> complex:
     """Abelian loop observable assembled from the t0-cut pairings and the
     winding numbers at the two push-off sides of every crossing mark; equal
-    to wlo_abelian on null-homologous links."""
+    to wlo_abelian on null-homologous links.  lam = 1/level."""
     _reject_vertical(link)
-    if lam is None:
-        lam = 1.0 / link.level
+    lam = 1.0 / link.level
     if sum(winding_s1(lp) for lp in link.loops) != 0:
         return complex(0.0)
     exponent = _lk_products(link)
-    marks = crossing_marks(link)
-    for lp in link.loops:
-        for m in marks:
-            p_left, p_right = mark_side_points(link, m)
+    for m in crossing_marks(link):
+        p_left, p_right = mark_side_points(link, m)
+        for lp in link.loops:
             exponent -= m.eps * (ind(lp, p_left) + ind(lp, p_right))
     return cmath.exp(complex(0.0, math.pi * lam * float(exponent)))
 

@@ -11,8 +11,13 @@ Shadow files:
       "vertices": [ { "e1": half-integer, "e2": half-integer,
                       "j": faceId, "k": faceId, "m": faceId, "n": faceId } ] }
 
-Parsers reject NaN/Inf and non-closing loops with ParseError; violated
-structural invariants of the parsed objects raise InvariantViolation.
+A loop's "framing" (default 0) is parsed and written back, but no
+evaluator reads it: the framing the Abelian and shadow routes use is the
+horizontal self-linking `self_link`.
+
+Parsers reject NaN/Inf, non-closing loops, files that are not UTF-8 and
+JSON nested too deeply to parse with ParseError; violated structural
+invariants of the parsed objects raise InvariantViolation.
 """
 
 from __future__ import annotations
@@ -26,18 +31,30 @@ from .geometry import Link, Loop, make_loop
 from .shadow import Shadow, ShadowEdge, ShadowFace, ShadowVertex, check_shadow
 
 __all__ = ["loads_link", "load_link", "loads_shadow", "load_shadow",
-           "dumps_link", "dumps_shadow"]
+           "load_link_or_shadow", "dumps_link", "dumps_shadow"]
 
 
 def _reject_specials(name):
     raise ParseError(f"non-finite number {name!r} in input")
 
 
-def _load_json(text: str):
+def _load_json(data: str | bytes):
+    """Parse JSON text, or the UTF-8 bytes of a file; every failure to
+    decode or parse raises ParseError."""
     try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
         return json.loads(text, parse_constant=_reject_specials)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
+
+
+def _read(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _number(obj, what: str) -> float:
@@ -63,8 +80,7 @@ def _half_integer(obj, what: str) -> Fraction:
     return Fraction(round(doubled), 2)
 
 
-def loads_link(text: str) -> Link:
-    obj = _load_json(text)
+def _link_from_json(obj) -> Link:
     if not isinstance(obj, dict):
         raise ParseError("link file must contain a JSON object")
     missing = {"t0", "level", "loops"} - obj.keys()
@@ -96,13 +112,15 @@ def loads_link(text: str) -> Link:
     return Link(loops=tuple(loops), t0=t0, level=level)
 
 
+def loads_link(text: str) -> Link:
+    return _link_from_json(_load_json(text))
+
+
 def load_link(path) -> Link:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_link(fh.read())
+    return _link_from_json(_load_json(_read(path)))
 
 
-def loads_shadow(text: str) -> Shadow:
-    obj = _load_json(text)
+def _shadow_from_json(obj) -> Shadow:
     if not isinstance(obj, dict):
         raise ParseError("shadow file must contain a JSON object")
     if "faces" not in obj or "edges" not in obj:
@@ -146,9 +164,21 @@ def loads_shadow(text: str) -> Shadow:
     return shadow
 
 
+def loads_shadow(text: str) -> Shadow:
+    return _shadow_from_json(_load_json(text))
+
+
 def load_shadow(path) -> Shadow:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_shadow(fh.read())
+    return _shadow_from_json(_load_json(_read(path)))
+
+
+def load_link_or_shadow(path) -> Link | Shadow:
+    """Read and parse a file once: a JSON object with "faces" is a shadow
+    file, anything else is read as a link file."""
+    obj = _load_json(_read(path))
+    if isinstance(obj, dict) and "faces" in obj:
+        return _shadow_from_json(obj)
+    return _link_from_json(obj)
 
 
 def dumps_link(link: Link) -> str:

@@ -357,9 +357,9 @@ class AdmissibilityReport:
     vertical_loops: tuple[int, ...]
 
 
-def _angle_eq(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
+def _angle_eq(a: float, b: float) -> bool:
     d = (a - b) % TAU
-    return d <= tol or TAU - d <= tol
+    return d <= ANGLE_TOL or TAU - d <= ANGLE_TOL
 
 
 def _lift_levels(loop: Loop, t0: float):
@@ -564,9 +564,9 @@ def crossing_marks(link: Link) -> tuple[CrossingMark, ...]:
     return tuple(marks)
 
 
-def mark_side_points(link: Link, mark: CrossingMark, scale: float = 0.25):
+def mark_side_points(link: Link, mark: CrossingMark):
     """Probe points just left and just right of the strand at a crossing
-    mark, displaced by a fraction of the local clearance."""
+    mark, displaced by a quarter of the local clearance."""
     px, py = mark.point
     clearance = math.inf
     for j, loop in enumerate(link.loops):
@@ -577,7 +577,7 @@ def mark_side_points(link: Link, mark: CrossingMark, scale: float = 0.25):
             clearance = min(clearance, d)
     if not math.isfinite(clearance) or clearance <= 0:
         raise DegenerateGeometry("no clearance around crossing mark")
-    d = clearance * scale
+    d = clearance * 0.25
     nx, ny = -mark.tangent[1], mark.tangent[0]
     return (px + d * nx, py + d * ny), (px - d * nx, py - d * ny)
 
@@ -633,56 +633,11 @@ class FaceComplex:
     """Complement regions of pairwise-disjoint projected Jordan curves on
     S^2, with per-loop winding numbers constant on each face."""
 
-    link: Link = field(repr=False)
     faces: tuple[Face, ...]
     ind_table: tuple[tuple[int, ...], ...]   # [face][loop]
     loop_sides: tuple[tuple[int, int], ...]  # (left face, right face) per loop
     outer: int
     parent: tuple[int | None, ...]           # nesting forest over loops
-
-    def face_of_point(self, p) -> int:
-        containing = [j for j, lp in enumerate(self.link.loops) if ind(lp, p) != 0]
-        if not containing:
-            return self.outer
-        depth = {j: sum(1 for i in containing if self._contains(i, j)) for j in containing}
-        return max(containing, key=lambda j: depth[j])
-
-    def _contains(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        k = self.parent[j]
-        while k is not None:
-            if k == i:
-                return True
-            k = self.parent[k]
-        return False
-
-    def sample_point(self, face_id: int) -> tuple[float, float]:
-        if face_id == self.outer:
-            xs = [x for lp in self.link.loops for x, _ in lp.planar] or [0.0]
-            ys = [y for lp in self.link.loops for _, y in lp.planar] or [0.0]
-            return (max(xs) + 1.0, max(ys) + 1.0)
-        lp = self.link.loops[face_id]
-        o = _loop_orientation(lp)
-        for i, a, b in lp.segments():
-            mx, my = (a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0
-            dx, dy = b[0] - a[0], b[1] - a[1]
-            nx, ny = _unit((-dy, dx))  # left normal
-            clearance = min(
-                (_seg_point_dist((mx, my), c, d)
-                 for j, loop in enumerate(self.link.loops)
-                 for s, c, d in loop.segments()
-                 if not (j == face_id and s == i)),
-                default=math.hypot(dx, dy),
-            )
-            delta = 0.3 * min(clearance, math.hypot(dx, dy))
-            cand = (mx + o * delta * nx, my + o * delta * ny)
-            try:
-                if self.face_of_point(cand) == face_id:
-                    return cand
-            except PointOnCurve:
-                continue
-        raise DegenerateGeometry(f"could not find an interior point of face {face_id}")
 
 
 def face_complex(link: Link) -> FaceComplex:
@@ -764,7 +719,6 @@ def face_complex(link: Link) -> FaceComplex:
             loop_sides.append((outer_face, inner_face))
 
     return FaceComplex(
-        link=link,
         faces=tuple(faces),
         ind_table=tuple(ind_table),
         loop_sides=tuple(loop_sides),

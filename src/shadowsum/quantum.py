@@ -38,7 +38,6 @@ class Level:
     """Level k with rbar = k + 2 and color set {0, 1/2, ..., k/2}."""
 
     k: int
-    _sixj_cache: dict = field(default_factory=dict, repr=False, compare=False)
     # [0]!, [1]!, ...: the prefix of the [n]! table that the 6j-symbols
     # evaluated so far have needed (see _qfactorials)
     _qfactorial_table: tuple = field(default=(1.0,), init=False, repr=False, compare=False)
@@ -174,13 +173,7 @@ def sixj(level: Level, i, j, k, l, m, n) -> float:
         level.check_color(i), level.check_color(j), level.check_color(k),
         level.check_color(l), level.check_color(m), level.check_color(n),
     )
-    # memo writes are idempotent and a dict store is atomic under the GIL,
-    # so concurrent readers never observe a partial value
-    cached = level._sixj_cache.get(ts)
-    if cached is None:
-        cached = _sixj_doubled(level, *ts)
-        level._sixj_cache[ts] = cached
-    return cached
+    return _sixj_doubled(level, *ts)
 
 
 def _column_perms(cols):

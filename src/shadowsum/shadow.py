@@ -11,7 +11,7 @@ Two independent evaluation routes are implemented for double-point-free
 links with fundamental colors and must agree exactly:
 
   * the gleam state sum over admissible area colorings, scaled by
-    sin(pi/rbar)^(2-2g), and
+    sin(pi/rbar)^2 (the genus-0 factor sin(pi/rbar)^(2-2g)), and
   * the sum over admissible (level, sign-vector) pairs of products of
     sines of the integer face field xi = l - sum_j s_j ind_j, with a phase
     collecting winding * (xi_left^2 - xi_right^2) per loop.
@@ -48,7 +48,6 @@ from .errors import (
     HasVertices,
     InvariantViolation,
     MissingGleams,
-    PreconditionError,
     UnsupportedColor,
 )
 from .geometry import FaceComplex, Link, gleams_dpfree, winding_s1
@@ -442,11 +441,9 @@ def wlo_dpfree_pairsum(link: Link, level: Level, fc: FaceComplex,
     return total
 
 
-def wlo_dpfree_final(link: Link, level: Level, fc: FaceComplex, genus: int = 0) -> complex:
-    """Closed form of the loop observable: sin(pi/rbar)^(2-2g) times the
-    vertex-free state sum of the link's shadow."""
-    if genus != 0:
-        raise PreconditionError("geometric input lives on the sphere; genus must be 0")
+def wlo_dpfree_final(link: Link, level: Level, fc: FaceComplex) -> complex:
+    """Closed form of the loop observable on the sphere: sin(pi/rbar)^2
+    times the vertex-free state sum of the link's shadow."""
     shadow = shadow_from_dpfree(link, fc, gleams_dpfree(link, fc))
-    scale = math.sin(math.pi / level.rbar) ** (2 - 2 * genus)
+    scale = math.sin(math.pi / level.rbar) ** 2
     return scale * state_sum_dpfree(shadow, level)

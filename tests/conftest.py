@@ -28,6 +28,63 @@ def tangential_t0_link() -> Link:
     return Link((loop,), t0=0.5, level=2)
 
 
+def face_of_point_oracle(link, fc, p) -> int:
+    """Face of `fc` containing the planar point p: the innermost loop
+    whose winding number around p is nonzero, or the outer face."""
+    from shadowsum.geometry import ind
+
+    def contains(i, j):
+        if i == j:
+            return False
+        k = fc.parent[j]
+        while k is not None:
+            if k == i:
+                return True
+            k = fc.parent[k]
+        return False
+
+    containing = [j for j, lp in enumerate(link.loops) if ind(lp, p) != 0]
+    if not containing:
+        return fc.outer
+    depth = {j: sum(1 for i in containing if contains(i, j)) for j in containing}
+    return max(containing, key=lambda j: depth[j])
+
+
+def sample_point_oracle(link, fc, face_id) -> tuple[float, float]:
+    """A point inside face `face_id`: beyond the bounding box for the outer
+    face, else a segment midpoint of the face's loop nudged inward by 0.3
+    of the local clearance, the first such point that
+    face_of_point_oracle places in the face."""
+    from shadowsum.errors import DegenerateGeometry, PointOnCurve
+    from shadowsum.geometry import _loop_orientation, _seg_point_dist, _unit
+
+    if face_id == fc.outer:
+        xs = [x for lp in link.loops for x, _ in lp.planar] or [0.0]
+        ys = [y for lp in link.loops for _, y in lp.planar] or [0.0]
+        return (max(xs) + 1.0, max(ys) + 1.0)
+    lp = link.loops[face_id]
+    o = _loop_orientation(lp)
+    for i, a, b in lp.segments():
+        mx, my = (a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        nx, ny = _unit((-dy, dx))  # left normal
+        clearance = min(
+            (_seg_point_dist((mx, my), c, d)
+             for j, loop in enumerate(link.loops)
+             for s, c, d in loop.segments()
+             if not (j == face_id and s == i)),
+            default=math.hypot(dx, dy),
+        )
+        delta = 0.3 * min(clearance, math.hypot(dx, dy))
+        cand = (mx + o * delta * nx, my + o * delta * ny)
+        try:
+            if face_of_point_oracle(link, fc, cand) == face_id:
+                return cand
+        except PointOnCurve:
+            continue
+    raise DegenerateGeometry(f"could not find an interior point of face {face_id}")
+
+
 def winding_oracle(loop, p) -> int:
     """Angle-sum winding number, independent of the ray-crossing route."""
     total = 0.0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import shadowsum as ss
+import shadowsum.evaluators
 from shadowsum.errors import PreconditionError
 from shadowsum.random_links import polygon_circle
 
@@ -22,6 +23,20 @@ def hopf_link(level=2):
     b = polygon_circle(1.0, 0.0, 1.0, 22, phase=0.31,
                        theta_fn=lambda u: 0.55 + 0.35 * math.sin(TAU * u))
     return ss.Link((a, b), t0=0.0, level=level)
+
+
+@pytest.fixture
+def mark_side_point_calls(monkeypatch):
+    """The crossing marks passed to `mark_side_points` by the evaluators."""
+    calls = []
+    real = shadowsum.evaluators.mark_side_points
+
+    def counting(link, mark):
+        calls.append(mark)
+        return real(link, mark)
+
+    monkeypatch.setattr(shadowsum.evaluators, "mark_side_points", counting)
+    return calls
 
 
 class TestAbelian:
@@ -65,6 +80,15 @@ class TestAbelianIntermediate:
             a = ss.wlo_abelian(link)
             b = ss.wlo_abelian_intermediate(link)
             assert a == pytest.approx(b, abs=1e-10), name
+
+    def test_side_points_once_per_mark(self, corpus_dir, mark_side_point_calls):
+        # two loops and two crossing marks: one probe pair per mark, not
+        # one per (loop, mark)
+        link = ss.load_link(corpus_dir / "nested_pair.link.json")
+        marks = ss.crossing_marks(link)
+        assert len(link.loops) == 2 and len(marks) == 2
+        ss.wlo_abelian_intermediate(link)
+        assert list(mark_side_point_calls) == list(marks)
 
     def test_wind_one_gives_exact_zero(self):
         lp = polygon_circle(0, 0, 1.0, 16, winding=1, theta0=0.5, phase=0.1)

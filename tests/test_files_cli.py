@@ -7,6 +7,7 @@ import shadowsum as ss
 import shadowsum.cli
 import shadowsum.geometry
 import shadowsum.linking
+import shadowsum.quantum
 import shadowsum.shadow
 from shadowsum.cli import main
 from shadowsum.errors import ParseError
@@ -141,6 +142,55 @@ def enumerate_colorings_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def sixj_evaluations(monkeypatch):
+    """The doubled 6-tuples whose 6j-symbol is computed from scratch."""
+    calls = []
+    real = shadowsum.quantum._sixj_doubled
+
+    def counting(level, *ts):
+        calls.append(ts)
+        return real(level, *ts)
+
+    monkeypatch.setattr(shadowsum.quantum, "_sixj_doubled", counting)
+    return calls
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.link.json"
+    path.write_bytes('{"t0": 0.0, "level": 1, "loops": [], "note": "caf\u00e9"}'
+                     .encode("latin-1"))
+    return path
+
+
+def _deep_json(tmp_path):
+    path = tmp_path / "deep.link.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return path
+
+
+def _directory(tmp_path):
+    path = tmp_path / "dir.link.json"
+    path.mkdir()
+    return path
+
+
+@pytest.mark.parametrize("make_input", [_not_utf8, _deep_json, _directory])
+@pytest.mark.parametrize("command", [
+    ("eval", "--level", "1"),
+    ("wlo", "--mode", "abelian"),
+    ("wlo", "--mode", "dpfree"),
+    ("check", "--what", "euler"),
+    ("check", "--what", "bijection"),
+], ids=["eval", "wlo-abelian", "wlo-dpfree", "check-euler", "check-bijection"])
+def test_unreadable_input_exit_2(capsys, tmp_path, make_input, command):
+    code = main([*command, str(make_input(tmp_path))])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error" in captured.err
+
+
 class TestCliEval:
     def test_empty_shadow(self, capsys, corpus_dir):
         code, out = run_cli(capsys, "eval", "--level", "1",
@@ -187,6 +237,15 @@ class TestCliEval:
                        '"edges": [{"color": 0.5, "left": 0, "right": 5}]}')
         code, _ = run_cli(capsys, "eval", "--level", "1", str(bad))
         assert code == 3
+
+    def test_each_sixj_computed_once(self, capsys, corpus_dir, sixj_evaluations):
+        # the state sum's per-call memo is the only store of 6j values, and
+        # it evaluates each distinct doubled 6-tuple exactly once
+        code, _ = run_cli(capsys, "eval", "--level", "6",
+                          str(corpus_dir / "twocircles.shadow.json"))
+        assert code == 0
+        assert sixj_evaluations
+        assert len(sixj_evaluations) == len(set(sixj_evaluations))
 
     def test_bad_json_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -246,6 +305,12 @@ class TestCliWlo:
         for lp in ss.load_link(path).loops:
             assert loop_scans["clearance"].count(lp) == 1
             assert loop_scans["self_crossings"].count(lp) == 1
+
+    def test_dpfree_genus_must_be_zero(self, capsys, corpus_dir):
+        code, out = run_cli(capsys, "wlo", "--mode", "dpfree", "--genus", "1",
+                            str(corpus_dir / "circle_w0.link.json"))
+        assert code == 4
+        assert out == ""
 
     def test_dpfree_rejects_double_points(self, capsys, corpus_dir):
         code, _ = run_cli(capsys, "wlo", "--mode", "dpfree",

@@ -18,9 +18,11 @@ from shadowsum.random_links import polygon_circle, random_crossing_pair, random_
 
 from conftest import (
     crossing_count_oracle,
+    face_of_point_oracle,
     mark_oracle,
     min_clearance_oracle,
     proper_crossings_oracle,
+    sample_point_oracle,
     tangential_t0_link,
     vertex_on_segment_oracle,
     winding_oracle,
@@ -491,8 +493,8 @@ class TestFaceComplex:
             link = random_dpfree_link(rng, max_loops=4, level=1)
             fc = ss.face_complex(link)
             for f in fc.faces:
-                p = fc.sample_point(f.id)
-                assert fc.face_of_point(p) == f.id
+                p = sample_point_oracle(link, fc, f.id)
+                assert face_of_point_oracle(link, fc, p) == f.id
                 for j, lp in enumerate(link.loops):
                     assert ss.ind(lp, p) == fc.ind_table[f.id][j]
 
@@ -536,6 +538,6 @@ class TestGleams:
                 delta = 0.05 * nrm
                 p_left = (mx - delta * dy / nrm, my + delta * dx / nrm)
                 p_right = (mx + delta * dy / nrm, my - delta * dx / nrm)
-                oracle[fc.face_of_point(p_left)] += w
-                oracle[fc.face_of_point(p_right)] -= w
+                oracle[face_of_point_oracle(link, fc, p_left)] += w
+                oracle[face_of_point_oracle(link, fc, p_right)] -= w
             assert list(gleams) == oracle
