@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, ParseError, PreconditionError, ShadowsumError
 from .evaluators import wlo_abelian, wlo_abelian_intermediate, wlo_vertical
-from .files import load_link, load_link_or_shadow, load_shadow
+from .files import loads_link, loads_link_or_shadow, loads_shadow
 from .geometry import admissible_at, crossing_marks, face_complex, validate, winding_s1
 from .linking import link_number
 from .quantum import Level
@@ -81,9 +81,11 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _read_digest(path) -> str:
+def _read_input(path) -> tuple[bytes, str]:
+    """The input file's bytes, read once, and the digest of those bytes."""
     with open(path, "rb") as fh:
-        return _digest(fh.read())
+        data = fh.read()
+    return data, _digest(data)
 
 
 def _finite(obj) -> bool:
@@ -110,14 +112,15 @@ def _require_level(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    shadow = load_shadow(args.file)
+    data, digest = _read_input(args.file)
+    shadow = loads_shadow(data)
     level = Level(_require_level(args))
     start = time.perf_counter()
     colorings = enumerate_colorings(shadow, level)
     value = state_sum_general(shadow, level, colorings=colorings)
     result = RunResult(
         command="eval",
-        digest=_read_digest(args.file),
+        digest=digest,
         value=value,
         diagnostics={
             "colorings": len(colorings),
@@ -136,21 +139,22 @@ def _with_level_arg(link, args):
 
 
 def _load_link_arg(args):
+    """The link in the input file, with --level applied, and its digest."""
     if args.file is None:
         raise ParseError("this mode requires a link file")
-    return _with_level_arg(load_link(args.file), args)
+    data, digest = _read_input(args.file)
+    return _with_level_arg(loads_link(data), args), digest
 
 
 def _cmd_wlo(args) -> int:
     start = time.perf_counter()
     if args.mode == "vertical":
         if args.file is not None and not args.dims:
-            link = _load_link_arg(args)
+            link, digest = _load_link_arg(args)
             if not all(lp.vertical for lp in link.loops):
                 raise PreconditionError("vertical mode requires vertical loops or --dims")
             dims = tuple(lp.color2 + 1 for lp in link.loops)
             k = link.level
-            digest = _read_digest(args.file)
         else:
             dims = tuple(int(d) for d in args.dims.split(",")) if args.dims else ()
             k = _require_level(args)
@@ -162,7 +166,7 @@ def _cmd_wlo(args) -> int:
         _emit(result, args.format)
         return EXIT_OK
 
-    link = _load_link_arg(args)
+    link, digest = _load_link_arg(args)
     if args.mode == "abelian":
         report = validate(link)
         if not report.ok:
@@ -180,7 +184,7 @@ def _cmd_wlo(args) -> int:
             other = wlo_abelian_intermediate(link)
             diag["intermediate"] = [other.real, other.imag]
             diag["difference"] = abs(value - other)
-        result = RunResult("wlo", _read_digest(args.file), value, diag,
+        result = RunResult("wlo", digest, value, diag,
                            (time.perf_counter() - start) * 1e3)
         _emit(result, args.format)
         return EXIT_OK
@@ -195,7 +199,7 @@ def _cmd_wlo(args) -> int:
     pair_value = wlo_dpfree_pairsum(link, level, fc, pairs=pairs)
     result = RunResult(
         "wlo",
-        _read_digest(args.file),
+        digest,
         value,
         {
             "difference": abs(value - pair_value),
@@ -213,12 +217,13 @@ def _cmd_wlo(args) -> int:
 def _cmd_check(args) -> int:
     start = time.perf_counter()
     if args.what == "euler":
-        parsed = load_link_or_shadow(args.file)
+        data, digest = _read_input(args.file)
+        parsed = loads_link_or_shadow(data)
         if isinstance(parsed, Shadow):
             total = sum(f.chi for f in parsed.faces)
             ok = euler_identity_holds(parsed)
             result = RunResult(
-                "check:euler", _read_digest(args.file), complex(1.0 if ok else 0.0),
+                "check:euler", digest, complex(1.0 if ok else 0.0),
                 {"chi_sum": total, "edges": len(parsed.edges),
                  "vertices": len(parsed.vertices)},
                 (time.perf_counter() - start) * 1e3)
@@ -226,7 +231,7 @@ def _cmd_check(args) -> int:
             return EXIT_OK if ok else EXIT_CHECK_FAILED
         link = _with_level_arg(parsed, args)
     else:
-        link = _load_link_arg(args)
+        link, digest = _load_link_arg(args)
     diag: dict = {"level": link.level}
     if args.what == "euler":
         fc = face_complex(link)
@@ -254,7 +259,7 @@ def _cmd_check(args) -> int:
                 values.append(link_number(link.loops[0], link.loops[1], t0))
         ok = len(values) == args.samples and len(set(values)) == 1
         diag.update({"samples": len(values), "values": sorted(set(values))})
-    result = RunResult(f"check:{args.what}", _read_digest(args.file),
+    result = RunResult(f"check:{args.what}", digest,
                        complex(1.0 if ok else 0.0), diag,
                        (time.perf_counter() - start) * 1e3)
     _emit(result, args.format)

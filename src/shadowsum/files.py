@@ -31,7 +31,7 @@ from .geometry import Link, Loop, make_loop
 from .shadow import Shadow, ShadowEdge, ShadowFace, ShadowVertex, check_shadow
 
 __all__ = ["loads_link", "load_link", "loads_shadow", "load_shadow",
-           "load_link_or_shadow", "dumps_link", "dumps_shadow"]
+           "loads_link_or_shadow", "dumps_link", "dumps_shadow"]
 
 
 def _reject_specials(name):
@@ -112,7 +112,7 @@ def _link_from_json(obj) -> Link:
     return Link(loops=tuple(loops), t0=t0, level=level)
 
 
-def loads_link(text: str) -> Link:
+def loads_link(text: str | bytes) -> Link:
     return _link_from_json(_load_json(text))
 
 
@@ -164,7 +164,7 @@ def _shadow_from_json(obj) -> Shadow:
     return shadow
 
 
-def loads_shadow(text: str) -> Shadow:
+def loads_shadow(text: str | bytes) -> Shadow:
     return _shadow_from_json(_load_json(text))
 
 
@@ -172,10 +172,10 @@ def load_shadow(path) -> Shadow:
     return _shadow_from_json(_load_json(_read(path)))
 
 
-def load_link_or_shadow(path) -> Link | Shadow:
-    """Read and parse a file once: a JSON object with "faces" is a shadow
+def loads_link_or_shadow(text: str | bytes) -> Link | Shadow:
+    """Parse a file's text once: a JSON object with "faces" is a shadow
     file, anything else is read as a link file."""
-    obj = _load_json(_read(path))
+    obj = _load_json(text)
     if isinstance(obj, dict) and "faces" in obj:
         return _shadow_from_json(obj)
     return _link_from_json(obj)

@@ -6,10 +6,15 @@ numbers and vanish on the face containing sigma_0.  A loop stores planar
 vertices together with a real lift of its circle coordinate; the lift is
 linear on each segment.
 
-Planar predicates (orientation, segment crossing, winding) are evaluated
-with exact rational arithmetic on the input coordinates; two points are
-considered coincident iff they are within 1e-9.  Non-generic input is
-rejected, never perturbed.
+Planar predicates (orientation, segment crossing, winding) give the sign
+that exact rational arithmetic on the input coordinates gives; two points
+are considered coincident iff they are within 1e-9.  Non-generic input is
+rejected, never perturbed.  The orientation tests (`_orient` for a point
+against a segment, `_loop_orientation` for a polygon) evaluate in floats
+first and return the float sign only when it clears a bound on the
+rounding error; otherwise they redo the sum with Fractions (the
+filter-then-exact scheme of Shewchuk, "Adaptive Precision Floating-Point
+Arithmetic and Fast Robust Geometric Predicates", DCG 18, 1997).
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.  A `Loop` computes its self-crossings and its clearance
@@ -607,10 +612,36 @@ def ind(loop: Loop, p: Sequence[float]) -> int:
 
 
 def _loop_orientation(loop: Loop) -> int:
-    """+1 for a counterclockwise projected polygon, -1 for clockwise."""
-    area = Fraction(0)
+    """+1 for a counterclockwise projected polygon, -1 for clockwise.
+
+    The doubled signed area A = sum_i (x_i y_{i+1} - x_{i+1} y_i) over the n
+    segments is first summed in floats, together with
+    S = sum_i (|x_i y_{i+1}| + |x_{i+1} y_i|).  With unit roundoff
+    u = 2^-53, each product is rounded once, each difference once, and the
+    running sum (starting from an exact 0.0) rounds n - 1 more times, so
+    every product passes through at most n + 1 roundings and the float sum
+    differs from A by at most gamma_{n+1} S, gamma_m = m u / (1 - m u)
+    (Higham, "Accuracy and Stability of Numerical Algorithms", 2002, §3.1).
+    Products in the subnormal range add at most 2^-1075 each, which
+    1e-300 covers for any polygon that fits in memory.  The float sign is
+    returned when |A| exceeds (n + 2) * 4.5e-16 * S + 1e-300, at least four
+    times that error bound; otherwise the sum is redone in exact Fraction
+    arithmetic, as are polygons whose products overflow (A or S is then
+    infinite or NaN and fails the test).
+    """
     pl = loop.planar
-    for i in range(loop.nseg):
+    n = loop.nseg
+    area = 0.0
+    mag = 0.0
+    for (ax, ay), (bx, by) in zip(pl, pl[1:]):
+        p = ax * by
+        q = bx * ay
+        area += p - q
+        mag += abs(p) + abs(q)
+    if abs(area) > (n + 2) * 4.5e-16 * mag + 1e-300:
+        return 1 if area > 0 else -1
+    area = Fraction(0)
+    for i in range(n):
         (ax, ay), (bx, by) = pl[i], pl[i + 1]
         area += Fraction(ax) * Fraction(by) - Fraction(bx) * Fraction(ay)
     if area == 0:
@@ -665,9 +696,14 @@ def face_complex(link: Link) -> FaceComplex:
     orient = [_loop_orientation(lp) for lp in loops]
     inside = [[False] * n for _ in range(n)]  # inside[i][j]: loop j lies inside loop i
     for i in range(n):
+        xs, ys = zip(*loops[i].planar)
+        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
         for j in range(n):
-            if i != j:
-                inside[i][j] = ind(loops[i], loops[j].planar[0]) != 0
+            # a point off the open bounding box of loop i has winding number
+            # 0 (validate has put every vertex off the other loops' curves)
+            x, y = loops[j].planar[0]
+            if i != j and x0 < x < x1 and y0 < y < y1:
+                inside[i][j] = ind(loops[i], (x, y)) != 0
 
     depth = [sum(1 for i in range(n) if inside[i][j]) for j in range(n)]
     parent: list[int | None] = [None] * n

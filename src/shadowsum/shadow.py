@@ -33,13 +33,23 @@ from a caller that already holds it: the CLI's eval enumerates once for
 both the value and the coloring count it prints.  The same list backs the
 bijection check.  The pair route keeps its own enumeration and shares no
 code with either state sum.
+
+The pair route costs about its output.  enumerate_pairs walks the 2^n sign
+vectors depth first, extending the face offsets by one column of the ind
+table per step, and reads each vector's admissible levels off its largest
+and smallest offset: O(2^n F) for the offsets plus O(F) per pair, where
+filtering all 2^n (k+1) candidates cost O(2^n (k+1) F n).
+wlo_dpfree_pairsum takes each face's sin(pi x / rbar)^chi from a table
+over x in {1, ..., k+1} and each phase from a memo on its integer exponent;
+the factors and the summation order are those of the per-pair formula, so
+the value is bit-identical.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -355,23 +365,39 @@ class AdmissiblePair:
 
 def enumerate_pairs(link: Link, level: Level, fc: FaceComplex) -> list[AdmissiblePair]:
     """All (l, sign-vector) pairs with xi = l - sum_j s_j ind_j mapping every
-    face into {1, ..., k+1}; 2^n (k+1) candidates are filtered."""
+    face into {1, ..., k+1}, ordered by l and then by sign vector in
+    itertools.product order.
+
+    The sign vectors are walked depth first in that order; choosing s_j
+    adds s_j times column j of the ind table to the face offsets
+    d = sum_j s_j ind_j, so a complete vector costs O(F), not O(F n).  Its
+    admissible levels are exactly max(1, 1 + max d) <= l <= min(k+1,
+    k+1 + min d); each pair goes to the bucket of its l, and the buckets
+    are joined in l order.  Besides the output, the walk holds at most
+    n + 1 offset vectors.
+    """
     for j, lp in enumerate(link.loops):
         if lp.color2 != 1:
             raise UnsupportedColor(
                 f"pair enumeration requires the fundamental color 1/2 on loop {j}")
     n = len(link.loops)
     kp1 = level.k + 1
-    out = []
-    for l in range(1, kp1 + 1):
-        for signs in itertools.product((-1, 1), repeat=n):
-            xi = tuple(
-                l - sum(s * w for s, w in zip(signs, row))
-                for row in fc.ind_table
-            )
-            if all(1 <= x <= kp1 for x in xi):
-                out.append(AdmissiblePair(l=l, signs=signs, xi=xi))
-    return out
+    columns = list(zip(*fc.ind_table))
+    buckets = [[] for _ in range(kp1 + 1)]
+    # stack of (signs chosen so far, their offsets); s = +1 is pushed first
+    # so that s = -1 is expanded first, as itertools.product orders them
+    stack = [((), (0,) * len(fc.ind_table))]
+    while stack:
+        signs, d = stack.pop()
+        j = len(signs)
+        if j < n:
+            col = columns[j]
+            stack.append((signs + (1,), tuple(map(operator.add, d, col))))
+            stack.append((signs + (-1,), tuple(map(operator.sub, d, col))))
+            continue
+        for l in range(max(1, 1 + max(d)), min(kp1, kp1 + min(d)) + 1):
+            buckets[l].append(AdmissiblePair(l=l, signs=signs, xi=tuple(l - x for x in d)))
+    return [pair for bucket in buckets for pair in bucket]
 
 
 def coloring_of_pair(pair: AdmissiblePair) -> AreaColoring:
@@ -426,18 +452,27 @@ def wlo_dpfree_pairsum(link: Link, level: Level, fc: FaceComplex,
     r = level.rbar
     winds = [winding_s1(lp) for lp in link.loops]
     parity = -1.0 if sum(1 for w in winds if w % 2 == 0) % 2 else 1.0
-    total = 0j
     if pairs is None:
         pairs = enumerate_pairs(link, level, fc)
+    # sin(pi x / rbar)^chi_t for every face field value x in {1, ..., k+1},
+    # indexed by x, and the phase of each exponent s met so far
+    amps = [[None] + [math.sin(math.pi * x / r) ** f.chi for x in range(1, level.k + 2)]
+            for f in fc.faces]
+    phases: dict[int, complex] = {}
+    sides = list(zip(winds, fc.loop_sides))
+    total = 0j
     for pair in pairs:
+        xi = pair.xi
         amp = 1.0
-        for f in fc.faces:
-            amp *= math.sin(math.pi * pair.xi[f.id] / r) ** f.chi
+        for table, x in zip(amps, xi):
+            amp *= table[x]
         s = 0
-        for j, w in enumerate(winds):
-            left, right = fc.loop_sides[j]
-            s += w * (pair.xi[left] ** 2 - pair.xi[right] ** 2)
-        total += parity * amp * cmath.exp(complex(0.0, -math.pi * s / (2.0 * r)))
+        for w, (left, right) in sides:
+            s += w * (xi[left] ** 2 - xi[right] ** 2)
+        phase = phases.get(s)
+        if phase is None:
+            phase = phases[s] = cmath.exp(complex(0.0, -math.pi * s / (2.0 * r)))
+        total += parity * amp * phase
     return total
 
 

@@ -259,3 +259,70 @@ def min_clearance_oracle(loop) -> float:
     if not math.isfinite(best):
         raise DegenerateGeometry("loop has no non-adjacent segment pairs")
     return best
+
+
+def loop_orientation_oracle(loop) -> int:
+    """Orientation of the projected polygon from the exact Fraction
+    shoelace sum alone: +1 counterclockwise, -1 clockwise, and
+    DegenerateGeometry for zero signed area."""
+    from fractions import Fraction
+
+    from shadowsum.errors import DegenerateGeometry
+
+    area = Fraction(0)
+    pl = loop.planar
+    for i in range(loop.nseg):
+        (ax, ay), (bx, by) = pl[i], pl[i + 1]
+        area += Fraction(ax) * Fraction(by) - Fraction(bx) * Fraction(ay)
+    if area == 0:
+        raise DegenerateGeometry("projected polygon has zero signed area")
+    return 1 if area > 0 else -1
+
+
+def enumerate_pairs_oracle(link, level, fc) -> list:
+    """Admissible pairs by filtering all 2^n (k+1) candidates, l-major and
+    then in itertools.product order, each face field summed anew."""
+    import itertools
+
+    from shadowsum.errors import UnsupportedColor
+    from shadowsum.shadow import AdmissiblePair
+
+    for j, lp in enumerate(link.loops):
+        if lp.color2 != 1:
+            raise UnsupportedColor(
+                f"pair enumeration requires the fundamental color 1/2 on loop {j}")
+    n = len(link.loops)
+    kp1 = level.k + 1
+    out = []
+    for l in range(1, kp1 + 1):
+        for signs in itertools.product((-1, 1), repeat=n):
+            xi = tuple(
+                l - sum(s * w for s, w in zip(signs, row))
+                for row in fc.ind_table
+            )
+            if all(1 <= x <= kp1 for x in xi):
+                out.append(AdmissiblePair(l=l, signs=signs, xi=xi))
+    return out
+
+
+def pairsum_oracle(link, level, fc, pairs) -> complex:
+    """Pair sum with every sine and phase evaluated per pair: the same
+    factors, in the same order, as `wlo_dpfree_pairsum`."""
+    import cmath
+
+    from shadowsum.geometry import winding_s1
+
+    r = level.rbar
+    winds = [winding_s1(lp) for lp in link.loops]
+    parity = -1.0 if sum(1 for w in winds if w % 2 == 0) % 2 else 1.0
+    total = 0j
+    for pair in pairs:
+        amp = 1.0
+        for f in fc.faces:
+            amp *= math.sin(math.pi * pair.xi[f.id] / r) ** f.chi
+        s = 0
+        for j, w in enumerate(winds):
+            left, right = fc.loop_sides[j]
+            s += w * (pair.xi[left] ** 2 - pair.xi[right] ** 2)
+        total += parity * amp * cmath.exp(complex(0.0, -math.pi * s / (2.0 * r)))
+    return total

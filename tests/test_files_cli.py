@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import json
 import math
 
@@ -407,6 +409,42 @@ class TestDpfreeAdmissibility:
         code, out = run_cli(capsys, *command, str(corpus_dir / "hopf.link.json"))
         assert code == 4
         assert out == ""
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The files passed to `open`, by anyone, while the fixture is active."""
+    paths = []
+    real = builtins.open
+
+    def counting(file, *args, **kwargs):
+        paths.append(str(file))
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    return paths
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--level", "2", "twocircles.shadow.json"),
+    ("wlo", "--mode", "dpfree", "nested_pair.link.json"),
+    ("wlo", "--mode", "abelian", "hopf.link.json"),
+    ("wlo", "--mode", "vertical", "vertical_pair.link.json"),
+    ("check", "--what", "euler", "circle_w0.link.json"),
+    ("check", "--what", "euler", "twocircles.shadow.json"),
+    ("check", "--what", "bijection", "--level", "3", "nested_pair.link.json"),
+    ("check", "--what", "lem2", "hopf.link.json"),
+], ids=lambda argv: "-".join(argv[:3]) + "-" + argv[-1].split(".")[0])
+def test_reads_input_once(capsys, corpus_dir, opened, argv):
+    path = str(corpus_dir / argv[-1])
+    code = main([*argv[:-1], path])
+    opens = list(opened)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert opens == [path]
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert f"digest: {digest}" in out.splitlines()
 
 
 class TestDeterminism:

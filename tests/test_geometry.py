@@ -19,6 +19,7 @@ from shadowsum.random_links import polygon_circle, random_crossing_pair, random_
 from conftest import (
     crossing_count_oracle,
     face_of_point_oracle,
+    loop_orientation_oracle,
     mark_oracle,
     min_clearance_oracle,
     proper_crossings_oracle,
@@ -158,6 +159,90 @@ class TestSweptScans:
         lp = polygon([(-1.3, -0.2), (-1.2, -1.4), (-0.2, 1.5), (-0.9, 2.0),
                       (1.3, -1.9), (-0.1, 1.5), (0.6, 1.5), (1.8, 1.8)])
         assert ss.geometry.loop_min_clearance(lp) == min_clearance_oracle(lp)
+
+
+class TestLoopOrientation:
+    """The float-filtered shoelace against the exact one: the same sign,
+    or the same DegenerateGeometry, on polygons where the float sum is
+    accurate and on polygons where it is mostly rounding error."""
+
+    @staticmethod
+    def outcome(fn, loop):
+        try:
+            return fn(loop)
+        except DegenerateGeometry as exc:
+            return (type(exc), str(exc))
+
+    @staticmethod
+    def star(rng, n, size=1.0):
+        angles = sorted(rng.uniform(0, TAU) for _ in range(n))
+        pts = [(size * r * math.cos(a), size * r * math.sin(a))
+               for a, r in zip(angles, (rng.uniform(0.3, 2.0) for _ in range(n)))]
+        return pts if rng.random() < 0.5 else pts[::-1]
+
+    @staticmethod
+    def sliver(rng):
+        """A triangle of area about 1e-18 or a zigzag along a line.  An
+        axis-parallel triangle at the origin keeps that area exactly; a
+        rotated one at a random place, like the zigzag, has generic float
+        coordinates, whose rounding leaves an area of either sign far
+        below the rounding error of the float sum."""
+        length = rng.uniform(0.5, 2.0)
+        h = rng.uniform(0.5, 2.0) * 2e-18 / length
+        t = rng.uniform(0.1, 0.9)
+        if rng.random() < 0.25:
+            pts = [(0.0, 0.0), (length, 0.0), (t * length, h)]
+        else:
+            ax, ay = rng.uniform(-1, 1), rng.uniform(-1, 1)
+            a = rng.uniform(0, TAU)
+            dx, dy = math.cos(a), math.sin(a)
+            if rng.random() < 0.5:
+                pts = [(ax, ay), (ax + length * dx, ay + length * dy),
+                       (ax + t * length * dx - h * dy, ay + t * length * dy + h * dx)]
+            else:
+                pts = [(ax + u * dx, ay + u * dy)
+                       for u in (rng.uniform(-2, 2) for _ in range(rng.randint(3, 6)))]
+        return pts if rng.random() < 0.5 else pts[::-1]
+
+    @staticmethod
+    def zero_area(rng):
+        """Polygons with zero signed area: three collinear integer points,
+        or a figure eight whose second lobe mirrors the first in the line
+        y = 0 (negating y is exact, so the lobes cancel exactly)."""
+        if rng.random() < 0.3:
+            dx, dy = rng.randint(1, 9), rng.randint(-9, 9)
+            a, b = rng.randint(1, 5), rng.randint(6, 12)
+            return [(0, 0), (a * dx, a * dy), (b * dx, b * dy)]
+        cx = rng.uniform(-1, 1)
+        lobe = [(cx + rng.uniform(0.1, 2), rng.uniform(0.1, 2))
+                for _ in range(rng.randint(2, 5))]
+        return [(cx, 0.0), *lobe, (cx, 0.0), *[(x, -y) for x, y in lobe]]
+
+    def test_matches_exact_oracle(self):
+        rng = random.Random(88)
+        shapes = []
+        for _ in range(200):
+            shapes.append(self.star(rng, rng.randint(3, 30), rng.choice((1e-6, 1.0, 1e3))))
+            shapes.append(self.sliver(rng))
+            shapes.append(self.zero_area(rng))
+        shapes += [self.star(rng, 1000) for _ in range(4)]
+        cases = 0
+        for pts in shapes:
+            for shift in (0.0, 1e6, 1e9, 1e12):
+                sx, sy = shift, shift * rng.choice((-1.0, 0.5, 1.0))
+                try:
+                    loop = polygon([(x + sx, y + sy) for x, y in pts])
+                except DegenerateGeometry:
+                    continue  # a segment collapsed when shifted
+                cases += 1
+                assert self.outcome(ss.geometry._loop_orientation, loop) \
+                    == self.outcome(loop_orientation_oracle, loop), (pts, shift)
+        assert cases > 2000, cases
+
+    def test_zero_area_raises(self):
+        loop = polygon([(1e9, 1e9), (1e9 + 3, 1e9 + 1), (1e9 + 6, 1e9 + 2)])
+        with pytest.raises(DegenerateGeometry, match="zero signed area"):
+            ss.geometry._loop_orientation(loop)
 
 
 class TestLoopBasics:

@@ -17,7 +17,12 @@ from shadowsum.quantum import Level, sixj
 from shadowsum.shadow import _face_weight
 from shadowsum.random_links import polygon_circle, random_dpfree_link
 
-from conftest import face_of_point_oracle, sample_point_oracle
+from conftest import (
+    enumerate_pairs_oracle,
+    face_of_point_oracle,
+    pairsum_oracle,
+    sample_point_oracle,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -113,6 +118,16 @@ def relabel_faces(shadow, perm):
         edges=tuple(ss.ShadowEdge(e.color2, new[e.left], new[e.right]) for e in shadow.edges),
         vertices=tuple(ss.ShadowVertex(v.e1_2, v.e2_2, new[v.j], new[v.k], new[v.m], new[v.n])
                        for v in shadow.vertices))
+
+
+def pair_links():
+    """The empty link at k = 1 and 8, and seeded random double-point-free
+    links with 1-7 loops at k = 1..8."""
+    rng = random.Random(41)
+    links = [empty_link(level=1), empty_link(level=8)]
+    links += [random_dpfree_link(rng, max_loops=7, level=1 + trial % 8) for trial in range(80)]
+    assert sum(len(link.loops) == 7 for link in links) >= 5
+    return links
 
 
 def circle_row(n, level, winds):
@@ -394,6 +409,31 @@ class TestPairs:
         fc = ss.face_complex(link)
         with pytest.raises(UnsupportedColor):
             ss.enumerate_pairs(link, Level(2), fc)
+        # a colored loop after a fundamental one, on both pair routes
+        loops = (polygon_circle(0, 0, 1.0, 16), polygon_circle(3.0, 0, 1.0, 16, color=F(1)))
+        link = ss.Link(loops, t0=0.0, level=2)
+        fc = ss.face_complex(link)
+        with pytest.raises(UnsupportedColor, match="loop 1"):
+            ss.enumerate_pairs(link, Level(2), fc)
+        with pytest.raises(UnsupportedColor, match="loop 1"):
+            ss.wlo_dpfree_pairsum(link, Level(2), fc)
+
+    def test_matches_filter_oracle(self):
+        # the same pairs in the same order: l-major, then itertools.product
+        for link in pair_links():
+            fc = ss.face_complex(link)
+            level = Level(link.level)
+            assert ss.enumerate_pairs(link, level, fc) == enumerate_pairs_oracle(link, level, fc)
+
+    def test_pairsum_bit_identical_to_per_pair_formula(self):
+        for link in pair_links():
+            fc = ss.face_complex(link)
+            level = Level(link.level)
+            want = pairsum_oracle(link, level, fc, enumerate_pairs_oracle(link, level, fc))
+            for got in (ss.wlo_dpfree_pairsum(link, level, fc),
+                        ss.wlo_dpfree_pairsum(link, level, fc,
+                                              pairs=ss.enumerate_pairs(link, level, fc))):
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
     def test_coloring_of_pair(self):
         link = circle_link(0, level=1)
