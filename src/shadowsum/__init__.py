@@ -31,6 +31,7 @@ from .files import dumps_link, dumps_shadow, load_link, load_shadow, loads_link,
 from .geometry import (
     AdmissibilityReport,
     CrossingMark,
+    DoublePoint,
     Face,
     FaceComplex,
     Link,
@@ -44,7 +45,7 @@ from .geometry import (
     validate,
     winding_s1,
 )
-from .linking import CrossingDatum, crossings_between, link_number, lk, pushoff, self_link
+from .linking import crossings_between, link_number, lk, pushoff, self_link
 from .quantum import Level, sixj, triple_admissible, u_exponent, v_dim
 from .shadow import (
     AdmissiblePair,

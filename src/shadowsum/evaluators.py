@@ -77,21 +77,20 @@ def _lk_products(link: Link) -> Fraction:
     return total
 
 
-def wlo_abelian(link: Link, framings=None) -> complex:
+def wlo_abelian(link: Link) -> complex:
     """Abelian loop observable from integer linking data, lam = 1/level.
 
     Returns exactly 0 unless the circle windings sum to zero; otherwise the
     product of exp(lam*pi*i*framing_j) over loops and exp(lam*pi*i*Link_jk)
-    over ordered pairs.  Framings default to the horizontal self-linking.
+    over ordered pairs, with each loop framed by its horizontal
+    self-linking.
     """
     _reject_vertical(link)
     lam = 1.0 / link.level
     if sum(winding_s1(lp) for lp in link.loops) != 0:
         return complex(0.0)
     loops = link.loops
-    if framings is None:
-        framings = [self_link(lp, link.t0) for lp in loops]
-    total = sum(framings)
+    total = sum(self_link(lp, link.t0) for lp in loops)
     for j in range(len(loops)):
         for k in range(j + 1, len(loops)):
             total += 2 * link_number(loops[j], loops[k], link.t0)

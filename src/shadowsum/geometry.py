@@ -24,6 +24,13 @@ threads only computes the same value twice.
 The segment-pair scans sweep the segments' x-extents (Shamos and Hoey,
 "Geometric intersection problems", FOCS 1976), so they visit only pairs
 whose bounding boxes can meet or lie close, not all O(S^2) pairs.
+
+The t0 cut rests on two facts with one implementation each.
+`crossing_records` turns the crossing scan into `DoublePoint` records:
+both strands' parameters and circle coordinates, the crossing sign and
+their order in the t0 cut.  `_lift_scan` meets a loop's lift with the
+levels t0 + 2*pi*Z once and returns its crossing marks together with its
+defects, which `validate` reports and `crossing_marks` raises on.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .errors import (
     DegenerateGeometry,
     HasDoublePoints,
     InvariantViolation,
+    NonTransverse,
     PointOnCurve,
     PreconditionError,
     TangentialCrossing,
@@ -60,6 +68,7 @@ __all__ = [
     "admissible_at",
     "winding_s1",
     "crossing_marks",
+    "crossing_records",
     "mark_side_points",
     "ind",
     "face_complex",
@@ -176,21 +185,6 @@ class Loop:
     @cached_property
     def _clearance(self) -> float:
         return _min_clearance(self)
-
-    def rotated(self, r: int) -> "Loop":
-        """Move the base point to vertex r, preserving the lift increments."""
-        n = self.nseg
-        r %= n
-        if r == 0:
-            return self
-        pl = self.planar[:-1]
-        deltas = [self.lifts[i + 1] - self.lifts[i] for i in range(n)]
-        lifts = [self.lifts[r]]
-        for i in range(n):
-            lifts.append(lifts[-1] + deltas[(r + i) % n])
-        pts = [pl[(r + i) % n] for i in range(n)] + [pl[r]]
-        verts = tuple((p[0], p[1], t) for p, t in zip(pts, lifts))
-        return Loop(verts, self.color, self.framing, self.vertical)
 
 
 def make_loop(vertices: Iterable[Sequence[float]], color=Fraction(1, 2),
@@ -346,9 +340,34 @@ def _proper_crossings(la: Loop, lb: Loop, same: bool):
 
 @dataclass(frozen=True)
 class DoublePoint:
+    """One transversal crossing of two strands of the projection."""
+
     point: tuple[float, float]
-    strands: tuple[tuple[int, float], ...]  # (loop index, loop parameter)
-    thetas: tuple[float, float]
+    strands: tuple[tuple[int, float], tuple[int, float]]  # (loop index, loop parameter)
+    thetas: tuple[float, float]  # circle coordinate of each strand
+    cross_sign: int  # sign of det(first strand's tangent, second strand's tangent)
+
+    def s1_order(self, t0: float) -> int:
+        """+1 if the first strand sits below the second in the t0-cut order."""
+        cs = ((self.thetas[0] - t0) / TAU) % 1.0
+        cu = ((self.thetas[1] - t0) / TAU) % 1.0
+        d = abs(cs - cu)
+        if min(d, 1.0 - d) * TAU <= ANGLE_TOL:
+            raise NonTransverse("strands share their circle coordinate at a crossing")
+        return 1 if cs < cu else -1
+
+
+def crossing_records(la: Loop, i: int, lb: Loop, j: int) -> tuple[DoublePoint, ...]:
+    """The transversal crossings of loop i (la) with loop j (lb), or of loop
+    i with itself when i == j, in the order of `_proper_crossings`, which
+    raises DegenerateGeometry for non-generic input."""
+    pairs = la.self_crossings if i == j else _proper_crossings(la, lb, same=False)
+    out = []
+    for (si, sj, ta, tb, pt, sign) in pairs:
+        ua = float((si + ta) / la.nseg)
+        ub = float((sj + tb) / lb.nseg)
+        out.append(DoublePoint(pt, ((i, ua), (j, ub)), (la.theta_at(ua), lb.theta_at(ub)), sign))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -367,47 +386,13 @@ def _angle_eq(a: float, b: float) -> bool:
     return d <= ANGLE_TOL or TAU - d <= ANGLE_TOL
 
 
-def _lift_levels(loop: Loop, t0: float):
-    """Integer m such that t0 + 2*pi*m lies in the range of the lift."""
-    lo = min(loop.lifts) - 1.0
-    hi = max(loop.lifts) + 1.0
-    m0 = math.ceil((lo - t0) / TAU)
-    m1 = math.floor((hi - t0) / TAU)
-    return [t0 + TAU * m for m in range(m0, m1 + 1)]
-
-
-def _t0_degeneracies(j: int, loop: Loop, t0: float):
-    """Constant-at-t0 segments and tangential touches of the lift."""
-    out = []
-    n = loop.nseg
-    lifts = loop.lifts
-    levels = _lift_levels(loop, t0)
-    for i in range(n):
-        la, lb = lifts[i], lifts[i + 1]
-        if abs(lb - la) <= ANGLE_TOL and any(abs(la - lv) <= ANGLE_TOL for lv in levels):
-            out.append((j, "constant-at-t0", i / n))
-    deltas = [lifts[i + 1] - lifts[i] for i in range(n)]
-    for i in range(n):
-        if not any(abs(lifts[i] - lv) <= ANGLE_TOL for lv in levels):
-            continue
-        prev = next((deltas[(i - 1 - s) % n] for s in range(n)
-                     if abs(deltas[(i - 1 - s) % n]) > ANGLE_TOL), None)
-        nxt = next((deltas[(i + s) % n] for s in range(n)
-                    if abs(deltas[(i + s) % n]) > ANGLE_TOL), None)
-        if prev is None or nxt is None:
-            continue  # the whole lift sits at t0; reported as constant-at-t0
-        if (prev > 0) != (nxt > 0):
-            out.append((j, "tangential", i / n))
-    return out
-
-
 def _t0_events(link: Link, double_points: Iterable[DoublePoint], t0: float):
-    """Double points with a strand at t0, and lift degeneracies at t0."""
+    """Double points with a strand at t0, and lift defects at t0."""
     hits = [d.point for d in double_points
             if _angle_eq(d.thetas[0], t0) or _angle_eq(d.thetas[1], t0)]
-    degeneracies = [x for i, lp in enumerate(link.loops) if not lp.vertical
-                    for x in _t0_degeneracies(i, lp, t0)]
-    return hits, degeneracies
+    defects = [x for i, lp in enumerate(link.loops) if not lp.vertical
+               for x in _lift_scan(lp, t0, i)[1]]
+    return hits, defects
 
 
 def validate(link: Link) -> AdmissibilityReport:
@@ -422,25 +407,19 @@ def validate(link: Link) -> AdmissibilityReport:
     vertical = tuple(i for i, lp in enumerate(loops) if lp.vertical)
     regular = [(i, lp) for i, lp in enumerate(loops) if not lp.vertical]
 
-    events = []  # (point, (loop, param), (loop, param), thetas)
+    events = []
     for ai in range(len(regular)):
         i, la = regular[ai]
         for bi in range(ai, len(regular)):
             j, lb = regular[bi]
-            pairs = la.self_crossings if ai == bi else _proper_crossings(la, lb, same=False)
-            for (si, sj, ta, tb, pt, _sign) in pairs:
-                ua = float((si + ta) / la.nseg)
-                ub = float((sj + tb) / lb.nseg)
-                tha = la.theta_at(ua)
-                thb = lb.theta_at(ub)
-                events.append((pt, (i, ua), (j, ub), (tha, thb)))
+            events.extend(crossing_records(la, i, lb, j))
 
     # cluster events by planar point; two events within tolerance mean at
     # least three strands through one point
-    clusters: list[list] = []
+    clusters: list[list[DoublePoint]] = []
     for ev in events:
         for cl in clusters:
-            if math.hypot(ev[0][0] - cl[0][0][0], ev[0][1] - cl[0][0][1]) <= COINCIDENCE_TOL:
+            if math.dist(ev.point, cl[0].point) <= COINCIDENCE_TOL:
                 cl.append(ev)
                 break
         else:
@@ -451,12 +430,12 @@ def validate(link: Link) -> AdmissibilityReport:
     strand_collisions = []
     for cl in clusters:
         if len(cl) > 1:
-            triple_points.append(cl[0][0])
+            triple_points.append(cl[0].point)
             continue
-        pt, sa, sb, (tha, thb) = cl[0]
-        double_points.append(DoublePoint(pt, tuple(sorted((sa, sb))), (tha, thb)))
-        if _angle_eq(tha, thb):
-            strand_collisions.append(pt)
+        dp = cl[0]
+        double_points.append(dp)
+        if _angle_eq(*dp.thetas):
+            strand_collisions.append(dp.point)
 
     t0_hits, t0_deg = _t0_events(link, double_points, link.t0)
     double_points.sort(key=lambda d: d.strands)
@@ -500,63 +479,70 @@ def _unit(v):
     return (v[0] / n, v[1] / n)
 
 
-def _loop_marks(loop: Loop, t0: float, loop_index: int = 0):
+def _lift_scan(loop: Loop, t0: float, j: int):
+    """Meet loop j's lift with the levels t0 + 2*pi*Z in one pass.
+
+    Returns the crossing marks, sorted by parameter, and the defects
+    (j, "constant-at-t0" | "tangential", param): a segment whose lift is
+    constant at a level, or a vertex where the lift meets a level and turns
+    back.  A level met at a vertex is handled at the end of the segment
+    that reaches it, so vertex 0 is handled at the end of the last segment.
+    """
     n = loop.nseg
-    levels_probe = _lift_levels(loop, t0)
-    rot = None
-    for r in range(n):
-        if not any(abs(loop.lifts[r] - lv) <= ANGLE_TOL for lv in levels_probe):
-            rot = r
-            break
-    if rot is None:
-        raise TangentialCrossing("every vertex of the lift sits at t0")
-    rl = loop.rotated(rot)
-    lifts = rl.lifts
-    levels = _lift_levels(rl, t0)
-    marks = []
-    for i in range(n):
+    pl = loop.planar
+    bottom, top = min(loop.lifts) - 1.0, max(loop.lifts) + 1.0
+    levels = [t0 + TAU * m
+              for m in range(math.ceil((bottom - t0) / TAU), math.floor((top - t0) / TAU) + 1)]
+    # vertex 0 takes the lift of its end copy: make_loop closes lifts only
+    # to 2*pi*1e-9, so the two copies can disagree about a level
+    lifts = list(loop.lifts)
+    lifts[0] = lifts[n] - TAU * round((lifts[n] - lifts[0]) / TAU)
+    deltas = [lifts[i + 1] - lifts[i] for i in range(n)]
+    marks, defects = [], []
+    for i, delta in enumerate(deltas):
         la, lb = lifts[i], lifts[i + 1]
-        if abs(lb - la) <= ANGLE_TOL:
+        if abs(delta) <= ANGLE_TOL:
             if any(abs(la - lv) <= ANGLE_TOL for lv in levels):
-                raise TangentialCrossing("constant circle coordinate at t0")
+                defects.append((j, "constant-at-t0", i / n))
             continue
+        eps = 1 if delta > 0 else -1
+        lo, hi = (la, lb) if delta > 0 else (lb, la)
         for lv in levels:
-            lo, hi = (la, lb) if la < lb else (lb, la)
-            if lv < lo - ANGLE_TOL or lv > hi + ANGLE_TOL:
+            if lv < lo - ANGLE_TOL or lv > hi + ANGLE_TOL or abs(lv - la) <= ANGLE_TOL:
                 continue
-            if abs(lv - la) <= ANGLE_TOL:
-                continue  # counted at the previous segment's right endpoint
-            if abs(lv - lb) <= ANGLE_TOL:
-                # crossing exactly at vertex i+1
-                deltas = [lifts[m + 1] - lifts[m] for m in range(n)]
-                nxt = next((deltas[(i + 1 + s) % n] for s in range(n)
-                            if abs(deltas[(i + 1 + s) % n]) > ANGLE_TOL), None)
-                if nxt is None or (nxt > 0) != (lb - la > 0):
-                    raise TangentialCrossing(
-                        f"lift touches t0 without crossing at vertex {i + 1}")
-                u_rot = (i + 1) / n
-                pl = rl.planar
-                d1 = _unit((pl[i + 1][0] - pl[i][0], pl[i + 1][1] - pl[i][1]))
-                i2 = (i + 1) % n
-                d2 = _unit((pl[i2 + 1][0] - pl[i2][0], pl[i2 + 1][1] - pl[i2][1]))
-                tangent = _unit((d1[0] + d2[0], d1[1] + d2[1]))
-                eps = 1 if lb > la else -1
-            else:
-                frac = (lv - la) / (lb - la)
-                u_rot = (i + frac) / n
-                pl = rl.planar
-                tangent = _unit((pl[i + 1][0] - pl[i][0], pl[i + 1][1] - pl[i][1]))
-                eps = 1 if lb > la else -1
-            param = (u_rot + rot / n) % 1.0
-            marks.append(CrossingMark(loop_index, param, rl.point_at(u_rot), eps, tangent))
+            (ax, ay), (bx, by) = pl[i], pl[i + 1]
+            tangent = _unit((bx - ax, by - ay))
+            if abs(lv - lb) > ANGLE_TOL:
+                frac = (lv - la) / delta
+                point = (ax + frac * (bx - ax), ay + frac * (by - ay))
+                marks.append(CrossingMark(j, (i + frac) / n, point, eps, tangent))
+                continue
+            # at vertex v the lift crosses only if its next non-constant
+            # segment goes on the same way (segment i ends the search)
+            v = (i + 1) % n
+            nxt = next(d for d in deltas[v:] + deltas[:v] if abs(d) > ANGLE_TOL)
+            if (nxt > 0) != (delta > 0):
+                defects.append((j, "tangential", v / n))
+                continue
+            d2 = _unit((pl[v + 1][0] - pl[v][0], pl[v + 1][1] - pl[v][1]))
+            marks.append(CrossingMark(j, v / n, pl[v], eps,
+                                      _unit((tangent[0] + d2[0], tangent[1] + d2[1]))))
     marks.sort(key=lambda m: m.param)
+    return marks, defects
+
+
+def _loop_marks(loop: Loop, t0: float, loop_index: int = 0):
+    """The crossing marks of one loop; TangentialCrossing on a lift defect."""
+    marks, defects = _lift_scan(loop, t0, loop_index)
+    if defects:
+        _j, kind, param = defects[0]
+        raise TangentialCrossing(f"loop {loop_index}: {kind} lift at parameter {param}")
     return marks
 
 
 def crossing_marks(link: Link) -> tuple[CrossingMark, ...]:
     """All parameters where a loop's circle coordinate crosses t0, with the
-    sign of the crossing.  Loops are internally rebased so that no crossing
-    sits at the parameter seam."""
+    sign of the crossing."""
     marks = []
     for j, lp in enumerate(link.loops):
         if lp.vertical:

@@ -5,7 +5,10 @@ two projected curves, the product of the planar crossing sign with the
 order of the two circle coordinates in the interval obtained by cutting
 S^1 at t0.  The topological linking number of a null-homologous pair is
 recovered from it by winding-number corrections at the t0-crossings of
-either loop, and is independent of t0.
+either loop, and is independent of t0.  The crossings are the
+`DoublePoint` records of `geometry.crossing_records`, the same records
+`validate` reads, and the t0-crossings come from the one lift scan behind
+`crossing_marks`.
 
 Push-offs displace the projected polygon to its left by a planar normal
 offset, realizing a horizontal framing; the offset must stay below a third
@@ -14,8 +17,6 @@ of the minimum clearance between non-adjacent segments.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -25,50 +26,24 @@ from .errors import (
     OffsetTooLarge,
 )
 from .geometry import (
-    ANGLE_TOL,
-    TAU,
+    DoublePoint,
     Loop,
     _loop_marks,
-    _proper_crossings,
     _unit,
+    crossing_records,
     ind,
     loop_min_clearance,
     winding_s1,
 )
 
-__all__ = ["CrossingDatum", "crossings_between", "lk", "link_number", "pushoff", "self_link"]
+__all__ = ["crossings_between", "lk", "link_number", "pushoff", "self_link"]
 
 
-@dataclass(frozen=True)
-class CrossingDatum:
-    """One transversal crossing of two projected curves."""
-
-    s: float                  # parameter on the first loop
-    u: float                  # parameter on the second loop
-    point: tuple[float, float]
-    cross_sign: int           # sign of det(first tangent, second tangent)
-    theta_s: float            # circle coordinate of the first strand
-    theta_u: float            # circle coordinate of the second strand
-
-    def s1_order(self, t0: float) -> int:
-        """+1 if the first strand sits below the second in the t0-cut order."""
-        cs = ((self.theta_s - t0) / TAU) % 1.0
-        cu = ((self.theta_u - t0) / TAU) % 1.0
-        d = abs(cs - cu)
-        if min(d, 1.0 - d) * TAU <= ANGLE_TOL:
-            raise NonTransverse("strands share their circle coordinate at a crossing")
-        return 1 if cs < cu else -1
-
-
-def crossings_between(l: Loop, lt: Loop) -> tuple[CrossingDatum, ...]:
+def crossings_between(l: Loop, lt: Loop) -> tuple[DoublePoint, ...]:
     """Transversal projected crossings of two distinct loops, ordered
-    lexicographically in (segment of l, segment of lt)."""
-    out = []
-    for (si, sj, ta, tb, pt, sign) in _proper_crossings(l, lt, same=False):
-        s = float((si + ta) / l.nseg)
-        u = float((sj + tb) / lt.nseg)
-        out.append(CrossingDatum(s, u, pt, sign, l.theta_at(s), lt.theta_at(u)))
-    return tuple(out)
+    lexicographically in (segment of l, segment of lt); strand 0 is on l
+    and strand 1 on lt."""
+    return crossing_records(l, 0, lt, 1)
 
 
 def lk(l: Loop, lt: Loop, t0: float) -> Fraction:
@@ -123,7 +98,7 @@ def pushoff(l: Loop, offset: float) -> Loop:
     try:
         if off.self_crossings and not l.self_crossings:
             raise OffsetTooLarge("offset curve of a simple projection self-intersects")
-        _proper_crossings(l, off, same=False)
+        crossings_between(l, off)
     except DegenerateGeometry as exc:
         raise OffsetTooLarge(f"offset curve degenerates: {exc}") from exc
     return off

@@ -306,35 +306,21 @@ def state_sum_dpfree(shadow: Shadow, level: Level) -> complex:
     check_shadow(shadow)
     nf = len(shadow.faces)
     km = level.k
-    root = list(range(nf))
-
-    def find(f: int) -> int:
-        while root[f] != f:
-            root[f] = root[root[f]]
-            f = root[f]
-        return f
-
     adjacent = [[] for _ in range(nf)]
     for e in shadow.edges:
         if not 0 <= e.color2 <= km:
             raise ColorOutOfRange(
                 f"edge color {Fraction(e.color2, 2)} outside color set of level {km}")
-        a, b = find(e.left), find(e.right)
-        if a == b:
-            return state_sum_general(shadow, level)
-        root[a] = b
         adjacent[e.left].append((e.right, e.color2))
         adjacent[e.right].append((e.left, e.color2))
 
-    colors = range(km + 1)
-    message = [[_face_weight(level, face, t) for t in colors] for face in shadow.faces]
-    total = complex(1.0)
+    # depth-first order of each component from its lowest face: every face
+    # comes after its parent, so reversed order finishes children first
+    orders = []
     seen = [False] * nf
     for start in range(nf):
         if seen[start]:
             continue
-        # depth-first order from the component's lowest face: every face
-        # comes after its parent, so reversed order finishes children first
         seen[start] = True
         order, stack = [], [(start, -1, 0)]
         while stack:
@@ -344,12 +330,21 @@ def state_sum_dpfree(shadow: Shadow, level: Level) -> complex:
                 if not seen[g]:
                     seen[g] = True
                     stack.append((g, f, cg))
+        orders.append(order)
+    # a graph is a forest iff it has (vertices - components) edges
+    if len(shadow.edges) != nf - len(orders):
+        return state_sum_general(shadow, level)
+
+    colors = range(km + 1)
+    message = [[_face_weight(level, face, t) for t in colors] for face in shadow.faces]
+    total = complex(1.0)
+    for order in orders:
         for f, parent, c2 in reversed(order[1:]):
             m = message[f]
             # for parent color t, sum over the colors t' of f admissible with (c2, t)
             up = [sum(m[abs(t - c2):min(t + c2, 2 * km - t - c2) + 1:2]) for t in colors]
             message[parent] = [x * y for x, y in zip(message[parent], up)]
-        total *= sum(message[start])
+        total *= sum(message[order[0][0]])
     return total
 
 

@@ -146,8 +146,8 @@ def diagram_linking_oracle(link_loops, t0=0.0) -> float:
     l, lt = link_loops
     total = 0
     for c in ss.crossings_between(l, lt):
-        cs = ((c.theta_s - t0) / (2 * math.pi)) % 1.0
-        cu = ((c.theta_u - t0) / (2 * math.pi)) % 1.0
+        cs = ((c.thetas[0] - t0) / (2 * math.pi)) % 1.0
+        cu = ((c.thetas[1] - t0) / (2 * math.pi)) % 1.0
         total += c.cross_sign if cs < cu else -c.cross_sign
     return total / 2.0
 
@@ -181,6 +181,91 @@ def mark_oracle(loop, t0) -> list:
             prev = cur
     events.sort()
     return [e for _, e in events]
+
+
+def t0_cut_oracle(loop, t0, j=0):
+    """The t0 cut of one loop's lift as two separate scans judge it:
+    (defects, marks).  `defects` lists (j, "constant-at-t0" | "tangential",
+    param) as a per-vertex and per-segment test reports them; `marks` are
+    the crossing marks found after moving the base point to the first
+    vertex off every level, or the TangentialCrossing that scan raises."""
+    from shadowsum.errors import TangentialCrossing
+    from shadowsum.geometry import ANGLE_TOL, TAU, CrossingMark, Loop, _unit
+
+    def levels_of(lifts):
+        lo, hi = min(lifts) - 1.0, max(lifts) + 1.0
+        return [t0 + TAU * m for m in range(math.ceil((lo - t0) / TAU),
+                                            math.floor((hi - t0) / TAU) + 1)]
+
+    def on_level(x, levels):
+        return any(abs(x - lv) <= ANGLE_TOL for lv in levels)
+
+    n = loop.nseg
+    lifts = loop.lifts
+    levels = levels_of(lifts)
+    defects = []
+    for i in range(n):
+        if abs(lifts[i + 1] - lifts[i]) <= ANGLE_TOL and on_level(lifts[i], levels):
+            defects.append((j, "constant-at-t0", i / n))
+    deltas = [lifts[i + 1] - lifts[i] for i in range(n)]
+    for i in range(n):
+        if not on_level(lifts[i], levels):
+            continue
+        prev = next((deltas[(i - 1 - s) % n] for s in range(n)
+                     if abs(deltas[(i - 1 - s) % n]) > ANGLE_TOL), None)
+        nxt = next((deltas[(i + s) % n] for s in range(n)
+                    if abs(deltas[(i + s) % n]) > ANGLE_TOL), None)
+        if prev is not None and nxt is not None and (prev > 0) != (nxt > 0):
+            defects.append((j, "tangential", i / n))
+
+    def marks():
+        rot = next((r for r in range(n) if not on_level(lifts[r], levels)), None)
+        if rot is None:
+            raise TangentialCrossing("every vertex of the lift sits at t0")
+        pl0 = loop.planar[:-1]
+        rlifts = [lifts[rot]]
+        for i in range(n):
+            rlifts.append(rlifts[-1] + deltas[(rot + i) % n])
+        pts = [pl0[(rot + i) % n] for i in range(n)] + [pl0[rot]]
+        rl = Loop(tuple((p[0], p[1], t) for p, t in zip(pts, rlifts)))
+        rlevels = levels_of(rlifts)
+        pl = rl.planar
+        out = []
+        for i in range(n):
+            la, lb = rlifts[i], rlifts[i + 1]
+            if abs(lb - la) <= ANGLE_TOL:
+                if on_level(la, rlevels):
+                    raise TangentialCrossing("constant circle coordinate at t0")
+                continue
+            for lv in rlevels:
+                lo, hi = (la, lb) if la < lb else (lb, la)
+                if lv < lo - ANGLE_TOL or lv > hi + ANGLE_TOL or abs(lv - la) <= ANGLE_TOL:
+                    continue
+                if abs(lv - lb) <= ANGLE_TOL:
+                    rdeltas = [rlifts[m + 1] - rlifts[m] for m in range(n)]
+                    nxt = next((rdeltas[(i + 1 + s) % n] for s in range(n)
+                                if abs(rdeltas[(i + 1 + s) % n]) > ANGLE_TOL), None)
+                    if nxt is None or (nxt > 0) != (lb - la > 0):
+                        raise TangentialCrossing(
+                            f"lift touches t0 without crossing at vertex {i + 1}")
+                    u_rot = (i + 1) / n
+                    d1 = _unit((pl[i + 1][0] - pl[i][0], pl[i + 1][1] - pl[i][1]))
+                    i2 = (i + 1) % n
+                    d2 = _unit((pl[i2 + 1][0] - pl[i2][0], pl[i2 + 1][1] - pl[i2][1]))
+                    tangent = _unit((d1[0] + d2[0], d1[1] + d2[1]))
+                else:
+                    u_rot = (i + (lv - la) / (lb - la)) / n
+                    tangent = _unit((pl[i + 1][0] - pl[i][0], pl[i + 1][1] - pl[i][1]))
+                param = (u_rot + rot / n) % 1.0
+                out.append(CrossingMark(j, param, rl.point_at(u_rot),
+                                        1 if lb > la else -1, tangent))
+        out.sort(key=lambda m: m.param)
+        return out
+
+    try:
+        return defects, marks()
+    except TangentialCrossing as exc:
+        return defects, exc
 
 
 def proper_crossings_oracle(la, lb, same):

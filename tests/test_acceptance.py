@@ -194,6 +194,6 @@ def test_criterion_8_golden_values(corpus_dir):
 
     hopf = ss.load_link(corpus_dir / "hopf.link.json")
     assert hopf.level == 2
-    assert ss.wlo_abelian(hopf, framings=(0, 0)) == pytest.approx(-1.0, abs=1e-12)
+    assert ss.wlo_abelian(hopf) == pytest.approx(-1.0, abs=1e-12)
     print("ACCEPTANCE 8 PASS: golden values (state sums 2 and -2, closed form "
           "-1.5, abelian Hopf -1)")

@@ -41,7 +41,7 @@ def mark_side_point_calls(monkeypatch):
 
 class TestAbelian:
     def test_distant_unlinked(self):
-        assert ss.wlo_abelian(distant_pair(), framings=(0, 0)) == pytest.approx(1.0)
+        assert ss.wlo_abelian(distant_pair()) == pytest.approx(1.0)
 
     def test_wind_one_gives_exact_zero(self):
         lp = polygon_circle(0, 0, 1.0, 16, winding=1, theta0=0.5, phase=0.1)
@@ -49,7 +49,7 @@ class TestAbelian:
         assert ss.wlo_abelian(link) == 0
 
     def test_hopf_level_two(self):
-        assert ss.wlo_abelian(hopf_link(2), framings=(0, 0)) == pytest.approx(-1.0)
+        assert ss.wlo_abelian(hopf_link(2)) == pytest.approx(-1.0)
 
     def test_unit_modulus_when_nonzero(self):
         val = ss.wlo_abelian(hopf_link(3))

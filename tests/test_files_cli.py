@@ -8,7 +8,6 @@ import pytest
 import shadowsum as ss
 import shadowsum.cli
 import shadowsum.geometry
-import shadowsum.linking
 import shadowsum.quantum
 import shadowsum.shadow
 from shadowsum.cli import main
@@ -124,7 +123,6 @@ def loop_scans(monkeypatch):
 
     monkeypatch.setattr(shadowsum.geometry, "_min_clearance", clearance)
     monkeypatch.setattr(shadowsum.geometry, "_proper_crossings", crossings)
-    monkeypatch.setattr(shadowsum.linking, "_proper_crossings", crossings)
     return scans
 
 
@@ -307,6 +305,21 @@ class TestCliWlo:
         for lp in ss.load_link(path).loops:
             assert loop_scans["clearance"].count(lp) == 1
             assert loop_scans["self_crossings"].count(lp) == 1
+
+    def test_abelian_every_vertex_on_a_level(self, capsys, tmp_path):
+        # a triangle whose lift is 0, 2pi, 4pi, 6pi at t0 = 0 passes
+        # validate, so its three crossing marks are reported
+        tau = 2 * math.pi
+        path = tmp_path / "triangle.link.json"
+        path.write_text(json.dumps({"t0": 0.0, "level": 1, "loops": [{
+            "color": 0.5, "framing": 0, "vertical": False,
+            "vertices": [[0.0, 0.0, 0.0], [1.0, 0.0, tau], [0.0, 1.0, 2 * tau],
+                         [0.0, 0.0, 3 * tau]]}]}))
+        code, out = run_cli(capsys, "wlo", "--mode", "abelian", "--format", "json", str(path))
+        assert code == 0
+        diag = json.loads(out)["diagnostics"]
+        assert diag["crossing_marks"] == [[0, 1], [0, 1], [0, 1]]
+        assert diag["windings"] == [3]
 
     def test_dpfree_genus_must_be_zero(self, capsys, corpus_dir):
         code, out = run_cli(capsys, "wlo", "--mode", "dpfree", "--genus", "1",

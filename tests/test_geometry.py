@@ -24,6 +24,7 @@ from conftest import (
     min_clearance_oracle,
     proper_crossings_oracle,
     sample_point_oracle,
+    t0_cut_oracle,
     tangential_t0_link,
     vertex_on_segment_oracle,
     winding_oracle,
@@ -467,6 +468,128 @@ class TestCrossingMarks:
         marks = ss.crossing_marks(link)
         assert sum(m.eps for m in marks) == w
         assert mark_oracle(lp, t0) == [m.eps for m in marks]
+
+
+def random_lift_loop(rng):
+    """A regular n-gon with a lift that stresses the t0 cut: flat runs,
+    vertices exactly on the levels t0 + 2*pi*Z (the seam vertex too), and
+    walks of whole turns with every vertex on a level.  Returns the loop,
+    t0 and the winding."""
+    n = rng.randint(3, 10)
+    t0 = rng.choice([0.0, rng.uniform(0.0, TAU)])
+    mode = rng.random()
+    if mode < 0.2:
+        # every vertex on a level, steps of whole turns; a zero step is flat
+        sign = rng.choice((-1, 1))
+        turns = [rng.randint(-2, 2)]
+        for _ in range(n):
+            turns.append(turns[-1] + sign * rng.choice((0, 1, 1, 1, 2, -1)))
+        w = turns[-1] - turns[0]
+        lifts = [t0 + TAU * m for m in turns[:-1]]
+        lifts.append(lifts[0] + TAU * w)
+    else:
+        w = rng.randint(-2, 2)
+        snap = rng.choice((0.0, 0.3, 0.7, 1.0))
+
+        def snapped(x):
+            return t0 + TAU * round((x - t0) / TAU) if rng.random() < snap else x
+
+        first = snapped(rng.uniform(-9.0, 9.0))
+        end = first + TAU * w
+        if w != 0 and mode < 0.6:
+            # monotone from first to end
+            inner = sorted(rng.uniform(min(first, end), max(first, end)) for _ in range(n - 1))
+            inner = [snapped(x) for x in (inner if w > 0 else inner[::-1])]
+        else:
+            inner = []
+            for _ in range(n - 1):
+                r = rng.random()
+                if r < 0.2 and inner:
+                    inner.append(inner[-1])  # flat run
+                elif r < 0.25:
+                    inner.append(end)  # flat into the seam
+                else:
+                    inner.append(snapped(rng.uniform(-9.0, 9.0)))
+        lifts = [first] + inner + [end]
+    a = rng.uniform(0.0, TAU)
+    pts = [(math.cos(a + TAU * i / n), math.sin(a + TAU * i / n)) for i in range(n)]
+    pts.append(pts[0])
+    return ss.make_loop([(x, y, t) for (x, y), t in zip(pts, lifts)]), t0, w
+
+
+class TestLiftScan:
+    def test_matches_t0_cut_oracle(self):
+        """The one lift scan against the two separate scans it replaced:
+        the same defects (as a subset, non-empty together) and, wherever
+        the oracle finds marks, the same marks.  The oracle cannot rebase a
+        lift with every vertex on a level and raises there; the scan
+        counts those crossings, and they must sum to the winding."""
+        rng = random.Random(20261018)
+        seen = {"marks": 0, "rejected": 0, "all on levels": 0}
+        for _ in range(5000):
+            lp, t0, w = random_lift_loop(rng)
+            marks, defects = ss.geometry._lift_scan(lp, t0, 0)
+            oracle_defects, oracle_marks = t0_cut_oracle(lp, t0)
+            assert bool(defects) == bool(oracle_defects)
+            assert set(defects) <= set(oracle_defects)
+            if isinstance(oracle_marks, Exception):
+                if defects:
+                    seen["rejected"] += 1
+                    continue
+                assert "every vertex of the lift sits at t0" in str(oracle_marks)
+                assert sum(m.eps for m in marks) == w
+                seen["all on levels"] += 1
+                continue
+            assert not defects
+            assert [(m.loop, m.eps) for m in marks] == [(m.loop, m.eps) for m in oracle_marks]
+            for m, o in zip(marks, oracle_marks):
+                assert abs(m.param - o.param) <= 1e-12
+                assert math.dist(m.point, o.point) <= 1e-12
+                assert math.dist(m.tangent, o.tangent) <= 1e-12
+            seen["marks"] += 1
+        assert min(seen.values()) >= 50, seen
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 12), st.integers(-3, 3).filter(bool), st.floats(0.0, 6.28),
+           st.floats(0.0, 1.0), st.integers(0, 10_000))
+    def test_validated_snapped_monotone_lift_has_marks(self, n, w, t0, snap, salt):
+        """On a monotone lift with vertices snapped onto the levels, a link
+        that `validate` accepts has crossing marks summing to the winding."""
+        rng = random.Random(salt)
+        start = t0 + TAU * rng.randint(-1, 1) if rng.random() < snap else rng.uniform(-7.0, 7.0)
+        end = start + TAU * w
+        inner = sorted(rng.uniform(min(start, end), max(start, end)) for _ in range(n - 1))
+        if w < 0:
+            inner.reverse()
+        inner = [t0 + TAU * round((x - t0) / TAU) if rng.random() < snap else x for x in inner]
+        lifts = [start] + inner + [end]
+        pts = [(math.cos(TAU * i / n + 0.1), math.sin(TAU * i / n + 0.1)) for i in range(n)]
+        lp = ss.make_loop([(x, y, t) for (x, y), t in zip(pts + [pts[0]], lifts)])
+        link = ss.Link((lp,), t0=t0, level=1)
+        if not ss.validate(link).ok:
+            return
+        assert sum(m.eps for m in ss.crossing_marks(link)) == w
+
+    @pytest.mark.parametrize("err", [-5e-9, -2e-9, 2e-9, 5e-9])
+    def test_vertex_zero_on_a_level_with_closing_error(self, err):
+        # make_loop accepts a lift that closes up to 2*pi*1e-9, wider than
+        # the 1e-9 level tolerance; the crossing at vertex 0 must survive
+        lp = ss.make_loop([(0.0, 0.0, 0.0), (1.0, 0.0, 1.0), (0.0, 1.0, 2.0),
+                           (0.0, 0.0, TAU + err)])
+        link = ss.Link((lp,), t0=0.0, level=1)
+        assert ss.validate(link).ok
+        assert [m.eps for m in ss.crossing_marks(link)] == [1]
+
+    def test_every_vertex_on_a_level(self):
+        # the lift is 0, 2pi, 4pi, 6pi: each vertex crossing is counted at
+        # the end of the segment that reaches it, vertex 0 at the last one
+        lp = ss.make_loop([(0.0, 0.0, 0.0), (1.0, 0.0, TAU), (0.0, 1.0, 2 * TAU),
+                           (0.0, 0.0, 3 * TAU)])
+        link = ss.Link((lp,), t0=0.0, level=1)
+        assert ss.validate(link).ok
+        marks = ss.crossing_marks(link)
+        assert [(m.param, m.eps) for m in marks] == [(0.0, 1), (1 / 3, 1), (2 / 3, 1)]
+        assert [m.point for m in marks] == [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 
 
 class TestInd:
