@@ -37,10 +37,11 @@ def main():
     while done < args.configs:
         k = 1 + done % args.kmax
         link = random_dpfree_link(rng, max_loops=args.max_loops, level=k)
-        if not ss.validate(link).ok:
+        try:
+            fc = ss.face_complex(link)  # validates the link once
+        except ss.PreconditionError:
             continue
         lev = Level(k)
-        fc = ss.face_complex(link)
         a = ss.wlo_dpfree_pairsum(link, lev, fc)
         b = ss.wlo_dpfree_final(link, lev, fc)
         scale = max(abs(a), abs(b))

@@ -249,6 +249,7 @@ def _cmd_check(args) -> int:
             raise PreconditionError("lem2 check requires a two-loop link")
         if not report.ok:
             raise PreconditionError("lem2 check requires an admissible link")
+        crossings = tuple(d for d in report.double_points if d.strands[0][0] != d.strands[1][0])
         rng = random.Random(0xC0FFEE)
         values = []
         tries = 0
@@ -256,7 +257,7 @@ def _cmd_check(args) -> int:
             tries += 1
             t0 = rng.uniform(0.0, 6.283185)
             if admissible_at(link, report, t0):
-                values.append(link_number(link.loops[0], link.loops[1], t0))
+                values.append(link_number(*link.loops, crossings, t0))
         ok = len(values) == args.samples and len(set(values)) == 1
         diag.update({"samples": len(values), "values": sorted(set(values))})
     result = RunResult(f"check:{args.what}", digest,

@@ -12,6 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable
 
 from .errors import PreconditionError
@@ -23,7 +24,7 @@ from .geometry import (
     mark_side_points,
     winding_s1,
 )
-from .linking import link_number, lk, pushoff, self_link
+from .linking import crossings_between, link_number, lk, pushoff, self_link
 
 __all__ = [
     "FieldSample",
@@ -64,16 +65,15 @@ def _reject_vertical(link: Link):
 
 
 def _lk_products(link: Link) -> Fraction:
-    """Sum of self push-off pairings and all ordered cross pairings."""
+    """Sum of self push-off pairings and all ordered cross pairings (the two
+    orders of a pair give equal pairings, so each pair is counted twice)."""
     total = Fraction(0)
     loops = link.loops
     for lp in loops:
-        off = pushoff(lp, loop_min_clearance(lp) / 6.0)
-        total += lk(lp, off, link.t0)
-    for j in range(len(loops)):
-        for k in range(len(loops)):
-            if j != k:
-                total += lk(loops[j], loops[k], link.t0)
+        _, crossings = pushoff(lp, loop_min_clearance(lp) / 6.0)
+        total += lk(crossings, link.t0)
+    for a, b in combinations(loops, 2):
+        total += 2 * lk(crossings_between(a, b), link.t0)
     return total
 
 
@@ -91,9 +91,8 @@ def wlo_abelian(link: Link) -> complex:
         return complex(0.0)
     loops = link.loops
     total = sum(self_link(lp, link.t0) for lp in loops)
-    for j in range(len(loops)):
-        for k in range(j + 1, len(loops)):
-            total += 2 * link_number(loops[j], loops[k], link.t0)
+    for a, b in combinations(loops, 2):
+        total += 2 * link_number(a, b, crossings_between(a, b), link.t0)
     return cmath.exp(complex(0.0, math.pi * lam * total))
 
 

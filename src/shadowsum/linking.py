@@ -1,18 +1,19 @@
 """Combinatorial linking numbers for loop pairs in S^2 x S^1.
 
-The t0-dependent pairing collects, over the transversal crossings of the
-two projected curves, the product of the planar crossing sign with the
-order of the two circle coordinates in the interval obtained by cutting
-S^1 at t0.  The topological linking number of a null-homologous pair is
-recovered from it by winding-number corrections at the t0-crossings of
-either loop, and is independent of t0.  The crossings are the
-`DoublePoint` records of `geometry.crossing_records`, the same records
-`validate` reads, and the t0-crossings come from the one lift scan behind
-`crossing_marks`.
+The t0-dependent pairing `lk(crossings, t0)` sums, over a pair's crossing
+records, the planar crossing sign times the order of the two circle
+coordinates in S^1 cut at t0.  The records are the t0-independent
+`DoublePoint`s of `geometry.crossing_records` that `validate` reads, so a
+pair is scanned once (`crossings_between`, a `validate` report, or
+`pushoff`) and its records are passed in.  `link_number(l, lt, crossings,
+t0)`, the linking number of a null-homologous pair, adds winding-number
+corrections at the t0-crossings of either loop (the lift scan behind
+`crossing_marks`) and is independent of t0.
 
 Push-offs displace the projected polygon to its left by a planar normal
 offset, realizing a horizontal framing; the offset must stay below a third
-of the minimum clearance between non-adjacent segments.
+of the minimum clearance between non-adjacent segments.  `pushoff` returns
+the offset loop with the crossing records against `l` that check it.
 """
 
 from __future__ import annotations
@@ -46,17 +47,15 @@ def crossings_between(l: Loop, lt: Loop) -> tuple[DoublePoint, ...]:
     return crossing_records(l, 0, lt, 1)
 
 
-def lk(l: Loop, lt: Loop, t0: float) -> Fraction:
-    """Half the signed crossing count under the t0-cut order; half-integral."""
-    total = 0
-    for c in crossings_between(l, lt):
-        total += c.s1_order(t0) * c.cross_sign
-    return Fraction(total, 2)
+def lk(crossings: tuple[DoublePoint, ...], t0: float) -> Fraction:
+    """Half the records' signed crossing count in the t0-cut order; half-integral."""
+    return Fraction(sum(c.s1_order(t0) * c.cross_sign for c in crossings), 2)
 
 
-def pushoff(l: Loop, offset: float) -> Loop:
+def pushoff(l: Loop, offset: float) -> tuple[Loop, tuple[DoublePoint, ...]]:
     """Planar normal offset of the projected polygon to the left of its
-    direction by `offset`; the circle-coordinate lift is unchanged.
+    direction by `offset`, and its crossing records against `l`; the lift
+    is unchanged.
 
     Raises OffsetTooLarge if the offset exceeds a third of the loop's
     minimum clearance, or if the offset curve self-intersects or meets the
@@ -98,18 +97,18 @@ def pushoff(l: Loop, offset: float) -> Loop:
     try:
         if off.self_crossings and not l.self_crossings:
             raise OffsetTooLarge("offset curve of a simple projection self-intersects")
-        crossings_between(l, off)
+        crossings = crossings_between(l, off)
     except DegenerateGeometry as exc:
         raise OffsetTooLarge(f"offset curve degenerates: {exc}") from exc
-    return off
+    return off, crossings
 
 
-def link_number(l: Loop, lt: Loop, t0: float) -> int:
-    """Linking number of a null-homologous admissible pair, recovered from
-    the t0-cut pairing with winding corrections at the t0-crossings."""
+def link_number(l: Loop, lt: Loop, crossings: tuple[DoublePoint, ...], t0: float) -> int:
+    """Linking number of a null-homologous admissible pair with crossing
+    records `crossings`: lk with winding corrections at the t0-crossings."""
     if winding_s1(l) != 0 or winding_s1(lt) != 0:
         raise NotNullHomologous("linking number requires both circle windings to vanish")
-    total = lk(l, lt, t0)
+    total = lk(crossings, t0)
     for m in _loop_marks(l, t0):
         total -= m.eps * ind(lt, m.point)
     for m in _loop_marks(lt, t0):
@@ -123,7 +122,7 @@ def self_link(l: Loop, t0: float) -> int:
     """Linking number of the loop with its horizontal push-off, evaluated at
     two offsets to confirm stability as the offset shrinks."""
     threshold = loop_min_clearance(l) / 3.0
-    values = [link_number(l, pushoff(l, threshold * f), t0) for f in (0.5, 0.25)]
+    values = [link_number(l, *pushoff(l, threshold * f), t0) for f in (0.5, 0.25)]
     if values[0] != values[1]:
         raise OffsetTooLarge(
             f"self-linking value not stable under offset refinement: {values}")

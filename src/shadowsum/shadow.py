@@ -260,15 +260,16 @@ def state_sum_general(shadow: Shadow, level: Level,
     caller already holds enumerate_colorings' result): one 6j-symbol per
     double point and one v^chi * exp(2 * modified-gleam * u) factor per face.
 
-    Each distinct 6j argument and each (face, color) weight is evaluated
-    once per call.  Terms are built in a fixed factor order and added in
-    the colorings' order, so the value does not depend on the memos.
+    Each distinct 6j argument and (chi, gleam, z, color) face weight is
+    evaluated once per call.  Terms are built in a fixed factor order and
+    added in the colorings' order, so the value does not depend on the memos.
     """
     check_shadow(shadow)
     if colorings is None:
         colorings = enumerate_colorings(shadow, level)
     sixjs: dict[tuple, float] = {}
-    weights = [{} for _ in shadow.faces]
+    shared: dict[tuple, dict] = {}
+    weights = [shared.setdefault((f.chi, f.gleam, f.z), {}) for f in shadow.faces]
     total = 0j
     for col in colorings:
         vertex_part = 1.0

@@ -72,6 +72,7 @@ def test_criterion_3_linking(corpus_dir):
             continue
         pairs_checked += 1
         l, lt = link.loops
+        crossings = ss.crossings_between(l, lt)
         values = set()
         samples = 0
         while samples < 32:
@@ -79,12 +80,12 @@ def test_criterion_3_linking(corpus_dir):
             if not ss.validate(ss.Link((l, lt), t0=t0, level=2)).ok:
                 continue
             samples += 1
-            val = ss.link_number(l, lt, t0)
+            val = ss.link_number(l, lt, crossings, t0)
             assert isinstance(val, int)
             values.add(val)
         assert len(values) == 1, values
     hopf = ss.load_link(corpus_dir / "hopf.link.json")
-    val = ss.link_number(hopf.loops[0], hopf.loops[1], hopf.t0)
+    val = ss.link_number(*hopf.loops, ss.crossings_between(*hopf.loops), hopf.t0)
     oracle = diagram_linking_oracle(hopf.loops, hopf.t0)
     assert val in (-1, 1) and val == oracle
     print(f"ACCEPTANCE 3 PASS: linking number t0-invariant and integral on "

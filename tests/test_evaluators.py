@@ -68,8 +68,8 @@ class TestAbelianIntermediate:
         # all circle coordinates avoid t0, so only the push-off pairings remain
         expected = 0.0
         for lp in link.loops:
-            off = ss.pushoff(lp, 1e-3)
-            expected += float(ss.lk(lp, off, link.t0))
+            _, crossings = ss.pushoff(lp, 1e-3)
+            expected += float(ss.lk(crossings, link.t0))
         import cmath
         assert ss.wlo_abelian_intermediate(link) == pytest.approx(
             cmath.exp(1j * math.pi * lam * expected))
@@ -104,8 +104,8 @@ class TestConditionalAbelian:
         base = ss.conditional_wlo_abelian(link, lam, fields)
         import cmath
         expected = cmath.exp(1j * math.pi * lam * float(
-            sum((ss.lk(link.loops[j], ss.pushoff(link.loops[j], 1e-3), link.t0)
-                 for j in range(2)), start=ss.lk(link.loops[0], link.loops[1], link.t0) * 2)))
+            sum((ss.lk(ss.pushoff(link.loops[j], 1e-3)[1], link.t0) for j in range(2)),
+                start=ss.lk(ss.crossings_between(*link.loops), link.t0) * 2)))
         assert base == pytest.approx(expected, abs=1e-10)
 
     def test_all_trivial_gives_one(self):

@@ -106,9 +106,10 @@ def validate_calls(monkeypatch):
 
 @pytest.fixture
 def loop_scans(monkeypatch):
-    """The loops whose clearance is computed, and the loops scanned for
-    their own crossings (`_proper_crossings(l, l, same=True)`)."""
-    scans = {"clearance": [], "self_crossings": []}
+    """The loops whose clearance is computed, the loops scanned for their
+    own crossings (`_proper_crossings(l, l, same=True)`), and the loop
+    pairs scanned against each other (`same=False`), in call order."""
+    scans = {"clearance": [], "self_crossings": [], "pairs": []}
     real_clearance = shadowsum.geometry._min_clearance
     real_crossings = shadowsum.geometry._proper_crossings
 
@@ -119,6 +120,8 @@ def loop_scans(monkeypatch):
     def crossings(la, lb, same):
         if same:
             scans["self_crossings"].append(la)
+        else:
+            scans["pairs"].append((la, lb))
         return real_crossings(la, lb, same)
 
     monkeypatch.setattr(shadowsum.geometry, "_min_clearance", clearance)
@@ -306,6 +309,21 @@ class TestCliWlo:
             assert loop_scans["clearance"].count(lp) == 1
             assert loop_scans["self_crossings"].count(lp) == 1
 
+    def test_abelian_scans_each_pushoff_once(self, capsys, corpus_dir, loop_scans):
+        # validate and each route scan the loop pair once; self_link makes
+        # two push-offs per loop and wlo_abelian_intermediate one, and each
+        # is scanned against its loop only by pushoff
+        path = corpus_dir / "hopf.link.json"
+        code, _ = run_cli(capsys, "wlo", "--mode", "abelian", str(path))
+        assert code == 0
+        loops = ss.load_link(path).loops
+        pairs = loop_scans["pairs"]
+        offsets = [(la, lb) for la, lb in pairs if lb not in loops]
+        assert len(offsets) == 6 and all(la in loops for la, _ in offsets)
+        for _, off in offsets:
+            assert sum(lb is off for _, lb in pairs) == 1
+        assert len(pairs) <= 9
+
     def test_abelian_every_vertex_on_a_level(self, capsys, tmp_path):
         # a triangle whose lift is 0, 2pi, 4pi, 6pi at t0 = 0 passes
         # validate, so its three crossing marks are reported
@@ -384,6 +402,13 @@ class TestCliCheck:
                           str(corpus_dir / "hopf.link.json"))
         assert code == 0
         assert len(validate_calls) == 1
+
+    def test_lem2_scans_the_pair_once(self, capsys, corpus_dir, loop_scans):
+        # the samples read the crossing records of the validate report
+        code, _ = run_cli(capsys, "check", "--what", "lem2",
+                          str(corpus_dir / "hopf.link.json"))
+        assert code == 0
+        assert len(loop_scans["pairs"]) <= 2
 
     def test_lem2_needs_two_loops(self, capsys, corpus_dir):
         code, _ = run_cli(capsys, "check", "--what", "lem2",

@@ -347,7 +347,7 @@ class TestValidate:
         a = square(2.0, (0, 0), 0.3)
         b = polygon([(1.0 + 5e-10, 0.1), (3.0, -1.0), (3.0, 1.0)], 1.3)
         with pytest.raises(DegenerateGeometry):
-            ss.lk(a, b, 0.0)
+            ss.lk(ss.crossings_between(a, b), 0.0)
         with pytest.raises(DegenerateGeometry):
             ss.geometry.loop_min_clearance(
                 polygon([(0.0, 0.0), (2.0, 0.0), (1.0, 5e-10), (1.0, 1.0)]))

@@ -25,18 +25,18 @@ class TestLK:
     def test_concentric_no_crossings(self):
         a = polygon_circle(0, 0, 1.0, 16, theta0=0.3, phase=0.1)
         b = polygon_circle(0, 0, 2.0, 18, theta0=1.0, phase=0.2)
-        assert ss.lk(a, b, 0.0) == 0
+        assert ss.lk(ss.crossings_between(a, b), 0.0) == 0
 
     def test_two_crossings_cancel(self):
         # constant circle coordinates: both crossings carry the same order
         # sign but opposite planar signs
         a = polygon_circle(0, 0, 1.0, 16, theta0=0.3, phase=0.13)
         b = polygon_circle(1.0, 0.1, 1.0, 14, theta0=1.0, phase=0.31)
-        assert ss.lk(a, b, 0.0) == 0
+        assert ss.lk(ss.crossings_between(a, b), 0.0) == 0
 
     def test_hopf_is_unit(self):
         a, b = hopf_pair()
-        assert abs(ss.lk(a, b, 0.0)) == 1
+        assert abs(ss.lk(ss.crossings_between(a, b), 0.0)) == 1
 
     def test_symmetric(self):
         rng = random.Random(4)
@@ -45,7 +45,8 @@ class TestLK:
             if not ss.validate(link).ok:
                 continue
             a, b = link.loops
-            assert ss.lk(a, b, link.t0) == ss.lk(b, a, link.t0)
+            assert (ss.lk(ss.crossings_between(a, b), link.t0)
+                    == ss.lk(ss.crossings_between(b, a), link.t0))
 
     def test_half_integrality(self):
         rng = random.Random(5)
@@ -53,42 +54,44 @@ class TestLK:
             link = random_crossing_pair(rng)
             if not ss.validate(link).ok:
                 continue
-            val = ss.lk(link.loops[0], link.loops[1], link.t0)
+            val = ss.lk(ss.crossings_between(*link.loops), link.t0)
             assert (2 * val).denominator == 1
 
 
 class TestLinkNumber:
     def test_reduces_to_lk_away_from_t0(self):
         a, b = hopf_pair()
-        assert ss.link_number(a, b, 0.0) == ss.lk(a, b, 0.0)
+        crossings = ss.crossings_between(a, b)
+        assert ss.link_number(a, b, crossings, 0.0) == ss.lk(crossings, 0.0)
 
     def test_hopf_matches_diagram_oracle(self):
         a, b = hopf_pair()
-        val = ss.link_number(a, b, 0.0)
+        val = ss.link_number(a, b, ss.crossings_between(a, b), 0.0)
         assert val in (-1, 1)
         assert val == diagram_linking_oracle((a, b), 0.0)
 
     def test_distant_loops_unlinked(self):
         a = polygon_circle(0, 0, 1.0, 16, theta0=0.3, phase=0.1)
         b = polygon_circle(5, 0, 1.0, 14, theta0=1.0, phase=0.2)
-        assert ss.link_number(a, b, 0.0) == 0
+        assert ss.link_number(a, b, ss.crossings_between(a, b), 0.0) == 0
 
     def test_t0_invariance(self):
         a, b = hopf_pair()
         rng = random.Random(6)
+        crossings = ss.crossings_between(a, b)
         values = set()
         for _ in range(40):
             t0 = rng.uniform(0.0, TAU - 1e-6)
             if not ss.validate(ss.Link((a, b), t0=t0, level=2)).ok:
                 continue
-            values.add(ss.link_number(a, b, t0))
+            values.add(ss.link_number(a, b, crossings, t0))
         assert len(values) == 1
 
     def test_requires_null_homologous(self):
         a = polygon_circle(0, 0, 1.0, 16, winding=1, theta0=0.3, phase=0.1)
         b = polygon_circle(5, 0, 1.0, 14, theta0=1.0, phase=0.2)
         with pytest.raises(NotNullHomologous):
-            ss.link_number(a, b, 0.0)
+            ss.link_number(a, b, ss.crossings_between(a, b), 0.0)
 
     def test_integral_on_random_pairs(self):
         rng = random.Random(7)
@@ -98,23 +101,24 @@ class TestLinkNumber:
             if not ss.validate(link).ok:
                 continue
             done += 1
-            val = ss.link_number(link.loops[0], link.loops[1], link.t0)
+            a, b = link.loops
+            val = ss.link_number(a, b, ss.crossings_between(a, b), link.t0)
             assert isinstance(val, int)
 
 
 class TestPushoff:
     def test_circle_offset_inward(self):
         lp = polygon_circle(0, 0, 1.0, 24, theta0=0.4, phase=0.1)
-        off = ss.pushoff(lp, 0.01)
+        off, crossings = ss.pushoff(lp, 0.01)
         # ccw circle: left is the inside, so radii shrink
         for (x, y, t), (ox, oy, ot) in zip(lp.vertices, off.vertices):
             assert math.hypot(ox, oy) == pytest.approx(math.hypot(x, y) - 0.01, abs=1e-3)
             assert ot == t
-        assert ss.crossings_between(lp, off) == ()
+        assert crossings == ss.crossings_between(lp, off) == ()
 
     def test_cw_offset_outward(self):
         lp = polygon_circle(0, 0, 1.0, 24, theta0=0.4, ccw=False, phase=0.1)
-        off = ss.pushoff(lp, 0.01)
+        off, _ = ss.pushoff(lp, 0.01)
         assert math.hypot(*off.planar[0]) == pytest.approx(1.01, abs=1e-3)
 
     def test_offset_too_large(self):
@@ -145,7 +149,7 @@ class TestSelfLink:
         lp = polygon_circle(0, 0, 1.0, 20, phase=0.07,
                             theta_fn=lambda u: 0.9 + 1.1 * math.sin(TAU * u))
         delta = loop_min_clearance(lp) / 6.0
-        left = ss.pushoff(lp, delta)
+        left, left_crossings = ss.pushoff(lp, delta)
         # the miter construction is linear in the offset, so the right
         # push-off is the reflection of the left one through the vertex
         right_verts = tuple(
@@ -153,7 +157,8 @@ class TestSelfLink:
             for (vx, vy, vt), (lx, ly, _t) in zip(lp.vertices, left.vertices)
         )
         right = ss.Loop(right_verts, lp.color, lp.framing, lp.vertical)
-        assert ss.link_number(lp, left, 0.0) == ss.link_number(lp, right, 0.0)
+        assert (ss.link_number(lp, left, left_crossings, 0.0)
+                == ss.link_number(lp, right, ss.crossings_between(lp, right), 0.0))
 
     def test_figure8_stable(self, corpus_dir):
         link = ss.load_link(corpus_dir / "figure8.link.json")
@@ -174,8 +179,9 @@ class TestLinkFormIdentity:
         for j in range(3):
             for k in range(3):
                 if j != k:
-                    lhs += ss.link_number(loops[j], loops[k], t0)
-                    rhs += ss.lk(loops[j], loops[k], t0)
+                    crossings = ss.crossings_between(loops[j], loops[k])
+                    lhs += ss.link_number(loops[j], loops[k], crossings, t0)
+                    rhs += ss.lk(crossings, t0)
         marks = ss.crossing_marks(link)
         for j, lp in enumerate(loops):
             for m in marks:
@@ -205,8 +211,9 @@ class TestLinkFormIdentity:
             for j in range(3):
                 for k in range(3):
                     if j != k:
-                        lhs += ss.link_number(loops[j], loops[k], link.t0)
-                        rhs += ss.lk(loops[j], loops[k], link.t0)
+                        crossings = ss.crossings_between(loops[j], loops[k])
+                        lhs += ss.link_number(loops[j], loops[k], crossings, link.t0)
+                        rhs += ss.lk(crossings, link.t0)
             for j, lp in enumerate(loops):
                 for m in ss.crossing_marks(link):
                     if m.loop != j:

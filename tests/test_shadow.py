@@ -261,6 +261,23 @@ class TestStateSums:
         assert ss.state_sum_general(two, Level(k)) == expected
         assert ss.state_sum_general(two, Level(k), colorings=cols) == expected
 
+    def test_face_weight_once_per_distinct_face_and_color(self, corpus_dir, monkeypatch):
+        # the four faces of twocircles carry equal (chi, gleam, z), so they
+        # share one weight per color
+        two = ss.load_shadow(corpus_dir / "twocircles.shadow.json")
+        assert len({(f.chi, f.gleam, f.z) for f in two.faces}) == 1
+        calls = []
+        real = ss.shadow._face_weight
+
+        def counting(level, face, t):
+            calls.append((face.chi, face.gleam, face.z, t))
+            return real(level, face, t)
+
+        monkeypatch.setattr(ss.shadow, "_face_weight", counting)
+        ss.state_sum_general(two, Level(6))
+        assert calls
+        assert len(calls) == len(set(calls))
+
     def test_empty_link_level_one(self):
         shadow, _ = dpfree_shadow(empty_link())
         assert ss.state_sum_general(shadow, Level(1)) == pytest.approx(2.0, abs=1e-12)
