@@ -159,7 +159,10 @@ def _cmd_wlo(args) -> int:
             dims = tuple(int(d) for d in args.dims.split(",")) if args.dims else ()
             k = _require_level(args)
             digest = _digest(f"vertical:{k}:{args.genus}:{dims}".encode())
-        value = complex(wlo_vertical(k, args.genus, dims))
+        try:
+            value = complex(wlo_vertical(k, args.genus, dims))
+        except OverflowError:  # a term past the float range
+            raise InvariantViolation("wlo result is not finite") from None
         result = RunResult("wlo", digest, value,
                            {"dims": list(dims), "genus": args.genus, "level": k},
                            (time.perf_counter() - start) * 1e3)

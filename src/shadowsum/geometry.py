@@ -23,7 +23,11 @@ threads only computes the same value twice.
 
 The segment-pair scans sweep the segments' x-extents (Shamos and Hoey,
 "Geometric intersection problems", FOCS 1976), so they visit only pairs
-whose bounding boxes can meet or lie close, not all O(S^2) pairs.
+whose bounding boxes can meet or lie close, not all O(S^2) pairs.  Each
+`Loop` stores its segments' bounding boxes once.  `validate` sweeps the
+segments of all its loops once, for the pairs of distinct loops, and
+visits loop pairs and segment pairs in the order of one all-pairs scan
+per loop pair, so its crossings and first defect are that scan's.
 
 The t0 cut rests on two facts with one implementation each.
 `crossing_records` turns the crossing scan into `DoublePoint` records:
@@ -140,13 +144,19 @@ class Loop:
     color: Fraction = Fraction(1, 2)
     framing: int = 0
     vertical: bool = False
-    # projections of `vertices`, built once
+    # projections of `vertices` and segment bounding boxes, built once
     planar: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     lifts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    boxes: tuple[tuple[float, float, float, float], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "planar", tuple((x, y) for x, y, _ in self.vertices))
+        pl = tuple((x, y) for x, y, _ in self.vertices)
+        object.__setattr__(self, "planar", pl)
         object.__setattr__(self, "lifts", tuple(t for _, _, t in self.vertices))
+        object.__setattr__(self, "boxes", tuple(
+            (min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))
+            for (ax, ay), (bx, by) in zip(pl, pl[1:])))
 
     @property
     def nseg(self) -> int:
@@ -249,35 +259,46 @@ def winding_s1(loop: Loop) -> int:
 # ---------------------------------------------------------------------------
 # pairwise crossing enumeration
 
-def _x_overlaps(la: Loop, lb: Loop, same: bool) -> list[tuple[int, int]]:
-    """Segment pairs (i of la, j of lb), sorted, whose x-extents meet as
-    `_bbox_overlap` tests them: [min x - COINCIDENCE_TOL, max x].  This is
-    a superset of the pairs that pass `_bbox_overlap`.  With same=True, la
-    is lb and only pairs i < j are listed."""
-    events = []
-    for side, lp in enumerate((la,) if same else (la, lb)):
-        pl = lp.planar
-        for i in range(lp.nseg):
-            x1, x2 = pl[i][0], pl[i + 1][0]
-            events.append((min(x1, x2) - COINCIDENCE_TOL, max(x1, x2), side, i))
-    events.sort()
-    pairs = []
-    active = []  # (max x, side, index) of the segments that reach the sweep line
-    for lo, hi, side, i in events:
-        active = [a for a in active if a[0] >= lo]
-        for _hi, other, j in active:
-            if same:
-                pairs.append((j, i) if j < i else (i, j))
-            elif other != side:
-                pairs.append((j, i) if other == 0 else (i, j))
-        active.append((hi, side, i))
-    pairs.sort()
+def _segment_sweep(loops: Sequence[Loop]) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """Segment pairs whose bounding boxes pass `_bbox_overlap`, found in
+    one sweep over the segments of all `loops` sorted by min x -
+    COINCIDENCE_TOL.  Returns, for each loop pair a <= b (indices into
+    `loops`) with candidates, the pairs (segment of a, segment of b)
+    sorted lexicographically.  A single loop is paired with itself (pairs
+    i < j); several loops are paired only with each other."""
+    tol = COINCIDENCE_TOL
+    single = len(loops) == 1
+    events = sorted((x0 - tol, x1, y0 - tol, y1, a, i)
+                    for a, lp in enumerate(loops) for i, (x0, x1, y0, y1) in enumerate(lp.boxes))
+    pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    active = []  # (max x, min y - tol, max y, loop, segment) of segments that reach the sweep line
+    for lo, hi, ylo, yhi, a, i in events:
+        active = [s for s in active if s[0] >= lo]
+        for _hi, bylo, byhi, b, j in active:
+            # the x half of the box test holds by the sweep order
+            if (b == a) != single or bylo > yhi or ylo > byhi:
+                continue
+            if b < a or (b == a and j < i):
+                pairs.setdefault((b, a), []).append((j, i))
+            else:
+                pairs.setdefault((a, b), []).append((i, j))
+        active.append((hi, ylo, yhi, a, i))
+    for found in pairs.values():
+        found.sort()
     return pairs
 
 
 def _proper_crossings(la: Loop, lb: Loop, same: bool):
     """All transversal crossings of the two projected polygons, ordered
-    lexicographically in (segment of la, segment of lb).
+    lexicographically in (segment of la, segment of lb): `_segment_sweep`
+    on la alone (same=True, la is lb) or on both, then `_pair_crossings`."""
+    loops = (la,) if same else (la, lb)
+    return _pair_crossings(la, lb, same, _segment_sweep(loops).get((0, len(loops) - 1), ()))
+
+
+def _pair_crossings(la: Loop, lb: Loop, same: bool, candidates):
+    """The transversal crossings among the candidate segment pairs (i of
+    la, j of lb), which passed the bounding-box test, in their order.
 
     Yields (seg_a, seg_b, ta, tb, point, cross_sign) with exact Fraction
     parameters.  The one scan that rejects non-generic PL input: raises
@@ -292,11 +313,9 @@ def _proper_crossings(la: Loop, lb: Loop, same: bool):
     pa = la.planar
     pb = lb.planar
     out = []
-    for i, j in _x_overlaps(la, lb, same):
+    for i, j in candidates:
         a1, a2 = pa[i], pa[i + 1]
         b1, b2 = pb[j], pb[j + 1]
-        if not _bbox_overlap(a1, a2, b1, b2):
-            continue
         after = same and j == i + 1  # a2 is b1
         before = same and i == 0 and j == na - 1  # a1 is b2
         if (
@@ -362,6 +381,10 @@ def crossing_records(la: Loop, i: int, lb: Loop, j: int) -> tuple[DoublePoint, .
     i with itself when i == j, in the order of `_proper_crossings`, which
     raises DegenerateGeometry for non-generic input."""
     pairs = la.self_crossings if i == j else _proper_crossings(la, lb, same=False)
+    return _records(la, i, lb, j, pairs)
+
+
+def _records(la: Loop, i: int, lb: Loop, j: int, pairs) -> tuple[DoublePoint, ...]:
     out = []
     for (si, sj, ta, tb, pt, sign) in pairs:
         ua = float((si + ta) / la.nseg)
@@ -407,12 +430,17 @@ def validate(link: Link) -> AdmissibilityReport:
     vertical = tuple(i for i, lp in enumerate(loops) if lp.vertical)
     regular = [(i, lp) for i, lp in enumerate(loops) if not lp.vertical]
 
+    # one sweep finds the candidate segment pairs of all distinct loops
+    across = _segment_sweep([lp for _, lp in regular]) if len(regular) > 1 else {}
     events = []
-    for ai in range(len(regular)):
-        i, la = regular[ai]
+    for ai, (i, la) in enumerate(regular):
         for bi in range(ai, len(regular)):
             j, lb = regular[bi]
-            events.extend(crossing_records(la, i, lb, j))
+            if ai == bi:
+                pairs = la.self_crossings
+            else:
+                pairs = _pair_crossings(la, lb, False, across.get((ai, bi), ()))
+            events.extend(_records(la, i, lb, j, pairs))
 
     # cluster events by planar point; two events within tolerance mean at
     # least three strands through one point
@@ -780,10 +808,7 @@ def _min_clearance(loop: Loop) -> float:
     n = loop.nseg
     pl = loop.planar
     scale = max(max(abs(x), abs(y)) for x, y in pl)
-    boxes = sorted(
-        (min(pl[i][0], pl[i + 1][0]), max(pl[i][0], pl[i + 1][0]),
-         min(pl[i][1], pl[i + 1][1]), max(pl[i][1], pl[i + 1][1]), i)
-        for i in range(n))
+    boxes = sorted(box + (i,) for i, box in enumerate(loop.boxes))
     best = math.inf
     bound = math.inf  # gaps above this cannot lower `best`
     active = []

@@ -270,8 +270,8 @@ def t0_cut_oracle(loop, t0, j=0):
 
 def proper_crossings_oracle(la, lb, same):
     """All-pairs crossing scan: every segment pair passes the bounding-box
-    filter and the body of `geometry._proper_crossings`, in lexicographic
-    order, with no sweep."""
+    filter and, if it passes, the body of `geometry._pair_crossings`, in
+    lexicographic order, with no sweep."""
     from fractions import Fraction
 
     from shadowsum.errors import DegenerateGeometry
@@ -322,6 +322,49 @@ def proper_crossings_oracle(la, lb, same):
                     raise DegenerateGeometry(
                         f"segments graze or overlap (segments {i}, {j})")
     return out
+
+
+def validate_oracle(link):
+    """`geometry.validate` with one all-pairs scan per loop pair: loop i
+    with itself and with each later loop j, in that order."""
+    from shadowsum.geometry import (
+        COINCIDENCE_TOL,
+        AdmissibilityReport,
+        DoublePoint,
+        _angle_eq,
+        _t0_events,
+    )
+
+    regular = [(i, lp) for i, lp in enumerate(link.loops) if not lp.vertical]
+    events = []
+    for ai, (i, la) in enumerate(regular):
+        for j, lb in regular[ai:]:
+            for si, sj, ta, tb, pt, sign in proper_crossings_oracle(la, lb, same=i == j):
+                ua = float((si + ta) / la.nseg)
+                ub = float((sj + tb) / lb.nseg)
+                events.append(DoublePoint(pt, ((i, ua), (j, ub)),
+                                          (la.theta_at(ua), lb.theta_at(ub)), sign))
+    clusters = []
+    for ev in events:
+        near = [cl for cl in clusters if math.dist(ev.point, cl[0].point) <= COINCIDENCE_TOL]
+        if near:
+            near[0].append(ev)
+        else:
+            clusters.append([ev])
+    double_points = [cl[0] for cl in clusters if len(cl) == 1]
+    triple_points = sorted(cl[0].point for cl in clusters if len(cl) > 1)
+    collisions = sorted(d.point for d in double_points if _angle_eq(*d.thetas))
+    hits, degeneracies = _t0_events(link, double_points, link.t0)
+    vertical = tuple(i for i, lp in enumerate(link.loops) if lp.vertical)
+    return AdmissibilityReport(
+        ok=not (triple_points or degeneracies or hits or collisions or vertical),
+        double_points=tuple(sorted(double_points, key=lambda d: d.strands)),
+        triple_points=tuple(triple_points),
+        t0_degeneracies=tuple(sorted(degeneracies)),
+        t0_double_point_hits=tuple(sorted(hits)),
+        strand_collisions=tuple(collisions),
+        vertical_loops=vertical,
+    )
 
 
 def min_clearance_oracle(loop) -> float:

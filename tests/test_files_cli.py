@@ -106,26 +106,26 @@ def validate_calls(monkeypatch):
 
 @pytest.fixture
 def loop_scans(monkeypatch):
-    """The loops whose clearance is computed, the loops scanned for their
-    own crossings (`_proper_crossings(l, l, same=True)`), and the loop
-    pairs scanned against each other (`same=False`), in call order."""
+    """The loops whose clearance is computed, the loops swept for their
+    own crossings (`_segment_sweep` on one loop), and the loop tuples
+    swept against each other (on several loops), in call order."""
     scans = {"clearance": [], "self_crossings": [], "pairs": []}
     real_clearance = shadowsum.geometry._min_clearance
-    real_crossings = shadowsum.geometry._proper_crossings
+    real_sweep = shadowsum.geometry._segment_sweep
 
     def clearance(loop):
         scans["clearance"].append(loop)
         return real_clearance(loop)
 
-    def crossings(la, lb, same):
-        if same:
-            scans["self_crossings"].append(la)
+    def sweep(loops):
+        if len(loops) == 1:
+            scans["self_crossings"].append(loops[0])
         else:
-            scans["pairs"].append((la, lb))
-        return real_crossings(la, lb, same)
+            scans["pairs"].append(tuple(loops))
+        return real_sweep(loops)
 
     monkeypatch.setattr(shadowsum.geometry, "_min_clearance", clearance)
-    monkeypatch.setattr(shadowsum.geometry, "_proper_crossings", crossings)
+    monkeypatch.setattr(shadowsum.geometry, "_segment_sweep", sweep)
     return scans
 
 
@@ -284,6 +284,16 @@ class TestCliWlo:
         assert code == 0
         assert last_value(out) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_vertical_overflow_exit_3(self, capsys, fmt):
+        # sin(pi/52)^(2 - 2*200) is past the float range
+        code = main(["wlo", "--mode", "vertical", "--level", "50", "--genus", "200",
+                     "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "not finite" in captured.err
+
     def test_dpfree_circle(self, capsys, corpus_dir):
         code, out = run_cli(capsys, "wlo", "--mode", "dpfree",
                             str(corpus_dir / "circle_w0.link.json"))
@@ -310,9 +320,9 @@ class TestCliWlo:
             assert loop_scans["self_crossings"].count(lp) == 1
 
     def test_abelian_scans_each_pushoff_once(self, capsys, corpus_dir, loop_scans):
-        # validate and each route scan the loop pair once; self_link makes
+        # validate and each route sweep the loop pair once; self_link makes
         # two push-offs per loop and wlo_abelian_intermediate one, and each
-        # is scanned against its loop only by pushoff
+        # is swept against its loop only by pushoff
         path = corpus_dir / "hopf.link.json"
         code, _ = run_cli(capsys, "wlo", "--mode", "abelian", str(path))
         assert code == 0
@@ -322,7 +332,8 @@ class TestCliWlo:
         assert len(offsets) == 6 and all(la in loops for la, _ in offsets)
         for _, off in offsets:
             assert sum(lb is off for _, lb in pairs) == 1
-        assert len(pairs) <= 9
+        assert pairs.count(loops) == 3
+        assert len(pairs) == 9
 
     def test_abelian_every_vertex_on_a_level(self, capsys, tmp_path):
         # a triangle whose lift is 0, 2pi, 4pi, 6pi at t0 = 0 passes
@@ -408,7 +419,7 @@ class TestCliCheck:
         code, _ = run_cli(capsys, "check", "--what", "lem2",
                           str(corpus_dir / "hopf.link.json"))
         assert code == 0
-        assert len(loop_scans["pairs"]) <= 2
+        assert len(loop_scans["pairs"]) == 1
 
     def test_lem2_needs_two_loops(self, capsys, corpus_dir):
         code, _ = run_cli(capsys, "check", "--what", "lem2",

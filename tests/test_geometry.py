@@ -26,6 +26,7 @@ from conftest import (
     sample_point_oracle,
     t0_cut_oracle,
     tangential_t0_link,
+    validate_oracle,
     vertex_on_segment_oracle,
     winding_oracle,
 )
@@ -81,12 +82,12 @@ def moved_vertex_link(rng, gap):
     return ss.Link(tuple(loops), t0=0.0, level=1)
 
 
-def scan_polygon(rng):
-    """3-40 vertices star-shaped about a random centre, or 3-12 scattered
-    ones (and then self-crossing); 40% are rounded to 0.1, which gives
-    vertical segments and segments whose x-extents share an end."""
+def scan_polygon(rng, most=40):
+    """3-`most` vertices star-shaped about a random centre, or 3-12
+    scattered ones (and then self-crossing); 40% are rounded to 0.1, which
+    gives vertical segments and segments whose x-extents share an end."""
     if rng.random() < 0.8:
-        n = rng.randint(3, 40)
+        n = rng.randint(3, most)
         cx, cy = rng.uniform(-1, 1), rng.uniform(-1, 1)
         angles = sorted(rng.uniform(0, TAU) for _ in range(n))
         radii = [rng.uniform(0.3, 2.0) for _ in range(n)]
@@ -160,6 +161,55 @@ class TestSweptScans:
         lp = polygon([(-1.3, -0.2), (-1.2, -1.4), (-0.2, 1.5), (-0.9, 2.0),
                       (1.3, -1.9), (-0.1, 1.5), (0.6, 1.5), (1.8, 1.8)])
         assert ss.geometry.loop_min_clearance(lp) == min_clearance_oracle(lp)
+
+
+class TestLinkSweep:
+    """`validate`'s one sweep over all loops against one all-pairs scan
+    per loop pair, exceptions included."""
+
+    def test_matches_per_pair_oracle(self):
+        rng = random.Random(11)
+        seen = {"raised": 0, "double points": 0}
+        cases = 0
+        while cases < 300:
+            pts = [scan_polygon(rng, 20) for _ in range(rng.randint(1, 5))]
+            for _ in range(rng.randint(0, 2)):
+                k = rng.randrange(len(pts))
+                pts[k] = nudge(rng, pts[k], rng.choice(pts))
+            try:
+                loops = [polygon(p, rng.uniform(0.1, 6.0)) for p in pts]
+            except DegenerateGeometry:
+                continue  # a nudge made a zero-length segment
+            if rng.random() < 0.2:  # shifts the indices of the regular loops
+                loops.insert(rng.randrange(len(loops) + 1), ss.make_loop(
+                    [(0.3, 0.1, 0.0), (0.3, 0.1, math.pi), (0.3, 0.1, TAU)], vertical=True))
+            link = ss.Link(tuple(loops))
+            cases += 1
+            got = TestSweptScans.outcome(ss.validate, link)
+            assert got == TestSweptScans.outcome(validate_oracle, link)
+            if isinstance(got, tuple):
+                seen["raised"] += 1
+            elif got.double_points:
+                seen["double points"] += 1
+        assert min(seen.values()) >= 40, seen
+
+    def test_one_sweep_per_link(self, monkeypatch):
+        # a row of 8 circles, each crossing its neighbours twice: the
+        # cross-loop pairs come from one sweep, not from 28 pair sweeps
+        loops = tuple(polygon_circle(1.5 * k, 0.0, 1.0, 16, theta0=0.5 + 0.1 * k)
+                      for k in range(8))
+        calls = []
+        real = ss.geometry._segment_sweep
+
+        def sweep(lps):
+            calls.append(tuple(lps))
+            return real(lps)
+
+        monkeypatch.setattr(ss.geometry, "_segment_sweep", sweep)
+        report = ss.validate(ss.Link(loops))
+        assert len(report.double_points) == 14
+        assert [c for c in calls if len(c) > 1] == [loops]
+        assert sorted(map(loops.index, (c[0] for c in calls if len(c) == 1))) == list(range(8))
 
 
 class TestLoopOrientation:
