@@ -155,7 +155,7 @@ def main():
     for name in ("hopf", "concentric", "oscillating_circle", "three_chain", "figure8"):
         link = ss.load_link(CORPUS / f"{name}.link.json")
         va = ss.wlo_abelian(link)
-        vi = ss.wlo_abelian_intermediate(link)
+        vi = ss.wlo_abelian_intermediate(link, ss.validate(link))
         print(f"wlo abelian {name}: {va:.12g} intermediate diff {abs(va - vi):.2e}")
     for name in ("circle_wp1",):
         link = ss.load_link(CORPUS / f"{name}.link.json")

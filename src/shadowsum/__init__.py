@@ -18,15 +18,7 @@ from .errors import (
     TangentialCrossing,
     UnsupportedColor,
 )
-from .evaluators import (
-    FieldSample,
-    character_su2,
-    conditional_holonomy_su2,
-    conditional_wlo_abelian,
-    wlo_abelian,
-    wlo_abelian_intermediate,
-    wlo_vertical,
-)
+from .evaluators import wlo_abelian, wlo_abelian_intermediate, wlo_vertical
 from .files import dumps_link, dumps_shadow, load_link, load_shadow, loads_link, loads_shadow
 from .geometry import (
     AdmissibilityReport,

@@ -184,7 +184,7 @@ def _cmd_wlo(args) -> int:
             "windings": winds,
         }
         if not any(winds):
-            other = wlo_abelian_intermediate(link)
+            other = wlo_abelian_intermediate(link, report)
             diag["intermediate"] = [other.real, other.imag]
             diag["difference"] = abs(value - other)
         result = RunResult("wlo", digest, value, diag,

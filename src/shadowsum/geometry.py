@@ -443,14 +443,23 @@ def validate(link: Link) -> AdmissibilityReport:
             events.extend(_records(la, i, lb, j, pairs))
 
     # cluster events by planar point; two events within tolerance mean at
-    # least three strands through one point
+    # least three strands through one point.  An event joins the first
+    # cluster whose first point lies within tolerance.  Clusters are filed
+    # by the grid cell of their first point; cells are 2 * COINCIDENCE_TOL
+    # wide, so the 3 x 3 cells around an event hold every such point even
+    # after x / cell rounds.
+    cell = 2.0 * COINCIDENCE_TOL
     clusters: list[list[DoublePoint]] = []
+    grid: dict[tuple[int, int], list[int]] = {}
     for ev in events:
-        for cl in clusters:
-            if math.dist(ev.point, cl[0].point) <= COINCIDENCE_TOL:
-                cl.append(ev)
-                break
+        cx, cy = math.floor(ev.point[0] / cell), math.floor(ev.point[1] / cell)
+        near = [c for gx in (cx - 1, cx, cx + 1) for gy in (cy - 1, cy, cy + 1)
+                for c in grid.get((gx, gy), ())
+                if math.dist(ev.point, clusters[c][0].point) <= COINCIDENCE_TOL]
+        if near:
+            clusters[min(near)].append(ev)
         else:
+            grid.setdefault((cx, cy), []).append(len(clusters))
             clusters.append([ev])
 
     double_points = []

@@ -367,6 +367,24 @@ def validate_oracle(link):
     )
 
 
+def small_offset_self_link_oracle(loop, t0):
+    """The loop's linking number with its push-offs at 1e-5 and 1e-6 of
+    the admissible offset bound, clearance / 3, where no crossing can move
+    past the other strand's circle coordinate unless the two differ by
+    less than the lift changes over the offset.  None unless both values
+    agree and neither raises."""
+    from shadowsum.errors import ShadowsumError
+    from shadowsum.geometry import loop_min_clearance
+    from shadowsum.linking import link_number, pushoff
+
+    try:
+        values = {link_number(loop, *pushoff(loop, f * loop_min_clearance(loop) / 3), t0)
+                  for f in (1e-5, 1e-6)}
+    except ShadowsumError:
+        return None
+    return values.pop() if len(values) == 1 else None
+
+
 def min_clearance_oracle(loop) -> float:
     """All-pairs minimum distance between non-adjacent, non-crossing
     segments of one loop, with no pruning."""

@@ -99,7 +99,7 @@ def test_criterion_4_abelian_cross_path(corpus_dir):
     for name in names:
         link = ss.load_link(corpus_dir / f"{name}.link.json")
         a = ss.wlo_abelian(link)
-        b = ss.wlo_abelian_intermediate(link)
+        b = ss.wlo_abelian_intermediate(link, ss.validate(link))
         diff = abs(a - b)
         worst = max(worst, diff)
         assert diff <= 1e-9, name

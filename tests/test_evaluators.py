@@ -1,12 +1,16 @@
+import cmath
 import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from conftest import small_offset_self_link_oracle, tangential_t0_link
+from hypothesis import assume, given, reject, settings, strategies as st
 
 import shadowsum as ss
 import shadowsum.evaluators
-from shadowsum.errors import PreconditionError
+import shadowsum.geometry
+import shadowsum.linking
+from shadowsum.errors import PreconditionError, ShadowsumError
 from shadowsum.random_links import polygon_circle
 
 TAU = 2 * math.pi
@@ -61,24 +65,50 @@ class TestAbelian:
             ss.wlo_abelian(ss.Link((lp,), t0=0.5, level=1))
 
 
+def self_crossing_loop(rng):
+    """A random polygon of 5-14 vertices around the origin, half of whose
+    angles are random, so that it usually crosses itself, with an
+    oscillating lift of winding 0."""
+    n = rng.randint(5, 14)
+    angles = [TAU * i / n for i in range(n)]
+    for i in rng.sample(range(n), n // 2):
+        angles[i] = rng.uniform(0.0, TAU)
+    base, amp = rng.uniform(0.5, 5.8), rng.uniform(0.2, 3.0)
+    freq, phase = rng.randint(1, 3), rng.uniform(0.0, TAU)
+    pts = [(r * math.cos(a), r * math.sin(a), base + amp * math.sin(TAU * freq * i / n + phase))
+           for i, (a, r) in enumerate(zip(angles, [rng.uniform(0.5, 1.5) for _ in range(n)]))]
+    return ss.make_loop(pts + [pts[0]])
+
+
+def narrow_gap(loop, gap):
+    """`loop` with the lift of the second strand's segment at its first
+    self-crossing shifted so that its circle coordinate there exceeds the
+    first strand's by `gap`.  The two segments cross, so they share no
+    vertex, and the first strand's lift is unchanged."""
+    i, j, ta, tb, *_ = loop.self_crossings[0]
+    lifts = loop.lifts
+    shift = (lifts[i] + float(ta) * (lifts[i + 1] - lifts[i]) + gap
+             - lifts[j] - float(tb) * (lifts[j + 1] - lifts[j]))
+    moved = {j, j + 1} | ({0} if j + 1 == loop.nseg else set())
+    return ss.make_loop([(x, y, t + shift if v in moved else t)
+                         for v, (x, y, t) in enumerate(loop.vertices)])
+
+
 class TestAbelianIntermediate:
     def test_no_marks_reduces_to_lk_product(self):
-        link = distant_pair()
-        lam = 1.0 / link.level
-        # all circle coordinates avoid t0, so only the push-off pairings remain
-        expected = 0.0
-        for lp in link.loops:
-            _, crossings = ss.pushoff(lp, 1e-3)
-            expected += float(ss.lk(crossings, link.t0))
-        import cmath
-        assert ss.wlo_abelian_intermediate(link) == pytest.approx(
-            cmath.exp(1j * math.pi * lam * expected))
+        # all circle coordinates avoid t0, so only the crossing pairings
+        # remain: the Hopf pair's two orders
+        link = hopf_link(3)
+        expected = 2 * ss.lk(ss.crossings_between(*link.loops), link.t0)
+        assert abs(expected) == 2
+        assert ss.wlo_abelian_intermediate(link, ss.validate(link)) == pytest.approx(
+            cmath.exp(1j * math.pi * float(expected) / link.level))
 
     def test_matches_abelian_on_corpus(self, corpus_dir):
         for name in ("hopf", "concentric", "oscillating_circle", "three_chain", "figure8"):
             link = ss.load_link(corpus_dir / f"{name}.link.json")
             a = ss.wlo_abelian(link)
-            b = ss.wlo_abelian_intermediate(link)
+            b = ss.wlo_abelian_intermediate(link, ss.validate(link))
             assert a == pytest.approx(b, abs=1e-10), name
 
     def test_side_points_once_per_mark(self, corpus_dir, mark_side_point_calls):
@@ -87,82 +117,90 @@ class TestAbelianIntermediate:
         link = ss.load_link(corpus_dir / "nested_pair.link.json")
         marks = ss.crossing_marks(link)
         assert len(link.loops) == 2 and len(marks) == 2
-        ss.wlo_abelian_intermediate(link)
+        ss.wlo_abelian_intermediate(link, ss.validate(link))
         assert list(mark_side_point_calls) == list(marks)
 
     def test_wind_one_gives_exact_zero(self):
         lp = polygon_circle(0, 0, 1.0, 16, winding=1, theta0=0.5, phase=0.1)
         link = ss.Link((lp,), t0=0.0, level=1)
-        assert ss.wlo_abelian_intermediate(link) == 0
+        assert ss.wlo_abelian_intermediate(link, ss.validate(link)) == 0
 
+    def test_inadmissible_report_rejected(self):
+        link = tangential_t0_link()
+        report = ss.validate(link)
+        assert not report.ok
+        with pytest.raises(PreconditionError):
+            ss.wlo_abelian_intermediate(link, report)
 
-class TestConditionalAbelian:
-    def test_zero_fields_reduce_to_lk_product(self):
-        link = hopf_link(2)
-        fields = ss.FieldSample(loop_integrals=(0.0, 0.0))
-        lam = 0.5
-        base = ss.conditional_wlo_abelian(link, lam, fields)
-        import cmath
-        expected = cmath.exp(1j * math.pi * lam * float(
-            sum((ss.lk(ss.pushoff(link.loops[j], 1e-3)[1], link.t0) for j in range(2)),
-                start=ss.lk(ss.crossings_between(*link.loops), link.t0) * 2)))
-        assert base == pytest.approx(expected, abs=1e-10)
+    def test_reads_only_the_report(self, corpus_dir, monkeypatch):
+        # no push-off, no clearance and no segment sweep: the crossing
+        # terms come from the report's double points
+        calls = []
+        modules = (ss, shadowsum.evaluators, shadowsum.geometry, shadowsum.linking)
+        for module, name in ((shadowsum.linking, "pushoff"),
+                             (shadowsum.geometry, "loop_min_clearance"),
+                             (shadowsum.geometry, "_segment_sweep")):
+            real = getattr(module, name)
 
-    def test_all_trivial_gives_one(self):
-        link = distant_pair()
-        fields = ss.FieldSample(loop_integrals=(0.0, 0.0))
-        assert ss.conditional_wlo_abelian(link, 0.5, fields) == pytest.approx(1.0)
+            def counting(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
 
-    def test_constant_background_counts_windings(self):
-        lp = polygon_circle(0, 0, 1.0, 16, winding=2, theta0=0.4, phase=0.1)
-        link = ss.Link((lp,), t0=0.0, level=2)
-        beta = 0.731
-        base = ss.conditional_wlo_abelian(link, 0.5, ss.FieldSample((0.0,)))
-        with_b = ss.conditional_wlo_abelian(
-            link, 0.5, ss.FieldSample((0.0,), background=lambda x, y: beta))
-        import cmath
-        total_wind = sum(ss.winding_s1(l) for l in link.loops)
-        assert with_b / base == pytest.approx(cmath.exp(1j * beta * total_wind), abs=1e-10)
+            for mod in modules:
+                if getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, counting)
+        for name in ("hopf", "figure8", "three_chain"):
+            link = ss.load_link(corpus_dir / f"{name}.link.json")
+            report = ss.validate(link)
+            assert report.double_points and calls.count("_segment_sweep") > 0, name
+            calls.clear()
+            ss.wlo_abelian_intermediate(link, report)
+            assert calls == [], name
+        ss.wlo_abelian(link)
+        assert {"pushoff", "loop_min_clearance", "_segment_sweep"} <= set(calls)
 
-    def test_line_integrals_enter_as_phases(self):
-        link = distant_pair()
-        a = ss.conditional_wlo_abelian(link, 0.5, ss.FieldSample((0.2, -0.7)))
-        b = ss.conditional_wlo_abelian(link, 0.5, ss.FieldSample((0.0, 0.0)))
-        import cmath
-        assert a / b == pytest.approx(cmath.exp(1j * (0.2 - 0.7)), abs=1e-12)
+    def test_self_crossing_loops_match_small_offset_oracle(self):
+        # seeded self-crossing loops: the route equals the small-offset
+        # limit, which a push-off at clearance / 6 misses on some of them
+        rng = random.Random(1)
+        checked = missed = 0
+        for _ in range(80):
+            loop = self_crossing_loop(rng)
+            link = ss.Link((loop,), t0=0.0, level=97)
+            report = ss.validate(link)
+            sl = small_offset_self_link_oracle(loop, link.t0)
+            if not (report.ok and report.double_points) or sl is None:
+                continue
+            checked += 1
+            assert ss.wlo_abelian_intermediate(link, report) == pytest.approx(
+                cmath.exp(1j * math.pi * sl / link.level), abs=1e-9)
+            offset = shadowsum.geometry.loop_min_clearance(loop) / 6
+            try:
+                pushed = ss.link_number(loop, *ss.pushoff(loop, offset), link.t0)
+            except ShadowsumError:
+                pushed = None
+            missed += pushed != sl
+        assert checked >= 60 and missed >= 1, (checked, missed)
 
-
-class TestCharacter:
-    def test_identity_value(self):
-        for d in range(1, 7):
-            assert ss.character_su2(d, 0.0) == d
-
-    def test_d2_at_half_pi(self):
-        assert ss.character_su2(2, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
-
-    def test_continuity_at_pi(self):
-        # limit of sin(dx)/sin(x) as x -> pi is d * (-1)^(d-1)
-        for d in range(1, 6):
-            lim = ss.character_su2(d, math.pi)
-            near = math.sin(d * (math.pi - 1e-7)) / math.sin(math.pi - 1e-7)
-            assert lim == pytest.approx(near, abs=1e-5)
-
-    @given(st.integers(1, 6), st.floats(-10, 10, allow_nan=False))
-    def test_even_function(self, d, x):
-        assert ss.character_su2(d, -x) == pytest.approx(ss.character_su2(d, x),
-                                                        abs=1e-9, nan_ok=False)
-
-    def test_product_at_zero_fields(self):
-        link = distant_pair()
-        fields = ss.FieldSample((0.0, 0.0))
-        # both loops carry color 1/2, i.e. dimension 2
-        assert ss.conditional_holonomy_su2(link, fields) == pytest.approx(4.0)
-
-    def test_single_loop_zero(self):
-        lp = polygon_circle(0, 0, 1.0, 16, theta0=0.4, phase=0.1)
-        link = ss.Link((lp,), t0=0.0, level=1)
-        val = ss.conditional_holonomy_su2(link, ss.FieldSample((math.pi / 2,)))
-        assert val == pytest.approx(0.0, abs=1e-12)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-3.5, -2.0), st.booleans())
+    def test_small_gaps_match_small_offset_oracle(self, seed, log_gap, below):
+        # gaps of 3e-4 to 1e-2 rad: a push-off at clearance / 6 often
+        # carries the crossing past the other strand's circle coordinate,
+        # the oracle's far smaller offsets do not
+        loop = self_crossing_loop(random.Random(seed))
+        assume(loop.self_crossings)
+        gap = 10.0 ** log_gap
+        try:
+            loop = narrow_gap(loop, -gap if below else gap)
+            link = ss.Link((loop,), t0=0.0, level=97)
+            report = ss.validate(link)
+        except ShadowsumError:
+            reject()
+        sl = small_offset_self_link_oracle(loop, link.t0)
+        assume(report.ok and sl is not None)
+        assert ss.wlo_abelian_intermediate(link, report) == pytest.approx(
+            cmath.exp(1j * math.pi * sl / link.level), abs=1e-9)
 
 
 class TestVertical:

@@ -309,8 +309,8 @@ class TestCliWlo:
         assert last_value(out) == 0
 
     def test_abelian_scans_each_loop_once(self, capsys, corpus_dir, loop_scans):
-        # both Abelian routes run; between them they ask 5 times per loop
-        # for the clearance
+        # both Abelian routes run; self_link asks 3 times per loop for the
+        # clearance, the crossing-mark route not at all
         path = corpus_dir / "hopf.link.json"
         code, out = run_cli(capsys, "wlo", "--mode", "abelian", str(path))
         assert code == 0
@@ -320,20 +320,20 @@ class TestCliWlo:
             assert loop_scans["self_crossings"].count(lp) == 1
 
     def test_abelian_scans_each_pushoff_once(self, capsys, corpus_dir, loop_scans):
-        # validate and each route sweep the loop pair once; self_link makes
-        # two push-offs per loop and wlo_abelian_intermediate one, and each
-        # is swept against its loop only by pushoff
+        # validate and wlo_abelian sweep the loop pair once; self_link makes
+        # two push-offs per loop, and each is swept against its loop only
+        # by pushoff; wlo_abelian_intermediate reads validate's records
         path = corpus_dir / "hopf.link.json"
         code, _ = run_cli(capsys, "wlo", "--mode", "abelian", str(path))
         assert code == 0
         loops = ss.load_link(path).loops
         pairs = loop_scans["pairs"]
         offsets = [(la, lb) for la, lb in pairs if lb not in loops]
-        assert len(offsets) == 6 and all(la in loops for la, _ in offsets)
+        assert len(offsets) == 4 and all(la in loops for la, _ in offsets)
         for _, off in offsets:
             assert sum(lb is off for _, lb in pairs) == 1
-        assert pairs.count(loops) == 3
-        assert len(pairs) == 9
+        assert pairs.count(loops) == 2
+        assert len(pairs) == 6
 
     def test_abelian_every_vertex_on_a_level(self, capsys, tmp_path):
         # a triangle whose lift is 0, 2pi, 4pi, 6pi at t0 = 0 passes

@@ -193,6 +193,26 @@ class TestLinkSweep:
                 seen["double points"] += 1
         assert min(seen.values()) >= 40, seen
 
+    def test_comb_matches_per_pair_oracle(self):
+        # a 200-tooth comb crossed by a thin band: 800 double points to
+        # cluster.  A triangle passes 5e-10 beside one of them, at
+        # (0.5, 0.4) on a cell corner, and makes a triple point of three
+        # crossings in different grid cells
+        comb = [(0.0, -1.0)]
+        for t in range(200):
+            comb += [(t, 0.0), (t, 1.0), (t + 0.5, 1.0), (t + 0.5, 0.0)]
+        comb.append((199.5, -1.0))
+        band = [(-1.0, 0.4), (200.5, 0.4), (200.5, 0.6), (-1.0, 0.6)]
+        triangle = [(0.35 + 5e-10, 0.25), (0.65 + 5e-10, 0.55), (0.65 + 5e-10, 0.25)]
+        loops = (polygon(comb, 1.0), polygon(band, 2.0))
+        for link, double_points, triple_points in (
+                (ss.Link(loops), 800, 0),
+                (ss.Link(loops + (polygon(triangle, 3.0),)), 801, 1)):
+            report = ss.validate(link)
+            assert report == validate_oracle(link)
+            assert len(report.double_points) == double_points
+            assert len(report.triple_points) == triple_points
+
     def test_one_sweep_per_link(self, monkeypatch):
         # a row of 8 circles, each crossing its neighbours twice: the
         # cross-loop pairs come from one sweep, not from 28 pair sweeps
