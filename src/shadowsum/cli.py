@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import hashlib
 import json
 import random
@@ -270,6 +271,7 @@ def _cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shadowsum",

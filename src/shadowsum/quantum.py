@@ -2,7 +2,8 @@
 
 Colors are half-integer spins stored as doubled integers (2j), which keeps
 all admissibility arithmetic exact.  Public entry points accept spins as
-int, float, or Fraction with 2j integral.
+int, float, or Fraction with 2j integral; doubled reads a Fraction's 2j off
+its numerator, and u_exponent's int division rounds as float(Fraction) does.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ __all__ = [
 
 def doubled(j) -> int:
     """Return 2j as an exact integer; reject non-half-integer input."""
+    if isinstance(j, Fraction) and j.denominator <= 2:
+        return j.numerator * (2 // j.denominator)
     t = Fraction(j) * 2
     if t.denominator != 1:
         raise ColorOutOfRange(f"color {j!r} is not a half-integer")
@@ -70,8 +73,8 @@ def quantum_int(level: Level, n: int) -> float:
 def u_exponent(level: Level, j) -> complex:
     """Exponential weight of color j: pi*i*(j - j(j+1)/rbar), purely imaginary."""
     t = level.check_color(j)
-    val = Fraction(t, 2) - Fraction(t * (t + 2), 4 * level.rbar)
-    return complex(0.0, math.pi * float(val))
+    val = (2 * t * level.rbar - t * (t + 2)) / (4 * level.rbar)
+    return complex(0.0, math.pi * val)
 
 
 def v_dim(level: Level, j) -> float:

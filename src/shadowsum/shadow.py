@@ -30,9 +30,11 @@ range of an already colored lower-numbered neighbour, so only faces
 without one try all k+1 colors.  state_sum_general evaluates each distinct
 6j-symbol and each (face, color) weight once per call and accepts the list
 from a caller that already holds it: the CLI's eval enumerates once for
-both the value and the coloring count it prints.  The same list backs the
-bijection check.  The pair route keeps its own enumeration and shares no
-code with either state sum.
+both the value and the coloring count it prints.  Per term no Fraction
+arithmetic runs: 6j spins come from one Level.colors table per call, and
+x = gleam - z/2 is the int quotient (2 gleam - z) / 2, rounded like float()
+of the Fraction.  The same list backs the bijection check.  The pair route
+keeps its own enumeration and shares no code with either state sum.
 
 The pair route costs about its output.  enumerate_pairs walks the 2^n sign
 vectors depth first, extending the face offsets by one column of the ind
@@ -61,7 +63,7 @@ from .errors import (
     UnsupportedColor,
 )
 from .geometry import FaceComplex, Link, gleams_dpfree, winding_s1
-from .quantum import Level, _triple_ok, sixj, u_exponent, v_dim
+from .quantum import Level, _triple_ok, doubled, sixj, u_exponent, v_dim
 
 __all__ = [
     "ShadowFace",
@@ -249,9 +251,9 @@ def _face_weight(level: Level, face: ShadowFace, t: int) -> complex:
     if face.gleam is None:
         raise MissingGleams("state sum requires a gleam on every face")
     spin = Fraction(t, 2)
-    x = Fraction(face.gleam) - Fraction(face.z, 2)
+    x = (doubled(face.gleam) - face.z) / 2
     amp = v_dim(level, spin) ** face.chi
-    return amp * cmath.exp(2.0 * float(x) * u_exponent(level, spin))
+    return amp * cmath.exp(2.0 * x * u_exponent(level, spin))
 
 
 def state_sum_general(shadow: Shadow, level: Level,
@@ -259,14 +261,22 @@ def state_sum_general(shadow: Shadow, level: Level,
     """State sum over admissible colorings (enumerated here unless the
     caller already holds enumerate_colorings' result): one 6j-symbol per
     double point and one v^chi * exp(2 * modified-gleam * u) factor per face.
+    Missing gleams and strand colors above the level raise up front.
 
     Each distinct 6j argument and (chi, gleam, z, color) face weight is
     evaluated once per call.  Terms are built in a fixed factor order and
     added in the colorings' order, so the value does not depend on the memos.
     """
     check_shadow(shadow)
+    if any(f.gleam is None for f in shadow.faces):
+        raise MissingGleams("state sum requires a gleam on every face")
+    top = max((c2 for v in shadow.vertices for c2 in (v.e1_2, v.e2_2)), default=0)
+    if top > level.k:
+        raise ColorOutOfRange(
+            f"strand color {Fraction(top, 2)} outside color set of level {level.k}")
     if colorings is None:
         colorings = enumerate_colorings(shadow, level)
+    spins = level.colors if shadow.vertices else ()  # O(k), needed only at vertices
     sixjs: dict[tuple, float] = {}
     shared: dict[tuple, dict] = {}
     weights = [shared.setdefault((f.chi, f.gleam, f.z), {}) for f in shadow.faces]
@@ -277,7 +287,7 @@ def state_sum_general(shadow: Shadow, level: Level,
             ts = (v.e1_2, col[v.j], col[v.k], v.e2_2, col[v.m], col[v.n])
             s = sixjs.get(ts)
             if s is None:
-                s = sixjs[ts] = sixj(level, *(Fraction(t, 2) for t in ts))
+                s = sixjs[ts] = sixj(level, *[spins[t] for t in ts])
             vertex_part *= s
         if vertex_part == 0.0:
             continue

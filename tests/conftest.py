@@ -472,3 +472,61 @@ def pairsum_oracle(link, level, fc, pairs) -> complex:
             s += w * (pair.xi[left] ** 2 - pair.xi[right] ** 2)
         total += parity * amp * cmath.exp(complex(0.0, -math.pi * s / (2.0 * r)))
     return total
+
+
+def doubled_oracle(j) -> int:
+    """2j through Fraction arithmetic for every input, as `quantum.doubled`
+    computed it before reading exact Fractions off numerator and
+    denominator."""
+    from fractions import Fraction
+
+    from shadowsum.errors import ColorOutOfRange
+
+    t = Fraction(j) * 2
+    if t.denominator != 1:
+        raise ColorOutOfRange(f"color {j!r} is not a half-integer")
+    return int(t)
+
+
+def _check_color_oracle(level, j) -> int:
+    from shadowsum.errors import ColorOutOfRange
+
+    t = doubled_oracle(j)
+    if not 0 <= t <= level.k:
+        raise ColorOutOfRange(f"color {j!r} outside color set of level {level.k}")
+    return t
+
+
+def v_dim_oracle(level, j) -> float:
+    """(-1)^{2j} [2j+1] with 2j from `doubled_oracle`."""
+    from shadowsum.quantum import quantum_int
+
+    t = _check_color_oracle(level, j)
+    return (-1.0 if t % 2 else 1.0) * quantum_int(level, t + 1)
+
+
+def u_exponent_oracle(level, j) -> complex:
+    """pi*i*(j - j(j+1)/rbar) with the exponent an exact Fraction,
+    rounded to a float once."""
+    from fractions import Fraction
+
+    t = _check_color_oracle(level, j)
+    val = Fraction(t, 2) - Fraction(t * (t + 2), 4 * level.rbar)
+    return complex(0.0, math.pi * float(val))
+
+
+def face_weight_oracle(level, face, t) -> complex:
+    """v^chi * exp(2 x u) of a face at doubled color t, with the modified
+    gleam x = gleam - z/2 an exact Fraction and the weights from the
+    oracles above."""
+    import cmath
+    from fractions import Fraction
+
+    from shadowsum.errors import MissingGleams
+
+    if face.gleam is None:
+        raise MissingGleams("state sum requires a gleam on every face")
+    spin = Fraction(t, 2)
+    x = Fraction(face.gleam) - Fraction(face.z, 2)
+    amp = v_dim_oracle(level, spin) ** face.chi
+    return amp * cmath.exp(2.0 * float(x) * u_exponent_oracle(level, spin))

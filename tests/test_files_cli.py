@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import hashlib
 import json
@@ -269,6 +270,94 @@ class TestCliEval:
         assert code == 3
         assert captured.out == ""
         assert "not finite" in captured.err
+
+
+    @pytest.mark.parametrize("shadow", [
+        # (1/2, t, t) never couples: every term vanishes before its face weight
+        '{"faces": [{"chi": 2, "gleam": null, "z": 1}], "edges": [], '
+        '"vertices": [{"e1": 0.5, "e2": 0.5, "j": 0, "k": 0, "m": 0, "n": 0}]}',
+        # a color-1/2 edge from face 0 to itself admits no coloring
+        '{"faces": [{"chi": 2, "gleam": 0, "z": 1}], '
+        '"edges": [{"color": 0.5, "left": 0, "right": 0}], '
+        '"vertices": [{"e1": 2.5, "e2": 0, "j": 0, "k": 0, "m": 0, "n": 0}]}',
+    ], ids=["missing-gleam", "strand-color-above-level"])
+    def test_unsummable_shadow_exit_3(self, capsys, tmp_path, shadow):
+        path = tmp_path / "bad.shadow.json"
+        path.write_text(shadow)
+        level = "3" if "null" in shadow else "1"
+        code = main(["eval", "--level", level, "--format", "json", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "invariant violated" in captured.err
+
+    def test_every_level_pinned(self, capsys, corpus_dir):
+        # the stdout of eval at every level the float 6j data reaches on
+        # twocircles (1..201) and at 1..256 on the vertex-free shadows;
+        # the benchmark samples only some of these levels
+        out = []
+        for stem, top in (("twocircles", 201), ("circle_w0", 256), ("empty", 256)):
+            path = str(corpus_dir / f"{stem}.shadow.json")
+            for k in range(1, top + 1):
+                code, text = run_cli(capsys, "eval", "--level", str(k), "--format", "json", path)
+                assert code == 0, (stem, k)
+                out.append(text)
+        digest = hashlib.sha256("".join(out).encode()).hexdigest()
+        assert digest == "01fc7fee50151cd2497889f9ec48c406c348e6a172ae5fcfa0888f937d85918a"
+
+
+def _outcome(capsys, argv):
+    """main's exit code (or SystemExit code) and its stdout."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    return code, capsys.readouterr().out
+
+
+@pytest.fixture
+def fresh_parser():
+    """An empty parser cache before and after the test."""
+    shadowsum.cli._build_parser.cache_clear()
+    yield
+    shadowsum.cli._build_parser.cache_clear()
+
+
+def test_one_parser_per_process(capsys, corpus_dir, monkeypatch, fresh_parser):
+    hopf = str(corpus_dir / "hopf.link.json")
+    nested = str(corpus_dir / "nested_pair.link.json")
+    two = str(corpus_dir / "twocircles.shadow.json")
+    runs = [
+        [cmd, *args, "--format", fmt, path]
+        for cmd, args, path in (
+            ("eval", ["--level", "3"], two),
+            ("wlo", ["--mode", "abelian"], hopf),
+            ("wlo", ["--mode", "dpfree"], nested),
+            ("check", ["--what", "bijection", "--level", "3"], nested),
+            ("check", ["--what", "lem2"], hopf),
+        )
+        for fmt in ("text", "json")
+    ]
+    runs.insert(5, ["eval", "--level", "3", "--format", "xml", two])
+    fresh = []
+    for argv in runs:
+        shadowsum.cli._build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert fresh[5] == (("SystemExit", 2), "")
+    assert all(code == 0 and out for code, out in fresh[:5] + fresh[6:])
+
+    progs = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    shadowsum.cli._build_parser.cache_clear()
+    assert [_outcome(capsys, argv) for argv in runs] == fresh
+    # one tree: the top-level parser and its three subcommand parsers
+    assert progs == ["shadowsum", "shadowsum eval", "shadowsum wlo", "shadowsum check"]
 
 
 class TestCliWlo:

@@ -11,12 +11,15 @@ from shadowsum.errors import ColorOutOfRange
 from shadowsum.quantum import (
     SIXJ_SYMMETRIES,
     Level,
+    doubled,
     quantum_int,
     sixj,
     triple_admissible,
     u_exponent,
     v_dim,
 )
+
+from conftest import doubled_oracle, u_exponent_oracle, v_dim_oracle
 
 F = Fraction
 HALF = F(1, 2)
@@ -70,6 +73,38 @@ class TestWeights:
     def test_level_must_be_positive(self):
         with pytest.raises(ValueError):
             Level(0)
+
+
+def _outcome(fn, j):
+    """fn(j) with its type, or the class and message of what it raised."""
+    try:
+        value = fn(j)
+    except Exception as exc:  # the exception is the outcome
+        return type(exc), str(exc)
+    return type(value), value
+
+
+class TestBitIdentity:
+    """The weights keep the bits of their exact-Fraction definitions."""
+
+    def test_weights_match_fraction_oracles_to_the_bit(self):
+        for k in range(1, 301):
+            lev = Level(k)
+            for t, spin in enumerate(lev.colors):
+                assert v_dim(lev, spin).hex() == v_dim_oracle(lev, spin).hex(), (k, t)
+                u, want = u_exponent(lev, spin), u_exponent_oracle(lev, spin)
+                assert (u.real.hex(), u.imag.hex()) == (want.real.hex(), want.imag.hex()), (k, t)
+
+    @given(st.one_of(
+        st.integers(),
+        st.booleans(),
+        st.integers().map(lambda n: F(n, 2)),
+        st.fractions(),
+        st.floats(),
+        st.integers().map(lambda n: n / 2),
+    ))
+    def test_doubled_matches_oracle(self, j):
+        assert _outcome(doubled, j) == _outcome(doubled_oracle, j)
 
 
 class TestAdmissibility:

@@ -20,6 +20,7 @@ from shadowsum.random_links import polygon_circle, random_dpfree_link
 from conftest import (
     enumerate_pairs_oracle,
     face_of_point_oracle,
+    face_weight_oracle,
     pairsum_oracle,
     sample_point_oracle,
 )
@@ -370,6 +371,45 @@ class TestStateSums:
         shadow = ss.Shadow(faces=(ss.ShadowFace(chi=2, gleam=None),), edges=())
         with pytest.raises(MissingGleams):
             ss.state_sum_dpfree(shadow, Level(1))
+
+    def test_missing_gleam_raised_when_every_term_vanishes(self):
+        # (1/2, t, t) never couples, so the one 6j factor is 0 for every
+        # coloring and no face weight is ever needed
+        shadow = ss.Shadow(
+            faces=(ss.ShadowFace(chi=2, gleam=None, z=1),), edges=(),
+            vertices=(ss.ShadowVertex(e1_2=1, e2_2=1, j=0, k=0, m=0, n=0),))
+        assert ss.enumerate_colorings(shadow, Level(3))
+        with pytest.raises(MissingGleams):
+            ss.state_sum_general(shadow, Level(3))
+
+    def test_strand_color_above_level_raised_without_colorings(self):
+        # a color-1/2 edge from face 0 to itself admits no coloring, so no
+        # 6j-symbol sees the strand color 5/2
+        shadow = ss.Shadow(
+            faces=(ss.ShadowFace(chi=2, gleam=F(0), z=1),),
+            edges=(ss.ShadowEdge(color2=1, left=0, right=0),),
+            vertices=(ss.ShadowVertex(e1_2=5, e2_2=0, j=0, k=0, m=0, n=0),))
+        assert ss.enumerate_colorings(shadow, Level(1)) == []
+        with pytest.raises(ColorOutOfRange, match="strand color 5/2 outside color set of level 1"):
+            ss.state_sum_general(shadow, Level(1))
+
+    def test_face_weights_match_fraction_oracle_to_the_bit(self):
+        # x = (2 gleam - z) / 2 is one correctly rounded int division, also
+        # for gleams past 2**53; each (k, t) gets the next face of the
+        # (chi, gleam, z) grid in turn
+        gleams = [F(g, 2) for g in range(-9, 10)] + [F(2**53 + 1), F(-(2**60) - 1, 2)]
+        grid = [ss.ShadowFace(chi=chi, gleam=g, z=z)
+                for chi in range(-2, 3) for g in gleams for z in range(5)]
+        i = 0
+        for k in range(1, 301):
+            lev = Level(k)
+            for t in range(k + 1):
+                face = grid[i % len(grid)]
+                i += 1
+                w, want = _face_weight(lev, face, t), face_weight_oracle(lev, face, t)
+                assert (w.real.hex(), w.imag.hex()) == (want.real.hex(), want.imag.hex()), \
+                    (k, t, face)
+        assert i > 10 * len(grid)
 
     def test_relabeling_invariance(self):
         rng = random.Random(19)
