@@ -6,11 +6,15 @@
     shadowsum check --what bijection|euler|lem2 [--level K] [--samples N] FILE
 
 Exit codes: 0 success/pass, 1 check failed, 2 parse error (including an
-input file that cannot be read or is not UTF-8), 3 invariant violation
-(including a value that is not finite), 4 mode precondition violated.
+argument out of range and an input file that cannot be read or is not
+UTF-8), 3 invariant violation (including a value that is not finite),
+4 mode precondition violated.
 
-Output on stdout is deterministic: byte-identical input produces
-byte-identical output.  Wall-clock timing goes to stderr.
+Each command and mode has a handler that returns a `RunResult`; `main`
+alone times it, checks the result is finite, prints it and maps errors to
+exit codes.  Output on stdout is deterministic: byte-identical input
+produces byte-identical output.  The wall-clock time of the whole command,
+reading and parsing included, goes to stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .errors import InvariantViolation, ParseError, PreconditionError, ShadowsumError
+from .errors import ParseError, PreconditionError, ShadowsumError
 from .evaluators import wlo_abelian, wlo_abelian_intermediate, wlo_vertical
 from .files import loads_link, loads_link_or_shadow, loads_shadow
 from .geometry import admissible_at, crossing_marks, face_complex, validate, winding_s1
@@ -56,7 +60,7 @@ class RunResult:
     digest: str
     value: complex
     diagnostics: dict = field(default_factory=dict)
-    wall_ms: float = 0.0
+    passed: bool = True  # a check's value is 1 or 0, and a failed check exits 1
 
     def to_json(self) -> str:
         obj = {
@@ -99,40 +103,10 @@ def _finite(obj) -> bool:
     return True
 
 
-def _emit(result: RunResult, fmt: str):
-    if not _finite([result.value, result.diagnostics]):
-        raise InvariantViolation(f"{result.command} result is not finite")
-    print(result.to_json() if fmt == "json" else result.to_text())
-    print(f"wall_ms: {result.wall_ms:.3f}", file=sys.stderr)
-
-
 def _require_level(args) -> int:
     if args.level is None:
         raise ParseError("--level is required for this command")
     return args.level
-
-
-def _cmd_eval(args) -> int:
-    data, digest = _read_input(args.file)
-    shadow = loads_shadow(data)
-    level = Level(_require_level(args))
-    start = time.perf_counter()
-    colorings = enumerate_colorings(shadow, level)
-    value = state_sum_general(shadow, level, colorings=colorings)
-    result = RunResult(
-        command="eval",
-        digest=digest,
-        value=value,
-        diagnostics={
-            "colorings": len(colorings),
-            "edges": len(shadow.edges),
-            "faces": len(shadow.faces),
-            "vertices": len(shadow.vertices),
-        },
-        wall_ms=(time.perf_counter() - start) * 1e3,
-    )
-    _emit(result, args.format)
-    return EXIT_OK
 
 
 def _with_level_arg(link, args):
@@ -147,53 +121,51 @@ def _load_link_arg(args):
     return _with_level_arg(loads_link(data), args), digest
 
 
-def _cmd_wlo(args) -> int:
-    start = time.perf_counter()
-    if args.mode == "vertical":
-        if args.file is not None and not args.dims:
-            link, digest = _load_link_arg(args)
-            if not all(lp.vertical for lp in link.loops):
-                raise PreconditionError("vertical mode requires vertical loops or --dims")
-            dims = tuple(lp.color2 + 1 for lp in link.loops)
-            k = link.level
-        else:
-            dims = tuple(int(d) for d in args.dims.split(",")) if args.dims else ()
-            k = _require_level(args)
-            digest = _digest(f"vertical:{k}:{args.genus}:{dims}".encode())
-        try:
-            value = complex(wlo_vertical(k, args.genus, dims))
-        except OverflowError:  # a term past the float range
-            raise InvariantViolation("wlo result is not finite") from None
-        result = RunResult("wlo", digest, value,
-                           {"dims": list(dims), "genus": args.genus, "level": k},
-                           (time.perf_counter() - start) * 1e3)
-        _emit(result, args.format)
-        return EXIT_OK
+def _eval(args) -> RunResult:
+    data, digest = _read_input(args.file)
+    shadow = loads_shadow(data)
+    level = Level(_require_level(args))
+    colorings = enumerate_colorings(shadow, level)
+    value = state_sum_general(shadow, level, colorings=colorings)
+    return RunResult("eval", digest, value, {
+        "colorings": len(colorings), "edges": len(shadow.edges),
+        "faces": len(shadow.faces), "vertices": len(shadow.vertices)})
 
+
+def _wlo_vertical(args) -> RunResult:
+    if args.file is not None and not args.dims:
+        link, digest = _load_link_arg(args)
+        if not all(lp.vertical for lp in link.loops):
+            raise PreconditionError("vertical mode requires vertical loops or --dims")
+        dims = tuple(lp.color2 + 1 for lp in link.loops)
+        k = link.level
+    else:
+        dims = args.dims
+        k = _require_level(args)
+        digest = _digest(f"vertical:{k}:{args.genus}:{dims}".encode())
+    value = complex(wlo_vertical(k, args.genus, dims))
+    return RunResult("wlo", digest, value, {"dims": list(dims), "genus": args.genus, "level": k})
+
+
+def _wlo_abelian(args) -> RunResult:
     link, digest = _load_link_arg(args)
-    if args.mode == "abelian":
-        report = validate(link)
-        if not report.ok:
-            raise PreconditionError("link failed admissibility validation")
-        winds = [winding_s1(lp) for lp in link.loops]
-        value = wlo_abelian(link)
-        marks = crossing_marks(link)
-        diag = {
-            "crossing_marks": [[m.loop, m.eps] for m in marks],
-            "double_points": len(report.double_points),
-            "level": link.level,
-            "windings": winds,
-        }
-        if not any(winds):
-            other = wlo_abelian_intermediate(link, report)
-            diag["intermediate"] = [other.real, other.imag]
-            diag["difference"] = abs(value - other)
-        result = RunResult("wlo", digest, value, diag,
-                           (time.perf_counter() - start) * 1e3)
-        _emit(result, args.format)
-        return EXIT_OK
+    report = validate(link)
+    if not report.ok:
+        raise PreconditionError("link failed admissibility validation")
+    winds = [winding_s1(lp) for lp in link.loops]
+    value = wlo_abelian(link)
+    marks = crossing_marks(link)
+    diag = {"crossing_marks": [[m.loop, m.eps] for m in marks],
+            "double_points": len(report.double_points), "level": link.level, "windings": winds}
+    if not any(winds):
+        other = wlo_abelian_intermediate(link, report)
+        diag["intermediate"] = [other.real, other.imag]
+        diag["difference"] = abs(value - other)
+    return RunResult("wlo", digest, value, diag)
 
-    # dpfree
+
+def _wlo_dpfree(args) -> RunResult:
+    link, digest = _load_link_arg(args)
     fc = face_complex(link)
     if args.genus != 0:
         raise PreconditionError("dpfree mode evaluates spherical geometry; --genus must be 0")
@@ -201,74 +173,59 @@ def _cmd_wlo(args) -> int:
     value = wlo_dpfree_final(link, level, fc)
     pairs = enumerate_pairs(link, level, fc)
     pair_value = wlo_dpfree_pairsum(link, level, fc, pairs=pairs)
-    result = RunResult(
-        "wlo",
-        digest,
-        value,
-        {
-            "difference": abs(value - pair_value),
-            "faces": len(fc.faces),
-            "level": link.level,
-            "pairs": len(pairs),
-            "pairsum": [pair_value.real, pair_value.imag],
-        },
-        (time.perf_counter() - start) * 1e3,
-    )
-    _emit(result, args.format)
-    return EXIT_OK
+    return RunResult("wlo", digest, value, {
+        "difference": abs(value - pair_value), "faces": len(fc.faces), "level": link.level,
+        "pairs": len(pairs), "pairsum": [pair_value.real, pair_value.imag]})
 
 
-def _cmd_check(args) -> int:
-    start = time.perf_counter()
-    if args.what == "euler":
-        data, digest = _read_input(args.file)
-        parsed = loads_link_or_shadow(data)
-        if isinstance(parsed, Shadow):
-            total = sum(f.chi for f in parsed.faces)
-            ok = euler_identity_holds(parsed)
-            result = RunResult(
-                "check:euler", digest, complex(1.0 if ok else 0.0),
-                {"chi_sum": total, "edges": len(parsed.edges),
-                 "vertices": len(parsed.vertices)},
-                (time.perf_counter() - start) * 1e3)
-            _emit(result, args.format)
-            return EXIT_OK if ok else EXIT_CHECK_FAILED
-        link = _with_level_arg(parsed, args)
-    else:
-        link, digest = _load_link_arg(args)
-    diag: dict = {"level": link.level}
-    if args.what == "euler":
-        fc = face_complex(link)
-        total = sum(f.chi for f in fc.faces)
-        ok = total == 2
-        diag.update({"chi": [f.chi for f in fc.faces], "chi_sum": total})
-    elif args.what == "bijection":
-        br = check_bijection(link, Level(link.level), face_complex(link))
-        ok = br.ok
-        diag.update({"colorings": br.colorings_count, "pairs": br.pairs_count,
-                     "injective": br.injective, "surjective": br.surjective})
-    else:  # lem2
-        report = validate(link)
-        if len(link.loops) != 2:
-            raise PreconditionError("lem2 check requires a two-loop link")
-        if not report.ok:
-            raise PreconditionError("lem2 check requires an admissible link")
-        crossings = tuple(d for d in report.double_points if d.strands[0][0] != d.strands[1][0])
-        rng = random.Random(0xC0FFEE)
-        values = []
-        tries = 0
-        while len(values) < args.samples and tries < 100 * args.samples:
-            tries += 1
-            t0 = rng.uniform(0.0, 6.283185)
-            if admissible_at(link, report, t0):
-                values.append(link_number(*link.loops, crossings, t0))
-        ok = len(values) == args.samples and len(set(values)) == 1
-        diag.update({"samples": len(values), "values": sorted(set(values))})
-    result = RunResult(f"check:{args.what}", digest,
-                       complex(1.0 if ok else 0.0), diag,
-                       (time.perf_counter() - start) * 1e3)
-    _emit(result, args.format)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+def _check_euler(args) -> RunResult:
+    data, digest = _read_input(args.file)
+    parsed = loads_link_or_shadow(data)
+    if isinstance(parsed, Shadow):
+        ok = euler_identity_holds(parsed)
+        return RunResult("check:euler", digest, complex(ok), {
+            "chi_sum": sum(f.chi for f in parsed.faces), "edges": len(parsed.edges),
+            "vertices": len(parsed.vertices)}, ok)
+    link = _with_level_arg(parsed, args)
+    chi = [f.chi for f in face_complex(link).faces]
+    ok = sum(chi) == 2
+    return RunResult("check:euler", digest, complex(ok),
+                     {"chi": chi, "chi_sum": sum(chi), "level": link.level}, ok)
+
+
+def _check_bijection(args) -> RunResult:
+    link, digest = _load_link_arg(args)
+    br = check_bijection(link, Level(link.level), face_complex(link))
+    return RunResult("check:bijection", digest, complex(br.ok), {
+        "colorings": br.colorings_count, "injective": br.injective, "level": link.level,
+        "pairs": br.pairs_count, "surjective": br.surjective}, br.ok)
+
+
+def _check_lem2(args) -> RunResult:
+    link, digest = _load_link_arg(args)
+    report = validate(link)
+    if len(link.loops) != 2:
+        raise PreconditionError("lem2 check requires a two-loop link")
+    if not report.ok:
+        raise PreconditionError("lem2 check requires an admissible link")
+    crossings = tuple(d for d in report.double_points if d.strands[0][0] != d.strands[1][0])
+    rng = random.Random(0xC0FFEE)
+    values = []
+    tries = 0
+    while len(values) < args.samples and tries < 100 * args.samples:
+        tries += 1
+        t0 = rng.uniform(0.0, 6.283185)
+        if admissible_at(link, report, t0):
+            values.append(link_number(*link.loops, crossings, t0))
+    ok = len(values) == args.samples and len(set(values)) == 1
+    return RunResult("check:lem2", digest, complex(ok), {
+        "level": link.level, "samples": len(values), "values": sorted(set(values))}, ok)
+
+
+_HANDLERS = {  # by command and --mode or --what
+    ("eval", None): _eval, ("wlo", "dpfree"): _wlo_dpfree, ("wlo", "abelian"): _wlo_abelian,
+    ("wlo", "vertical"): _wlo_vertical, ("check", "euler"): _check_euler,
+    ("check", "bijection"): _check_bijection, ("check", "lem2"): _check_lem2}
 
 
 @functools.cache
@@ -279,11 +236,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def int_at_least(low):
+        def parse(text):
+            value = int(text)
+            if value < low:
+                raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            return value
+        parse.__name__ = "int"  # argparse names the type when int() fails
+        return parse
+
+    positive = int_at_least(1)
+
+    def dims(text):  # a comma list of positive ints; "", the default, is ()
+        return tuple(positive(d) for d in text.split(",")) if text else ()
+
     def common(p, file_optional=False):
         p.add_argument("file", nargs="?" if file_optional else None, default=None)
-        p.add_argument("--level", type=int, default=None)
+        p.add_argument("--level", type=positive, default=None)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=positive, default=1,
                        help="accepted for compatibility; evaluation is deterministic")
 
     p_eval = sub.add_parser("eval", help="evaluate the state sum of a shadow file")
@@ -292,28 +263,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p_wlo = sub.add_parser("wlo", help="evaluate a loop observable")
     common(p_wlo, file_optional=True)
     p_wlo.add_argument("--mode", choices=("dpfree", "abelian", "vertical"), required=True)
-    p_wlo.add_argument("--genus", type=int, default=0)
-    p_wlo.add_argument("--dims", type=str, default="")
+    p_wlo.add_argument("--genus", type=int_at_least(0), default=0)
+    p_wlo.add_argument("--dims", type=dims, default="")
 
     p_check = sub.add_parser("check", help="run a structural cross-check")
     common(p_check)
     p_check.add_argument("--what", choices=("bijection", "euler", "lem2"), required=True)
-    p_check.add_argument("--samples", type=int, default=8)
+    p_check.add_argument("--samples", type=positive, default=8)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_PARSE
+    handler = _HANDLERS[args.command, getattr(args, "mode", getattr(args, "what", None))]
+    start = time.perf_counter()
     try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "wlo":
-            return _cmd_wlo(args)
-        return _cmd_check(args)
+        result = handler(args)
+        finite = _finite([result.value, result.diagnostics])
+    except OverflowError:  # a term past the float range
+        finite = False
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -326,6 +295,13 @@ def main(argv=None) -> int:
     except ShadowsumError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    wall_ms = (time.perf_counter() - start) * 1e3
+    if not finite:
+        print(f"invariant violated: {args.command} result is not finite", file=sys.stderr)
+        return EXIT_INVARIANT
+    print(result.to_json() if args.format == "json" else result.to_text())
+    print(f"wall_ms: {wall_ms:.3f}", file=sys.stderr)
+    return EXIT_OK if result.passed else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

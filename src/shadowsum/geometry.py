@@ -568,7 +568,7 @@ def _lift_scan(loop: Loop, t0: float, j: int):
     return marks, defects
 
 
-def _loop_marks(loop: Loop, t0: float, loop_index: int = 0):
+def _loop_marks(loop: Loop, t0: float, loop_index: int):
     """The crossing marks of one loop; TangentialCrossing on a lift defect."""
     marks, defects = _lift_scan(loop, t0, loop_index)
     if defects:

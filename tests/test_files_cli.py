@@ -563,7 +563,8 @@ def opened(monkeypatch):
     return paths
 
 
-@pytest.mark.parametrize("argv", [
+# a passing corpus run of every handler, the last argument a corpus file
+PASSING_RUNS = [
     ("eval", "--level", "2", "twocircles.shadow.json"),
     ("wlo", "--mode", "dpfree", "nested_pair.link.json"),
     ("wlo", "--mode", "abelian", "hopf.link.json"),
@@ -572,7 +573,14 @@ def opened(monkeypatch):
     ("check", "--what", "euler", "twocircles.shadow.json"),
     ("check", "--what", "bijection", "--level", "3", "nested_pair.link.json"),
     ("check", "--what", "lem2", "hopf.link.json"),
-], ids=lambda argv: "-".join(argv[:3]) + "-" + argv[-1].split(".")[0])
+]
+
+
+def _run_id(argv):
+    return "-".join(argv[:3]) + "-" + argv[-1].split(".")[0]
+
+
+@pytest.mark.parametrize("argv", PASSING_RUNS, ids=_run_id)
 def test_reads_input_once(capsys, corpus_dir, opened, argv):
     path = str(corpus_dir / argv[-1])
     code = main([*argv[:-1], path])
@@ -583,6 +591,58 @@ def test_reads_input_once(capsys, corpus_dir, opened, argv):
     with open(path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     assert f"digest: {digest}" in out.splitlines()
+
+
+@pytest.mark.parametrize("argv", PASSING_RUNS, ids=_run_id)
+def test_one_record_and_one_timing_line(capsys, corpus_dir, argv):
+    code = main([*argv[:-1], "--format", "json", str(corpus_dir / argv[-1])])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert len(captured.out.splitlines()) == 1
+    assert json.loads(captured.out)["command"].startswith(argv[0])
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("wall_ms: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("evaluator, argv", [
+    ("state_sum_general", PASSING_RUNS[0]),
+    ("wlo_dpfree_final", PASSING_RUNS[1]),
+    ("wlo_abelian", PASSING_RUNS[2]),
+    ("wlo_vertical", PASSING_RUNS[3]),
+], ids=["eval", "wlo-dpfree", "wlo-abelian", "wlo-vertical"])
+def test_non_finite_evaluator_value_exit_3(capsys, corpus_dir, monkeypatch, evaluator, argv, fmt):
+    monkeypatch.setattr(shadowsum.cli, evaluator, lambda *args, **kwargs: complex("nan"))
+    code = main([*argv[:-1], "--format", fmt, str(corpus_dir / argv[-1])])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "not finite" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("wlo", "--mode", "vertical", "--level", "2", "--dims", "a"),
+    ("wlo", "--mode", "vertical", "--level", "2", "--dims", "0"),
+    ("wlo", "--mode", "vertical", "--level", "2", "--dims", "2,,3"),
+    ("wlo", "--mode", "vertical", "--level", "2", "--genus", "-1"),
+    ("wlo", "--mode", "vertical", "--level", "0"),
+    ("wlo", "--mode", "dpfree", "--level", "0", "circle_w0.link.json"),
+    ("wlo", "--mode", "dpfree", "--genus", "-1", "circle_w0.link.json"),
+    ("eval", "--level", "0", "twocircles.shadow.json"),
+    ("eval", "--level", "-3", "twocircles.shadow.json"),
+    ("eval", "--level", "2", "--threads", "0", "twocircles.shadow.json"),
+    ("check", "--what", "lem2", "--samples", "0", "hopf.link.json"),
+    ("check", "--what", "lem2", "--samples", "-2", "hopf.link.json"),
+], ids=" ".join)
+def test_bad_argument_exit_2(capsys, corpus_dir, argv):
+    argv = [str(corpus_dir / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "error: argument" in captured.err
+    assert "Traceback" not in captured.err
 
 
 class TestDeterminism:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import shadowsum as ss
-from shadowsum.errors import NotNullHomologous, OffsetTooLarge
+from shadowsum.errors import NotNullHomologous, OffsetTooLarge, TangentialCrossing
 from shadowsum.geometry import loop_min_clearance
 from shadowsum.random_links import polygon_circle, random_crossing_pair
 
@@ -92,6 +92,17 @@ class TestLinkNumber:
         b = polygon_circle(5, 0, 1.0, 14, theta0=1.0, phase=0.2)
         with pytest.raises(NotNullHomologous):
             ss.link_number(a, b, ss.crossings_between(a, b), 0.0)
+
+    def test_tangential_lift_names_its_loop(self):
+        # the second loop's lift 1 - cos touches t0 = 0 at parameter 0;
+        # crossing_marks on the same link also names loop 1
+        a = polygon_circle(5, 0, 1.0, 14, theta0=1.0)
+        b = polygon_circle(0, 0, 1.0, 16, theta_fn=lambda u: 1 - math.cos(TAU * u))
+        message = "loop 1: tangential lift at parameter 0.0"
+        with pytest.raises(TangentialCrossing, match=message):
+            ss.link_number(a, b, ss.crossings_between(a, b), 0.0)
+        with pytest.raises(TangentialCrossing, match=message):
+            ss.crossing_marks(ss.Link((a, b), t0=0.0, level=1))
 
     def test_integral_on_random_pairs(self):
         rng = random.Random(7)
