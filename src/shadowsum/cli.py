@@ -133,7 +133,9 @@ def _eval(args) -> RunResult:
 
 
 def _wlo_vertical(args) -> RunResult:
-    if args.file is not None and not args.dims:
+    if args.file is not None and args.dims:
+        raise ParseError("argument file: not allowed with --dims")
+    if args.file is not None:
         link, digest = _load_link_arg(args)
         if not all(lp.vertical for lp in link.loops):
             raise PreconditionError("vertical mode requires vertical loops or --dims")

@@ -29,12 +29,17 @@ segments of all its loops once, for the pairs of distinct loops, and
 visits loop pairs and segment pairs in the order of one all-pairs scan
 per loop pair, so its crossings and first defect are that scan's.
 
-The t0 cut rests on two facts with one implementation each.
-`crossing_records` turns the crossing scan into `DoublePoint` records:
-both strands' parameters and circle coordinates, the crossing sign and
-their order in the t0 cut.  `_lift_scan` meets a loop's lift with the
-levels t0 + 2*pi*Z once and returns its crossing marks together with its
-defects, which `validate` reports and `crossing_marks` raises on.
+The t0 cut rests on two facts with one implementation each.  `_records`
+turns the crossing scan into `DoublePoint` records: both strands'
+parameters and circle coordinates, the crossing sign and their order in
+the t0 cut; `validate` and `crossings_between` (two distinct loops) both
+read them.  `_lift_scan` meets a loop's lift with the levels t0 + 2*pi*Z
+once and returns its crossing marks together with its defects, which
+`validate` reports and `crossing_marks` raises on.
+
+The face complex of a double-point-free link is its nesting forest:
+`face_complex` reads every face datum off each loop's innermost container
+and the loop orientations.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ __all__ = [
     "admissible_at",
     "winding_s1",
     "crossing_marks",
-    "crossing_records",
+    "crossings_between",
     "mark_side_points",
     "ind",
     "face_complex",
@@ -376,12 +381,12 @@ class DoublePoint:
         return 1 if cs < cu else -1
 
 
-def crossing_records(la: Loop, i: int, lb: Loop, j: int) -> tuple[DoublePoint, ...]:
-    """The transversal crossings of loop i (la) with loop j (lb), or of loop
-    i with itself when i == j, in the order of `_proper_crossings`, which
-    raises DegenerateGeometry for non-generic input."""
-    pairs = la.self_crossings if i == j else _proper_crossings(la, lb, same=False)
-    return _records(la, i, lb, j, pairs)
+def crossings_between(l: Loop, lt: Loop) -> tuple[DoublePoint, ...]:
+    """Transversal projected crossings of two distinct loops, ordered
+    lexicographically in (segment of l, segment of lt); strand 0 is on l
+    and strand 1 on lt.  `_proper_crossings` raises DegenerateGeometry for
+    non-generic input."""
+    return _records(l, 0, lt, 1, _proper_crossings(l, lt, same=False))
 
 
 def _records(la: Loop, i: int, lb: Loop, j: int, pairs) -> tuple[DoublePoint, ...]:
@@ -679,7 +684,6 @@ def _loop_orientation(loop: Loop) -> int:
 class Face:
     id: int
     chi: int
-    boundary: tuple[int, ...]          # loop indices on the face boundary
 
 
 @dataclass(frozen=True)
@@ -703,8 +707,13 @@ def face_complex(link: Link) -> FaceComplex:
     vertical loops or any other failed admissibility condition.
 
     Faces are indexed 0..n-1 (region immediately inside loop j) plus the
-    outer face n containing sigma_0; Euler characteristics satisfy
-    sum_t chi(X_t) = 2.
+    outer face n containing sigma_0.  Every face datum is read off the
+    nesting forest `parent` and the loop orientations: loop j separates
+    face j from the face beyond it (its parent's, or the outer face for a
+    root), so face j is a disc less one hole per child and the outer face
+    a sphere less one hole per root, and the chi sum to n + 2 - n = 2.  A
+    loop's winding number is its orientation on its own face and on every
+    face it encloses, and 0 elsewhere.
     """
     report = validate(link)
     if report.double_points or report.triple_points:
@@ -735,69 +744,30 @@ def face_complex(link: Link) -> FaceComplex:
         if containers:
             parent[j] = max(containers, key=lambda i: depth[i])
 
-    children = [[] for _ in range(n)]
-    roots = []
-    for j in range(n):
-        if parent[j] is None:
-            roots.append(j)
-        else:
-            children[parent[j]].append(j)
-
+    # loop j separates face j from the face beyond it
     outer = n
-    faces = []
-    for j in range(n):
-        faces.append(Face(id=j, chi=1 - len(children[j]), boundary=tuple([j] + children[j])))
-    faces.append(Face(id=outer, chi=2 - len(roots), boundary=tuple(roots)))
-
-    if sum(f.chi for f in faces) != 2:
-        raise InvariantViolation("face Euler characteristics do not sum to 2")
-
-    def chain(j):
-        out = set()
-        k = j
-        while k is not None:
-            out.add(k)
-            k = parent[k]
-        return out
-
-    ind_table = []
-    for f in faces:
-        if f.id == outer:
-            ind_table.append(tuple(0 for _ in range(n)))
-        else:
-            ch = chain(f.id)
-            ind_table.append(tuple(orient[j] if j in ch else 0 for j in range(n)))
-
-    loop_sides = []
-    for j in range(n):
-        inner_face = j
-        outer_face = parent[j] if parent[j] is not None else outer
-        if orient[j] > 0:
-            loop_sides.append((inner_face, outer_face))
-        else:
-            loop_sides.append((outer_face, inner_face))
-
+    beyond = [outer if p is None else p for p in parent]
+    chi = [1] * n + [2]
+    for b in beyond:
+        chi[b] -= 1
     return FaceComplex(
-        faces=tuple(faces),
-        ind_table=tuple(ind_table),
-        loop_sides=tuple(loop_sides),
+        faces=tuple(Face(id=f, chi=c) for f, c in enumerate(chi)),
+        ind_table=tuple(tuple(orient[j] if j == f or inside[j][f] else 0 for j in range(n))
+                        for f in range(n)) + ((0,) * n,),
+        loop_sides=tuple((j, b) if orient[j] > 0 else (b, j) for j, b in enumerate(beyond)),
         outer=outer,
         parent=tuple(parent),
     )
 
 
 def gleams_dpfree(link: Link, fc: FaceComplex) -> tuple[int, ...]:
-    """Face decorations for a double-point-free link: each face collects
-    wind(loop) * (+1 if it is the loop's left face else -1) over the loops
-    on its boundary."""
-    winds = [winding_s1(lp) for lp in link.loops]
-    out = []
-    for f in fc.faces:
-        x = 0
-        for j in f.boundary:
-            left, _right = fc.loop_sides[j]
-            x += winds[j] * (1 if f.id == left else -1)
-        out.append(x)
+    """Face decorations for a double-point-free link: each loop adds its
+    circle winding to its left face and subtracts it from its right face."""
+    out = [0] * len(fc.faces)
+    for lp, (left, right) in zip(link.loops, fc.loop_sides):
+        w = winding_s1(lp)
+        out[left] += w
+        out[right] -= w
     return tuple(out)
 
 

@@ -3,12 +3,12 @@
 The t0-dependent pairing `lk(crossings, t0)` sums, over a pair's crossing
 records, the planar crossing sign times the order of the two circle
 coordinates in S^1 cut at t0.  The records are the t0-independent
-`DoublePoint`s of `geometry.crossing_records` that `validate` reads, so a
-pair is scanned once (`crossings_between`, a `validate` report, or
-`pushoff`) and its records are passed in.  `link_number(l, lt, crossings,
-t0)`, the linking number of a null-homologous pair, adds winding-number
-corrections at the t0-crossings of either loop (the lift scan behind
-`crossing_marks`) and is independent of t0.
+`DoublePoint`s that `validate` reads, so a pair is scanned once
+(`geometry.crossings_between`, a `validate` report, or `pushoff`) and its
+records are passed in.  `link_number(l, lt, crossings, t0)`, the linking
+number of a null-homologous pair, adds winding-number corrections at the
+t0-crossings of either loop (the lift scan behind `crossing_marks`) and is
+independent of t0.
 
 Push-offs displace the projected polygon to its left by a planar normal
 offset, realizing a horizontal framing; the offset must stay below a third
@@ -31,20 +31,13 @@ from .geometry import (
     Loop,
     _loop_marks,
     _unit,
-    crossing_records,
+    crossings_between,
     ind,
     loop_min_clearance,
     winding_s1,
 )
 
 __all__ = ["crossings_between", "lk", "link_number", "pushoff", "self_link"]
-
-
-def crossings_between(l: Loop, lt: Loop) -> tuple[DoublePoint, ...]:
-    """Transversal projected crossings of two distinct loops, ordered
-    lexicographically in (segment of l, segment of lt); strand 0 is on l
-    and strand 1 on lt."""
-    return crossing_records(l, 0, lt, 1)
 
 
 def lk(crossings: tuple[DoublePoint, ...], t0: float) -> Fraction:

@@ -169,9 +169,10 @@ def euler_identity_holds(shadow: Shadow) -> bool:
     return total_chi == 2
 
 
-def shadow_from_dpfree(link: Link, fc: FaceComplex, gleams) -> Shadow:
+def shadow_from_dpfree(link: Link, fc: FaceComplex) -> Shadow:
     """Vertex-free shadow of a double-point-free link: one edge per loop
-    with the faces on its two sides, gleams as computed from the windings."""
+    with the faces on its two sides, and the gleams of `gleams_dpfree`."""
+    gleams = gleams_dpfree(link, fc)
     faces = tuple(ShadowFace(chi=f.chi, gleam=Fraction(gleams[f.id]), z=0)
                   for f in fc.faces)
     edges = tuple(
@@ -430,7 +431,7 @@ def check_bijection(link: Link, level: Level, fc: FaceComplex) -> BijectionRepor
     colorings of the shadow with all edges colored 1/2."""
     pairs = enumerate_pairs(link, level, fc)
     images = [coloring_of_pair(p) for p in pairs]
-    shadow = shadow_from_dpfree(link, fc, gleams_dpfree(link, fc))
+    shadow = shadow_from_dpfree(link, fc)
     admissible = set(enumerate_colorings(shadow, level))
     image_set = set(images)
     return BijectionReport(
@@ -485,6 +486,6 @@ def wlo_dpfree_pairsum(link: Link, level: Level, fc: FaceComplex,
 def wlo_dpfree_final(link: Link, level: Level, fc: FaceComplex) -> complex:
     """Closed form of the loop observable on the sphere: sin(pi/rbar)^2
     times the vertex-free state sum of the link's shadow."""
-    shadow = shadow_from_dpfree(link, fc, gleams_dpfree(link, fc))
+    shadow = shadow_from_dpfree(link, fc)
     scale = math.sin(math.pi / level.rbar) ** 2
     return scale * state_sum_dpfree(shadow, level)

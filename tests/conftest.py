@@ -50,6 +50,54 @@ def face_of_point_oracle(link, fc, p) -> int:
     return max(containing, key=lambda j: depth[j])
 
 
+def face_complex_oracle(link):
+    """The face data of a double-point-free link from an explicit nesting
+    forest: containment of every loop pair by `ind` (no bounding-box
+    filter), parent = deepest container, then children and roots lists,
+    chi from the child counts, each face's winding row from its chain of
+    ancestors, and gleams summed over each face's boundary loops.
+    Returns (faces as (id, chi), ind_table, loop_sides, outer, parent,
+    gleams)."""
+    from shadowsum.geometry import _loop_orientation, ind, winding_s1
+
+    loops = link.loops
+    n = len(loops)
+    orient = [_loop_orientation(lp) for lp in loops]
+    inside = [[i != j and ind(loops[i], loops[j].planar[0]) != 0 for j in range(n)]
+              for i in range(n)]
+    depth = [sum(1 for i in range(n) if inside[i][j]) for j in range(n)]
+    parent = [max((i for i in range(n) if inside[i][j]), key=lambda i: depth[i], default=None)
+              for j in range(n)]
+    children = [[] for _ in range(n)]
+    roots = []
+    for j in range(n):
+        if parent[j] is None:
+            roots.append(j)
+        else:
+            children[parent[j]].append(j)
+    outer = n
+    faces = [(j, 1 - len(children[j])) for j in range(n)] + [(outer, 2 - len(roots))]
+    boundary = [[j] + children[j] for j in range(n)] + [roots]
+
+    def chain(j):
+        out = set()
+        while j is not None:
+            out.add(j)
+            j = parent[j]
+        return out
+
+    ind_table = [tuple(orient[j] if j in chain(f) else 0 for j in range(n)) for f in range(n)]
+    ind_table.append(tuple(0 for _ in range(n)))
+    loop_sides = []
+    for j in range(n):
+        beyond = parent[j] if parent[j] is not None else outer
+        loop_sides.append((j, beyond) if orient[j] > 0 else (beyond, j))
+    winds = [winding_s1(lp) for lp in loops]
+    gleams = tuple(sum(winds[j] * (1 if f == loop_sides[j][0] else -1) for j in boundary[f])
+                   for f, _chi in faces)
+    return (tuple(faces), tuple(ind_table), tuple(loop_sides), outer, tuple(parent), gleams)
+
+
 def sample_point_oracle(link, fc, face_id) -> tuple[float, float]:
     """A point inside face `face_id`: beyond the bounding box for the outer
     face, else a segment midpoint of the face's loop nudged inward by 0.3

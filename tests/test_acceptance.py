@@ -172,7 +172,7 @@ def test_criterion_7_structure_conservation(corpus_dir, random_configs):
     for link, lev, fc in random_configs:
         if lev.k > 4 or len(fc.faces) > 4:
             continue
-        shadow = ss.shadow_from_dpfree(link, fc, ss.gleams_dpfree(link, fc))
+        shadow = ss.shadow_from_dpfree(link, fc)
         assert ss.enumerate_colorings(shadow, lev) == brute_force_colorings(shadow, lev)
         checked += 1
     assert checked >= 20
@@ -184,12 +184,12 @@ def test_criterion_8_golden_values(corpus_dir):
     lev1 = Level(1)
     empty = ss.load_link(corpus_dir / "empty.link.json")
     fc_e = ss.face_complex(empty)
-    sh_e = ss.shadow_from_dpfree(empty, fc_e, ss.gleams_dpfree(empty, fc_e))
+    sh_e = ss.shadow_from_dpfree(empty, fc_e)
     assert ss.state_sum_dpfree(sh_e, lev1) == pytest.approx(2.0, abs=1e-12)
 
     circle = ss.load_link(corpus_dir / "circle_w0.link.json")
     fc_c = ss.face_complex(circle)
-    sh_c = ss.shadow_from_dpfree(circle, fc_c, ss.gleams_dpfree(circle, fc_c))
+    sh_c = ss.shadow_from_dpfree(circle, fc_c)
     assert ss.state_sum_dpfree(sh_c, lev1) == pytest.approx(-2.0, abs=1e-12)
     assert ss.wlo_dpfree_final(circle, lev1, fc_c) == pytest.approx(-1.5, abs=1e-12)
 

@@ -18,6 +18,7 @@ from shadowsum.random_links import polygon_circle, random_crossing_pair, random_
 
 from conftest import (
     crossing_count_oracle,
+    face_complex_oracle,
     face_of_point_oracle,
     loop_orientation_oracle,
     mark_oracle,
@@ -764,6 +765,25 @@ class TestFaceComplex:
             link = random_dpfree_link(rng, max_loops=5, level=1)
             fc = ss.face_complex(link)
             assert sum(f.chi for f in fc.faces) == 2
+
+    def test_matches_explicit_forest_oracle(self):
+        rng = random.Random(11)
+        deep = 0
+        for _ in range(600):
+            link = random_dpfree_link(rng, max_loops=9, level=1)
+            fc = ss.face_complex(link)
+            gleams = ss.gleams_dpfree(link, fc)
+            faces, ind_table, loop_sides, outer, parent, oracle_gleams = face_complex_oracle(link)
+            assert tuple((f.id, f.chi) for f in fc.faces) == faces
+            assert fc.ind_table == ind_table
+            assert fc.loop_sides == loop_sides
+            assert fc.outer == outer
+            assert fc.parent == parent
+            assert gleams == oracle_gleams
+            assert sum(f.chi for f in fc.faces) == 2
+            assert sum(gleams) == 0
+            deep += any(p is not None and parent[p] is not None for p in parent)
+        assert deep > 100  # many forests nest three loops deep
 
     def test_face_of_point_matches_ind_table(self):
         rng = random.Random(23)

@@ -42,7 +42,7 @@ def empty_link(level=1):
 
 def dpfree_shadow(link):
     fc = ss.face_complex(link)
-    return ss.shadow_from_dpfree(link, fc, ss.gleams_dpfree(link, fc)), fc
+    return ss.shadow_from_dpfree(link, fc), fc
 
 
 def brute_force_colorings(shadow, level):
