@@ -24,7 +24,6 @@ from .geometry import (
     AdmissibilityReport,
     CrossingMark,
     DoublePoint,
-    Face,
     FaceComplex,
     Link,
     Loop,

@@ -176,7 +176,7 @@ def _wlo_dpfree(args) -> RunResult:
     pairs = enumerate_pairs(link, level, fc)
     pair_value = wlo_dpfree_pairsum(link, level, fc, pairs=pairs)
     return RunResult("wlo", digest, value, {
-        "difference": abs(value - pair_value), "faces": len(fc.faces), "level": link.level,
+        "difference": abs(value - pair_value), "faces": len(fc.chi), "level": link.level,
         "pairs": len(pairs), "pairsum": [pair_value.real, pair_value.imag]})
 
 
@@ -189,7 +189,7 @@ def _check_euler(args) -> RunResult:
             "chi_sum": sum(f.chi for f in parsed.faces), "edges": len(parsed.edges),
             "vertices": len(parsed.vertices)}, ok)
     link = _with_level_arg(parsed, args)
-    chi = [f.chi for f in face_complex(link).faces]
+    chi = list(face_complex(link).chi)
     ok = sum(chi) == 2
     return RunResult("check:euler", digest, complex(ok),
                      {"chi": chi, "chi_sum": sum(chi), "level": link.level}, ok)

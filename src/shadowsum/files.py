@@ -27,8 +27,8 @@ import math
 from fractions import Fraction
 
 from .errors import InvariantViolation, ParseError
-from .geometry import Link, Loop, make_loop
-from .shadow import Shadow, ShadowEdge, ShadowFace, ShadowVertex, check_shadow
+from .geometry import Link, make_loop
+from .shadow import Shadow, ShadowEdge, ShadowFace, ShadowVertex
 
 __all__ = ["loads_link", "load_link", "loads_shadow", "load_shadow",
            "loads_link_or_shadow", "dumps_link", "dumps_shadow"]
@@ -125,6 +125,9 @@ def _shadow_from_json(obj) -> Shadow:
         raise ParseError("shadow file must contain a JSON object")
     if "faces" not in obj or "edges" not in obj:
         raise ParseError("shadow file needs faces and edges")
+    for key in ("faces", "edges", "vertices"):
+        if not isinstance(obj.get(key, []), list):
+            raise ParseError(f"{key} must be a list")
     faces = []
     for i, rec in enumerate(obj["faces"]):
         if not isinstance(rec, dict) or "chi" not in rec:
@@ -159,9 +162,7 @@ def _shadow_from_json(obj) -> Shadow:
             m=_integer(rec["m"], f"vertex {i} m"),
             n=_integer(rec["n"], f"vertex {i} n"),
         ))
-    shadow = Shadow(faces=tuple(faces), edges=tuple(edges), vertices=tuple(vertices))
-    check_shadow(shadow)
-    return shadow
+    return Shadow(faces=tuple(faces), edges=tuple(edges), vertices=tuple(vertices))
 
 
 def loads_shadow(text: str | bytes) -> Shadow:

@@ -70,7 +70,6 @@ __all__ = [
     "CrossingMark",
     "DoublePoint",
     "AdmissibilityReport",
-    "Face",
     "FaceComplex",
     "make_loop",
     "validate",
@@ -175,11 +174,6 @@ class Loop:
         pl = self.planar
         for i in range(self.nseg):
             yield i, pl[i], pl[i + 1]
-
-    def point_at(self, u: float) -> tuple[float, float]:
-        i, frac = self._locate(u)
-        (ax, ay), (bx, by) = self.planar[i], self.planar[i + 1]
-        return (ax + frac * (bx - ax), ay + frac * (by - ay))
 
     def theta_at(self, u: float) -> float:
         i, frac = self._locate(u)
@@ -620,13 +614,10 @@ def mark_side_points(link: Link, mark: CrossingMark):
 
 def ind(loop: Loop, p: Sequence[float]) -> int:
     """Planar winding number of the projected polygon around p, vanishing
-    near infinity (and hence at sigma_0)."""
+    near infinity (and hence at sigma_0).  A vertical loop projects to its
+    base point, so its segments have zero length there: it winds 0 times
+    around any other point."""
     px, py = float(p[0]), float(p[1])
-    if loop.vertical:
-        base = loop.planar[0]
-        if math.hypot(px - base[0], py - base[1]) <= COINCIDENCE_TOL:
-            raise PointOnCurve("point coincides with a vertical loop's base point")
-        return 0
     for _, a, b in loop.segments():
         if _seg_point_dist((px, py), a, b) <= COINCIDENCE_TOL:
             raise PointOnCurve(f"point {(px, py)} lies on the projected curve")
@@ -681,17 +672,12 @@ def _loop_orientation(loop: Loop) -> int:
 # face complex of a double-point-free link
 
 @dataclass(frozen=True)
-class Face:
-    id: int
-    chi: int
-
-
-@dataclass(frozen=True)
 class FaceComplex:
     """Complement regions of pairwise-disjoint projected Jordan curves on
-    S^2, with per-loop winding numbers constant on each face."""
+    S^2, with per-loop winding numbers constant on each face.  A face is
+    its index: chi, ind_table and the gleams are indexed by face."""
 
-    faces: tuple[Face, ...]
+    chi: tuple[int, ...]                     # Euler characteristic per face
     ind_table: tuple[tuple[int, ...], ...]   # [face][loop]
     loop_sides: tuple[tuple[int, int], ...]  # (left face, right face) per loop
     outer: int
@@ -707,13 +693,14 @@ def face_complex(link: Link) -> FaceComplex:
     vertical loops or any other failed admissibility condition.
 
     Faces are indexed 0..n-1 (region immediately inside loop j) plus the
-    outer face n containing sigma_0.  Every face datum is read off the
-    nesting forest `parent` and the loop orientations: loop j separates
-    face j from the face beyond it (its parent's, or the outer face for a
-    root), so face j is a disc less one hole per child and the outer face
-    a sphere less one hole per root, and the chi sum to n + 2 - n = 2.  A
-    loop's winding number is its orientation on its own face and on every
-    face it encloses, and 0 elsewhere.
+    outer face n containing sigma_0.  Every face datum (chi, ind_table,
+    loop_sides) is read off the nesting forest `parent` and the loop
+    orientations: loop j separates face j from the face beyond it (its
+    parent's, or the outer face for a root), so face j is a disc less one
+    hole per child and the outer face a sphere less one hole per root, and
+    the chi sum to n + 2 - n = 2.  A loop's winding number is its
+    orientation on its own face and on every face it encloses, and 0
+    elsewhere.
     """
     report = validate(link)
     if report.double_points or report.triple_points:
@@ -751,7 +738,7 @@ def face_complex(link: Link) -> FaceComplex:
     for b in beyond:
         chi[b] -= 1
     return FaceComplex(
-        faces=tuple(Face(id=f, chi=c) for f, c in enumerate(chi)),
+        chi=tuple(chi),
         ind_table=tuple(tuple(orient[j] if j == f or inside[j][f] else 0 for j in range(n))
                         for f in range(n)) + ((0,) * n,),
         loop_sides=tuple((j, b) if orient[j] > 0 else (b, j) for j, b in enumerate(beyond)),
@@ -763,7 +750,7 @@ def face_complex(link: Link) -> FaceComplex:
 def gleams_dpfree(link: Link, fc: FaceComplex) -> tuple[int, ...]:
     """Face decorations for a double-point-free link: each loop adds its
     circle winding to its left face and subtracts it from its right face."""
-    out = [0] * len(fc.faces)
+    out = [0] * len(fc.chi)
     for lp, (left, right) in zip(link.loops, fc.loop_sides):
         w = winding_s1(lp)
         out[left] += w

@@ -22,7 +22,6 @@ __all__ = [
     "v_dim",
     "triple_admissible",
     "sixj",
-    "SIXJ_SYMMETRIES",
 ]
 
 
@@ -177,27 +176,3 @@ def sixj(level: Level, i, j, k, l, m, n) -> float:
         level.check_color(l), level.check_color(m), level.check_color(n),
     )
     return _sixj_doubled(level, *ts)
-
-
-def _column_perms(cols):
-    (a, d), (b, e), (c, f) = cols
-    yield (a, b, c, d, e, f)
-    yield (a, c, b, d, f, e)
-    yield (b, a, c, e, d, f)
-    yield (b, c, a, e, f, d)
-    yield (c, a, b, f, d, e)
-    yield (c, b, a, f, e, d)
-
-
-def SIXJ_SYMMETRIES(i, j, k, l, m, n):
-    """The 24 classical tetrahedral symmetries of a 6j tuple: column
-    permutations composed with upper/lower swaps in two columns at once."""
-    cols = ((i, l), (j, m), (k, n))
-    flips = ((False, False, False), (True, True, False), (True, False, True), (False, True, True))
-    out = []
-    for fa, fb, fc in flips:
-        c0 = (cols[0][::-1] if fa else cols[0],
-              cols[1][::-1] if fb else cols[1],
-              cols[2][::-1] if fc else cols[2])
-        out.extend(_column_perms(c0))
-    return out

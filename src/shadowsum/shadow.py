@@ -5,7 +5,8 @@ characteristic and a gleam, edges carry a color and their two adjacent
 faces, and vertices (double points) carry the two strand colors and the
 four quadrant faces in the frozen convention: quadrants (j, k, m, n) in
 cyclic order with (j, m) and (k, n) opposite, edge e1 between j and k,
-edge e2 between j and n.
+edge e2 between j and n.  A Shadow checks these invariants once, when it
+is built.
 
 Two independent evaluation routes are implemented for double-point-free
 links with fundamental colors and must agree exactly:
@@ -23,18 +24,21 @@ independently of eta, i.e. to one global sign flip per loop of even
 circle winding; the pair sum carries that sign explicitly.
 
 The vertex-free state sum is evaluated by message passing over the face
-tree in O(F (k+1)^2) for F faces.  Shadows with vertices are summed over
-the explicit list of enumerate_colorings in one pass.  The enumeration
-colors faces in id order and draws a face's candidates from the fusion
-range of an already colored lower-numbered neighbour, so only faces
-without one try all k+1 colors.  state_sum_general evaluates each distinct
-6j-symbol and each (face, color) weight once per call and accepts the list
-from a caller that already holds it: the CLI's eval enumerates once for
-both the value and the coloring count it prints.  Per term no Fraction
-arithmetic runs: 6j spins come from one Level.colors table per call, and
-x = gleam - z/2 is the int quotient (2 gleam - z) / 2, rounded like float()
-of the Fraction.  The same list backs the bijection check.  The pair route
-keeps its own enumeration and shares no code with either state sum.
+forest in O(F (k+1)^2) for F faces; it rejects any other face graph, so it
+and state_sum_general share the face weight but no summation code.
+Shadows with vertices are summed over the explicit list of
+enumerate_colorings in one pass.  The enumeration colors faces in id order
+and draws a face's candidates from the fusion range of an already colored
+lower-numbered neighbour, so only faces without one try all k+1 colors.
+state_sum_general evaluates each distinct 6j-symbol and each (face, color)
+weight once per call and accepts the list from a caller that already holds
+it: the CLI's eval enumerates once for both the value and the coloring
+count it prints.  Per term no Fraction arithmetic runs: 6j spins come from
+one Level.colors table per call, and x = gleam - z/2 is the int quotient
+(2 gleam - z) / 2, rounded like float() of the Fraction.  The same list
+backs the bijection check.  The pair route keeps its own enumeration and
+shares only the level, the doubled colors and the exception types with
+either state sum.
 
 The pair route costs about its output.  enumerate_pairs walks the 2^n sign
 vectors depth first, extending the face offsets by one column of the ind
@@ -60,6 +64,7 @@ from .errors import (
     HasVertices,
     InvariantViolation,
     MissingGleams,
+    PreconditionError,
     UnsupportedColor,
 )
 from .geometry import FaceComplex, Link, gleams_dpfree, winding_s1
@@ -128,6 +133,7 @@ class Shadow:
         object.__setattr__(self, "faces", tuple(self.faces))
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "vertices", tuple(self.vertices))
+        check_shadow(self)
 
 
 def check_shadow(shadow: Shadow) -> None:
@@ -172,9 +178,8 @@ def euler_identity_holds(shadow: Shadow) -> bool:
 def shadow_from_dpfree(link: Link, fc: FaceComplex) -> Shadow:
     """Vertex-free shadow of a double-point-free link: one edge per loop
     with the faces on its two sides, and the gleams of `gleams_dpfree`."""
-    gleams = gleams_dpfree(link, fc)
-    faces = tuple(ShadowFace(chi=f.chi, gleam=Fraction(gleams[f.id]), z=0)
-                  for f in fc.faces)
+    faces = tuple(ShadowFace(chi=chi, gleam=Fraction(g), z=0)
+                  for chi, g in zip(fc.chi, gleams_dpfree(link, fc)))
     edges = tuple(
         ShadowEdge(color2=lp.color2, left=fc.loop_sides[j][0], right=fc.loop_sides[j][1])
         for j, lp in enumerate(link.loops)
@@ -195,8 +200,6 @@ def enumerate_colorings(shadow: Shadow, level: Level) -> list[AreaColoring]:
     """
     nf = len(shadow.faces)
     if nf == 0:
-        if shadow.edges:
-            raise InvariantViolation("shadow has edges but no faces")
         return [()]
     km = level.k
     constraints = [[] for _ in range(nf)]
@@ -268,7 +271,6 @@ def state_sum_general(shadow: Shadow, level: Level,
     evaluated once per call.  Terms are built in a fixed factor order and
     added in the colorings' order, so the value does not depend on the memos.
     """
-    check_shadow(shadow)
     if any(f.gleam is None for f in shadow.faces):
         raise MissingGleams("state sum requires a gleam on every face")
     top = max((c2 for v in shadow.vertices for c2 in (v.e1_2, v.e2_2)), default=0)
@@ -310,12 +312,11 @@ def state_sum_dpfree(shadow: Shadow, level: Level) -> complex:
     (disjoint circles always separate), so the sum factors: each face
     passes up m_f(t) = w_f(t) * prod_children sum_{t'} m_g(t'), with t'
     running over the colors admissible with t and the child edge's color.
-    A face graph with a cycle cannot come from a link; it is handed to
-    state_sum_general, which agrees because z = 0 on every face here.
+    A face graph with a cycle cannot come from a link and raises
+    PreconditionError; the general state sum takes any shadow.
     """
     if shadow.vertices:
         raise HasVertices("state sum for double-point-free links takes no vertices")
-    check_shadow(shadow)
     nf = len(shadow.faces)
     km = level.k
     adjacent = [[] for _ in range(nf)]
@@ -345,7 +346,7 @@ def state_sum_dpfree(shadow: Shadow, level: Level) -> complex:
         orders.append(order)
     # a graph is a forest iff it has (vertices - components) edges
     if len(shadow.edges) != nf - len(orders):
-        return state_sum_general(shadow, level)
+        raise PreconditionError("vertex-free state sum requires a face forest")
 
     colors = range(km + 1)
     message = [[_face_weight(level, face, t) for t in colors] for face in shadow.faces]
@@ -463,8 +464,8 @@ def wlo_dpfree_pairsum(link: Link, level: Level, fc: FaceComplex,
         pairs = enumerate_pairs(link, level, fc)
     # sin(pi x / rbar)^chi_t for every face field value x in {1, ..., k+1},
     # indexed by x, and the phase of each exponent s met so far
-    amps = [[None] + [math.sin(math.pi * x / r) ** f.chi for x in range(1, level.k + 2)]
-            for f in fc.faces]
+    amps = [[None] + [math.sin(math.pi * x / r) ** chi for x in range(1, level.k + 2)]
+            for chi in fc.chi]
     phases: dict[int, complex] = {}
     sides = list(zip(winds, fc.loop_sides))
     total = 0j

@@ -231,6 +231,14 @@ def mark_oracle(loop, t0) -> list:
     return [e for _, e in events]
 
 
+def point_at(loop, u: float) -> tuple[float, float]:
+    """The planar point of a loop at parameter u, each segment taking an
+    equal share of [0, 1), as `Loop.theta_at` places the lift."""
+    i, frac = loop._locate(u)
+    (ax, ay), (bx, by) = loop.planar[i], loop.planar[i + 1]
+    return (ax + frac * (bx - ax), ay + frac * (by - ay))
+
+
 def t0_cut_oracle(loop, t0, j=0):
     """The t0 cut of one loop's lift as two separate scans judge it:
     (defects, marks).  `defects` lists (j, "constant-at-t0" | "tangential",
@@ -305,7 +313,7 @@ def t0_cut_oracle(loop, t0, j=0):
                     u_rot = (i + (lv - la) / (lb - la)) / n
                     tangent = _unit((pl[i + 1][0] - pl[i][0], pl[i + 1][1] - pl[i][1]))
                 param = (u_rot + rot / n) % 1.0
-                out.append(CrossingMark(j, param, rl.point_at(u_rot),
+                out.append(CrossingMark(j, param, point_at(rl, u_rot),
                                         1 if lb > la else -1, tangent))
         out.sort(key=lambda m: m.param)
         return out
@@ -512,8 +520,8 @@ def pairsum_oracle(link, level, fc, pairs) -> complex:
     total = 0j
     for pair in pairs:
         amp = 1.0
-        for f in fc.faces:
-            amp *= math.sin(math.pi * pair.xi[f.id] / r) ** f.chi
+        for f, chi in enumerate(fc.chi):
+            amp *= math.sin(math.pi * pair.xi[f] / r) ** chi
         s = 0
         for j, w in enumerate(winds):
             left, right = fc.loop_sides[j]
@@ -578,3 +586,27 @@ def face_weight_oracle(level, face, t) -> complex:
     x = Fraction(face.gleam) - Fraction(face.z, 2)
     amp = v_dim_oracle(level, spin) ** face.chi
     return amp * cmath.exp(2.0 * float(x) * u_exponent_oracle(level, spin))
+
+
+def _column_perms(cols):
+    (a, d), (b, e), (c, f) = cols
+    yield (a, b, c, d, e, f)
+    yield (a, c, b, d, f, e)
+    yield (b, a, c, e, d, f)
+    yield (b, c, a, e, f, d)
+    yield (c, a, b, f, d, e)
+    yield (c, b, a, f, e, d)
+
+
+def SIXJ_SYMMETRIES(i, j, k, l, m, n):
+    """The 24 classical tetrahedral symmetries of a 6j tuple: column
+    permutations composed with upper/lower swaps in two columns at once."""
+    cols = ((i, l), (j, m), (k, n))
+    flips = ((False, False, False), (True, True, False), (True, False, True), (False, True, True))
+    out = []
+    for fa, fb, fc in flips:
+        c0 = (cols[0][::-1] if fa else cols[0],
+              cols[1][::-1] if fb else cols[1],
+              cols[2][::-1] if fc else cols[2])
+        out.extend(_column_perms(c0))
+    return out

@@ -9,10 +9,10 @@ from fractions import Fraction
 import pytest
 
 import shadowsum as ss
-from shadowsum.quantum import Level, quantum_int, sixj, triple_admissible, SIXJ_SYMMETRIES
+from shadowsum.quantum import Level, quantum_int, sixj, triple_admissible
 from shadowsum.random_links import polygon_circle, random_crossing_pair, random_dpfree_link
 
-from conftest import diagram_linking_oracle
+from conftest import SIXJ_SYMMETRIES, diagram_linking_oracle
 from test_quantum import admissible_oracle, pentagon_residual, random_pentagon_tuple
 from test_shadow import brute_force_colorings
 
@@ -156,7 +156,7 @@ def test_criterion_7_structure_conservation(corpus_dir, random_configs):
         if ss.validate(link).double_points:
             continue  # covered by the shadow-file Euler identity below
         fc = ss.face_complex(link)
-        assert sum(f.chi for f in fc.faces) == 2, name
+        assert sum(fc.chi) == 2, name
         dpfree_checked += 1
     assert dpfree_checked >= 6
     from shadowsum.shadow import euler_identity_holds
@@ -170,7 +170,7 @@ def test_criterion_7_structure_conservation(corpus_dir, random_configs):
         assert euler_identity_holds(shadow), name
     checked = 0
     for link, lev, fc in random_configs:
-        if lev.k > 4 or len(fc.faces) > 4:
+        if lev.k > 4 or len(fc.chi) > 4:
             continue
         shadow = ss.shadow_from_dpfree(link, fc)
         assert ss.enumerate_colorings(shadow, lev) == brute_force_colorings(shadow, lev)

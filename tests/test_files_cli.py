@@ -648,6 +648,70 @@ def test_bad_argument_exit_2(capsys, corpus_dir, argv):
     assert "Traceback" not in captured.err
 
 
+LOOP = '"vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 0, 0]]'
+FACE = '{"chi": 2, "gleam": 0}'
+LINK_PROBES = [  # (file text, the parse error it raises)
+    ('{"t0": "x", "level": 1, "loops": []}', "t0 must be a number"),
+    ('{"t0": 1e999, "level": 1, "loops": []}', "t0 is not finite"),
+    ('{"t0": 0, "level": 1.5, "loops": []}', "level must be an integer"),
+    ('[1, 2]', "link file must contain a JSON object"),
+    ('{"t0": 0, "level": 1, "loops": {}}', "loops must be a list"),
+    ('{"t0": 0, "level": 1, "loops": [{"color": 0.5}]}', "loop 0 must be an object with vertices"),
+    ('{"t0": 0, "level": 1, "loops": [{"vertices": [[0, 0]]}]}',
+     "loop 0 vertices must be"),
+    ('{"t0": 0, "level": 1, "loops": [{%s, "vertical": 1}]}' % LOOP,
+     "loop 0 vertical flag must be a boolean"),
+]
+SHADOW_PROBES = [
+    ('[]', "shadow file must contain a JSON object"),
+    ('{"faces": [{"gleam": 0}], "edges": []}', "face 0 must be an object with chi"),
+    ('{"faces": [%s], "edges": [{"color": 0.5, "left": 0}]}' % FACE,
+     "edge 0 must carry color, left, right"),
+    ('{"faces": [%s], "edges": [{"color": -0.5, "left": 0, "right": 0}]}' % FACE,
+     "edge 0 color must be non-negative"),
+    ('{"faces": [%s], "edges": [], "vertices": [{"e1": 0, "j": 0, "k": 0, "m": 0, "n": 0}]}'
+     % FACE, "vertex 0 must carry e1, e2, j, k, m, n"),
+]
+NOT_A_LIST = [
+    ('{"faces": 5, "edges": []}', "faces must be a list"),
+    ('{"faces": [%s], "edges": null}' % FACE, "edges must be a list"),
+    ('{"faces": [%s], "edges": [], "vertices": 3}' % FACE, "vertices must be a list"),
+]
+PARSE_ERROR_PROBES = (
+    [(("wlo", "--mode", "dpfree"), *probe) for probe in LINK_PROBES]
+    + [(("eval", "--level", "2"), *probe) for probe in SHADOW_PROBES + NOT_A_LIST]
+    + [(("check", "--what", "euler"), *probe) for probe in NOT_A_LIST])
+
+
+@pytest.mark.parametrize("command, text, message", PARSE_ERROR_PROBES,
+                         ids=[f"{c[0]} {m}" for c, _t, m in PARSE_ERROR_PROBES])
+def test_malformed_file_exit_2(capsys, tmp_path, command, text, message):
+    path = tmp_path / "probe.json"
+    path.write_text(text)
+    code = main([*command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"parse error: {message}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "twocircles.shadow.json"),
+    ("wlo", "--mode", "vertical", "--dims", "2"),
+    ("wlo", "--mode", "dpfree"),
+    ("wlo", "--mode", "abelian"),
+], ids=" ".join)
+def test_missing_level_or_file_exit_2(capsys, corpus_dir, argv):
+    argv = [str(corpus_dir / a) if a.endswith(".json") else a for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "parse error:" in captured.err
+    assert "Traceback" not in captured.err
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, capsys, corpus_dir):
         argv = ["wlo", "--mode", "dpfree", str(corpus_dir / "nested_pair.link.json")]

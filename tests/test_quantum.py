@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from shadowsum.errors import ColorOutOfRange
 from shadowsum.quantum import (
-    SIXJ_SYMMETRIES,
     Level,
     doubled,
     quantum_int,
@@ -19,7 +18,7 @@ from shadowsum.quantum import (
     v_dim,
 )
 
-from conftest import doubled_oracle, u_exponent_oracle, v_dim_oracle
+from conftest import SIXJ_SYMMETRIES, doubled_oracle, u_exponent_oracle, v_dim_oracle
 
 F = Fraction
 HALF = F(1, 2)

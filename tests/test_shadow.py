@@ -11,6 +11,7 @@ from shadowsum.errors import (
     HasVertices,
     InvariantViolation,
     MissingGleams,
+    PreconditionError,
     UnsupportedColor,
 )
 from shadowsum.quantum import Level, sixj
@@ -160,18 +161,34 @@ class TestShadowConstruction:
         assert not shadow.edges
 
     def test_structural_validation(self):
-        bad = ss.Shadow(faces=(ss.ShadowFace(chi=1, gleam=F(0)),),
-                        edges=(ss.ShadowEdge(color2=1, left=0, right=3),))
-        with pytest.raises(InvariantViolation):
-            ss.state_sum_general(bad, Level(1))
+        with pytest.raises(InvariantViolation, match="edge 0 references a missing face"):
+            ss.Shadow(faces=(ss.ShadowFace(chi=1, gleam=F(0)),),
+                      edges=(ss.ShadowEdge(color2=1, left=0, right=3),))
 
     def test_z_consistency_checked(self):
-        bad = ss.Shadow(
-            faces=(ss.ShadowFace(chi=1, gleam=F(0), z=1),
-                   ss.ShadowFace(chi=1, gleam=F(0), z=0)),
-            edges=(ss.ShadowEdge(color2=1, left=0, right=1),))
-        with pytest.raises(InvariantViolation):
-            ss.state_sum_general(bad, Level(1))
+        with pytest.raises(InvariantViolation, match="declares z=1 but touches 0"):
+            ss.Shadow(
+                faces=(ss.ShadowFace(chi=1, gleam=F(0), z=1),
+                       ss.ShadowFace(chi=1, gleam=F(0), z=0)),
+                edges=(ss.ShadowEdge(color2=1, left=0, right=1),))
+
+    @pytest.mark.parametrize("face, edge, vertex, message", [
+        (ss.ShadowFace(chi=2, gleam=F(0)), ss.ShadowEdge(-1, 0, 0), None,
+         "edge 0 has negative color"),
+        (ss.ShadowFace(chi=2, gleam=F(0), z=1), ss.ShadowEdge(1, 0, 0),
+         ss.ShadowVertex(e1_2=1, e2_2=1, j=0, k=0, m=1, n=0),
+         "vertex 0 references a missing face"),
+        (ss.ShadowFace(chi=2, gleam=F(0), z=1), ss.ShadowEdge(1, 0, 0),
+         ss.ShadowVertex(e1_2=1, e2_2=-1, j=0, k=0, m=0, n=0),
+         "vertex 0 has a negative strand color"),
+        (ss.ShadowFace(chi=2, gleam=F(0), z=-1), ss.ShadowEdge(1, 0, 0), None,
+         "face 0 has negative double-point count"),
+        (ss.ShadowFace(chi=2, gleam=F(1, 3)), ss.ShadowEdge(1, 0, 0), None,
+         "face 0 gleam 1/3 is not half-integral"),
+    ])
+    def test_invariants_checked_at_construction(self, face, edge, vertex, message):
+        with pytest.raises(InvariantViolation, match=message):
+            ss.Shadow(faces=(face,), edges=(edge,), vertices=(vertex,) if vertex else ())
 
 
 class TestEnumerateColorings:
@@ -336,15 +353,17 @@ class TestStateSums:
         # a cycle in one component next to a tree in another
         ((0, 1, 1, 1), ((0, 0, 1), (2, 1, 0), (1, 2, 3))),
     ])
-    def test_face_graph_cycle_matches_general(self, faces, edges):
+    def test_face_graph_cycle_rejected(self, faces, edges):
+        # no link has such a face graph: the general sum evaluates it, the
+        # vertex-free sum refuses it
         shadow = ss.Shadow(
             faces=tuple(ss.ShadowFace(chi=chi, gleam=F(i - 1, 2))
                         for i, chi in enumerate(faces)),
             edges=tuple(ss.ShadowEdge(c, a, b) for c, a, b in edges))
         for k in (2, 3, 4):
-            general = ss.state_sum_general(shadow, Level(k))
-            assert abs(general) > 1e-6
-            assert ss.state_sum_dpfree(shadow, Level(k)) == pytest.approx(general, abs=1e-12)
+            assert abs(ss.state_sum_general(shadow, Level(k))) > 1e-6
+            with pytest.raises(PreconditionError, match="face forest"):
+                ss.state_sum_dpfree(shadow, Level(k))
 
     def test_edge_color_above_level(self):
         shadow = ss.Shadow(
@@ -355,9 +374,8 @@ class TestStateSums:
                 state_sum(shadow, Level(2))
 
     def test_edges_without_faces(self):
-        shadow = ss.Shadow(faces=(), edges=(ss.ShadowEdge(color2=1, left=0, right=0),))
-        with pytest.raises(InvariantViolation):
-            ss.state_sum_dpfree(shadow, Level(1))
+        with pytest.raises(InvariantViolation, match="edge 0 references a missing face"):
+            ss.Shadow(faces=(), edges=(ss.ShadowEdge(color2=1, left=0, right=0),))
 
     def test_dpfree_rejects_vertices(self):
         shadow = ss.Shadow(
@@ -592,12 +610,12 @@ class TestPairSumAndFinal:
         rng = random.Random(36)
         link = random_dpfree_link(rng, max_loops=3, level=2)
         fc = ss.face_complex(link)
-        for f in fc.faces:
-            p = sample_point_oracle(link, fc, f.id)
-            assert face_of_point_oracle(link, fc, p) == f.id
+        for f in range(len(fc.chi)):
+            p = sample_point_oracle(link, fc, f)
+            assert face_of_point_oracle(link, fc, p) == f
             q = (p[0] + 1e-4, p[1] - 1e-4)
             try:
-                assert face_of_point_oracle(link, fc, q) == f.id
+                assert face_of_point_oracle(link, fc, q) == f
             except ss.PointOnCurve:
                 pass
 
