@@ -1,9 +1,12 @@
 """SU(2) level-k quantum data at q = exp(2*pi*i/rbar), rbar = k + 2.
 
 Colors are half-integer spins stored as doubled integers (2j), which keeps
-all admissibility arithmetic exact.  Public entry points accept spins as
-int, float, or Fraction with 2j integral; doubled reads a Fraction's 2j off
-its numerator, and u_exponent's int division rounds as float(Fraction) does.
+all admissibility arithmetic exact.  Each formula lives once, in a kernel on
+doubled ints with no range check, which the state sums call directly.  The
+public spin API (sixj, v_dim, u_exponent) is a thin wrapper: check_color on
+spins given as int, float, or Fraction with 2j integral, then the kernel.
+doubled reads a Fraction's 2j off its numerator, and _u_exponent_doubled's
+int division rounds as float(Fraction) does.
 """
 
 from __future__ import annotations
@@ -69,18 +72,24 @@ def quantum_int(level: Level, n: int) -> float:
     return math.sin(n * math.pi / r) / math.sin(math.pi / r)
 
 
-def u_exponent(level: Level, j) -> complex:
-    """Exponential weight of color j: pi*i*(j - j(j+1)/rbar), purely imaginary."""
-    t = level.check_color(j)
+def _u_exponent_doubled(level: Level, t: int) -> complex:
     val = (2 * t * level.rbar - t * (t + 2)) / (4 * level.rbar)
     return complex(0.0, math.pi * val)
 
 
-def v_dim(level: Level, j) -> float:
-    """Signed quantum dimension of color j: (-1)^{2j} [2j+1]."""
-    t = level.check_color(j)
+def u_exponent(level: Level, j) -> complex:
+    """Exponential weight of color j: pi*i*(j - j(j+1)/rbar), purely imaginary."""
+    return _u_exponent_doubled(level, level.check_color(j))
+
+
+def _v_dim_doubled(level: Level, t: int) -> float:
     sign = -1.0 if t % 2 else 1.0
     return sign * quantum_int(level, t + 1)
+
+
+def v_dim(level: Level, j) -> float:
+    """Signed quantum dimension of color j: (-1)^{2j} [2j+1]."""
+    return _v_dim_doubled(level, level.check_color(j))
 
 
 def _triple_ok(tk_max: int, ta: int, tb: int, tc: int) -> bool:
@@ -133,15 +142,12 @@ def _sixj_doubled(level: Level, t1: int, t2: int, t3: int, t4: int, t5: int, t6:
     # rbar-1 for admissible triads
     qf = _qfactorials(level, min(level.rbar - 1, (t1 + t2 + t3 + t4 + t5 + t6) // 2 + 1))
 
-    def fact(t: int) -> float:
-        # t is a doubled even quantity here; argument of [.]! is t//2
-        return qf[t // 2]
-
+    # each doubled sum below is even, and its [.]! argument is half of it
     delta = 1.0
     for ta, tb, tc in triads:
         delta *= math.sqrt(
-            fact(-ta + tb + tc) * fact(ta - tb + tc) * fact(ta + tb - tc)
-            / fact(ta + tb + tc + 2)
+            qf[(-ta + tb + tc) // 2] * qf[(ta - tb + tc) // 2] * qf[(ta + tb - tc) // 2]
+            / qf[(ta + tb + tc + 2) // 2]
         )
 
     tT = [ta + tb + tc for ta, tb, tc in triads]
@@ -171,8 +177,4 @@ def sixj(level: Level, i, j, k, l, m, n) -> float:
     (i,j,k), (i,m,n), (l,j,n), (l,m,k); the value is 0 whenever any of
     them is inadmissible at this level.
     """
-    ts = (
-        level.check_color(i), level.check_color(j), level.check_color(k),
-        level.check_color(l), level.check_color(m), level.check_color(n),
-    )
-    return _sixj_doubled(level, *ts)
+    return _sixj_doubled(level, *map(level.check_color, (i, j, k, l, m, n)))

@@ -33,12 +33,12 @@ lower-numbered neighbour, so only faces without one try all k+1 colors.
 state_sum_general evaluates each distinct 6j-symbol and each (face, color)
 weight once per call and accepts the list from a caller that already holds
 it: the CLI's eval enumerates once for both the value and the coloring
-count it prints.  Per term no Fraction arithmetic runs: 6j spins come from
-one Level.colors table per call, and x = gleam - z/2 is the int quotient
-(2 gleam - z) / 2, rounded like float() of the Fraction.  The same list
-backs the bijection check.  The pair route keeps its own enumeration and
-shares only the level, the doubled colors and the exception types with
-either state sum.
+count it prints.  Both state sums call quantum's doubled-int kernels, not
+its spin API, so a memo miss builds no Fraction; x = gleam - z/2 is the
+int quotient (2 gleam - z) / 2, rounded like float() of the Fraction.  The
+same list backs the bijection check.  The pair route keeps its own
+enumeration and shares only the level, the doubled colors and the
+exception types with either state sum.
 
 The pair route costs about its output.  enumerate_pairs walks the 2^n sign
 vectors depth first, extending the face offsets by one column of the ind
@@ -68,7 +68,7 @@ from .errors import (
     UnsupportedColor,
 )
 from .geometry import FaceComplex, Link, gleams_dpfree, winding_s1
-from .quantum import Level, _triple_ok, doubled, sixj, u_exponent, v_dim
+from .quantum import Level, _sixj_doubled, _triple_ok, _u_exponent_doubled, _v_dim_doubled, doubled
 
 __all__ = [
     "ShadowFace",
@@ -254,10 +254,11 @@ def enumerate_colorings(shadow: Shadow, level: Level) -> list[AreaColoring]:
 def _face_weight(level: Level, face: ShadowFace, t: int) -> complex:
     if face.gleam is None:
         raise MissingGleams("state sum requires a gleam on every face")
-    spin = Fraction(t, 2)
+    if not 0 <= t <= level.k:
+        raise ColorOutOfRange(f"face color {Fraction(t, 2)} outside color set of level {level.k}")
     x = (doubled(face.gleam) - face.z) / 2
-    amp = v_dim(level, spin) ** face.chi
-    return amp * cmath.exp(2.0 * x * u_exponent(level, spin))
+    amp = _v_dim_doubled(level, t) ** face.chi
+    return amp * cmath.exp(2.0 * x * _u_exponent_doubled(level, t))
 
 
 def state_sum_general(shadow: Shadow, level: Level,
@@ -265,7 +266,9 @@ def state_sum_general(shadow: Shadow, level: Level,
     """State sum over admissible colorings (enumerated here unless the
     caller already holds enumerate_colorings' result): one 6j-symbol per
     double point and one v^chi * exp(2 * modified-gleam * u) factor per face.
-    Missing gleams and strand colors above the level raise up front.
+    Missing gleams and strand colors above the level raise up front.  A
+    caller's face color outside 0 .. k raises ColorOutOfRange (a 6j-symbol
+    with one is 0), a coloring of the wrong length PreconditionError.
 
     Each distinct 6j argument and (chi, gleam, z, color) face weight is
     evaluated once per call.  Terms are built in a fixed factor order and
@@ -279,20 +282,24 @@ def state_sum_general(shadow: Shadow, level: Level,
             f"strand color {Fraction(top, 2)} outside color set of level {level.k}")
     if colorings is None:
         colorings = enumerate_colorings(shadow, level)
-    spins = level.colors if shadow.vertices else ()  # O(k), needed only at vertices
     sixjs: dict[tuple, float] = {}
     shared: dict[tuple, dict] = {}
     weights = [shared.setdefault((f.chi, f.gleam, f.z), {}) for f in shadow.faces]
     total = 0j
     for col in colorings:
+        if len(col) != len(weights):
+            raise PreconditionError(f"coloring {col} does not color the {len(weights)} faces")
         vertex_part = 1.0
         for v in shadow.vertices:
             ts = (v.e1_2, col[v.j], col[v.k], v.e2_2, col[v.m], col[v.n])
             s = sixjs.get(ts)
             if s is None:
-                s = sixjs[ts] = sixj(level, *[spins[t] for t in ts])
+                s = sixjs[ts] = _sixj_doubled(level, *ts)
             vertex_part *= s
-        if vertex_part == 0.0:
+        if vertex_part == 0.0:  # no face weight reads its colors, so check them here
+            if min(col) < 0 or max(col) > level.k:
+                raise ColorOutOfRange(f"coloring {col} has a face color outside color set "
+                                      f"of level {level.k}")
             continue
         term = complex(vertex_part)
         for t, face, memo in zip(col, shadow.faces, weights):

@@ -571,6 +571,50 @@ def u_exponent_oracle(level, j) -> complex:
     return complex(0.0, math.pi * float(val))
 
 
+def sixj_doubled_oracle(level, t1, t2, t3, t4, t5, t6) -> float:
+    """The 6j kernel as written before it indexed [n]! directly: the same
+    Racah sum, with each factorial read through a per-call closure."""
+    from shadowsum.quantum import _qfactorials, _triple_ok
+
+    triads = (
+        (t1, t2, t3),
+        (t1, t5, t6),
+        (t4, t2, t6),
+        (t4, t5, t3),
+    )
+    km = level.k
+    for ta, tb, tc in triads:
+        if not _triple_ok(km, ta, tb, tc):
+            return 0.0
+
+    qf = _qfactorials(level, min(level.rbar - 1, (t1 + t2 + t3 + t4 + t5 + t6) // 2 + 1))
+
+    def fact(t: int) -> float:
+        # t is a doubled even quantity here; argument of [.]! is t//2
+        return qf[t // 2]
+
+    delta = 1.0
+    for ta, tb, tc in triads:
+        delta *= math.sqrt(
+            fact(-ta + tb + tc) * fact(ta - tb + tc) * fact(ta + tb - tc)
+            / fact(ta + tb + tc + 2)
+        )
+
+    tT = [ta + tb + tc for ta, tb, tc in triads]
+    tQ = (t1 + t2 + t4 + t5, t2 + t3 + t5 + t6, t3 + t1 + t6 + t4)
+    z_lo = max(tT) // 2
+    z_hi = min(min(tQ) // 2, level.rbar - 2)
+    total = 0.0
+    for z in range(z_lo, z_hi + 1):
+        term = qf[z + 1]
+        for tt in tT:
+            term /= qf[z - tt // 2]
+        for tq in tQ:
+            term /= qf[tq // 2 - z]
+        total += -term if z % 2 else term
+    return delta * total
+
+
 def face_weight_oracle(level, face, t) -> complex:
     """v^chi * exp(2 x u) of a face at doubled color t, with the modified
     gleam x = gleam - z/2 an exact Fraction and the weights from the

@@ -148,15 +148,16 @@ def enumerate_colorings_calls(monkeypatch):
 
 @pytest.fixture
 def sixj_evaluations(monkeypatch):
-    """The doubled 6-tuples whose 6j-symbol is computed from scratch."""
+    """The doubled 6-tuples whose 6j-symbol is computed from scratch: the
+    state sum calls the kernel by the name it imported."""
     calls = []
-    real = shadowsum.quantum._sixj_doubled
+    real = shadowsum.shadow._sixj_doubled
 
     def counting(level, *ts):
         calls.append(ts)
         return real(level, *ts)
 
-    monkeypatch.setattr(shadowsum.quantum, "_sixj_doubled", counting)
+    monkeypatch.setattr(shadowsum.shadow, "_sixj_doubled", counting)
     return calls
 
 

@@ -120,11 +120,10 @@ STATE_SUM_SHARED = {
     "check_shadow": "the shadow's invariants, checked once when it is built",
     "color2": "the doubled color of an edge",
     "_face_weight": "the face weight both sums multiply; the pair sum checks it apart",
-    "v_dim": "the quantum dimension inside the face weight",
-    "u_exponent": "the twist exponent inside the face weight",
-    "quantum_int": "the quantum integer inside v_dim",
-    "check_color": "the level's color range check inside the face weight",
-    "doubled": "a spin's doubled value inside check_color",
+    "_v_dim_doubled": "the quantum dimension kernel inside the face weight",
+    "_u_exponent_doubled": "the twist exponent kernel inside the face weight",
+    "quantum_int": "the quantum integer inside the quantum dimension",
+    "doubled": "the doubled gleam inside the face weight",
 }
 
 ROUTE_PAIRS = [
@@ -158,5 +157,5 @@ def test_graph_sees_each_route(graph):
     assert {"pushoff", "self_link", "loop_min_clearance"} <= reachable(graph, "wlo_abelian")
     assert "pushoff" not in reachable(graph, "wlo_abelian_intermediate")
     assert "enumerate_pairs" in reachable(graph, "wlo_dpfree_pairsum")
-    assert {"sixj", "enumerate_colorings"} <= reachable(graph, "state_sum_general")
+    assert {"_sixj_doubled", "enumerate_colorings"} <= reachable(graph, "state_sum_general")
     assert not {"state_sum_general", "enumerate_colorings"} & reachable(graph, "state_sum_dpfree")

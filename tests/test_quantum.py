@@ -10,6 +10,9 @@ from hypothesis import given, strategies as st
 from shadowsum.errors import ColorOutOfRange
 from shadowsum.quantum import (
     Level,
+    _sixj_doubled,
+    _u_exponent_doubled,
+    _v_dim_doubled,
     doubled,
     quantum_int,
     sixj,
@@ -18,7 +21,13 @@ from shadowsum.quantum import (
     v_dim,
 )
 
-from conftest import SIXJ_SYMMETRIES, doubled_oracle, u_exponent_oracle, v_dim_oracle
+from conftest import (
+    SIXJ_SYMMETRIES,
+    doubled_oracle,
+    sixj_doubled_oracle,
+    u_exponent_oracle,
+    v_dim_oracle,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -93,6 +102,41 @@ class TestBitIdentity:
                 assert v_dim(lev, spin).hex() == v_dim_oracle(lev, spin).hex(), (k, t)
                 u, want = u_exponent(lev, spin), u_exponent_oracle(lev, spin)
                 assert (u.real.hex(), u.imag.hex()) == (want.real.hex(), want.imag.hex()), (k, t)
+
+    def test_doubled_kernels_match_fraction_oracles_to_the_bit(self):
+        # the kernels the state sums call, on the doubled color itself
+        for k in range(1, 301):
+            lev = Level(k)
+            for t in range(k + 1):
+                spin = F(t, 2)
+                assert _v_dim_doubled(lev, t).hex() == v_dim_oracle(lev, spin).hex(), (k, t)
+                u, want = _u_exponent_doubled(lev, t), u_exponent_oracle(lev, spin)
+                assert (u.real.hex(), u.imag.hex()) == (want.real.hex(), want.imag.hex()), (k, t)
+
+    def test_sixj_kernel_matches_closure_form_to_the_bit(self):
+        for k in range(1, 7):
+            lev, ref = Level(k), Level(k)
+            admissible = 0
+            for ts in itertools.product(range(k + 1), repeat=6):
+                t1, t2, t3, t4, t5, t6 = ts
+                if not all(admissible_oracle(k, *triad) for triad in (
+                        (t1, t2, t3), (t1, t5, t6), (t4, t2, t6), (t4, t5, t3))):
+                    continue
+                admissible += 1
+                assert _sixj_doubled(lev, *ts).hex() == sixj_doubled_oracle(ref, *ts).hex(), ts
+            assert admissible > 0
+        # longer Racah sums, on tuples whose triads (0, 1, 2) and (0, 4, 5)
+        # are drawn admissible
+        rng = random.Random(17)
+        for k in (32, 128, 200):
+            lev, ref = Level(k), Level(k)
+            for _ in range(500):
+                ts = [rng.randint(0, k) for _ in range(6)]
+                for a, b, c in ((0, 1, 2), (0, 4, 5)):
+                    ta, tb = ts[a], ts[b]
+                    fusion = range(abs(ta - tb), min(ta + tb, 2 * k - ta - tb) + 1, 2)
+                    ts[c] = rng.choice(fusion) if fusion else 0
+                assert _sixj_doubled(lev, *ts).hex() == sixj_doubled_oracle(ref, *ts).hex(), ts
 
     @given(st.one_of(
         st.integers(),

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -410,6 +411,36 @@ class TestStateSums:
         assert ss.enumerate_colorings(shadow, Level(1)) == []
         with pytest.raises(ColorOutOfRange, match="strand color 5/2 outside color set of level 1"):
             ss.state_sum_general(shadow, Level(1))
+
+    @pytest.mark.parametrize("col, message", [
+        ((-1, 0, -1, 0), "coloring (-1, 0, -1, 0) has a face color outside"),
+        ((3, 2, 3, 2), "coloring (3, 2, 3, 2) has a face color outside"),
+        ((0, 0, 0, 3), "coloring (0, 0, 0, 3) has a face color outside"),
+        ((1, 0, 0, 1, -1), "coloring (1, 0, 0, 1, -1) has a face color outside"),
+        ((0, 1, 0, 1, 3), "face color 3/2 outside"),
+    ], ids=["minus-one", "k-plus-one", "one-face-k-plus-one",
+            "free-face-vanishing-term", "free-face-nonzero-term"])
+    def test_caller_coloring_out_of_range(self, corpus_dir, col, message):
+        # a caller's color outside 0 .. k raises, also in a term whose 6j
+        # product vanishes and so reads no face weight; a fifth color goes
+        # to an added face that touches no double point
+        two = ss.load_shadow(corpus_dir / "twocircles.shadow.json")
+        if len(col) == 5:
+            two = ss.Shadow(faces=two.faces + (ss.ShadowFace(chi=0, gleam=F(1)),),
+                            edges=two.edges, vertices=two.vertices)
+        lev = Level(2)
+        with pytest.raises(ColorOutOfRange, match=re.escape(f"{message} color set of level 2")):
+            ss.state_sum_general(two, lev, colorings=[col])
+        # the bad coloring raises after valid ones too
+        valid = ss.enumerate_colorings(two, lev)
+        with pytest.raises(ColorOutOfRange):
+            ss.state_sum_general(two, lev, colorings=valid + [col])
+
+    @pytest.mark.parametrize("col", [(), (0, 1, 1), (0, 1, 1, 0, 0)])
+    def test_caller_coloring_of_wrong_length(self, corpus_dir, col):
+        two = ss.load_shadow(corpus_dir / "twocircles.shadow.json")
+        with pytest.raises(PreconditionError, match="does not color the 4 faces"):
+            ss.state_sum_general(two, Level(2), colorings=[col])
 
     def test_face_weights_match_fraction_oracle_to_the_bit(self):
         # x = (2 gleam - z) / 2 is one correctly rounded int division, also
