@@ -57,12 +57,15 @@ def _read(path) -> bytes:
         return fh.read()
 
 
-def _number(obj, what: str) -> float:
+def _number(obj, what: str, *args) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ParseError(f"{what} must be a number, got {obj!r}")
-    val = float(obj)
+        raise ParseError(f"{what.format(*args)} must be a number, got {obj!r}")
+    try:
+        val = float(obj)
+    except OverflowError:  # an int past the float range
+        val = math.inf
     if not math.isfinite(val):
-        raise ParseError(f"{what} is not finite")
+        raise ParseError(f"{what.format(*args)} is not finite")
     return val
 
 
@@ -75,6 +78,8 @@ def _integer(obj, what: str) -> int:
 def _half_integer(obj, what: str) -> Fraction:
     val = _number(obj, what)
     doubled = val * 2
+    if not math.isfinite(doubled):
+        raise ParseError(f"{what} is too large, got {obj!r}")
     if abs(doubled - round(doubled)) > 1e-9:
         raise ParseError(f"{what} must be a half-integer, got {obj!r}")
     return Fraction(round(doubled), 2)
@@ -99,7 +104,9 @@ def _link_from_json(obj) -> Link:
             not isinstance(v, list) or len(v) != 3 for v in verts
         ):
             raise ParseError(f"loop {i} vertices must be [x, y, theta] triples")
-        triples = [tuple(_number(c, f"loop {i} vertex coordinate") for c in v) for v in verts]
+        what = "loop {} vertex coordinate"
+        triples = [(_number(x, what, i), _number(y, what, i), _number(t, what, i))
+                   for x, y, t in verts]
         color = _half_integer(rec.get("color", 0.5), f"loop {i} color")
         framing = _integer(rec.get("framing", 0), f"loop {i} framing")
         vertical = rec.get("vertical", False)

@@ -18,8 +18,10 @@ Arithmetic and Fast Robust Geometric Predicates", DCG 18, 1997).
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.  A `Loop` computes its self-crossings and its clearance
-lazily, at most once, and caches them on the instance; a race between
-threads only computes the same value twice.
+lazily, at most once, and its lift scans at one t0 (`lift_scans`, emptied
+when it is scanned at another t0), and caches them on the instance; a race
+between threads only computes the same value twice.  `ind` tests its point
+against the curve and counts the crossings in one pass over the segments.
 
 The segment-pair scans sweep the segments' x-extents (Shamos and Hoey,
 "Geometric intersection problems", FOCS 1976), so they visit only pairs
@@ -27,7 +29,8 @@ whose bounding boxes can meet or lie close, not all O(S^2) pairs.  Each
 `Loop` stores its segments' bounding boxes once.  `validate` sweeps the
 segments of all its loops once, for the pairs of distinct loops, and
 visits loop pairs and segment pairs in the order of one all-pairs scan
-per loop pair, so its crossings and first defect are that scan's.
+per loop pair, so its crossings and first defect are that scan's.  A
+sweep can also pair chosen loops with themselves, as `pushoff` does.
 
 The t0 cut rests on two facts with one implementation each.  `_records`
 turns the crossing scan into `DoublePoint` records: both strands'
@@ -148,11 +151,13 @@ class Loop:
     color: Fraction = Fraction(1, 2)
     framing: int = 0
     vertical: bool = False
-    # projections of `vertices` and segment bounding boxes, built once
+    # projections of `vertices` and segment bounding boxes, built once, and
+    # `_lift_scan` results by (t0, loop index), kept for one t0 at a time
     planar: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     lifts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     boxes: tuple[tuple[float, float, float, float], ...] = field(
         init=False, repr=False, compare=False)
+    lift_scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pl = tuple((x, y) for x, y, _ in self.vertices)
@@ -258,13 +263,13 @@ def winding_s1(loop: Loop) -> int:
 # ---------------------------------------------------------------------------
 # pairwise crossing enumeration
 
-def _segment_sweep(loops: Sequence[Loop]) -> dict[tuple[int, int], list[tuple[int, int]]]:
+def _segment_sweep(loops: Sequence[Loop], selves=()) -> dict:
     """Segment pairs whose bounding boxes pass `_bbox_overlap`, found in
     one sweep over the segments of all `loops` sorted by min x -
     COINCIDENCE_TOL.  Returns, for each loop pair a <= b (indices into
     `loops`) with candidates, the pairs (segment of a, segment of b)
-    sorted lexicographically.  A single loop is paired with itself (pairs
-    i < j); several loops are paired only with each other."""
+    sorted lexicographically.  Loops are paired with each other, and a
+    single loop or those indexed in `selves` with themselves (i < j)."""
     tol = COINCIDENCE_TOL
     single = len(loops) == 1
     events = sorted((x0 - tol, x1, y0 - tol, y1, a, i)
@@ -275,7 +280,7 @@ def _segment_sweep(loops: Sequence[Loop]) -> dict[tuple[int, int], list[tuple[in
         active = [s for s in active if s[0] >= lo]
         for _hi, bylo, byhi, b, j in active:
             # the x half of the box test holds by the sweep order
-            if (b == a) != single or bylo > yhi or ylo > byhi:
+            if bylo > yhi or ylo > byhi or (b == a and not single and a not in selves):
                 continue
             if b < a or (b == a and j < i):
                 pairs.setdefault((b, a), []).append((j, i))
@@ -307,27 +312,50 @@ def _pair_crossings(la: Loop, lb: Loop, same: bool, candidates):
     same loop and adjacent segments get only that endpoint test.  Pairs
     are visited in lexicographic order, so the first defect found is the
     same as in an all-pairs scan.
+
+    The endpoint tests inline `_seg_point_dist` (same floats in the same
+    order; t = 0 on a zero-length segment), so each gives the same bit.
+    If o1 == o2 != 0, b lies strictly on one side of a's line: no crossing,
+    and as `_orient` is exact no end of a lies on b, so o3, o4 are skipped.
     """
+    tol = COINCIDENCE_TOL
+    hypot = math.hypot
     na = la.nseg
     pa = la.planar
     pb = lb.planar
     out = []
     for i, j in candidates:
-        a1, a2 = pa[i], pa[i + 1]
-        b1, b2 = pb[j], pb[j + 1]
+        a1, a2, b1, b2 = pa[i], pa[i + 1], pb[j], pb[j + 1]
+        (ax, ay), (ax2, ay2), (bx, by), (bx2, by2) = a1, a2, b1, b2
+        adx, ady, bdx, bdy = ax2 - ax, ay2 - ay, bx2 - bx, by2 - by
+        aden, bden = adx * adx + ady * ady, bdx * bdx + bdy * bdy
         after = same and j == i + 1  # a2 is b1
         before = same and i == 0 and j == na - 1  # a1 is b2
-        if (
-            (not before and _seg_point_dist(a1, b1, b2) <= COINCIDENCE_TOL)
-            or (not after and _seg_point_dist(a2, b1, b2) <= COINCIDENCE_TOL)
-            or (not after and _seg_point_dist(b1, a1, a2) <= COINCIDENCE_TOL)
-            or (not before and _seg_point_dist(b2, a1, a2) <= COINCIDENCE_TOL)
-        ):
+        near = False  # a1, a2 against b, then b1, b2 against a
+        if not before:
+            t = ((ax - bx) * bdx + (ay - by) * bdy) / bden if bden else 0.0
+            t = 1.0 if t >= 1.0 else (t if t > 0.0 else 0.0)  # min(1.0, max(0.0, t))
+            near = hypot(ax - (bx + t * bdx), ay - (by + t * bdy)) <= tol
+        if not (after or near):
+            t = ((ax2 - bx) * bdx + (ay2 - by) * bdy) / bden if bden else 0.0
+            t = 1.0 if t >= 1.0 else (t if t > 0.0 else 0.0)
+            near = hypot(ax2 - (bx + t * bdx), ay2 - (by + t * bdy)) <= tol
+        if not (after or near):
+            t = ((bx - ax) * adx + (by - ay) * ady) / aden if aden else 0.0
+            t = 1.0 if t >= 1.0 else (t if t > 0.0 else 0.0)
+            near = hypot(bx - (ax + t * adx), by - (ay + t * ady)) <= tol
+        if not (before or near):
+            t = ((bx2 - ax) * adx + (by2 - ay) * ady) / aden if aden else 0.0
+            t = 1.0 if t >= 1.0 else (t if t > 0.0 else 0.0)
+            near = hypot(bx2 - (ax + t * adx), by2 - (ay + t * ady)) <= tol
+        if near:
             raise DegenerateGeometry(f"a vertex lies on a segment (segments {i}, {j})")
         if after or before:
             continue
         o1 = _orient(a1, a2, b1)
         o2 = _orient(a1, a2, b2)
+        if o1 == o2 != 0:
+            continue
         o3 = _orient(b1, b2, a1)
         o4 = _orient(b1, b2, a2)
         if o1 * o2 < 0 and o3 * o4 < 0:
@@ -524,6 +552,11 @@ def _lift_scan(loop: Loop, t0: float, j: int):
     back.  A level met at a vertex is handled at the end of the segment
     that reaches it, so vertex 0 is handled at the end of the last segment.
     """
+    memo = loop.lift_scans
+    if (found := memo.get((t0, j))) is not None:
+        return found
+    if any(t != t0 for t, _ in list(memo)):
+        memo.clear()
     n = loop.nseg
     pl = loop.planar
     bottom, top = min(loop.lifts) - 1.0, max(loop.lifts) + 1.0
@@ -564,7 +597,7 @@ def _lift_scan(loop: Loop, t0: float, j: int):
             marks.append(CrossingMark(j, v / n, pl[v], eps,
                                       _unit((tangent[0] + d2[0], tangent[1] + d2[1]))))
     marks.sort(key=lambda m: m.param)
-    return marks, defects
+    return memo.setdefault((t0, j), (tuple(marks), tuple(defects)))
 
 
 def _loop_marks(loop: Loop, t0: float, loop_index: int):
@@ -616,16 +649,16 @@ def ind(loop: Loop, p: Sequence[float]) -> int:
     """Planar winding number of the projected polygon around p, vanishing
     near infinity (and hence at sigma_0).  A vertical loop projects to its
     base point, so its segments have zero length there: it winds 0 times
-    around any other point."""
-    px, py = float(p[0]), float(p[1])
-    for _, a, b in loop.segments():
-        if _seg_point_dist((px, py), a, b) <= COINCIDENCE_TOL:
-            raise PointOnCurve(f"point {(px, py)} lies on the projected curve")
+    around any other point.  One pass counts crossings and raises
+    PointOnCurve at the first segment within COINCIDENCE_TOL of p."""
+    p = px, py = float(p[0]), float(p[1])
     w = 0
-    for _, a, b in loop.segments():
-        if a[1] <= py < b[1] and _orient(a, b, (px, py)) > 0:
+    for a, b in zip(loop.planar, loop.planar[1:]):
+        if _seg_point_dist(p, a, b) <= COINCIDENCE_TOL:
+            raise PointOnCurve(f"point {p} lies on the projected curve")
+        if a[1] <= py < b[1] and _orient(a, b, p) > 0:
             w += 1
-        elif b[1] <= py < a[1] and _orient(a, b, (px, py)) < 0:
+        elif b[1] <= py < a[1] and _orient(a, b, p) < 0:
             w -= 1
     return w
 
@@ -781,7 +814,7 @@ def _min_clearance(loop: Loop) -> float:
     for x0, x1, y0, y1, j in boxes:
         active = [a for a in active if x0 - a[1] <= bound]
         for ax0, ax1, ay0, ay1, i in active:
-            if max(x0 - ax1, y0 - ay1, ay0 - y1) > bound:
+            if y0 - ay1 > bound or ay0 - y1 > bound or x0 - ax1 > bound:
                 continue
             lo, hi = (i, j) if i < j else (j, i)
             if hi - lo == 1 or (lo == 0 and hi == n - 1) or (lo, hi) in crossing:

@@ -7,13 +7,14 @@ coordinates in S^1 cut at t0.  The records are the t0-independent
 (`geometry.crossings_between`, a `validate` report, or `pushoff`) and its
 records are passed in.  `link_number(l, lt, crossings, t0)`, the linking
 number of a null-homologous pair, adds winding-number corrections at the
-t0-crossings of either loop (the lift scan behind `crossing_marks`) and is
-independent of t0.
+t0-crossings of either loop (the lift scan behind `crossing_marks`, which
+each loop keeps for its last t0) and is independent of t0.
 
 Push-offs displace the projected polygon to its left by a planar normal
 offset, realizing a horizontal framing; the offset must stay below a third
 of the minimum clearance between non-adjacent segments.  `pushoff` returns
-the offset loop with the crossing records against `l` that check it.
+the offset loop with its crossing records against `l`; one sweep over
+both also finds the offset's own pairs, which are checked first.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .geometry import (
     DoublePoint,
     Loop,
     _loop_marks,
+    _pair_crossings,
+    _records,
+    _segment_sweep,
     _unit,
     crossings_between,
     ind,
@@ -83,14 +87,14 @@ def pushoff(l: Loop, offset: float) -> tuple[Loop, tuple[DoublePoint, ...]]:
             t /= cross
             new_pts.append((cur[0] + offset * n0[0] + t * d0[0],
                             cur[1] + offset * n0[1] + t * d0[1]))
-    verts = tuple(
-        (new_pts[i % n][0], new_pts[i % n][1], l.lifts[i]) for i in range(n + 1)
-    )
+    verts = tuple((*new_pts[i % n], l.lifts[i]) for i in range(n + 1))
     off = Loop(verts, l.color, l.framing, l.vertical)
+    # one sweep; the offset's own pairs come first, also when l self-crosses
+    found = _segment_sweep((l, off), (1,))
     try:
-        if off.self_crossings and not l.self_crossings:
+        if _pair_crossings(off, off, True, found.get((1, 1), ())) and not l.self_crossings:
             raise OffsetTooLarge("offset curve of a simple projection self-intersects")
-        crossings = crossings_between(l, off)
+        crossings = _records(l, 0, off, 1, _pair_crossings(l, off, False, found.get((0, 1), ())))
     except DegenerateGeometry as exc:
         raise OffsetTooLarge(f"offset curve degenerates: {exc}") from exc
     return off, crossings

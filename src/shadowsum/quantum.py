@@ -55,10 +55,6 @@ class Level:
     def rbar(self) -> int:
         return self.k + 2
 
-    @property
-    def colors(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(t, 2) for t in range(self.k + 1))
-
     def check_color(self, j) -> int:
         t = doubled(j)
         if not 0 <= t <= self.k:

@@ -324,10 +324,12 @@ def t0_cut_oracle(loop, t0, j=0):
         return defects, exc
 
 
-def proper_crossings_oracle(la, lb, same):
+def proper_crossings_oracle(la, lb, same, tally=None):
     """All-pairs crossing scan: every segment pair passes the bounding-box
     filter and, if it passes, the body of `geometry._pair_crossings`, in
-    lexicographic order, with no sweep."""
+    lexicographic order, with no sweep.  A `tally` counter, if given,
+    counts the pairs with b strictly on one side of a's line ("one side")
+    and the pairs that reach the graze test ("graze")."""
     from fractions import Fraction
 
     from shadowsum.errors import DegenerateGeometry
@@ -358,6 +360,9 @@ def proper_crossings_oracle(la, lb, same):
             o2 = _orient(a1, a2, b2)
             o3 = _orient(b1, b2, a1)
             o4 = _orient(b1, b2, a2)
+            if tally is not None:
+                tally["one side"] += o1 == o2 != 0
+                tally["graze"] += not (o1 * o2 < 0 and o3 * o4 < 0) and 0 in (o1, o2, o3, o4)
             if o1 * o2 < 0 and o3 * o4 < 0:
                 r = (Fraction(a2[0]) - Fraction(a1[0]), Fraction(a2[1]) - Fraction(a1[1]))
                 s = (Fraction(b2[0]) - Fraction(b1[0]), Fraction(b2[1]) - Fraction(b1[1]))
@@ -528,6 +533,13 @@ def pairsum_oracle(link, level, fc, pairs) -> complex:
             s += w * (pair.xi[left] ** 2 - pair.xi[right] ** 2)
         total += parity * amp * cmath.exp(complex(0.0, -math.pi * s / (2.0 * r)))
     return total
+
+
+def colors(level) -> tuple:
+    """The color set {0, 1/2, ..., k/2} of `level` as Fractions."""
+    from fractions import Fraction
+
+    return tuple(Fraction(t, 2) for t in range(level.k + 1))
 
 
 def doubled_oracle(j) -> int:

@@ -9,6 +9,7 @@ import pytest
 import shadowsum as ss
 import shadowsum.cli
 import shadowsum.geometry
+import shadowsum.linking
 import shadowsum.quantum
 import shadowsum.shadow
 from shadowsum.cli import main
@@ -108,9 +109,10 @@ def validate_calls(monkeypatch):
 @pytest.fixture
 def loop_scans(monkeypatch):
     """The loops whose clearance is computed, the loops swept for their
-    own crossings (`_segment_sweep` on one loop), and the loop tuples
-    swept against each other (on several loops), in call order."""
-    scans = {"clearance": [], "self_crossings": [], "pairs": []}
+    own crossings (`_segment_sweep` on one loop, or named in its `selves`
+    argument), the loop tuples swept against each other (on several
+    loops), and the number of sweeps, in call order."""
+    scans = {"clearance": [], "self_crossings": [], "pairs": [], "sweeps": 0}
     real_clearance = shadowsum.geometry._min_clearance
     real_sweep = shadowsum.geometry._segment_sweep
 
@@ -118,15 +120,48 @@ def loop_scans(monkeypatch):
         scans["clearance"].append(loop)
         return real_clearance(loop)
 
-    def sweep(loops):
+    def sweep(loops, *selves):
+        scans["sweeps"] += 1
         if len(loops) == 1:
             scans["self_crossings"].append(loops[0])
         else:
             scans["pairs"].append(tuple(loops))
-        return real_sweep(loops)
+            scans["self_crossings"].extend(loops[a] for a in (selves[0] if selves else ()))
+        return real_sweep(loops, *selves)
 
     monkeypatch.setattr(shadowsum.geometry, "_min_clearance", clearance)
     monkeypatch.setattr(shadowsum.geometry, "_segment_sweep", sweep)
+    monkeypatch.setattr(shadowsum.linking, "_segment_sweep", sweep)
+    return scans
+
+
+class _LiftReads:
+    """A loop whose `lifts` reads are recorded; a lift scan that returns
+    a kept result does not read them."""
+
+    def __init__(self, loop):
+        self.loop, self.read = loop, False
+
+    def __getattr__(self, name):
+        self.read = self.read or name == "lifts"
+        return getattr(self.loop, name)
+
+
+@pytest.fixture
+def lift_scans(monkeypatch):
+    """The lift scans that do the work, as (loop, t0, loop index): the
+    calls of `_lift_scan` that read the loop's lift."""
+    scans = []
+    real = shadowsum.geometry._lift_scan
+
+    def scan(loop, t0, j):
+        watched = _LiftReads(loop)
+        result = real(watched, t0, j)
+        if watched.read:
+            scans.append((loop, t0, j))
+        return result
+
+    monkeypatch.setattr(shadowsum.geometry, "_lift_scan", scan)
     return scans
 
 
@@ -411,8 +446,9 @@ class TestCliWlo:
 
     def test_abelian_scans_each_pushoff_once(self, capsys, corpus_dir, loop_scans):
         # validate and wlo_abelian sweep the loop pair once; self_link makes
-        # two push-offs per loop, and each is swept against its loop only
-        # by pushoff; wlo_abelian_intermediate reads validate's records
+        # two push-offs per loop, and pushoff sweeps each once, against its
+        # loop and against itself; wlo_abelian_intermediate reads
+        # validate's records
         path = corpus_dir / "hopf.link.json"
         code, _ = run_cli(capsys, "wlo", "--mode", "abelian", str(path))
         assert code == 0
@@ -422,8 +458,20 @@ class TestCliWlo:
         assert len(offsets) == 4 and all(la in loops for la, _ in offsets)
         for _, off in offsets:
             assert sum(lb is off for _, lb in pairs) == 1
+            assert sum(lp is off for lp in loop_scans["self_crossings"]) == 1
         assert pairs.count(loops) == 2
         assert len(pairs) == 6
+        assert loop_scans["sweeps"] == 8  # and one per hopf loop, by validate
+
+    def test_abelian_scans_each_lift_once(self, capsys, corpus_dir, lift_scans):
+        # validate scans both loops; the CLI's crossing marks and the
+        # crossing-mark route reuse those scans, and so do the pair's
+        # link_number and each loop's self_link as loop 0, except that
+        # hopf's second loop is loop 1 in the link; each push-off is new
+        code, _ = run_cli(capsys, "wlo", "--mode", "abelian", str(corpus_dir / "hopf.link.json"))
+        assert code == 0
+        assert len(lift_scans) <= 7  # 16 when nothing was kept
+        assert len({(id(lp), t0, j) for lp, t0, j in lift_scans}) == len(lift_scans)
 
     def test_abelian_every_vertex_on_a_level(self, capsys, tmp_path):
         # a triangle whose lift is 0, 2pi, 4pi, 6pi at t0 = 0 passes
@@ -510,6 +558,14 @@ class TestCliCheck:
                           str(corpus_dir / "hopf.link.json"))
         assert code == 0
         assert len(loop_scans["pairs"]) == 1
+
+    def test_lem2_scans_each_lift_once_per_sample(self, capsys, corpus_dir, lift_scans):
+        # validate scans both loops at the file's t0; each sample's
+        # admissible_at scans them at its own t0 and link_number reuses that
+        code, _ = run_cli(capsys, "check", "--what", "lem2", str(corpus_dir / "hopf.link.json"))
+        assert code == 0
+        assert len(lift_scans) <= 18  # 34 when nothing was kept
+        assert len({(id(lp), t0, j) for lp, t0, j in lift_scans}) == len(lift_scans)
 
     def test_lem2_needs_two_loops(self, capsys, corpus_dir):
         code, _ = run_cli(capsys, "check", "--what", "lem2",
@@ -695,6 +751,41 @@ def test_malformed_file_exit_2(capsys, tmp_path, command, text, message):
     assert captured.out == ""
     assert f"parse error: {message}" in captured.err
     assert "Traceback" not in captured.err
+
+
+ABELIAN = ("wlo", "--mode", "abelian")
+HUGE_NUMBER_PROBES = [  # (file, command, key path, value, the parse error it raises)
+    ("hopf.link.json", ABELIAN, ("loops", 0, "vertices", 1, 0), 10**400,
+     "loop 0 vertex coordinate is not finite"),
+    ("hopf.link.json", ABELIAN, ("t0",), 10**400, "t0 is not finite"),
+    ("hopf.link.json", ABELIAN, ("loops", 1, "color"), 10**400, "loop 1 color is not finite"),
+    ("twocircles.shadow.json", ("eval", "--level", "3"), ("faces", 0, "gleam"), 10**400,
+     "face 0 gleam is not finite"),
+    # finite, but twice the value is past the float range
+    ("hopf.link.json", ABELIAN, ("loops", 1, "color"), 1e308, "loop 1 color is too large"),
+    ("twocircles.shadow.json", ("eval", "--level", "3"), ("faces", 0, "gleam"), 1e308,
+     "face 0 gleam is too large"),
+]
+
+
+@pytest.mark.parametrize("name, command, keys, big, message", HUGE_NUMBER_PROBES,
+                         ids=[m for *_rest, m in HUGE_NUMBER_PROBES])
+def test_number_past_float_range_exit_2(capsys, corpus_dir, tmp_path, name, command, keys,
+                                        big, message):
+    # float() of a JSON integer too large for a float raises OverflowError,
+    # which must not pass for a result that is not finite (exit 3)
+    obj = json.loads((corpus_dir / name).read_text())
+    parent = obj
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = big
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    code = main([*command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"parse error: {message}" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -155,6 +157,17 @@ class TestSweptScans:
                 assert got == self.outcome(min_clearance_oracle, lp)
                 seen["clearance"] += isinstance(got, float)
         assert min(seen.values()) >= 40, seen
+
+    def test_collinear_overlap_past_the_endpoint_tests(self):
+        # exactly collinear, overlapping segments far longer than their
+        # distance from the origin: the float distances of a2 to b and b1
+        # to a come out 6e-8 and 1.7e-8, so only the graze test sees them
+        a1, a2 = (558.0, -80.0), (386302656.0, 530731888.0)
+        b1, b2 = (64384241.0, 88455248.0), (836988437.0, 1149919184.0)
+        la, lb = polygon([a1, a2, (-5e8, 4e8)]), polygon([b1, b2, (9e8, 1e8)])
+        got = self.outcome(ss.geometry._proper_crossings, la, lb, False)
+        assert got == self.outcome(proper_crossings_oracle, la, lb, False)
+        assert got == (DegenerateGeometry, "segments graze or overlap (segments 0, 0)")
 
     def test_clearance_prune_margin_covers_rounding(self):
         # two pairs at distance 0.1 whose float distances differ by 2 ulps;
@@ -588,37 +601,82 @@ def random_lift_loop(rng):
     return ss.make_loop([(x, y, t) for (x, y), t in zip(pts, lifts)]), t0, w
 
 
+def scan_matches_t0_cut_oracle(lp, t0, w) -> str:
+    """The one lift scan against the two separate scans it replaced: the
+    same defects (as a subset, non-empty together) and, wherever the oracle
+    finds marks, the same marks.  The oracle cannot rebase a lift with
+    every vertex on a level and raises there; the scan counts those
+    crossings, and they must sum to the winding.  Returns the case seen."""
+    marks, defects = ss.geometry._lift_scan(lp, t0, 0)
+    oracle_defects, oracle_marks = t0_cut_oracle(lp, t0)
+    assert bool(defects) == bool(oracle_defects)
+    assert set(defects) <= set(oracle_defects)
+    if isinstance(oracle_marks, Exception):
+        if defects:
+            return "rejected"
+        assert "every vertex of the lift sits at t0" in str(oracle_marks)
+        assert sum(m.eps for m in marks) == w
+        return "all on levels"
+    assert not defects
+    assert [(m.loop, m.eps) for m in marks] == [(m.loop, m.eps) for m in oracle_marks]
+    for m, o in zip(marks, oracle_marks):
+        assert abs(m.param - o.param) <= 1e-12
+        assert math.dist(m.point, o.point) <= 1e-12
+        assert math.dist(m.tangent, o.tangent) <= 1e-12
+    return "marks"
+
+
 class TestLiftScan:
     def test_matches_t0_cut_oracle(self):
-        """The one lift scan against the two separate scans it replaced:
-        the same defects (as a subset, non-empty together) and, wherever
-        the oracle finds marks, the same marks.  The oracle cannot rebase a
-        lift with every vertex on a level and raises there; the scan
-        counts those crossings, and they must sum to the winding."""
         rng = random.Random(20261018)
         seen = {"marks": 0, "rejected": 0, "all on levels": 0}
         for _ in range(5000):
-            lp, t0, w = random_lift_loop(rng)
-            marks, defects = ss.geometry._lift_scan(lp, t0, 0)
-            oracle_defects, oracle_marks = t0_cut_oracle(lp, t0)
-            assert bool(defects) == bool(oracle_defects)
-            assert set(defects) <= set(oracle_defects)
-            if isinstance(oracle_marks, Exception):
-                if defects:
-                    seen["rejected"] += 1
-                    continue
-                assert "every vertex of the lift sits at t0" in str(oracle_marks)
-                assert sum(m.eps for m in marks) == w
-                seen["all on levels"] += 1
-                continue
-            assert not defects
-            assert [(m.loop, m.eps) for m in marks] == [(m.loop, m.eps) for m in oracle_marks]
-            for m, o in zip(marks, oracle_marks):
-                assert abs(m.param - o.param) <= 1e-12
-                assert math.dist(m.point, o.point) <= 1e-12
-                assert math.dist(m.tangent, o.tangent) <= 1e-12
-            seen["marks"] += 1
+            seen[scan_matches_t0_cut_oracle(*random_lift_loop(rng))] += 1
         assert min(seen.values()) >= 50, seen
+
+    def test_alternating_t0_match_oracle(self):
+        # scans of one loop at t0 = a, b, a: the loop keeps the results of
+        # one t0, and each scan is the oracle's at its own t0
+        rng = random.Random(18)
+        seen = {"marks": 0, "rejected": 0, "all on levels": 0}
+        for _ in range(1500):
+            lp, a, w = random_lift_loop(rng)
+            b = rng.choice([0.0, a + 1e-6, rng.uniform(0.0, TAU)])
+            for t0 in (a, b, a):
+                seen[scan_matches_t0_cut_oracle(lp, t0, w)] += 1
+                assert {t for t, _ in lp.lift_scans} == {t0}
+            assert ss.geometry._lift_scan(lp, a, 0) is ss.geometry._lift_scan(lp, a, 0)
+            marks, _ = ss.geometry._lift_scan(lp, a, 3)
+            assert {m.loop for m in marks} <= {3} and len(lp.lift_scans) == 2
+        assert min(seen.values()) >= 50, seen
+
+    def test_threads_sharing_a_loop_get_their_own_t0(self):
+        # threads scanning one loop at alternating t0 may scan twice, but
+        # each gets the scan of its own t0
+        lp = polygon_circle(0.0, 0.0, 1.0, 24, winding=2, theta0=0.4)
+        t0s = (0.3, 1.7, 4.1)
+        want = {t0: ss.geometry._lift_scan(dataclasses.replace(lp), t0, 0) for t0 in t0s}
+        wrong = []
+
+        def scan(k):
+            for n in range(400):
+                t0 = t0s[(k + n) % len(t0s)]
+                if ss.geometry._lift_scan(lp, t0, 0) != want[t0]:
+                    wrong.append(t0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=scan, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(lp.lift_scans) <= len(t0s)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 12), st.integers(-3, 3).filter(bool), st.floats(0.0, 6.28),
@@ -673,6 +731,12 @@ class TestInd:
         lp = polygon_circle(0, 0, 1.0, 16)
         with pytest.raises(PointOnCurve):
             ss.ind(lp, (1.0, 0.0))
+        # every vertex and segment midpoint, also those that the one pass
+        # reaches after it has counted a crossing
+        for (ax, ay), (bx, by) in zip(lp.planar, lp.planar[1:]):
+            for p in ((ax, ay), ((ax + bx) / 2, (ay + by) / 2)):
+                with pytest.raises(PointOnCurve):
+                    ss.ind(lp, p)
 
     def test_vertical_loop(self):
         # the loop projects to its base point (1, 2): no winding off it,

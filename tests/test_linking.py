@@ -1,15 +1,22 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import shadowsum as ss
-from shadowsum.errors import NotNullHomologous, OffsetTooLarge, TangentialCrossing
-from shadowsum.geometry import loop_min_clearance
+import shadowsum.linking
+from shadowsum.errors import (
+    DegenerateGeometry,
+    NotNullHomologous,
+    OffsetTooLarge,
+    TangentialCrossing,
+)
+from shadowsum.geometry import DoublePoint, loop_min_clearance
 from shadowsum.random_links import polygon_circle, random_crossing_pair
 
-from conftest import diagram_linking_oracle
+from conftest import diagram_linking_oracle, proper_crossings_oracle
 
 TAU = 2 * math.pi
 
@@ -136,6 +143,87 @@ class TestPushoff:
         lp = polygon_circle(0, 0, 1.0, 24, theta0=0.4, phase=0.1)
         with pytest.raises(OffsetTooLarge):
             ss.pushoff(lp, loop_min_clearance(lp) / 2.0)
+
+
+def grid_polygon(rng):
+    """4-12 vertices on a small integer grid: a walk of axis-parallel and
+    diagonal steps, closed by a last segment of any slope.  Offsets by 0.5
+    to 2 move corners between axis-parallel steps exactly, onto other
+    segments and onto the lines of diagonal ones."""
+    x, y = rng.randint(0, 6), rng.randint(0, 6)
+    pts = [(x, y)]
+    for _ in range(rng.randint(3, 11)):
+        r = rng.choice((-2, -1, 1, 2))
+        kind = rng.random()
+        if kind < 0.35:
+            x += r
+        elif kind < 0.7:
+            y += r
+        else:
+            x, y = x + r, y + rng.choice((-r, r))
+        pts.append((x, y))
+    return pts
+
+
+def offset_crossings_oracle(l, off, tally):
+    """`pushoff`'s checks on the offset loop `off` with all-pairs scans:
+    the offset's own pairs, then its pairs with `l`; the records as
+    `validate_oracle` builds them."""
+    try:
+        if proper_crossings_oracle(off, off, True, tally) and not l.self_crossings:
+            raise OffsetTooLarge("offset curve of a simple projection self-intersects")
+        pairs = proper_crossings_oracle(l, off, False, tally)
+    except DegenerateGeometry as exc:
+        raise OffsetTooLarge(f"offset curve degenerates: {exc}") from exc
+    out = []
+    for si, sj, ta, tb, pt, sign in pairs:
+        ua, ub = float((si + ta) / l.nseg), float((sj + tb) / off.nseg)
+        out.append(DoublePoint(pt, ((0, ua), (1, ub)), (l.theta_at(ua), off.theta_at(ub)), sign))
+    return tuple(out)
+
+
+class TestPushoffSweep:
+    def test_matches_all_pairs_oracle(self, monkeypatch):
+        # pushoff's one sweep over the loop and its offset against two
+        # all-pairs scans, exceptions included.  The threshold is lifted so
+        # that offsets of 0.5 to 2 on the grid meet the loop exactly; the
+        # offset's own pairs are checked on self-crossing loops too
+        monkeypatch.setattr(shadowsum.linking, "loop_min_clearance", lambda loop: math.inf)
+        offsets = []
+        real_sweep = shadowsum.linking._segment_sweep
+
+        def sweep(loops, *selves):
+            offsets.append(loops[1])
+            return real_sweep(loops, *selves)
+
+        monkeypatch.setattr(shadowsum.linking, "_segment_sweep", sweep)
+        rng = random.Random(18)
+        tally = Counter()
+        cases = 0
+        while cases < 400:
+            pts = grid_polygon(rng) if rng.random() < 0.8 else [
+                (rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(rng.randint(3, 10))]
+            try:
+                l = ss.make_loop([(x, y, 0.5) for x, y in pts + pts[:1]])
+                l.self_crossings  # pushoff's input has passed validate's scan
+            except DegenerateGeometry:
+                continue
+            cases += 1
+            offset = rng.choice((0.5, 1.0, 1.5, 2.0, rng.uniform(1e-3, 0.3)))
+            try:
+                got = ss.pushoff(l, offset)[1]
+            except OffsetTooLarge as exc:
+                got = (OffsetTooLarge, str(exc))
+            try:
+                want = offset_crossings_oracle(l, offsets[-1], tally)
+            except OffsetTooLarge as exc:
+                want = (OffsetTooLarge, str(exc))
+            assert got == want
+            tally["degenerate"] += "degenerates" in str(want)
+            tally["degenerate, self-crossing loop"] += (
+                "degenerates" in str(want) and bool(l.self_crossings))
+            tally["crossings"] += bool(want) and want[0] is not OffsetTooLarge
+        assert min(tally.values()) >= 20, tally
 
 
 class TestSelfLink:
