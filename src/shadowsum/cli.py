@@ -1,14 +1,15 @@
 """Command-line front end.
 
     shadowsum eval  [--level K] [--format text|json] FILE
-    shadowsum wlo   --mode dpfree|abelian|vertical [--level K] [--genus G]
-                    [--dims a,b,...] [--format ...] [FILE]
+    shadowsum wlo   --mode dpfree|abelian [--level K] [--format ...] FILE
+    shadowsum wlo   --mode vertical [--level K] [--genus G] [--dims a,b,...]
+                    [--format ...] [FILE]
     shadowsum check --what bijection|euler|lem2 [--level K] [--samples N] FILE
 
 Exit codes: 0 success/pass, 1 check failed, 2 parse error (including an
-argument out of range and an input file that cannot be read or is not
-UTF-8), 3 invariant violation (including a value that is not finite),
-4 mode precondition violated.
+argument out of range, --dims outside vertical mode and an input file
+that cannot be read or is not UTF-8), 3 invariant violation (including a
+value that is not finite), 4 mode precondition violated.
 
 Each command and mode has a handler that returns a `RunResult`; `main`
 alone times it, checks the result is finite, prints it and maps errors to
@@ -121,6 +122,19 @@ def _load_link_arg(args):
     return _with_level_arg(loads_link(data), args), digest
 
 
+def _spherical_link_arg(args):
+    """`_load_link_arg` for the wlo modes on the sphere, which take no --dims."""
+    if args.dims:
+        raise ParseError(f"argument --dims: not allowed with --mode {args.mode}")
+    return _load_link_arg(args)
+
+
+def _require_genus_zero(args) -> None:
+    if args.genus != 0:
+        raise PreconditionError(
+            f"{args.mode} mode evaluates spherical geometry; --genus must be 0")
+
+
 def _eval(args) -> RunResult:
     data, digest = _read_input(args.file)
     shadow = loads_shadow(data)
@@ -150,10 +164,11 @@ def _wlo_vertical(args) -> RunResult:
 
 
 def _wlo_abelian(args) -> RunResult:
-    link, digest = _load_link_arg(args)
+    link, digest = _spherical_link_arg(args)
     report = validate(link)
     if not report.ok:
         raise PreconditionError("link failed admissibility validation")
+    _require_genus_zero(args)
     winds = [winding_s1(lp) for lp in link.loops]
     value = wlo_abelian(link)
     marks = crossing_marks(link)
@@ -167,10 +182,9 @@ def _wlo_abelian(args) -> RunResult:
 
 
 def _wlo_dpfree(args) -> RunResult:
-    link, digest = _load_link_arg(args)
+    link, digest = _spherical_link_arg(args)
     fc = face_complex(link)
-    if args.genus != 0:
-        raise PreconditionError("dpfree mode evaluates spherical geometry; --genus must be 0")
+    _require_genus_zero(args)
     level = Level(link.level)
     value = wlo_dpfree_final(link, level, fc)
     pairs = enumerate_pairs(link, level, fc)

@@ -58,6 +58,8 @@ def _read(path) -> bytes:
 
 
 def _number(obj, what: str, *args) -> float:
+    if type(obj) is float and obj - obj == 0.0:  # finite: inf - inf and NaN give NaN
+        return obj
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ParseError(f"{what.format(*args)} must be a number, got {obj!r}")
     try:

@@ -17,20 +17,25 @@ filter-then-exact scheme of Shewchuk, "Adaptive Precision Floating-Point
 Arithmetic and Fast Robust Geometric Predicates", DCG 18, 1997).
 
 All operations are pure functions of immutable inputs and are safe to call
-concurrently.  A `Loop` computes its self-crossings and its clearance
-lazily, at most once, and its lift scans at one t0 (`lift_scans`, emptied
-when it is scanned at another t0), and caches them on the instance; a race
-between threads only computes the same value twice.  `ind` tests its point
-against the curve and counts the crossings in one pass over the segments.
+concurrently.  A `Loop` computes its self-crossings (unless a `validate`
+has found them first) and its clearance lazily, at most once, and its
+lift scans at one t0 (`lift_scans`, emptied when it is scanned at another
+t0), and caches them on the instance; a race between threads only
+computes the same value twice.  `ind` counts the crossings in one pass
+over the segments, and measures the distance to its point only on the
+segments whose stored box lies within COINCIDENCE_TOL plus a rounding
+margin of 1e-12 times the largest coordinate (derived at `ind`).
 
 The segment-pair scans sweep the segments' x-extents (Shamos and Hoey,
 "Geometric intersection problems", FOCS 1976), so they visit only pairs
 whose bounding boxes can meet or lie close, not all O(S^2) pairs.  Each
 `Loop` stores its segments' bounding boxes once.  `validate` sweeps the
-segments of all its loops once, for the pairs of distinct loops, and
-visits loop pairs and segment pairs in the order of one all-pairs scan
-per loop pair, so its crossings and first defect are that scan's.  A
-sweep can also pair chosen loops with themselves, as `pushoff` does.
+segments of all its loops once, for the pairs of distinct loops and for
+the own pairs of each loop whose self-crossings are not known yet, which
+it stores on the loop.  It visits loop pairs and segment pairs in the
+order of one all-pairs scan per loop pair, so its crossings and first
+defect are that scan's.  `pushoff` sweeps a loop and its offset once,
+pairing the offset with itself too.
 
 The t0 cut rests on two facts with one implementation each.  `_records`
 turns the crossing scan into `DoublePoint` records: both strands'
@@ -151,21 +156,24 @@ class Loop:
     color: Fraction = Fraction(1, 2)
     framing: int = 0
     vertical: bool = False
-    # projections of `vertices` and segment bounding boxes, built once, and
-    # `_lift_scan` results by (t0, loop index), kept for one t0 at a time
+    # projections of `vertices`, segment bounding boxes and the largest
+    # planar |coordinate|, built once, and `_lift_scan` results by (t0,
+    # loop index), kept for one t0 at a time
     planar: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     lifts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     boxes: tuple[tuple[float, float, float, float], ...] = field(
         init=False, repr=False, compare=False)
+    scale: float = field(init=False, repr=False, compare=False)
     lift_scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pl = tuple((x, y) for x, y, _ in self.vertices)
-        object.__setattr__(self, "planar", pl)
-        object.__setattr__(self, "lifts", tuple(t for _, _, t in self.vertices))
-        object.__setattr__(self, "boxes", tuple(
-            (min(ax, bx), max(ax, bx), min(ay, by), max(ay, by))
-            for (ax, ay), (bx, by) in zip(pl, pl[1:])))
+        xs, ys, ts = zip(*self.vertices) if self.vertices else ((), (), ())
+        xb, yb = xs[1:], ys[1:]
+        object.__setattr__(self, "planar", tuple(zip(xs, ys)))
+        object.__setattr__(self, "lifts", ts)
+        object.__setattr__(self, "boxes", tuple(zip(
+            map(min, xs, xb), map(max, xs, xb), map(min, ys, yb), map(max, ys, yb))))
+        object.__setattr__(self, "scale", max(map(abs, xs + ys), default=0.0))
 
     @property
     def nseg(self) -> int:
@@ -193,7 +201,8 @@ class Loop:
 
     @cached_property
     def self_crossings(self) -> tuple:
-        """`_proper_crossings(self, self, same=True)`, scanned once."""
+        """`_proper_crossings(self, self, same=True)`, scanned once, here or
+        by the sweep of a `validate` over a link with this loop."""
         return tuple(_proper_crossings(self, self, same=True))
 
     @cached_property
@@ -271,7 +280,9 @@ def _segment_sweep(loops: Sequence[Loop], selves=()) -> dict:
     sorted lexicographically.  Loops are paired with each other, and a
     single loop or those indexed in `selves` with themselves (i < j)."""
     tol = COINCIDENCE_TOL
-    single = len(loops) == 1
+    own = [len(loops) == 1] * len(loops)  # own[a]: pair loop a with itself
+    for a in selves:
+        own[a] = True
     events = sorted((x0 - tol, x1, y0 - tol, y1, a, i)
                     for a, lp in enumerate(loops) for i, (x0, x1, y0, y1) in enumerate(lp.boxes))
     pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -280,7 +291,7 @@ def _segment_sweep(loops: Sequence[Loop], selves=()) -> dict:
         active = [s for s in active if s[0] >= lo]
         for _hi, bylo, byhi, b, j in active:
             # the x half of the box test holds by the sweep order
-            if bylo > yhi or ylo > byhi or (b == a and not single and a not in selves):
+            if bylo > yhi or ylo > byhi or (b == a and not own[a]):
                 continue
             if b < a or (b == a and j < i):
                 pairs.setdefault((b, a), []).append((j, i))
@@ -457,17 +468,22 @@ def validate(link: Link) -> AdmissibilityReport:
     vertical = tuple(i for i, lp in enumerate(loops) if lp.vertical)
     regular = [(i, lp) for i, lp in enumerate(loops) if not lp.vertical]
 
-    # one sweep finds the candidate segment pairs of all distinct loops
-    across = _segment_sweep([lp for _, lp in regular]) if len(regular) > 1 else {}
+    # one sweep finds the candidate segment pairs of all distinct loops and
+    # of each loop whose self-crossings are not known yet with itself; the
+    # latter are stored on the loop as its `self_crossings`
+    swept = [lp for _, lp in regular]
+    selves = tuple(a for a, lp in enumerate(swept) if "self_crossings" not in vars(lp))
+    found = _segment_sweep(swept, selves) if len(swept) > 1 or selves else {}
     events = []
     for ai, (i, la) in enumerate(regular):
-        for bi in range(ai, len(regular)):
-            j, lb = regular[bi]
-            if ai == bi:
-                pairs = la.self_crossings
-            else:
-                pairs = _pair_crossings(la, lb, False, across.get((ai, bi), ()))
-            events.extend(_records(la, i, lb, j, pairs))
+        if "self_crossings" not in vars(la):
+            object.__setattr__(la, "self_crossings", tuple(
+                _pair_crossings(la, la, True, found.get((ai, ai), ()))))
+        events.extend(_records(la, i, la, i, la.self_crossings))
+        for bi in range(ai + 1, len(regular)):
+            if candidates := found.get((ai, bi)):
+                j, lb = regular[bi]
+                events.extend(_records(la, i, lb, j, _pair_crossings(la, lb, False, candidates)))
 
     # cluster events by planar point; two events within tolerance mean at
     # least three strands through one point.  An event joins the first
@@ -650,11 +666,33 @@ def ind(loop: Loop, p: Sequence[float]) -> int:
     near infinity (and hence at sigma_0).  A vertical loop projects to its
     base point, so its segments have zero length there: it winds 0 times
     around any other point.  One pass counts crossings and raises
-    PointOnCurve at the first segment within COINCIDENCE_TOL of p."""
+    PointOnCurve if a segment lies within COINCIDENCE_TOL of p.
+
+    Only segments whose stored box lies within m = COINCIDENCE_TOL +
+    1e-12 S of p, S = max(loop.scale, |px|, |py|), are tested, and only
+    those whose box meets p's horizontal line, widened by m, are counted.
+    Skipping the others gives the same result.  A box beyond py + m in y
+    (the other three sides alike) has y0 - py > m - u (S + m), u = 2^-53,
+    after the rounding of py + m.  `_seg_point_dist` takes a t in [0, 1]
+    and rounds a + t (b - a) to within 5.1 u S of the segment, as
+    b - a, the product and the sum round once each and |a|, |b| <= S; the
+    difference to p and hypot lose a factor (1 - u)(1 - 2u) at most.  So
+    its distance exceeds (m - 7 u S - u m)(1 - 3u) > COINCIDENCE_TOL: the
+    scale term 1e-12 S is over 1000 times 7 u S, and below S = tol / 2
+    no box lies more than m from p.  A NaN bound fails every skip test,
+    so its segment is tested as before, and a point with an infinite
+    coordinate is off every segment, tested or not.
+    """
     p = px, py = float(p[0]), float(p[1])
+    m = COINCIDENCE_TOL + 1e-12 * max(loop.scale, abs(px), abs(py))
+    xlo, xhi, ylo, yhi = px - m, px + m, py - m, py + m
+    pl = loop.planar
     w = 0
-    for a, b in zip(loop.planar, loop.planar[1:]):
-        if _seg_point_dist(p, a, b) <= COINCIDENCE_TOL:
+    for i, (x0, x1, y0, y1) in enumerate(loop.boxes):
+        if y0 > yhi or y1 < ylo:
+            continue  # off p's line, and farther than m
+        a, b = pl[i], pl[i + 1]
+        if not (x0 > xhi or x1 < xlo) and _seg_point_dist(p, a, b) <= COINCIDENCE_TOL:
             raise PointOnCurve(f"point {p} lies on the projected curve")
         if a[1] <= py < b[1] and _orient(a, b, p) > 0:
             w += 1
@@ -806,7 +844,7 @@ def _min_clearance(loop: Loop) -> float:
     crossing = {(i, j) for (i, j, *_rest) in loop.self_crossings}
     n = loop.nseg
     pl = loop.planar
-    scale = max(max(abs(x), abs(y)) for x, y in pl)
+    scale = loop.scale
     boxes = sorted(box + (i,) for i, box in enumerate(loop.boxes))
     best = math.inf
     bound = math.inf  # gaps above this cannot lower `best`

@@ -40,15 +40,19 @@ same list backs the bijection check.  The pair route keeps its own
 enumeration and shares only the level, the doubled colors and the
 exception types with either state sum.
 
-The pair route costs about its output.  enumerate_pairs walks the 2^n sign
+The pair route costs about its output.  enumerate_pairs walks the sign
 vectors depth first, extending the face offsets by one column of the ind
-table per step, and reads each vector's admissible levels off its largest
-and smallest offset: O(2^n F) for the offsets plus O(F) per pair, where
-filtering all 2^n (k+1) candidates cost O(2^n (k+1) F n).
-wlo_dpfree_pairsum takes each face's sin(pi x / rbar)^chi from a table
-over x in {1, ..., k+1} and each phase from a memo on its integer exponent;
-the factors and the summation order are those of the per-pair formula, so
-the value is bit-identical.
+table per step, and drops a prefix, with every vector below it, once the
+offsets that no later loop changes spread by more than k together with 0;
+a complete vector reads its admissible levels off its largest and
+smallest offset.  That is O(F) per visited node and per pair, where
+filtering all 2^n (k+1) candidates cost O(2^n (k+1) F n): a nested chain
+of 40 circles at k = 1 keeps two prefixes per depth and has 2 pairs.
+wlo_dpfree_pairsum takes each face's sin(pi x / rbar)^chi and c x^2, its
+part of the integer phase exponent, from tables over x in {1, ..., k+1},
+and each phase from a memo on that exponent; the factors and the
+summation order are those of the per-pair formula, so the value is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     ColorOutOfRange,
@@ -368,8 +373,7 @@ def state_sum_dpfree(shadow: Shadow, level: Level) -> complex:
     return total
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
+class AdmissiblePair(NamedTuple):
     """A level index l and per-loop signs whose face field xi stays in
     {1, ..., k+1}."""
 
@@ -385,33 +389,54 @@ def enumerate_pairs(link: Link, level: Level, fc: FaceComplex) -> list[Admissibl
 
     The sign vectors are walked depth first in that order; choosing s_j
     adds s_j times column j of the ind table to the face offsets
-    d = sum_j s_j ind_j, so a complete vector costs O(F), not O(F n).  Its
-    admissible levels are exactly max(1, 1 + max d) <= l <= min(k+1,
-    k+1 + min d); each pair goes to the bucket of its l, and the buckets
-    are joined in l order.  Besides the output, the walk holds at most
-    n + 1 offset vectors.
+    d = sum_j s_j ind_j.  A vector's admissible levels are exactly
+    1 + max(0, max d) <= l <= k+1 + min(0, min d), so it has one iff the
+    offsets and 0 spread by at most k.  A face's offset is final once the
+    last loop with a nonzero entry in its row has its sign, and the walk
+    keeps the running min and max of 0 and the final offsets: a prefix
+    whose spread exceeds k is dropped with its whole subtree, since every
+    completion keeps those offsets.  Each surviving pair goes to the bucket
+    of its l, and the buckets are joined in l order.  Besides the output,
+    the walk holds at most n + 1 offset vectors.
     """
     for j, lp in enumerate(link.loops):
         if lp.color2 != 1:
             raise UnsupportedColor(
                 f"pair enumeration requires the fundamental color 1/2 on loop {j}")
     n = len(link.loops)
-    kp1 = level.k + 1
+    k = level.k
+    kp1 = k + 1
     columns = list(zip(*fc.ind_table))
+    # the faces whose offset is final once the sign of loop j is chosen
+    final = [[] for _ in range(n)]
+    for f, row in enumerate(fc.ind_table):
+        last = max((j for j, x in enumerate(row) if x), default=None)
+        if last is not None:
+            final[last].append(f)
     buckets = [[] for _ in range(kp1 + 1)]
-    # stack of (signs chosen so far, their offsets); s = +1 is pushed first
-    # so that s = -1 is expanded first, as itertools.product orders them
-    stack = [((), (0,) * len(fc.ind_table))]
+    # stack of (signs chosen so far, their offsets, min and max of 0 and
+    # the final offsets); s = +1 is pushed first so that s = -1 is
+    # expanded first, as itertools.product orders them
+    stack = [((), (0,) * len(fc.ind_table), 0, 0)]
     while stack:
-        signs, d = stack.pop()
+        signs, d, lo, hi = stack.pop()
         j = len(signs)
-        if j < n:
-            col = columns[j]
-            stack.append((signs + (1,), tuple(map(operator.add, d, col))))
-            stack.append((signs + (-1,), tuple(map(operator.sub, d, col))))
+        if j == n:
+            for l in range(1 + hi, kp1 + lo + 1):
+                buckets[l].append(AdmissiblePair(l, signs, tuple([l - x for x in d])))
             continue
-        for l in range(max(1, 1 + max(d)), min(kp1, kp1 + min(d)) + 1):
-            buckets[l].append(AdmissiblePair(l=l, signs=signs, xi=tuple(l - x for x in d)))
+        col = columns[j]
+        for s, step in ((1, operator.add), (-1, operator.sub)):
+            e = tuple(map(step, d, col))
+            elo, ehi = lo, hi
+            for f in final[j]:
+                x = e[f]
+                if x < elo:
+                    elo = x
+                elif x > ehi:
+                    ehi = x
+            if ehi - elo <= k:
+                stack.append((signs + (s,), e, elo, ehi))
     return [pair for bucket in buckets for pair in bucket]
 
 
@@ -469,21 +494,25 @@ def wlo_dpfree_pairsum(link: Link, level: Level, fc: FaceComplex,
     parity = -1.0 if sum(1 for w in winds if w % 2 == 0) % 2 else 1.0
     if pairs is None:
         pairs = enumerate_pairs(link, level, fc)
-    # sin(pi x / rbar)^chi_t for every face field value x in {1, ..., k+1},
-    # indexed by x, and the phase of each exponent s met so far
-    amps = [[None] + [math.sin(math.pi * x / r) ** chi for x in range(1, level.k + 2)]
-            for chi in fc.chi]
+    # s = sum_j w_j (xi(left_j)^2 - xi(right_j)^2) = sum_f c_f xi_f^2 with
+    # c_f = sum_j w_j ([left_j = f] - [right_j = f])
+    coef = [0] * len(fc.chi)
+    for w, (left, right) in zip(winds, fc.loop_sides):
+        coef[left] += w
+        coef[right] -= w
+    # sin(pi x / rbar)^chi_f and c_f x^2 for every face f and face field
+    # value x in {1, ..., k+1}, indexed by x, and the phase of each
+    # exponent s met so far
+    xs = range(1, level.k + 2)
+    amps = [[None] + [math.sin(math.pi * x / r) ** chi for x in xs] for chi in fc.chi]
+    squares = [[None] + [c * x * x for x in xs] for c in coef]
     phases: dict[int, complex] = {}
-    sides = list(zip(winds, fc.loop_sides))
+    getitem = operator.getitem
     total = 0j
     for pair in pairs:
         xi = pair.xi
-        amp = 1.0
-        for table, x in zip(amps, xi):
-            amp *= table[x]
-        s = 0
-        for w, (left, right) in sides:
-            s += w * (xi[left] ** 2 - xi[right] ** 2)
+        amp = math.prod(map(getitem, amps, xi))
+        s = sum(map(getitem, squares, xi))
         phase = phases.get(s)
         if phase is None:
             phase = phases[s] = cmath.exp(complex(0.0, -math.pi * s / (2.0 * r)))

@@ -133,6 +133,24 @@ def sample_point_oracle(link, fc, face_id) -> tuple[float, float]:
     raise DegenerateGeometry(f"could not find an interior point of face {face_id}")
 
 
+def ind_oracle(loop, p) -> int:
+    """`geometry.ind` without its box filter: every segment's distance to
+    p is tested, and crossings counted, in one pass."""
+    from shadowsum.errors import PointOnCurve
+    from shadowsum.geometry import COINCIDENCE_TOL, _orient, _seg_point_dist
+
+    p = px, py = float(p[0]), float(p[1])
+    w = 0
+    for a, b in zip(loop.planar, loop.planar[1:]):
+        if _seg_point_dist(p, a, b) <= COINCIDENCE_TOL:
+            raise PointOnCurve(f"point {p} lies on the projected curve")
+        if a[1] <= py < b[1] and _orient(a, b, p) > 0:
+            w += 1
+        elif b[1] <= py < a[1] and _orient(a, b, p) < 0:
+            w -= 1
+    return w
+
+
 def winding_oracle(loop, p) -> int:
     """Angle-sum winding number, independent of the ray-crossing route."""
     total = 0.0

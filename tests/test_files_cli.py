@@ -445,10 +445,11 @@ class TestCliWlo:
             assert loop_scans["self_crossings"].count(lp) == 1
 
     def test_abelian_scans_each_pushoff_once(self, capsys, corpus_dir, loop_scans):
-        # validate and wlo_abelian sweep the loop pair once; self_link makes
-        # two push-offs per loop, and pushoff sweeps each once, against its
-        # loop and against itself; wlo_abelian_intermediate reads
-        # validate's records
+        # validate sweeps the loop pair once, with each loop against itself,
+        # and wlo_abelian sweeps the pair once more; self_link makes two
+        # push-offs per loop, and pushoff sweeps each once, against its loop
+        # and against itself; wlo_abelian_intermediate reads validate's
+        # records
         path = corpus_dir / "hopf.link.json"
         code, _ = run_cli(capsys, "wlo", "--mode", "abelian", str(path))
         assert code == 0
@@ -461,7 +462,12 @@ class TestCliWlo:
             assert sum(lp is off for lp in loop_scans["self_crossings"]) == 1
         assert pairs.count(loops) == 2
         assert len(pairs) == 6
-        assert loop_scans["sweeps"] == 8  # and one per hopf loop, by validate
+        assert loop_scans["sweeps"] == 6
+        # validate's sweep, the first, scans each hopf loop's own pairs, and
+        # no later sweep scans them again
+        assert pairs[0] == loops and loop_scans["self_crossings"][:2] == list(loops)
+        for lp in loops:
+            assert loop_scans["self_crossings"].count(lp) == 1
 
     def test_abelian_scans_each_lift_once(self, capsys, corpus_dir, lift_scans):
         # validate scans both loops; the CLI's crossing marks and the
@@ -493,6 +499,23 @@ class TestCliWlo:
                             str(corpus_dir / "circle_w0.link.json"))
         assert code == 4
         assert out == ""
+
+    def test_abelian_genus_must_be_zero(self, capsys, corpus_dir):
+        code = main(["wlo", "--mode", "abelian", "--genus", "3",
+                     str(corpus_dir / "hopf.link.json")])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "abelian mode evaluates spherical geometry; --genus must be 0" in captured.err
+
+    @pytest.mark.parametrize("mode, name", [("dpfree", "circle_w0"), ("abelian", "hopf")])
+    def test_dims_only_in_vertical_mode(self, capsys, corpus_dir, mode, name):
+        code = main(["wlo", "--mode", mode, "--dims", "3,2",
+                     str(corpus_dir / f"{name}.link.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: argument --dims:")
 
     def test_dpfree_rejects_double_points(self, capsys, corpus_dir):
         code, _ = run_cli(capsys, "wlo", "--mode", "dpfree",
@@ -686,6 +709,8 @@ def test_non_finite_evaluator_value_exit_3(capsys, corpus_dir, monkeypatch, eval
     ("wlo", "--mode", "vertical", "--dims", "3", "--level", "3", "nonexistent.link.json"),
     ("wlo", "--mode", "dpfree", "--level", "0", "circle_w0.link.json"),
     ("wlo", "--mode", "dpfree", "--genus", "-1", "circle_w0.link.json"),
+    ("wlo", "--mode", "dpfree", "--dims", "3,2", "circle_w0.link.json"),
+    ("wlo", "--mode", "abelian", "--dims", "3,2", "hopf.link.json"),
     ("eval", "--level", "0", "twocircles.shadow.json"),
     ("eval", "--level", "-3", "twocircles.shadow.json"),
     ("eval", "--level", "2", "--threads", "0", "twocircles.shadow.json"),

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 import sys
@@ -22,6 +23,7 @@ from conftest import (
     crossing_count_oracle,
     face_complex_oracle,
     face_of_point_oracle,
+    ind_oracle,
     loop_orientation_oracle,
     mark_oracle,
     min_clearance_oracle,
@@ -183,7 +185,7 @@ class TestLinkSweep:
 
     def test_matches_per_pair_oracle(self):
         rng = random.Random(11)
-        seen = {"raised": 0, "double points": 0}
+        seen = {"raised": 0, "double points": 0, "self-crossing loops": 0}
         cases = 0
         while cases < 300:
             pts = [scan_polygon(rng, 20) for _ in range(rng.randint(1, 5))]
@@ -203,8 +205,13 @@ class TestLinkSweep:
             assert got == TestSweptScans.outcome(validate_oracle, link)
             if isinstance(got, tuple):
                 seen["raised"] += 1
-            elif got.double_points:
-                seen["double points"] += 1
+                continue
+            seen["double points"] += bool(got.double_points)
+            # the own crossings validate's sweep stored on each loop
+            for lp in loops:
+                if not lp.vertical:
+                    assert lp.self_crossings == tuple(proper_crossings_oracle(lp, lp, True))
+                    seen["self-crossing loops"] += bool(lp.self_crossings)
         assert min(seen.values()) >= 40, seen
 
     def test_comb_matches_per_pair_oracle(self):
@@ -228,22 +235,39 @@ class TestLinkSweep:
             assert len(report.triple_points) == triple_points
 
     def test_one_sweep_per_link(self, monkeypatch):
-        # a row of 8 circles, each crossing its neighbours twice: the
-        # cross-loop pairs come from one sweep, not from 28 pair sweeps
+        # a row of 8 circles, each crossing its neighbours twice: one sweep
+        # finds the cross-loop pairs and every loop's own pairs, not 28
+        # pair sweeps and 8 loop sweeps
         loops = tuple(polygon_circle(1.5 * k, 0.0, 1.0, 16, theta0=0.5 + 0.1 * k)
                       for k in range(8))
         calls = []
         real = ss.geometry._segment_sweep
 
-        def sweep(lps):
-            calls.append(tuple(lps))
-            return real(lps)
+        def sweep(lps, *selves):
+            calls.append((tuple(lps), *selves))
+            return real(lps, *selves)
 
         monkeypatch.setattr(ss.geometry, "_segment_sweep", sweep)
         report = ss.validate(ss.Link(loops))
         assert len(report.double_points) == 14
-        assert [c for c in calls if len(c) > 1] == [loops]
-        assert sorted(map(loops.index, (c[0] for c in calls if len(c) == 1))) == list(range(8))
+        assert calls == [(loops, tuple(range(8)))]
+        # a loop keeps them: validating again pairs no loop with itself
+        assert ss.validate(ss.Link(loops)) == report
+        assert calls[1:] == [(loops, ())]
+
+    def test_lone_loop_swept_once(self, monkeypatch):
+        lp = polygon_circle(0.0, 0.0, 1.0, 16)
+        calls = []
+        real = ss.geometry._segment_sweep
+
+        def sweep(lps, *selves):
+            calls.append(len(lps))
+            return real(lps, *selves)
+
+        monkeypatch.setattr(ss.geometry, "_segment_sweep", sweep)
+        for _ in range(2):
+            assert ss.validate(ss.Link((lp,))).ok
+        assert calls == [1]
 
 
 class TestLoopOrientation:
@@ -773,6 +797,75 @@ class TestInd:
         except PointOnCurve:
             return
         assert mine == winding_oracle(lp, p)
+
+    @staticmethod
+    def outcome(fn, loop, p):
+        try:
+            return fn(loop, p)
+        except (PointOnCurve, OverflowError, ValueError) as exc:
+            # _orient's exact fallback rejects an infinite or NaN point
+            return (type(exc), str(exc))
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6, 1e9, 1e12])
+    def test_box_filter_matches_oracle(self, shift):
+        # probes at and around the coincidence tolerance from segment
+        # interiors and vertices: the filter skips no segment whose
+        # distance test would fire, at any offset of the coordinates
+        tol = ss.geometry.COINCIDENCE_TOL
+        rng = random.Random(int(shift) % 1000 + 3)
+        dists = (0.0, tol / 2, tol, tol * (1 - 1e-6), tol * (1 + 1e-6), 2 * tol, 1e-6)
+        tally = {"raised": 0, "counted": 0}
+        for _ in range(12):
+            pts = [(x + shift, y - shift) for x, y in scan_polygon(rng, 16)]
+            try:
+                lp = polygon(pts)
+            except DegenerateGeometry:
+                continue  # rounding to 0.1 made a zero-length segment
+            for (ax, ay), (bx, by) in zip(lp.planar, lp.planar[1:]):
+                dx, dy = bx - ax, by - ay
+                norm = math.hypot(dx, dy)
+                nx, ny = -dy / norm, dx / norm
+                bases = [((ax + t * dx, ay + t * dy), (nx, ny)) for t in (0.5, rng.random())]
+                a = rng.uniform(0, TAU)
+                bases.append(((ax, ay), (math.cos(a), math.sin(a))))
+                for (qx, qy), (ux, uy) in bases:
+                    for d in dists:
+                        for sign in (1, -1):
+                            p = (qx + sign * d * ux, qy + sign * d * uy)
+                            got = self.outcome(ss.ind, lp, p)
+                            assert got == self.outcome(ind_oracle, lp, p)
+                            tally["counted" if isinstance(got, int) else "raised"] += 1
+        assert min(tally.values()) >= 100, tally
+
+    def test_box_filter_on_mixed_magnitudes(self):
+        # segments from near the origin to 1e12: b - a rounds, so
+        # _seg_point_dist places its nearest point up to an ulp of 1e12
+        # outside the segment's box; probes there and at the rounded
+        # far ends must still be tested
+        rng = random.Random(5)
+        for _ in range(200):
+            big = (rng.uniform(0.5, 1.0) * 1e12, rng.uniform(0.5, 1.0) * 1e12)
+            pts = [big, (rng.uniform(-1, 1), rng.uniform(-2, -1)),
+                   (rng.uniform(1, 2), rng.uniform(-1, 1))]
+            lp = polygon(pts)
+            for (ax, ay), (bx, by) in zip(lp.planar, lp.planar[1:]):
+                dx, dy = bx - ax, by - ay
+                for t in (1.0, 1.0 - 2 ** -53, 0.5 ** 40, 0.0):
+                    for ex, ey in ((0, 0), (1e-4, 0), (0, -1e-4), (-1e-4, 1e-4)):
+                        p = (ax + t * dx + ex, ay + t * dy + ey)
+                        assert self.outcome(ss.ind, lp, p) == self.outcome(ind_oracle, lp, p)
+
+    def test_box_filter_on_extreme_inputs(self):
+        # infinite and NaN probes, coordinates near the float limit, and a
+        # vertical loop, whose boxes are its base point
+        loops = [polygon_circle(0, 0, 1.0, 16),
+                 ss.make_loop([(1e308, 0, 0), (-1e308, 1e308, 0), (-1e308, -1e308, 0),
+                               (1e308, 0, 0)]),
+                 ss.make_loop([(1, 2, 0.2), (1, 2, 3.2), (1, 2, 0.2 + TAU)], vertical=True)]
+        values = (0.0, 1.0, -1.0, 2.0, 1e-320, 1e308, -1e308, math.inf, -math.inf, math.nan)
+        for lp in loops:
+            for p in itertools.product(values, repeat=2):
+                assert self.outcome(ss.ind, lp, p) == self.outcome(ind_oracle, lp, p)
 
     def test_refinement_invariant(self):
         lp = polygon_circle(0, 0, 1.0, 12, phase=0.3)

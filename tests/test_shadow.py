@@ -141,6 +141,16 @@ def circle_row(n, level, winds):
     return ss.Link(loops, t0=0.0, level=level)
 
 
+def circle_chain(rng, n, level):
+    """n concentric 16-gons of radius 0.75^i, loop 0 outermost, with
+    seeded orientations and windings."""
+    loops = tuple(polygon_circle(0.0, 0.0, 0.75 ** i, 16, winding=rng.randint(-2, 2),
+                                 theta0=rng.uniform(0.1, 6.1), ccw=rng.random() < 0.5,
+                                 phase=rng.uniform(0.0, TAU))
+                  for i in range(n))
+    return ss.Link(loops, t0=0.0, level=level)
+
+
 class TestShadowConstruction:
     def test_circle_w0(self):
         shadow, fc = dpfree_shadow(circle_link(0))
@@ -530,6 +540,30 @@ class TestPairs:
             fc = ss.face_complex(link)
             level = Level(link.level)
             assert ss.enumerate_pairs(link, level, fc) == enumerate_pairs_oracle(link, level, fc)
+
+    def test_pruned_walk_matches_filter_oracle(self):
+        # nested chains, where a face's offset is final once its own loop
+        # has its sign and the walk drops most prefixes, and rows, where
+        # only k = 1 drops any: at the first offset of the other sign
+        rng = random.Random(19)
+        links = [circle_chain(rng, n, 1) for n in range(1, 13)]
+        links += [circle_row(n, 1, (0, 1, -1)) for n in range(1, 8)]
+        for link in links:
+            fc = ss.face_complex(link)
+            for k in range(1, 5):
+                level = Level(k)
+                assert ss.enumerate_pairs(link, level, fc) == enumerate_pairs_oracle(
+                    link, level, fc)
+
+    def test_deep_chain_at_low_level(self):
+        # 2^40 sign vectors, of which two have an admissible level at k = 1:
+        # the offsets of nested faces must alternate between 0 and +1 or -1
+        link = circle_chain(random.Random(40), 40, 1)
+        fc = ss.face_complex(link)
+        pairs = ss.enumerate_pairs(link, Level(1), fc)
+        assert len(pairs) == 2
+        pair = ss.wlo_dpfree_pairsum(link, Level(1), fc, pairs=pairs)
+        assert abs(pair - ss.wlo_dpfree_final(link, Level(1), fc)) <= 1e-9
 
     def test_pairsum_bit_identical_to_per_pair_formula(self):
         for link in pair_links():
