@@ -666,7 +666,9 @@ def ind(loop: Loop, p: Sequence[float]) -> int:
     near infinity (and hence at sigma_0).  A vertical loop projects to its
     base point, so its segments have zero length there: it winds 0 times
     around any other point.  One pass counts crossings and raises
-    PointOnCurve if a segment lies within COINCIDENCE_TOL of p.
+    PointOnCurve if a segment lies within COINCIDENCE_TOL of p.  A point
+    with an infinite or NaN coordinate raises PreconditionError before
+    any arithmetic.
 
     Only segments whose stored box lies within m = COINCIDENCE_TOL +
     1e-12 S of p, S = max(loop.scale, |px|, |py|), are tested, and only
@@ -679,11 +681,12 @@ def ind(loop: Loop, p: Sequence[float]) -> int:
     difference to p and hypot lose a factor (1 - u)(1 - 2u) at most.  So
     its distance exceeds (m - 7 u S - u m)(1 - 3u) > COINCIDENCE_TOL: the
     scale term 1e-12 S is over 1000 times 7 u S, and below S = tol / 2
-    no box lies more than m from p.  A NaN bound fails every skip test,
-    so its segment is tested as before, and a point with an infinite
-    coordinate is off every segment, tested or not.
+    no box lies more than m from p.  A NaN box bound fails every skip
+    test, so its segment is tested as before.
     """
     p = px, py = float(p[0]), float(p[1])
+    if not (math.isfinite(px) and math.isfinite(py)):
+        raise PreconditionError(f"point {p} is not finite")
     m = COINCIDENCE_TOL + 1e-12 * max(loop.scale, abs(px), abs(py))
     xlo, xhi, ylo, yhi = px - m, px + m, py - m, py + m
     pl = loop.planar

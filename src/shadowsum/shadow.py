@@ -27,18 +27,21 @@ The vertex-free state sum is evaluated by message passing over the face
 forest in O(F (k+1)^2) for F faces; it rejects any other face graph, so it
 and state_sum_general share the face weight but no summation code.
 Shadows with vertices are summed over the explicit list of
-enumerate_colorings in one pass.  The enumeration colors faces in id order
-and draws a face's candidates from the fusion range of an already colored
-lower-numbered neighbour, so only faces without one try all k+1 colors.
-state_sum_general evaluates each distinct 6j-symbol and each (face, color)
-weight once per call and accepts the list from a caller that already holds
-it: the CLI's eval enumerates once for both the value and the coloring
-count it prints.  Both state sums call quantum's doubled-int kernels, not
-its spin API, so a memo miss builds no Fraction; x = gleam - z/2 is the
-int quotient (2 gleam - z) / 2, rounded like float() of the Fraction.  The
-same list backs the bijection check.  The pair route keeps its own
-enumeration and shares only the level, the doubled colors and the
-exception types with either state sum.
+enumerate_colorings in one pass.  The enumeration colors faces breadth
+first over the face graph, each component from its lowest face, and draws
+a face's candidates from the fusion range of an already colored
+neighbour, so only a component's first face tries all k+1 colors; on a
+face forest, which every vertex-free shadow of a link is, no partial
+coloring is abandoned.  A list walked out of id order is sorted back, so
+it is the lexicographic one either way.  state_sum_general evaluates each
+distinct 6j-symbol and each (face, color) weight once per call and accepts
+the list from a caller that already holds it: the CLI's eval enumerates
+once for both the value and the coloring count it prints.  Both state sums
+call quantum's doubled-int kernels, not its spin API, so a memo miss
+builds no Fraction; x = gleam - z/2 is the int quotient (2 gleam - z) / 2,
+rounded like float() of the Fraction.  The same list backs the bijection
+check.  The pair route keeps its own enumeration and shares only the
+level, the doubled colors and the exception types with either state sum.
 
 The pair route costs about its output.  enumerate_pairs walks the sign
 vectors depth first, extending the face offsets by one column of the ind
@@ -166,8 +169,12 @@ def check_shadow(shadow: Shadow) -> None:
         if face.z != touch[t]:
             raise InvariantViolation(
                 f"face {t} declares z={face.z} but touches {touch[t]} double points")
-        if face.gleam is not None and (2 * Fraction(face.gleam)).denominator != 1:
-            raise InvariantViolation(f"face {t} gleam {face.gleam} is not half-integral")
+        if face.gleam is not None:
+            try:
+                doubled(face.gleam)
+            except ColorOutOfRange:
+                raise InvariantViolation(
+                    f"face {t} gleam {face.gleam} is not half-integral") from None
 
 
 def euler_identity_holds(shadow: Shadow) -> bool:
@@ -196,63 +203,89 @@ def enumerate_colorings(shadow: Shadow, level: Level) -> list[AreaColoring]:
     """All area colorings admissible with the edge colors, as tuples of
     doubled colors indexed by face id, in lexicographic order.
 
-    Faces are colored in id order.  A face with an already colored
-    lower-numbered neighbour draws its candidates from the colors
-    admissible with that neighbour across their edge (the one of least
-    color c, so at most c + 1 candidates); its other edges are checked
-    one by one.  Only a face without a lower-numbered neighbour tries
-    every color 0 .. k.
+    Faces are colored in breadth-first order over the face graph, each
+    connected component from its lowest face.  Every face after a
+    component's first has an already colored neighbour and draws its
+    candidates from the colors admissible with it across their edge (of
+    the edges to colored faces, the one of least color c, so at most
+    c + 1 candidates); its other edges to colored faces, self-loops
+    included, are checked one by one.  Only a component's first face tries
+    every color 0 .. k.  On a face forest every candidate extends, so the
+    walk costs O(F) per coloring.  When the visiting order is not
+    ascending, the list is sorted back into lexicographic order by face id.
     """
     nf = len(shadow.faces)
     if nf == 0:
         return [()]
     km = level.k
-    constraints = [[] for _ in range(nf)]
+    adjacent = [[] for _ in range(nf)]
     for e in shadow.edges:
         if not 0 <= e.color2 <= km:
             raise ColorOutOfRange(
                 f"edge color {Fraction(e.color2, 2)} outside color set of level {km}")
-        a, b = sorted((e.left, e.right))
-        constraints[b].append((a, e.color2))
-    # per face: the (neighbour, edge color) its candidates come from, or
-    # None, and the constraints left to check on each candidate
+        adjacent[e.left].append((e.right, e.color2))
+        if e.right != e.left:
+            adjacent[e.right].append((e.left, e.color2))
+    # breadth-first visiting order; pos[f] is face f's place in it
+    order = []
+    pos = [nf] * nf
+    head = 0
+    for start in range(nf):
+        if pos[start] < nf:
+            continue
+        pos[start] = len(order)
+        order.append(start)
+        while head < len(order):
+            for g, _ in adjacent[order[head]]:
+                if pos[g] == nf:
+                    pos[g] = len(order)
+                    order.append(g)
+            head += 1
+    # per place: the face, the (neighbour, edge color) its candidates come
+    # from or None, and the edges to colored faces left to check on each
+    # candidate
     plan = []
-    for f, checks in enumerate(constraints):
-        driver = min((gc for gc in checks if gc[0] < f), key=lambda gc: gc[1], default=None)
+    for i, f in enumerate(order):
+        checks = [gc for gc in adjacent[f] if pos[gc[0]] <= i]
+        driver = min((gc for gc in checks if gc[0] != f), key=lambda gc: gc[1], default=None)
         if driver is not None:
             checks.remove(driver)
-        plan.append((driver, checks))
+        plan.append((f, driver, checks))
     out: list[AreaColoring] = []
     assignment = [0] * nf
     every_color = range(km + 1)
 
-    def candidates(f: int):
-        if plan[f][0] is None:
+    def candidates(i: int):
+        driver = plan[i][1]
+        if driver is None:
             return iter(every_color)
-        g, c2 = plan[f][0]
+        g, c2 = driver
         tg = assignment[g]
         return iter(range(abs(tg - c2), min(tg + c2, 2 * km - tg - c2) + 1, 2))
 
-    # depth-first with an explicit stack: stack[f] holds the candidates of
-    # face f not tried yet, so a shadow of any size needs no recursion
+    # depth-first with an explicit stack: stack[i] holds the candidates of
+    # the face at place i not tried yet, so a shadow of any size needs no
+    # recursion
     stack = [candidates(0)]
     while stack:
-        f = len(stack) - 1
-        checks = plan[f][1]
-        for t in stack[f]:
+        i = len(stack) - 1
+        f, _, checks = plan[i]
+        for t in stack[i]:
             for g, c2 in checks:
                 if not _triple_ok(km, c2, t, t if g == f else assignment[g]):
                     break
             else:
                 break  # t passes every check
         else:
-            stack.pop()  # face f has no candidates left
+            stack.pop()  # the face at place i has no candidates left
             continue
         assignment[f] = t
-        if f + 1 == nf:
+        if i + 1 == nf:
             out.append(tuple(assignment))
         else:
-            stack.append(candidates(f + 1))
+            stack.append(candidates(i + 1))
+    if order != [*range(nf)]:
+        out.sort()
     return out
 
 
@@ -442,7 +475,7 @@ def enumerate_pairs(link: Link, level: Level, fc: FaceComplex) -> list[Admissibl
 
 def coloring_of_pair(pair: AdmissiblePair) -> AreaColoring:
     """Area coloring determined by a pair: eta = (xi - 1)/2 on every face."""
-    return tuple(x - 1 for x in pair.xi)
+    return tuple([x - 1 for x in pair.xi])
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import shadowsum.quantum
 import shadowsum.shadow
 from shadowsum.cli import main
 from shadowsum.errors import ParseError
+from shadowsum.random_links import polygon_circle
 
 from conftest import tangential_t0_link
 
@@ -545,6 +546,19 @@ class TestCliCheck:
         code, _ = run_cli(capsys, "check", "--what", "bijection", "--level", "3",
                           str(corpus_dir / "nested_pair.link.json"))
         assert code == 0
+
+    def test_bijection_on_a_long_row(self, capsys, tmp_path):
+        # 40 disjoint circles: the outer face has the highest id, so a walk
+        # in id order would try both colors on every circle's inside first
+        loops = tuple(polygon_circle(3.0 * i, 0, 1.0, 16, winding=i % 3 - 1,
+                                     theta0=0.5, phase=0.13)
+                      for i in range(40))
+        path = tmp_path / "row.link.json"
+        path.write_text(ss.dumps_link(ss.Link(loops, t0=0.0, level=1)))
+        code, out = run_cli(capsys, "check", "--what", "bijection", str(path))
+        assert code == 0
+        lines = out.splitlines()
+        assert "pairs: 2" in lines and "colorings: 2" in lines
 
     def test_euler_pass(self, capsys, corpus_dir):
         code, _ = run_cli(capsys, "check", "--what", "euler",

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -803,7 +804,7 @@ class TestInd:
         try:
             return fn(loop, p)
         except (PointOnCurve, OverflowError, ValueError) as exc:
-            # _orient's exact fallback rejects an infinite or NaN point
+            # the oracle's _orient exact fallback rejects an infinite or NaN point
             return (type(exc), str(exc))
 
     @pytest.mark.parametrize("shift", [0.0, 1e6, 1e9, 1e12])
@@ -856,16 +857,27 @@ class TestInd:
                         assert self.outcome(ss.ind, lp, p) == self.outcome(ind_oracle, lp, p)
 
     def test_box_filter_on_extreme_inputs(self):
-        # infinite and NaN probes, coordinates near the float limit, and a
-        # vertical loop, whose boxes are its base point
+        # coordinates near the float limit, and a vertical loop, whose boxes
+        # are its base point; ind rejects an infinite or NaN probe up front,
+        # where the oracle returns a winding number or fails in _orient
         loops = [polygon_circle(0, 0, 1.0, 16),
                  ss.make_loop([(1e308, 0, 0), (-1e308, 1e308, 0), (-1e308, -1e308, 0),
                                (1e308, 0, 0)]),
                  ss.make_loop([(1, 2, 0.2), (1, 2, 3.2), (1, 2, 0.2 + TAU)], vertical=True)]
         values = (0.0, 1.0, -1.0, 2.0, 1e-320, 1e308, -1e308, math.inf, -math.inf, math.nan)
+        oracle = {"int": 0, "OverflowError": 0, "ValueError": 0}
         for lp in loops:
             for p in itertools.product(values, repeat=2):
-                assert self.outcome(ss.ind, lp, p) == self.outcome(ind_oracle, lp, p)
+                expected = self.outcome(ind_oracle, lp, p)
+                if all(map(math.isfinite, p)):
+                    assert self.outcome(ss.ind, lp, p) == expected
+                    continue
+                oracle["int" if isinstance(expected, int) else expected[0].__name__] += 1
+                with pytest.raises(PreconditionError,
+                                   match=re.escape(f"point {(float(p[0]), float(p[1]))} "
+                                                   "is not finite")):
+                    ss.ind(lp, p)
+        assert oracle == {"int": 126, "OverflowError": 18, "ValueError": 9}
 
     def test_refinement_invariant(self):
         lp = polygon_circle(0, 0, 1.0, 12, phase=0.3)

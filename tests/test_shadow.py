@@ -86,6 +86,24 @@ def brute_force_state_sum(shadow, level):
     return total
 
 
+def term_by_term_sum(shadow, level, colorings):
+    """The state sum over `colorings` in their order, each term built as
+    complex(product of 6j-symbols) times the face weights in face order."""
+    total = 0j
+    for col in colorings:
+        vertex_part = 1.0
+        for v in shadow.vertices:
+            vertex_part *= sixj(level, F(v.e1_2, 2), F(col[v.j], 2), F(col[v.k], 2),
+                                F(v.e2_2, 2), F(col[v.m], 2), F(col[v.n], 2))
+        if vertex_part == 0.0:
+            continue
+        term = complex(vertex_part)
+        for t, face in zip(col, shadow.faces):
+            term *= _face_weight(level, face, t)
+        total += term
+    return total
+
+
 def random_vertex_shadow(rng, k):
     """A well-formed shadow with 1-3 double points on at most four faces.
 
@@ -121,6 +139,48 @@ def relabel_faces(shadow, perm):
         edges=tuple(ss.ShadowEdge(e.color2, new[e.left], new[e.right]) for e in shadow.edges),
         vertices=tuple(ss.ShadowVertex(v.e1_2, v.e2_2, new[v.j], new[v.k], new[v.m], new[v.n])
                        for v in shadow.vertices))
+
+
+def disjoint_union(a, b):
+    """Shadow a beside shadow b, whose face ids follow a's."""
+    nf = len(a.faces)
+    return ss.Shadow(
+        faces=a.faces + b.faces,
+        edges=a.edges + tuple(ss.ShadowEdge(e.color2, e.left + nf, e.right + nf)
+                              for e in b.edges),
+        vertices=a.vertices + tuple(
+            ss.ShadowVertex(v.e1_2, v.e2_2, v.j + nf, v.k + nf, v.m + nf, v.n + nf)
+            for v in b.vertices))
+
+
+def visiting_order(shadow):
+    """Breadth-first order of the faces over the face graph, each component
+    from its lowest face, with the set of component starts."""
+    adjacent = [[] for _ in shadow.faces]
+    for e in shadow.edges:
+        adjacent[e.left].append(e.right)
+        adjacent[e.right].append(e.left)
+    order, starts = [], set()
+    for start in range(len(shadow.faces)):
+        if start in order:
+            continue
+        starts.add(start)
+        queue = [start]
+        order.append(start)
+        while queue:
+            f = queue.pop(0)
+            for g in adjacent[f]:
+                if g not in order:
+                    order.append(g)
+                    queue.append(g)
+    return order, starts
+
+
+def star_shadow(n):
+    """n leaf faces, listed first, each joined to the centre face n by an
+    edge of color 1/2."""
+    faces = [ss.ShadowFace(chi=1, gleam=F(0))] * n + [ss.ShadowFace(chi=2 - n, gleam=F(0))]
+    return ss.Shadow(faces=faces, edges=[ss.ShadowEdge(1, f, n) for f in range(n)])
 
 
 def pair_links():
@@ -231,10 +291,13 @@ class TestEnumerateColorings:
 
 
     def test_relabelled_vertex_shadows_match_brute_force(self):
-        # faces are colored in id order, so relabelling moves which faces
-        # draw candidates from a colored neighbour and which scan 0..k
+        # faces are colored breadth first, each component from its lowest
+        # face, so relabelling moves which faces start a component and scan
+        # 0..k, which draw candidates from a colored neighbour, and which
+        # have further colored neighbours to check
         rng = random.Random(22)
-        seen = {"no lower neighbour": 0, "self-loop": 0, "no edges": 0}
+        seen = {"component start other than face 0": 0, "checks beyond driver": 0,
+                "self-loop": 0, "isolated face": 0}
         for _ in range(150):
             k = rng.randint(1, 4)
             base = random_vertex_shadow(rng, k)
@@ -245,11 +308,48 @@ class TestEnumerateColorings:
             assert ss.enumerate_colorings(shadow, lev) == brute_force_colorings(shadow, lev)
             ends = [(e.left, e.right) for e in shadow.edges]
             seen["self-loop"] += any(a == b for a, b in ends)
+            order, starts = visiting_order(shadow)
+            place = {f: i for i, f in enumerate(order)}
             for f in range(len(shadow.faces)):
-                others = {b if a == f else a for a, b in ends if f in (a, b)} - {f}
-                seen["no edges"] += not any(f in ab for ab in ends)
-                seen["no lower neighbour"] += f > 0 and bool(others) and min(others) > f
+                placed = [ab for ab in ends if f in ab and max(place[a] for a in ab) == place[f]]
+                seen["isolated face"] += not any(f in ab for ab in ends)
+                seen["component start other than face 0"] += f > 0 and f in starts
+                seen["checks beyond driver"] += f not in starts and len(placed) > 1
         assert min(seen.values()) >= 10, seen
+
+    def test_random_face_graphs_match_brute_force(self):
+        # small face graphs with few edges, so often several components or
+        # isolated faces: the walk finishes a component before it starts
+        # the next, and its list is often out of lexicographic order until
+        # it is sorted back
+        rng = random.Random(24)
+        sorted_back = 0
+        for _ in range(200):
+            k, nf = rng.randint(1, 3), rng.randint(2, 5)
+            edges = [ss.ShadowEdge(rng.randint(0, k), rng.randrange(nf), rng.randrange(nf))
+                     for _ in range(rng.randint(1, 3))]
+            shadow = ss.Shadow(faces=[ss.ShadowFace(chi=1, gleam=F(0))] * nf, edges=edges)
+            lev = Level(k)
+            expected = brute_force_colorings(shadow, lev)
+            assert ss.enumerate_colorings(shadow, lev) == expected
+            order, _ = visiting_order(shadow)
+            sorted_back += sorted(expected, key=lambda col: [col[f] for f in order]) != expected
+        assert sorted_back >= 10, sorted_back
+
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_star_leaves_before_centre(self, n):
+        # the centre has the highest id, so a walk in id order would try
+        # every color on every leaf; breadth first, each leaf draws from
+        # the centre
+        star = star_shadow(n)
+        leaves = [(1,) * n + (0,), (1,) * n + (2,)]
+        leaves += [col + (1,) for col in itertools.product((0, 2), repeat=n)]
+        assert ss.enumerate_colorings(star, Level(2)) == sorted(leaves)
+
+    def test_star_of_forty_leaves_at_level_one(self):
+        # in id order this walk would visit 2^40 leaf prefixes
+        assert ss.enumerate_colorings(star_shadow(40), Level(1)) == [
+            (0,) * 40 + (1,), (1,) * 40 + (0,)]
 
 
 class TestStateSums:
@@ -275,20 +375,25 @@ class TestStateSums:
         lev = Level(k)
         cols = ss.enumerate_colorings(two, lev)
         assert cols == sorted(cols)
-        expected = 0j
-        for col in cols:
-            vertex_part = 1.0
-            for v in two.vertices:
-                vertex_part *= sixj(lev, F(v.e1_2, 2), F(col[v.j], 2), F(col[v.k], 2),
-                                    F(v.e2_2, 2), F(col[v.m], 2), F(col[v.n], 2))
-            if vertex_part == 0.0:
-                continue
-            term = complex(vertex_part)
-            for t, face in zip(col, two.faces):
-                term *= _face_weight(lev, face, t)
-            expected += term
+        expected = term_by_term_sum(two, lev, cols)
         assert ss.state_sum_general(two, Level(k)) == expected
         assert ss.state_sum_general(two, Level(k), colorings=cols) == expected
+
+    @pytest.mark.parametrize("k", [2, 32])
+    def test_interleaved_twocircles_bit_identical_to_lexicographic_sum(self, corpus_dir, k):
+        # two copies of twocircles with their face ids interleaved: the walk
+        # colors one copy before the other, so its list must be sorted back
+        # into lexicographic order, in which the sum adds its terms
+        two = ss.load_shadow(corpus_dir / "twocircles.shadow.json")
+        pair = relabel_faces(disjoint_union(two, two), [0, 4, 1, 5, 2, 6, 3, 7])
+        order, _ = visiting_order(pair)
+        lev = Level(k)
+        cols = ss.enumerate_colorings(pair, lev)
+        singles = ss.enumerate_colorings(two, lev)
+        assert cols == sorted(tuple(x for ab in zip(a, b) for x in ab)
+                              for a in singles for b in singles)
+        assert sorted(cols, key=lambda col: [col[f] for f in order]) != cols
+        assert ss.state_sum_general(pair, lev) == term_by_term_sum(pair, lev, cols)
 
     def test_face_weight_once_per_distinct_face_and_color(self, corpus_dir, monkeypatch):
         # the four faces of twocircles carry equal (chi, gleam, z), so they
