@@ -73,20 +73,16 @@ def main():
     oscillating = polygon_circle(
         0, 0, 1.0, 20, phase=0.07,
         theta_fn=lambda u: 0.3 + 0.5 * math.sin(2 * math.pi * u))
-    osc_framing = ss.self_link(oscillating, 0.0)
-    oscillating = ss.make_loop(oscillating.vertices, color=half, framing=osc_framing)
     write("oscillating_circle.link.json", ss.dumps_link(link_of([oscillating], level=1)))
 
     def osc(base, amp, ph):
         return lambda u: base + amp * math.sin(2 * math.pi * u + ph)
 
-    chain_geo = [
+    chain = [
         polygon_circle(0, 0, 1.0, 16, phase=0.13, theta_fn=osc(0.8, 0.6, 0.2)),
         polygon_circle(1.4, 0.1, 1.0, 18, phase=0.37, theta_fn=osc(2.0, 0.9, 1.1)),
         polygon_circle(2.8, 0.0, 1.0, 20, phase=0.59, theta_fn=osc(4.1, 1.2, 2.3)),
     ]
-    chain = [ss.make_loop(lp.vertices, color=half, framing=ss.self_link(lp, 0.0))
-             for lp in chain_geo]
     write("three_chain.link.json", ss.dumps_link(link_of(chain, t0=0.0, level=3)))
 
     # figure eight: two lobes joined by one transversal self-crossing
@@ -102,7 +98,6 @@ def main():
     fig8 = ss.make_loop(
         [(x, y, 1.5 + 0.8 * math.sin(2 * math.pi * i / (2 * n) + 0.4))
          for i, (x, y) in enumerate(fig8_pts)], color=half)
-    fig8 = ss.make_loop(fig8.vertices, color=half, framing=ss.self_link(fig8, 0.0))
     write("figure8.link.json", ss.dumps_link(link_of([fig8], t0=0.0, level=2)))
 
     vertical = [

@@ -270,8 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", nargs="?" if file_optional else None, default=None)
         p.add_argument("--level", type=positive, default=None)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--threads", type=positive, default=1,
-                       help="accepted for compatibility; evaluation is deterministic")
 
     p_eval = sub.add_parser("eval", help="evaluate the state sum of a shadow file")
     common(p_eval)

@@ -40,9 +40,8 @@ def wlo_abelian(link: Link) -> complex:
     """Abelian loop observable from integer linking data, lam = 1/level.
 
     Returns exactly 0 unless the circle windings sum to zero; otherwise the
-    product of exp(lam*pi*i*framing_j) over loops and exp(lam*pi*i*Link_jk)
-    over ordered pairs, with each loop framed by its horizontal
-    self-linking.
+    product of exp(lam*pi*i*self_link_j) over loops and exp(lam*pi*i*Link_jk)
+    over ordered pairs: each loop is framed by its horizontal push-off.
     """
     _reject_vertical(link)
     lam = 1.0 / link.level

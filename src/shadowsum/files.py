@@ -3,7 +3,8 @@
 Link files:
     { "t0": real, "level": int,
       "loops": [ { "vertices": [[x, y, theta], ...],   # closing vertex repeated
-                   "color": half-integer, "framing": int, "vertical": bool } ] }
+                   "color": half-integer, "vertical": bool,
+                   "framing": 0 } ] }                    # optional, only 0
 
 Shadow files:
     { "faces": [ { "chi": int, "gleam": number|null, "z": int } ],
@@ -11,9 +12,9 @@ Shadow files:
       "vertices": [ { "e1": half-integer, "e2": half-integer,
                       "j": faceId, "k": faceId, "m": faceId, "n": faceId } ] }
 
-A loop's "framing" (default 0) is parsed and written back, but no
-evaluator reads it: the framing the Abelian and shadow routes use is the
-horizontal self-linking `self_link`.
+Loops are framed by their horizontal push-off (`self_link`).  A loop's
+optional "framing" key, which older files wrote as 0, is accepted only as
+0: any other value raises ParseError rather than being ignored.
 
 Parsers reject NaN/Inf, non-closing loops, files that are not UTF-8 and
 JSON nested too deeply to parse with ParseError; violated structural
@@ -110,12 +111,13 @@ def _link_from_json(obj) -> Link:
         triples = [(_number(x, what, i), _number(y, what, i), _number(t, what, i))
                    for x, y, t in verts]
         color = _half_integer(rec.get("color", 0.5), f"loop {i} color")
-        framing = _integer(rec.get("framing", 0), f"loop {i} framing")
+        if _integer(rec.get("framing", 0), f"loop {i} framing"):
+            raise ParseError(f"loop {i} framing must be 0, got {rec['framing']!r}")
         vertical = rec.get("vertical", False)
         if not isinstance(vertical, bool):
             raise ParseError(f"loop {i} vertical flag must be a boolean")
         try:
-            loops.append(make_loop(triples, color=color, framing=framing, vertical=vertical))
+            loops.append(make_loop(triples, color=color, vertical=vertical))
         except InvariantViolation as exc:
             raise ParseError(f"loop {i}: {exc}") from exc
     return Link(loops=tuple(loops), t0=t0, level=level)
@@ -199,7 +201,6 @@ def dumps_link(link: Link) -> str:
             {
                 "vertices": [[x, y, t] for x, y, t in lp.vertices],
                 "color": float(lp.color),
-                "framing": lp.framing,
                 "vertical": lp.vertical,
             }
             for lp in link.loops

@@ -135,13 +135,10 @@ def _seg_seg_dist(a1, a2, b1, b2) -> float:
     )
 
 
-def _bbox_overlap(a1, a2, b1, b2, margin=COINCIDENCE_TOL) -> bool:
-    return (
-        min(a1[0], a2[0]) - margin <= max(b1[0], b2[0])
-        and min(b1[0], b2[0]) - margin <= max(a1[0], a2[0])
-        and min(a1[1], a2[1]) - margin <= max(b1[1], b2[1])
-        and min(b1[1], b2[1]) - margin <= max(a1[1], a2[1])
-    )
+def _in_box(p, a, b) -> bool:
+    """Whether p lies in the closed bounding box of the segment ab."""
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +147,15 @@ def _bbox_overlap(a1, a2, b1, b2, margin=COINCIDENCE_TOL) -> bool:
 @dataclass(frozen=True)
 class Loop:
     """Closed PL curve: (x, y, theta-lift) vertices with the closing vertex
-    repeated, a half-integer color, and an integer framing."""
+    repeated and a half-integer color."""
 
     vertices: tuple[tuple[float, float, float], ...]
     color: Fraction = Fraction(1, 2)
-    framing: int = 0
     vertical: bool = False
-    # projections of `vertices`, segment bounding boxes and the largest
-    # planar |coordinate|, built once, and `_lift_scan` results by (t0,
-    # loop index), kept for one t0 at a time
+    # the doubled color, projections of `vertices`, segment bounding boxes
+    # and the largest planar |coordinate|, built once, and `_lift_scan`
+    # results by (t0, loop index), kept for one t0 at a time
+    color2: int = field(init=False, repr=False, compare=False)
     planar: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     lifts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     boxes: tuple[tuple[float, float, float, float], ...] = field(
@@ -169,6 +166,7 @@ class Loop:
     def __post_init__(self):
         xs, ys, ts = zip(*self.vertices) if self.vertices else ((), (), ())
         xb, yb = xs[1:], ys[1:]
+        object.__setattr__(self, "color2", int(self.color * 2))
         object.__setattr__(self, "planar", tuple(zip(xs, ys)))
         object.__setattr__(self, "lifts", ts)
         object.__setattr__(self, "boxes", tuple(zip(
@@ -178,10 +176,6 @@ class Loop:
     @property
     def nseg(self) -> int:
         return len(self.vertices) - 1
-
-    @property
-    def color2(self) -> int:
-        return int(self.color * 2)
 
     def segments(self):
         pl = self.planar
@@ -211,7 +205,7 @@ class Loop:
 
 
 def make_loop(vertices: Iterable[Sequence[float]], color=Fraction(1, 2),
-              framing: int = 0, vertical: bool = False) -> Loop:
+              vertical: bool = False) -> Loop:
     """Build a Loop, checking closure and basic well-formedness."""
     verts = [(float(x), float(y), float(t)) for x, y, t in vertices]
     if len(verts) < 3:
@@ -241,7 +235,7 @@ def make_loop(vertices: Iterable[Sequence[float]], color=Fraction(1, 2),
     col = Fraction(color)
     if (2 * col).denominator != 1:
         raise InvariantViolation(f"color {color!r} is not a half-integer")
-    return Loop(tuple(verts), col, int(framing), bool(vertical))
+    return Loop(tuple(verts), col, bool(vertical))
 
 
 @dataclass(frozen=True)
@@ -273,9 +267,9 @@ def winding_s1(loop: Loop) -> int:
 # pairwise crossing enumeration
 
 def _segment_sweep(loops: Sequence[Loop], selves=()) -> dict:
-    """Segment pairs whose bounding boxes pass `_bbox_overlap`, found in
-    one sweep over the segments of all `loops` sorted by min x -
-    COINCIDENCE_TOL.  Returns, for each loop pair a <= b (indices into
+    """Segment pairs whose bounding boxes lie within COINCIDENCE_TOL of
+    each other in x and in y, found in one sweep over the segments of all
+    `loops` sorted by min x - COINCIDENCE_TOL.  Returns, for each loop pair a <= b (indices into
     `loops`) with candidates, the pairs (segment of a, segment of b)
     sorted lexicographically.  Loops are paired with each other, and a
     single loop or those indexed in `selves` with themselves (i < j)."""
@@ -382,10 +376,10 @@ def _pair_crossings(la: Loop, lb: Loop, same: bool, candidates):
         elif (o1, o2, o3, o4).count(0) > 0:
             # an endpoint grazes or the segments are collinear
             if (
-                (o1 == 0 and _bbox_overlap(a1, a2, b1, b1, 0.0))
-                or (o2 == 0 and _bbox_overlap(a1, a2, b2, b2, 0.0))
-                or (o3 == 0 and _bbox_overlap(b1, b2, a1, a1, 0.0))
-                or (o4 == 0 and _bbox_overlap(b1, b2, a2, a2, 0.0))
+                (o1 == 0 and _in_box(b1, a1, a2))
+                or (o2 == 0 and _in_box(b2, a1, a2))
+                or (o3 == 0 and _in_box(a1, b1, b2))
+                or (o4 == 0 and _in_box(a2, b1, b2))
             ):
                 raise DegenerateGeometry(
                     f"segments graze or overlap (segments {i}, {j})")

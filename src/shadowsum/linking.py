@@ -11,10 +11,11 @@ t0-crossings of either loop (the lift scan behind `crossing_marks`, which
 each loop keeps for its last t0) and is independent of t0.
 
 Push-offs displace the projected polygon to its left by a planar normal
-offset, realizing a horizontal framing; the offset must stay below a third
-of the minimum clearance between non-adjacent segments.  `pushoff` returns
-the offset loop with its crossing records against `l`; one sweep over
-both also finds the offset's own pairs, which are checked first.
+offset; this horizontal push-off frames every loop.  The offset must stay
+below a third of the minimum clearance between non-adjacent segments.
+`pushoff` returns the offset loop with its crossing records against `l`;
+one sweep over both also finds the offset's own pairs, which are checked
+first.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def pushoff(l: Loop, offset: float) -> tuple[Loop, tuple[DoublePoint, ...]]:
             new_pts.append((cur[0] + offset * n0[0] + t * d0[0],
                             cur[1] + offset * n0[1] + t * d0[1]))
     verts = tuple((*new_pts[i % n], l.lifts[i]) for i in range(n + 1))
-    off = Loop(verts, l.color, l.framing, l.vertical)
+    off = Loop(verts, l.color, l.vertical)
     # one sweep; the offset's own pairs come first, also when l self-crosses
     found = _segment_sweep((l, off), (1,))
     try:

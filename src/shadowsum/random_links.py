@@ -20,8 +20,7 @@ __all__ = ["polygon_circle", "random_dpfree_link", "random_crossing_pair"]
 
 def polygon_circle(cx: float, cy: float, r: float, n: int = 16, *,
                    winding: int = 0, theta0: float = 0.5, ccw: bool = True,
-                   phase: float = 0.0, color=Fraction(1, 2), framing: int = 0,
-                   theta_fn=None) -> Loop:
+                   phase: float = 0.0, color=Fraction(1, 2), theta_fn=None) -> Loop:
     """Regular n-gon approximation of a circle with a linear (or supplied)
     circle-coordinate profile."""
     pts = []
@@ -32,7 +31,7 @@ def polygon_circle(cx: float, cy: float, r: float, n: int = 16, *,
         else:
             th = theta0 + 2.0 * math.pi * winding * i / n
         pts.append((cx + r * math.cos(a), cy + r * math.sin(a), th))
-    return make_loop(pts, color=color, framing=framing)
+    return make_loop(pts, color=color)
 
 
 def random_dpfree_link(rng: random.Random, max_loops: int = 5, level: int = 1,

@@ -32,8 +32,8 @@ first over the face graph, each component from its lowest face, and draws
 a face's candidates from the fusion range of an already colored
 neighbour, so only a component's first face tries all k+1 colors; on a
 face forest, which every vertex-free shadow of a link is, no partial
-coloring is abandoned.  A list walked out of id order is sorted back, so
-it is the lexicographic one either way.  state_sum_general evaluates each
+coloring is abandoned.  The list is sorted into face id order, so it is
+lexicographic whatever the visiting order.  state_sum_general evaluates each
 distinct 6j-symbol and each (face, color) weight once per call and accepts
 the list from a caller that already holds it: the CLI's eval enumerates
 once for both the value and the coloring count it prints.  Both state sums
@@ -46,11 +46,12 @@ level, the doubled colors and the exception types with either state sum.
 The pair route costs about its output.  enumerate_pairs walks the sign
 vectors depth first, extending the face offsets by one column of the ind
 table per step, and drops a prefix, with every vector below it, once the
-offsets that no later loop changes spread by more than k together with 0;
-a complete vector reads its admissible levels off its largest and
-smallest offset.  That is O(F) per visited node and per pair, where
-filtering all 2^n (k+1) candidates cost O(2^n (k+1) F n): a nested chain
-of 40 circles at k = 1 keeps two prefixes per depth and has 2 pairs.
+offsets that no later loop changes spread by more than k together with 0,
+or the offset differences that no later loop changes exceed k; a
+complete vector reads its admissible levels off its largest and smallest
+offset.  That is O(F) per visited node and per pair, where filtering all
+2^n (k+1) candidates cost O(2^n (k+1) F n): a nested chain of 40 circles
+at k = 1 keeps two prefixes per depth and has 2 pairs, in either order.
 wlo_dpfree_pairsum takes each face's sin(pi x / rbar)^chi and c x^2, its
 part of the integer phase exponent, from tables over x in {1, ..., k+1},
 and each phase from a memo on that exponent; the factors and the
@@ -211,8 +212,9 @@ def enumerate_colorings(shadow: Shadow, level: Level) -> list[AreaColoring]:
     c + 1 candidates); its other edges to colored faces, self-loops
     included, are checked one by one.  Only a component's first face tries
     every color 0 .. k.  On a face forest every candidate extends, so the
-    walk costs O(F) per coloring.  When the visiting order is not
-    ascending, the list is sorted back into lexicographic order by face id.
+    walk costs O(F) per coloring.  The list is then sorted into
+    lexicographic order by face id, a single pass when the visiting order
+    is ascending.
     """
     nf = len(shadow.faces)
     if nf == 0:
@@ -284,8 +286,7 @@ def enumerate_colorings(shadow: Shadow, level: Level) -> list[AreaColoring]:
             out.append(tuple(assignment))
         else:
             stack.append(candidates(i + 1))
-    if order != [*range(nf)]:
-        out.sort()
+    out.sort()
     return out
 
 
@@ -426,11 +427,17 @@ def enumerate_pairs(link: Link, level: Level, fc: FaceComplex) -> list[Admissibl
     1 + max(0, max d) <= l <= k+1 + min(0, min d), so it has one iff the
     offsets and 0 spread by at most k.  A face's offset is final once the
     last loop with a nonzero entry in its row has its sign, and the walk
-    keeps the running min and max of 0 and the final offsets: a prefix
-    whose spread exceeds k is dropped with its whole subtree, since every
-    completion keeps those offsets.  Each surviving pair goes to the bucket
-    of its l, and the buckets are joined in l order.  Besides the output,
-    the walk holds at most n + 1 offset vectors.
+    keeps the running min and max of 0 and the final offsets.  Faces whose
+    rows agree on the loops still to come keep their offset differences,
+    so once loop j merges such a class (faces that differ in column j),
+    its spread is final as well.  A prefix whose final offsets or merged
+    class spread by more than k is dropped with its whole subtree, since
+    every completion keeps them: a nest listed innermost first is pruned
+    like one listed outermost first.  The classes are built, in O(n F),
+    only when some loop comes before one of its ancestors; otherwise none
+    forms.  Each surviving pair goes to the bucket of its l, and the
+    buckets are joined in l order.  Besides the output, the walk holds at
+    most n + 1 offset vectors.
     """
     for j, lp in enumerate(link.loops):
         if lp.color2 != 1:
@@ -440,12 +447,29 @@ def enumerate_pairs(link: Link, level: Level, fc: FaceComplex) -> list[Admissibl
     k = level.k
     kp1 = k + 1
     columns = list(zip(*fc.ind_table))
-    # the faces whose offset is final once the sign of loop j is chosen
+    # last[f]: the last loop with a nonzero entry in face f's row;
+    # final[j]: the faces whose offset is final once loop j has its sign
+    last = [max((j for j, x in enumerate(row) if x), default=-1) for row in fc.ind_table]
     final = [[] for _ in range(n)]
-    for f, row in enumerate(fc.ind_table):
-        last = max((j for j, x in enumerate(row) if x), default=None)
-        if last is not None:
-            final[last].append(f)
+    for f, j in enumerate(last):
+        if j >= 0:
+            final[j].append(f)
+    # merged[j]: a getter of the offsets of each class that loop j merges,
+    # of faces not yet final whose rows agree after column j but not in it;
+    # only a loop listed before an ancestor gives two faces one last loop,
+    # and without two such faces no class forms
+    merged = [[] for _ in range(n)]
+    if any(len(faces) > 1 for faces in final):
+        cls = [0] * len(last)  # class ids of the faces' rows after column j
+        for j in range(n - 1, -1, -1):
+            classes = {}
+            for f, c in enumerate(cls):
+                if last[f] > j:
+                    classes.setdefault(c, []).append(f)
+            merged[j] = [operator.itemgetter(*faces) for faces in classes.values()
+                         if len({columns[j][f] for f in faces}) > 1]
+            ids = {}
+            cls = [ids.setdefault(cx, len(ids)) for cx in zip(cls, columns[j])]
     buckets = [[] for _ in range(kp1 + 1)]
     # stack of (signs chosen so far, their offsets, min and max of 0 and
     # the final offsets); s = +1 is pushed first so that s = -1 is
@@ -468,7 +492,13 @@ def enumerate_pairs(link: Link, level: Level, fc: FaceComplex) -> list[Admissibl
                     elo = x
                 elif x > ehi:
                     ehi = x
-            if ehi - elo <= k:
+            if ehi - elo > k:
+                continue
+            for offsets in merged[j]:
+                xs = offsets(e)
+                if max(xs) - min(xs) > k:
+                    break
+            else:
                 stack.append((signs + (s,), e, elo, ehi))
     return [pair for bucket in buckets for pair in bucket]
 

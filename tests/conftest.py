@@ -351,7 +351,13 @@ def proper_crossings_oracle(la, lb, same, tally=None):
     from fractions import Fraction
 
     from shadowsum.errors import DegenerateGeometry
-    from shadowsum.geometry import COINCIDENCE_TOL, _bbox_overlap, _orient, _seg_point_dist
+    from shadowsum.geometry import COINCIDENCE_TOL, _orient, _seg_point_dist
+
+    def boxes_meet(a1, a2, b1, b2, margin=COINCIDENCE_TOL):
+        return (min(a1[0], a2[0]) - margin <= max(b1[0], b2[0])
+                and min(b1[0], b2[0]) - margin <= max(a1[0], a2[0])
+                and min(a1[1], a2[1]) - margin <= max(b1[1], b2[1])
+                and min(b1[1], b2[1]) - margin <= max(a1[1], a2[1]))
 
     na = la.nseg
     pa = la.planar
@@ -361,7 +367,7 @@ def proper_crossings_oracle(la, lb, same, tally=None):
         a1, a2 = pa[i], pa[i + 1]
         for j in range(i + 1 if same else 0, lb.nseg):
             b1, b2 = pb[j], pb[j + 1]
-            if not _bbox_overlap(a1, a2, b1, b2):
+            if not boxes_meet(a1, a2, b1, b2):
                 continue
             after = same and j == i + 1
             before = same and i == 0 and j == na - 1
@@ -393,10 +399,10 @@ def proper_crossings_oracle(la, lb, same, tally=None):
                 out.append((i, j, ta, tb, pt, 1 if den > 0 else -1))
             elif (o1, o2, o3, o4).count(0) > 0:
                 if (
-                    (o1 == 0 and _bbox_overlap(a1, a2, b1, b1, 0.0))
-                    or (o2 == 0 and _bbox_overlap(a1, a2, b2, b2, 0.0))
-                    or (o3 == 0 and _bbox_overlap(b1, b2, a1, a1, 0.0))
-                    or (o4 == 0 and _bbox_overlap(b1, b2, a2, a2, 0.0))
+                    (o1 == 0 and boxes_meet(a1, a2, b1, b1, 0.0))
+                    or (o2 == 0 and boxes_meet(a1, a2, b2, b2, 0.0))
+                    or (o3 == 0 and boxes_meet(b1, b2, a1, a1, 0.0))
+                    or (o4 == 0 and boxes_meet(b1, b2, a2, a2, 0.0))
                 ):
                     raise DegenerateGeometry(
                         f"segments graze or overlap (segments {i}, {j})")

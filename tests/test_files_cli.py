@@ -29,6 +29,16 @@ class TestLinkFiles:
             again = ss.loads_link(ss.dumps_link(link))
             assert again == link
 
+    def test_framing_zero_loads_as_no_key(self, corpus_dir):
+        # older files wrote "framing": 0 on every loop; any other value is
+        # rejected (LINK_PROBES)
+        obj = json.loads((corpus_dir / "hopf.link.json").read_text())
+        assert all("framing" not in rec for rec in obj["loops"])
+        link = ss.loads_link(json.dumps(obj))
+        for rec in obj["loops"]:
+            rec["framing"] = 0
+        assert ss.loads_link(json.dumps(obj)) == link
+
     def test_rejects_nan(self):
         with pytest.raises(ParseError):
             ss.loads_link('{"t0": NaN, "level": 1, "loops": []}')
@@ -727,7 +737,6 @@ def test_non_finite_evaluator_value_exit_3(capsys, corpus_dir, monkeypatch, eval
     ("wlo", "--mode", "abelian", "--dims", "3,2", "hopf.link.json"),
     ("eval", "--level", "0", "twocircles.shadow.json"),
     ("eval", "--level", "-3", "twocircles.shadow.json"),
-    ("eval", "--level", "2", "--threads", "0", "twocircles.shadow.json"),
     ("check", "--what", "lem2", "--samples", "0", "hopf.link.json"),
     ("check", "--what", "lem2", "--samples", "-2", "hopf.link.json"),
 ], ids=" ".join)
@@ -744,6 +753,24 @@ def test_bad_argument_exit_2(capsys, corpus_dir, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--level", "2", "--threads", "0", "twocircles.shadow.json"),
+    ("wlo", "--mode", "dpfree", "--threads", "4", "circle_w0.link.json"),
+    ("wlo", "--mode", "vertical", "--level", "3", "--dims", "3", "--threads", "1"),
+    ("check", "--what", "euler", "--threads", "1", "circle_w0.link.json"),
+], ids=" ".join)
+def test_threads_flag_rejected(capsys, corpus_dir, argv):
+    # evaluation is sequential and nothing read the flag, so no command
+    # takes it
+    argv = [str(corpus_dir / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "error: unrecognized arguments: --threads" in captured.err
+
+
 LOOP = '"vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 0, 0]]'
 FACE = '{"chi": 2, "gleam": 0}'
 LINK_PROBES = [  # (file text, the parse error it raises)
@@ -757,6 +784,10 @@ LINK_PROBES = [  # (file text, the parse error it raises)
      "loop 0 vertices must be"),
     ('{"t0": 0, "level": 1, "loops": [{%s, "vertical": 1}]}' % LOOP,
      "loop 0 vertical flag must be a boolean"),
+    ('{"t0": 0, "level": 1, "loops": [{%s, "framing": 0}, {%s, "framing": 1}]}' % (LOOP, LOOP),
+     "loop 1 framing must be 0"),
+    ('{"t0": 0, "level": 1, "loops": [{%s, "framing": 0.0}]}' % LOOP,
+     "loop 0 framing must be an integer"),
 ]
 SHADOW_PROBES = [
     ('[]', "shadow file must contain a JSON object"),
@@ -860,12 +891,6 @@ class TestDeterminism:
         obj = json.loads(out)
         assert obj["value"] == [-1.5, 0.0]
         assert json.loads(json.dumps(obj)) == obj
-
-    def test_threads_flag_accepted(self, capsys, corpus_dir):
-        code, out = run_cli(capsys, "wlo", "--mode", "dpfree", "--threads", "4",
-                            str(corpus_dir / "circle_w0.link.json"))
-        assert code == 0
-        assert last_value(out) == pytest.approx(-1.5)
 
 
 class TestGolden:

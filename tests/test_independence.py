@@ -88,7 +88,6 @@ ABELIAN_SHARED = {
     "Loop": "the input's loops; building one only projects its vertices",
     "nseg": "a loop's segment count",
     "segments": "a loop's planar segments",
-    "color2": "a loop's doubled color, read by Link's range check",
     "winding_s1": "the circle winding: both return 0 unless the windings sum to 0",
     "ind": "the planar winding number, the index the paper's formula is written in",
     "_orient": "the exact orientation predicate inside ind",
@@ -105,7 +104,6 @@ PAIRSUM_SHARED = {
     ERRORS: "exception types only",
     "Level": "the level k both routes evaluate at",
     "rbar": "k + 2",
-    "color2": "the doubled color of a loop or an edge",
 }
 
 STATE_SUM_SHARED = {
@@ -118,7 +116,6 @@ STATE_SUM_SHARED = {
     "ShadowVertex": "the shadow's vertex records, which the vertex-free sum rejects",
     "quadrants": "a vertex's four faces, read by check_shadow",
     "check_shadow": "the shadow's invariants, checked once when it is built",
-    "color2": "the doubled color of an edge",
     "_face_weight": "the face weight both sums multiply; the pair sum checks it apart",
     "_v_dim_doubled": "the quantum dimension kernel inside the face weight",
     "_u_exponent_doubled": "the twist exponent kernel inside the face weight",

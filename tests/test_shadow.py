@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,46 @@ def random_vertex_shadow(rng, k):
     return ss.Shadow(faces=faces, edges=tuple(edges), vertices=tuple(vertices))
 
 
+def random_colored_vertex_shadow(rng, k):
+    """A shadow shaped like those of `random_vertex_shadow` that has at
+    least one admissible coloring: a face coloring is drawn first, then
+    each edge color from the fusion range of the colors of the faces the
+    edge joins, for a double point's e1 of both (j, k) and (m, n) and for
+    its e2 of both (j, n) and (k, m).  Faces whose ranges leave no color
+    are drawn again.
+    """
+    def fusion(a, b):
+        return set(range(abs(a - b), min(a + b, 2 * k - a - b) + 1, 2))
+
+    nf = rng.randint(1, 4)
+    col = [rng.randint(0, k) for _ in range(nf)]
+
+    def draw(count, *groups):
+        # `count` faces and, per group of index pairs, a color in the fusion
+        # range of every pair of the group
+        while True:
+            fs = [rng.randrange(nf) for _ in range(count)]
+            allowed = [sorted(set.intersection(*(fusion(col[fs[a]], col[fs[b]]) for a, b in g)))
+                       for g in groups]
+            if all(allowed):
+                return fs, [rng.choice(c) for c in allowed]
+
+    vertices, edges = [], []
+    for _ in range(rng.randint(1, 3)):
+        (j, kq, m, n), (e1, e2) = draw(4, [(0, 1), (2, 3)], [(0, 3), (1, 2)])
+        vertices.append(ss.ShadowVertex(e1_2=e1, e2_2=e2, j=j, k=kq, m=m, n=n))
+        edges += [ss.ShadowEdge(e1, j, kq), ss.ShadowEdge(e1, m, n),
+                  ss.ShadowEdge(e2, j, n), ss.ShadowEdge(e2, kq, m)]
+    for _ in range(rng.randint(0, 2)):
+        (left, right), (c,) = draw(2, [(0, 1)])
+        edges.append(ss.ShadowEdge(c, left, right))
+    touch = [sum(f in v.quadrants for v in vertices) for f in range(nf)]
+    faces = tuple(ss.ShadowFace(chi=rng.randint(-1, 2), gleam=F(rng.randint(-4, 4), 2),
+                                z=touch[f])
+                  for f in range(nf))
+    return ss.Shadow(faces=faces, edges=tuple(edges), vertices=tuple(vertices))
+
+
 def relabel_faces(shadow, perm):
     """The same shadow with face perm[i] renamed i."""
     new = {old: i for i, old in enumerate(perm)}
@@ -199,6 +240,11 @@ def circle_row(n, level, winds):
                                  theta0=0.5, phase=0.13)
                   for i in range(n))
     return ss.Link(loops, t0=0.0, level=level)
+
+
+def reversed_link(link):
+    """The same link with its loops listed in reverse order."""
+    return ss.Link(link.loops[::-1], t0=link.t0, level=link.level)
 
 
 def circle_chain(rng, n, level):
@@ -294,18 +340,22 @@ class TestEnumerateColorings:
         # faces are colored breadth first, each component from its lowest
         # face, so relabelling moves which faces start a component and scan
         # 0..k, which draw candidates from a colored neighbour, and which
-        # have further colored neighbours to check
+        # have further colored neighbours to check; the shadows drawn
+        # coloring first mostly have several colorings, whose order counts
         rng = random.Random(22)
         seen = {"component start other than face 0": 0, "checks beyond driver": 0,
                 "self-loop": 0, "isolated face": 0}
-        for _ in range(150):
+        several = 0
+        for draw in [random_vertex_shadow] * 150 + [random_colored_vertex_shadow] * 150:
             k = rng.randint(1, 4)
-            base = random_vertex_shadow(rng, k)
+            base = draw(rng, k)
             perm = list(range(len(base.faces)))
             rng.shuffle(perm)
             shadow = relabel_faces(base, perm)
             lev = Level(k)
-            assert ss.enumerate_colorings(shadow, lev) == brute_force_colorings(shadow, lev)
+            expected = brute_force_colorings(shadow, lev)
+            assert ss.enumerate_colorings(shadow, lev) == expected
+            several += draw is random_colored_vertex_shadow and len(expected) >= 2
             ends = [(e.left, e.right) for e in shadow.edges]
             seen["self-loop"] += any(a == b for a, b in ends)
             order, starts = visiting_order(shadow)
@@ -316,6 +366,7 @@ class TestEnumerateColorings:
                 seen["component start other than face 0"] += f > 0 and f in starts
                 seen["checks beyond driver"] += f not in starts and len(placed) > 1
         assert min(seen.values()) >= 10, seen
+        assert several >= 75, several
 
     def test_random_face_graphs_match_brute_force(self):
         # small face graphs with few edges, so often several components or
@@ -354,17 +405,23 @@ class TestEnumerateColorings:
 
 class TestStateSums:
     def test_vertex_shadows_match_brute_force(self):
+        # the shadows drawn coloring first have at least one coloring, and
+        # mostly several, so their sums add terms
         rng = random.Random(23)
-        nonzero = 0
-        for _ in range(300):
+        nonzero = several = 0
+        for draw in [random_vertex_shadow] * 300 + [random_colored_vertex_shadow] * 150:
             k = rng.randint(1, 4)
-            shadow = random_vertex_shadow(rng, k)
+            shadow = draw(rng, k)
             lev = Level(k)
             expected = brute_force_state_sum(shadow, lev)
             assert ss.state_sum_general(shadow, lev) == pytest.approx(
                 expected, rel=1e-10, abs=1e-12)
-            nonzero += abs(expected) > 1e-6
+            if draw is random_vertex_shadow:
+                nonzero += abs(expected) > 1e-6
+            else:
+                several += len(brute_force_colorings(shadow, lev)) >= 2
         assert nonzero >= 40
+        assert several >= 75, several
 
     @pytest.mark.parametrize("k", [2, 32, 128, 200])
     def test_twocircles_bit_identical_to_term_by_term_sum(self, corpus_dir, k):
@@ -640,8 +697,10 @@ class TestPairs:
             ss.wlo_dpfree_pairsum(link, Level(2), fc)
 
     def test_matches_filter_oracle(self):
-        # the same pairs in the same order: l-major, then itertools.product
-        for link in pair_links():
+        # the same pairs in the same order: l-major, then itertools.product,
+        # also with the loops listed children first
+        links = pair_links()
+        for link in links + [reversed_link(link) for link in links]:
             fc = ss.face_complex(link)
             level = Level(link.level)
             assert ss.enumerate_pairs(link, level, fc) == enumerate_pairs_oracle(link, level, fc)
@@ -649,9 +708,13 @@ class TestPairs:
     def test_pruned_walk_matches_filter_oracle(self):
         # nested chains, where a face's offset is final once its own loop
         # has its sign and the walk drops most prefixes, and rows, where
-        # only k = 1 drops any: at the first offset of the other sign
+        # only k = 1 drops any: at the first offset of the other sign.
+        # Listed innermost first, a chain's offsets are final only at its
+        # outermost loop, and the walk drops prefixes on the faces whose
+        # rows agree on the loops still to come
         rng = random.Random(19)
         links = [circle_chain(rng, n, 1) for n in range(1, 13)]
+        links += [reversed_link(link) for link in links]
         links += [circle_row(n, 1, (0, 1, -1)) for n in range(1, 8)]
         for link in links:
             fc = ss.face_complex(link)
@@ -661,14 +724,21 @@ class TestPairs:
                     link, level, fc)
 
     def test_deep_chain_at_low_level(self):
-        # 2^40 sign vectors, of which two have an admissible level at k = 1:
-        # the offsets of nested faces must alternate between 0 and +1 or -1
-        link = circle_chain(random.Random(40), 40, 1)
-        fc = ss.face_complex(link)
-        pairs = ss.enumerate_pairs(link, Level(1), fc)
-        assert len(pairs) == 2
-        pair = ss.wlo_dpfree_pairsum(link, Level(1), fc, pairs=pairs)
-        assert abs(pair - ss.wlo_dpfree_final(link, Level(1), fc)) <= 1e-9
+        # 2^n sign vectors, of which two have an admissible level at k = 1:
+        # the offsets of nested faces must alternate between 0 and +1 or -1.
+        # Listed innermost first, offsets are final only at the outermost
+        # loop; pruning on nothing else, the walk took seconds on 20 circles
+        for n in (20, 40):
+            link = circle_chain(random.Random(40), n, 1)
+            for loops in (link.loops, link.loops[::-1]):
+                chain = ss.Link(loops, t0=0.0, level=1)
+                fc = ss.face_complex(chain)
+                start = time.perf_counter()
+                pairs = ss.enumerate_pairs(chain, Level(1), fc)
+                assert time.perf_counter() - start < 0.1
+                assert len(pairs) == 2
+                pair = ss.wlo_dpfree_pairsum(chain, Level(1), fc, pairs=pairs)
+                assert abs(pair - ss.wlo_dpfree_final(chain, Level(1), fc)) <= 1e-9
 
     def test_pairsum_bit_identical_to_per_pair_formula(self):
         for link in pair_links():
@@ -765,7 +835,7 @@ class TestPairSumAndFinal:
         for t0 in (0.7, 2.9, 5.1):
             moved = ss.Link(
                 tuple(ss.make_loop([(x + 11.0, y - 7.0, th) for x, y, th in lp.vertices],
-                                   color=lp.color, framing=lp.framing)
+                                   color=lp.color)
                       for lp in link.loops),
                 t0=t0, level=link.level)
             fc2 = ss.face_complex(moved)
