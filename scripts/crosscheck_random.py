@@ -1,14 +1,24 @@
 #!/usr/bin/env python3
-"""Randomized cross-check experiment: on seeded random double-point-free
+"""Randomized cross-check experiment.
+
+With --route dpfree (the default), on seeded random double-point-free
 configurations, compare the pair-sum route against the gleam state-sum
 route and verify the pair/coloring bijection.  Each configuration is also
 evaluated with its loops listed in reverse, children before parents: its
 pair sum must match its state sum, and its state sum the original's.
 
+With --route abelian, on seeded random pairs of circles that cross twice
+(`random_crossing_pair`) with a random t0, compare the push-off framed
+Abelian product `wlo_abelian` against the crossing-mark route
+`wlo_abelian_intermediate`; links that are not admissible at their t0
+are drawn again.
+
     python scripts/crosscheck_random.py --configs 200 --seed 2024
+    python scripts/crosscheck_random.py --route abelian --configs 300 --seed 3
 """
 
 import argparse
+import math
 import pathlib
 import random
 import sys
@@ -18,7 +28,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 import shadowsum as ss
 from shadowsum.quantum import Level
-from shadowsum.random_links import random_dpfree_link
+from shadowsum.random_links import random_crossing_pair, random_dpfree_link
 
 
 def rel_diff(a: complex, b: complex) -> float:
@@ -28,12 +38,57 @@ def rel_diff(a: complex, b: complex) -> float:
 
 def main():
     ap = argparse.ArgumentParser()
+    ap.add_argument("--route", choices=("dpfree", "abelian"), default="dpfree")
     ap.add_argument("--configs", type=int, default=200)
     ap.add_argument("--seed", type=int, default=2024)
     ap.add_argument("--max-loops", type=int, default=5)
     ap.add_argument("--kmax", type=int, default=6)
     args = ap.parse_args()
+    return abelian(args) if args.route == "abelian" else dpfree(args)
 
+
+def abelian(args):
+    rng = random.Random(args.seed)
+    start = time.perf_counter()
+    worst = 0.0
+    worst_case = None
+    errors = 0
+    by_k = {}
+    done = 0
+    while done < args.configs:
+        k = 1 + done % args.kmax
+        link = random_crossing_pair(rng, level=k, t0=rng.uniform(0.0, 2.0 * math.pi))
+        report = ss.validate(link)
+        if not report.ok:
+            continue
+        try:
+            diff = abs(ss.wlo_abelian(link) - ss.wlo_abelian_intermediate(link, report))
+        except ss.ShadowsumError as exc:  # an admissible link either route rejects
+            errors += 1
+            print(f"link {done} (k = {k}): {type(exc).__name__}: {exc}")
+            diff = math.inf
+        if diff > worst:
+            worst = diff
+            worst_case = (done, k)
+        row = by_k.setdefault(k, [0, 0.0])
+        row[0] += 1
+        row[1] = max(row[1], diff)
+        done += 1
+    elapsed = time.perf_counter() - start
+
+    print(f"links: {done}   seed: {args.seed}   elapsed: {elapsed:.2f}s")
+    print(f"{'k':>3} {'count':>6} {'worst abs diff':>16}")
+    for k in sorted(by_k):
+        count, w = by_k[k]
+        print(f"{k:>3} {count:>6} {w:>16.3e}")
+    print(f"overall worst abs diff: {worst:.3e} at link {worst_case}")
+    print(f"errors: {errors}")
+    ok = worst <= 1e-9
+    print("RESULT:", "PASS" if ok else "FAIL")
+    return 0 if ok else 1
+
+
+def dpfree(args):
     rng = random.Random(args.seed)
     start = time.perf_counter()
     worst_rel = 0.0

@@ -29,13 +29,24 @@ margin of 1e-12 times the largest coordinate (derived at `ind`).
 The segment-pair scans sweep the segments' x-extents (Shamos and Hoey,
 "Geometric intersection problems", FOCS 1976), so they visit only pairs
 whose bounding boxes can meet or lie close, not all O(S^2) pairs.  Each
-`Loop` stores its segments' bounding boxes once.  `validate` sweeps the
-segments of all its loops once, for the pairs of distinct loops and for
-the own pairs of each loop whose self-crossings are not known yet, which
-it stores on the loop.  It visits loop pairs and segment pairs in the
-order of one all-pairs scan per loop pair, so its crossings and first
-defect are that scan's.  `pushoff` sweeps a loop and its offset once,
-pairing the offset with itself too.
+`Loop` stores its segments' bounding boxes once.  The sweep sorts them by
+min x - COINCIDENCE_TOL and scans forward from each segment over the
+segments that start before it ends, so no active list is rebuilt.  It
+leaves out the adjacent segments of a loop, which share a vertex: one
+linear pass gives them the endpoint tests of the pair scan, and only if
+that pass finds a defect are they merged back, in lexicographic order,
+so the pair scan raises the defect an all-pairs scan raises first.  A
+pair of other segments is dropped after two cross products when one lies
+strictly on one side of the other's line, farther than COINCIDENCE_TOL
+plus 1e-12 times the largest coordinate: every endpoint test and
+orientation it skips would have passed (the rounding bound is derived at
+`_pair_crossings`).  `validate` sweeps the segments of all its loops
+once, for the pairs of distinct loops and for the own pairs of each loop
+whose self-crossings are not known yet, which it stores on the loop.  It
+visits loop pairs and segment pairs in the order of one all-pairs scan
+per loop pair, so its crossings and first defect are that scan's.
+`pushoff` sweeps a loop and its offset once, pairing the offset with
+itself too.
 
 The t0 cut rests on two facts with one implementation each.  `_records`
 turns the crossing scan into `DoublePoint` records: both strands'
@@ -53,6 +64,7 @@ and the loop orientations.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -126,15 +138,6 @@ def _seg_point_dist(p, a, b) -> float:
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
-def _seg_seg_dist(a1, a2, b1, b2) -> float:
-    return min(
-        _seg_point_dist(a1, b1, b2),
-        _seg_point_dist(a2, b1, b2),
-        _seg_point_dist(b1, a1, a2),
-        _seg_point_dist(b2, a1, a2),
-    )
-
-
 def _in_box(p, a, b) -> bool:
     """Whether p lies in the closed bounding box of the segment ab."""
     return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
@@ -164,23 +167,32 @@ class Loop:
     lift_scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        xs, ys, ts = zip(*self.vertices) if self.vertices else ((), (), ())
-        xb, yb = xs[1:], ys[1:]
+        # one pass; `b if b < a else a` is min(a, b) and `b if b > a else a`
+        # is max(a, b) bit for bit, NaN and -0.0 included, and `scale` starts
+        # at |x_0| as max(|x_0|, ..., |y_n|) does
+        planar, lifts, boxes = [], [], []
+        scale = abs(self.vertices[0][0]) if self.vertices else 0.0
+        for x, y, t in self.vertices:
+            if planar:
+                a, b = planar[-1]
+                boxes.append((x if x < a else a, x if x > a else a,
+                              y if y < b else b, y if y > b else b))
+            planar.append((x, y))
+            lifts.append(t)
+            a, b = abs(x), abs(y)
+            if a > scale:
+                scale = a
+            if b > scale:
+                scale = b
         object.__setattr__(self, "color2", int(self.color * 2))
-        object.__setattr__(self, "planar", tuple(zip(xs, ys)))
-        object.__setattr__(self, "lifts", ts)
-        object.__setattr__(self, "boxes", tuple(zip(
-            map(min, xs, xb), map(max, xs, xb), map(min, ys, yb), map(max, ys, yb))))
-        object.__setattr__(self, "scale", max(map(abs, xs + ys), default=0.0))
+        object.__setattr__(self, "planar", tuple(planar))
+        object.__setattr__(self, "lifts", tuple(lifts))
+        object.__setattr__(self, "boxes", tuple(boxes))
+        object.__setattr__(self, "scale", scale)
 
     @property
     def nseg(self) -> int:
         return len(self.vertices) - 1
-
-    def segments(self):
-        pl = self.planar
-        for i in range(self.nseg):
-            yield i, pl[i], pl[i + 1]
 
     def theta_at(self, u: float) -> float:
         i, frac = self._locate(u)
@@ -207,16 +219,32 @@ class Loop:
 def make_loop(vertices: Iterable[Sequence[float]], color=Fraction(1, 2),
               vertical: bool = False) -> Loop:
     """Build a Loop, checking closure and basic well-formedness."""
-    verts = [(float(x), float(y), float(t)) for x, y, t in vertices]
+    # one pass converts and checks each coordinate and finds the first
+    # segment short enough to be degenerate; the last one is measured again
+    # once the loop is closed
+    hypot = math.hypot
+    verts = []
+    finite = True
+    short = None
+    for x, y, t in vertices:
+        x, y, t = float(x), float(y), float(t)
+        finite = finite and (x - x) + (y - y) + (t - t) == 0.0  # inf - inf and NaN give NaN
+        if verts and short is None and hypot(x - xp, y - yp) <= COINCIDENCE_TOL:
+            short = len(verts) - 1
+        xp, yp = x, y
+        verts.append((x, y, t))
     if len(verts) < 3:
         raise InvariantViolation("loop needs at least 3 vertices")
-    for x, y, t in verts:
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(t)):
-            raise InvariantViolation("non-finite loop coordinate")
+    if not finite:
+        raise InvariantViolation("non-finite loop coordinate")
     (x0, y0, _), (xn, yn, _) = verts[0], verts[-1]
-    if math.hypot(xn - x0, yn - y0) > COINCIDENCE_TOL:
+    if hypot(xn - x0, yn - y0) > COINCIDENCE_TOL:
         raise InvariantViolation("loop does not close in the plane")
     verts[-1] = (x0, y0, verts[-1][2])
+    last = len(verts) - 2
+    if short is None or short == last:
+        xp, yp, _ = verts[last]
+        short = last if hypot(x0 - xp, y0 - yp) <= COINCIDENCE_TOL else None
     w = (verts[-1][2] - verts[0][2]) / TAU
     if abs(w - round(w)) > 1e-9:
         raise InvariantViolation(
@@ -227,11 +255,8 @@ def make_loop(vertices: Iterable[Sequence[float]], color=Fraction(1, 2),
         if round(w) == 0:
             raise InvariantViolation("vertical loop must wind around the circle factor")
         verts = [(x0, y0, t) for _, _, t in verts]
-    else:
-        for i in range(len(verts) - 1):
-            (ax, ay, _), (bx, by, _) = verts[i], verts[i + 1]
-            if math.hypot(bx - ax, by - ay) <= COINCIDENCE_TOL:
-                raise DegenerateGeometry(f"zero-length projected segment at vertex {i}")
+    elif short is not None:
+        raise DegenerateGeometry(f"zero-length projected segment at vertex {short}")
     col = Fraction(color)
     if (2 * col).denominator != 1:
         raise InvariantViolation(f"color {color!r} is not a half-integer")
@@ -269,29 +294,37 @@ def winding_s1(loop: Loop) -> int:
 def _segment_sweep(loops: Sequence[Loop], selves=()) -> dict:
     """Segment pairs whose bounding boxes lie within COINCIDENCE_TOL of
     each other in x and in y, found in one sweep over the segments of all
-    `loops` sorted by min x - COINCIDENCE_TOL.  Returns, for each loop pair a <= b (indices into
-    `loops`) with candidates, the pairs (segment of a, segment of b)
-    sorted lexicographically.  Loops are paired with each other, and a
-    single loop or those indexed in `selves` with themselves (i < j)."""
+    `loops` sorted by min x - COINCIDENCE_TOL.  Returns, for each loop pair
+    a <= b (indices into `loops`) with candidates, the pairs (segment of a,
+    segment of b) sorted lexicographically.  Loops are paired with each
+    other, and a single loop or those indexed in `selves` with themselves
+    (i < j), bar adjacent segments: they share a vertex, so their boxes
+    always meet, and `_pair_crossings` checks them in its own pass.
+
+    Each segment is paired with the segments after it in the sorted order
+    that start (min x - COINCIDENCE_TOL) no later than it ends (max x);
+    those form one slice of the order, found by bisection."""
     tol = COINCIDENCE_TOL
     own = [len(loops) == 1] * len(loops)  # own[a]: pair loop a with itself
     for a in selves:
         own[a] = True
     events = sorted((x0 - tol, x1, y0 - tol, y1, a, i)
                     for a, lp in enumerate(loops) for i, (x0, x1, y0, y1) in enumerate(lp.boxes))
+    starts = [ev[0] for ev in events]
+    nseg = [lp.nseg for lp in loops]
     pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    active = []  # (max x, min y - tol, max y, loop, segment) of segments that reach the sweep line
-    for lo, hi, ylo, yhi, a, i in events:
-        active = [s for s in active if s[0] >= lo]
-        for _hi, bylo, byhi, b, j in active:
-            # the x half of the box test holds by the sweep order
-            if bylo > yhi or ylo > byhi or (b == a and not own[a]):
+    for e, (_lo, hi, ylo, yhi, a, i) in enumerate(events, 1):
+        for _blo, _bhi, bylo, byhi, b, j in events[e:bisect_right(starts, hi, e)]:
+            # the x half of the box test holds by the slice
+            if bylo > yhi or ylo > byhi:
                 continue
-            if b < a or (b == a and j < i):
-                pairs.setdefault((b, a), []).append((j, i))
-            else:
-                pairs.setdefault((a, b), []).append((i, j))
-        active.append((hi, ylo, yhi, a, i))
+            if b != a:
+                if b < a:
+                    pairs.setdefault((b, a), []).append((j, i))
+                else:
+                    pairs.setdefault((a, b), []).append((i, j))
+            elif own[a] and abs(i - j) not in (1, nseg[a] - 1):
+                pairs.setdefault((a, a), []).append((i, j) if i < j else (j, i))
     for found in pairs.values():
         found.sort()
     return pairs
@@ -318,22 +351,78 @@ def _pair_crossings(la: Loop, lb: Loop, same: bool, candidates):
     are visited in lexicographic order, so the first defect found is the
     same as in an all-pairs scan.
 
+    With same=True the adjacent pairs (i, i + 1) and (0, n - 1), which
+    `_segment_sweep` leaves out, first get their endpoint tests in one
+    pass: each segment against the far ends of its two neighbours.  If
+    one fails, they are merged into `candidates` in lexicographic order,
+    and the loop below raises whichever defect comes first.
+
     The endpoint tests inline `_seg_point_dist` (same floats in the same
     order; t = 0 on a zero-length segment), so each gives the same bit.
     If o1 == o2 != 0, b lies strictly on one side of a's line: no crossing,
     and as `_orient` is exact no end of a lies on b, so o3, o4 are skipped.
+
+    Before those tests, a pair is dropped when the float cross products
+    c1 = (a2 - a1) x (b1 - a1) and c2 = (a2 - a1) x (b2 - a1) have one
+    sign and c1^2, c2^2 > m^2 aden + 1e-300, where aden is the float
+    |a2 - a1|^2, m = COINCIDENCE_TOL + 1e-12 S and S, the larger `scale`
+    of la and lb, bounds every coordinate.  Then every test it skips
+    would have passed.  With u = 2^-53 and L = |a2 - a1|: for S < 1e150
+    (otherwise m is taken infinite) no product overflows.  Each c rounds
+    two differences, a product and a difference, so it lies within
+    5u (|P| + |P'|) <= 5u L |b1 - a1| <= 15 u L S of the exact cross
+    product C (Cauchy-Schwarz, |b1 - a1| <= 2.83 S), plus 1e-323 of
+    underflow.  The squares, m^2 and aden round within 12u, and the
+    1e-300 covers their underflow, so |c| > m L (1 - 7u).  Hence C has
+    the sign of c, so o1 == o2 != 0, and b1, b2 lie farther than
+    |C| / L > m (1 - 7u) - 16 u S from a's line (|c| > 1e-150 forces
+    L S > 3e-151, so 1e-323 / L < 1e-172 S).  Every point of b lies that
+    far from a's line, so each endpoint test measures a true distance
+    above tol (1 - 7u) + (1e-12 - 17u) S; `_seg_point_dist` loses at most
+    5.1 u S and a factor 1 - 3u of it (derived at `ind`), which leaves
+    more than tol, as such a distance needs S > tol / 3.
     """
     tol = COINCIDENCE_TOL
     hypot = math.hypot
     na = la.nseg
     pa = la.planar
     pb = lb.planar
+    if la.scale < 1e150 and lb.scale < 1e150:
+        m = tol + 1e-12 * max(la.scale, lb.scale)
+        mm = m * m
+    else:  # also a NaN scale
+        mm = math.inf
+    if same and na > 2:
+        for s in range(na):
+            (sx, sy), (sx2, sy2) = pa[s], pa[s + 1]
+            # the far ends of segments s - 1 and s + 1, as the pair scan reads them
+            px, py = pa[s - 1] if s else pa[na - 1]
+            qx, qy = pa[s + 2] if s < na - 1 else pa[1]
+            sdx, sdy = sx2 - sx, sy2 - sy
+            sden = sdx * sdx + sdy * sdy
+            t = ((px - sx) * sdx + (py - sy) * sdy) / sden if sden else 0.0
+            t = 1.0 if t >= 1.0 else (t if t > 0.0 else 0.0)
+            v = ((qx - sx) * sdx + (qy - sy) * sdy) / sden if sden else 0.0
+            v = 1.0 if v >= 1.0 else (v if v > 0.0 else 0.0)
+            if (hypot(px - (sx + t * sdx), py - (sy + t * sdy)) <= tol
+                    or hypot(qx - (sx + v * sdx), qy - (sy + v * sdy)) <= tol):
+                candidates = sorted([*candidates, *((k, k + 1) for k in range(na - 1)),
+                                     (0, na - 1)])
+                break
     out = []
     for i, j in candidates:
         a1, a2, b1, b2 = pa[i], pa[i + 1], pb[j], pb[j + 1]
         (ax, ay), (ax2, ay2), (bx, by), (bx2, by2) = a1, a2, b1, b2
-        adx, ady, bdx, bdy = ax2 - ax, ay2 - ay, bx2 - bx, by2 - by
-        aden, bden = adx * adx + ady * ady, bdx * bdx + bdy * bdy
+        adx, ady = ax2 - ax, ay2 - ay
+        aden = adx * adx + ady * ady
+        c1 = adx * (by - ay) - ady * (bx - ax)
+        c2 = adx * (by2 - ay) - ady * (bx2 - ax)
+        if (c1 > 0.0) == (c2 > 0.0):
+            lim = mm * aden + 1e-300
+            if c1 * c1 > lim and c2 * c2 > lim:
+                continue  # b lies on one side of a's line, farther than m
+        bdx, bdy = bx2 - bx, by2 - by
+        bden = bdx * bdx + bdy * bdy
         after = same and j == i + 1  # a2 is b1
         before = same and i == 0 and j == na - 1  # a1 is b2
         near = False  # a1, a2 against b, then b1, b2 against a
@@ -546,6 +635,11 @@ class CrossingMark:
     point: tuple[float, float]
     eps: int  # +1 iff the lift increases through t0
     tangent: tuple[float, float]
+    # where `_lift_scan` found it: the segment it lies on and the fraction of
+    # that segment before it, frac None at the vertex ending the segment; a
+    # push-off, whose lift is its loop's, places its own marks from these
+    segment: int | None = field(default=None, compare=False)
+    frac: float | None = field(default=None, compare=False)
 
 
 def _unit(v):
@@ -594,7 +688,7 @@ def _lift_scan(loop: Loop, t0: float, j: int):
             if abs(lv - lb) > ANGLE_TOL:
                 frac = (lv - la) / delta
                 point = (ax + frac * (bx - ax), ay + frac * (by - ay))
-                marks.append(CrossingMark(j, (i + frac) / n, point, eps, tangent))
+                marks.append(CrossingMark(j, (i + frac) / n, point, eps, tangent, i, frac))
                 continue
             # at vertex v the lift crosses only if its next non-constant
             # segment goes on the same way (segment i ends the search)
@@ -605,7 +699,7 @@ def _lift_scan(loop: Loop, t0: float, j: int):
                 continue
             d2 = _unit((pl[v + 1][0] - pl[v][0], pl[v + 1][1] - pl[v][1]))
             marks.append(CrossingMark(j, v / n, pl[v], eps,
-                                      _unit((tangent[0] + d2[0], tangent[1] + d2[1]))))
+                                      _unit((tangent[0] + d2[0], tangent[1] + d2[1])), i))
     marks.sort(key=lambda m: m.param)
     return memo.setdefault((t0, j), (tuple(marks), tuple(defects)))
 
@@ -636,15 +730,36 @@ def crossing_marks(link: Link) -> tuple[CrossingMark, ...]:
 
 def mark_side_points(link: Link, mark: CrossingMark):
     """Probe points just left and just right of the strand at a crossing
-    mark, displaced by a quarter of the local clearance."""
-    px, py = mark.point
+    mark, displaced by a quarter of the local clearance: the float minimum
+    of `_seg_point_dist` over every segment, bar those of the mark's loop
+    within COINCIDENCE_TOL of it.
+
+    A segment whose box lies beyond r = clearance + m of the mark in x or
+    y, m = COINCIDENCE_TOL + 1e-12 S and S the largest |coordinate| of the
+    mark and of every loop, cannot lower the running clearance and is not
+    measured.  As at `ind`, with u = 2^-53, rounding px + r leaves a true
+    distance above r - u (S + r), and `_seg_point_dist` loses at most
+    5.1 u S and a factor 1 - 3u of it.  The clearance is a float distance
+    between points within S, below 3 S, so the skipped distance exceeds
+    clearance + m - 6.1 u S - 4 u (3 S + m) > clearance.
+    """
+    p = px, py = mark.point
+    loops = link.loops
+    m = COINCIDENCE_TOL + 1e-12 * max(abs(px), abs(py), *(lp.scale for lp in loops))
     clearance = math.inf
-    for j, loop in enumerate(link.loops):
-        for _i, a, b in loop.segments():
-            d = _seg_point_dist((px, py), a, b)
+    xlo, xhi, ylo, yhi = -math.inf, math.inf, -math.inf, math.inf
+    for j, loop in enumerate(loops):
+        pl = loop.planar
+        for i, (x0, x1, y0, y1) in enumerate(loop.boxes):
+            if x0 > xhi or x1 < xlo or y0 > yhi or y1 < ylo:
+                continue
+            d = _seg_point_dist(p, pl[i], pl[i + 1])
             if j == mark.loop and d <= COINCIDENCE_TOL:
                 continue  # a segment through the mark itself
-            clearance = min(clearance, d)
+            if d < clearance:
+                clearance = d
+                r = clearance + m
+                xlo, xhi, ylo, yhi = px - r, px + r, py - r, py + r
     if not math.isfinite(clearance) or clearance <= 0:
         raise DegenerateGeometry("no clearance around crossing mark")
     d = clearance * 0.25
@@ -836,9 +951,12 @@ def loop_min_clearance(loop: Loop) -> float:
 def _min_clearance(loop: Loop) -> float:
     """Closest pair over a sweep of x-extents.  A pair is skipped only when
     its bounding-box gap exceeds the best distance so far by a margin far
-    above the rounding error of `_seg_seg_dist` (a few ulps of the largest
-    coordinate), so the float minimum is the all-pairs one."""
+    above the rounding error of its distance (a few ulps of the largest
+    coordinate), so the float minimum is the all-pairs one.  The distance
+    of a pair is the least of its four endpoint-to-segment distances, the
+    expressions of `_seg_point_dist` inlined as in `_pair_crossings`."""
     crossing = {(i, j) for (i, j, *_rest) in loop.self_crossings}
+    hypot = math.hypot
     n = loop.nseg
     pl = loop.planar
     scale = loop.scale
@@ -854,7 +972,28 @@ def _min_clearance(loop: Loop) -> float:
             lo, hi = (i, j) if i < j else (j, i)
             if hi - lo == 1 or (lo == 0 and hi == n - 1) or (lo, hi) in crossing:
                 continue
-            d = _seg_seg_dist(pl[lo], pl[lo + 1], pl[hi], pl[hi + 1])
+            (ax, ay), (ax2, ay2), (bx, by), (bx2, by2) = pl[lo], pl[lo + 1], pl[hi], pl[hi + 1]
+            adx, ady, bdx, bdy = ax2 - ax, ay2 - ay, bx2 - bx, by2 - by
+            aden, bden = adx * adx + ady * ady, bdx * bdx + bdy * bdy
+            # a1, a2 against b, then b1, b2 against a; `e < d` keeps min()'s choice
+            t = ((ax - bx) * bdx + (ay - by) * bdy) / bden if bden else 0.0
+            t = 1.0 if t >= 1.0 else (t if t > 0.0 else 0.0)
+            d = hypot(ax - (bx + t * bdx), ay - (by + t * bdy))
+            t = ((ax2 - bx) * bdx + (ay2 - by) * bdy) / bden if bden else 0.0
+            t = 1.0 if t >= 1.0 else (t if t > 0.0 else 0.0)
+            e = hypot(ax2 - (bx + t * bdx), ay2 - (by + t * bdy))
+            if e < d:
+                d = e
+            t = ((bx - ax) * adx + (by - ay) * ady) / aden if aden else 0.0
+            t = 1.0 if t >= 1.0 else (t if t > 0.0 else 0.0)
+            e = hypot(bx - (ax + t * adx), by - (ay + t * ady))
+            if e < d:
+                d = e
+            t = ((bx2 - ax) * adx + (by2 - ay) * ady) / aden if aden else 0.0
+            t = 1.0 if t >= 1.0 else (t if t > 0.0 else 0.0)
+            e = hypot(bx2 - (ax + t * adx), by2 - (ay + t * ady))
+            if e < d:
+                d = e
             if d < best:
                 best = d
                 bound = best * (1.0 + 1e-9) + 1e-12 * scale

@@ -98,6 +98,12 @@ def face_complex_oracle(link):
     return (tuple(faces), tuple(ind_table), tuple(loop_sides), outer, tuple(parent), gleams)
 
 
+def segments(loop):
+    """(i, start, end) for each planar segment of a loop."""
+    pl = loop.planar
+    return ((i, pl[i], pl[i + 1]) for i in range(loop.nseg))
+
+
 def sample_point_oracle(link, fc, face_id) -> tuple[float, float]:
     """A point inside face `face_id`: beyond the bounding box for the outer
     face, else a segment midpoint of the face's loop nudged inward by 0.3
@@ -112,14 +118,14 @@ def sample_point_oracle(link, fc, face_id) -> tuple[float, float]:
         return (max(xs) + 1.0, max(ys) + 1.0)
     lp = link.loops[face_id]
     o = _loop_orientation(lp)
-    for i, a, b in lp.segments():
+    for i, a, b in segments(lp):
         mx, my = (a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0
         dx, dy = b[0] - a[0], b[1] - a[1]
         nx, ny = _unit((-dy, dx))  # left normal
         clearance = min(
             (_seg_point_dist((mx, my), c, d)
              for j, loop in enumerate(link.loops)
-             for s, c, d in loop.segments()
+             for s, c, d in segments(loop)
              if not (j == face_id and s == i)),
             default=math.hypot(dx, dy),
         )
@@ -342,6 +348,101 @@ def t0_cut_oracle(loop, t0, j=0):
         return defects, exc
 
 
+def loop_fields_oracle(vertices):
+    """`Loop`'s projections, segment boxes and scale from whole columns:
+    (planar, lifts, boxes, scale), with min, max and abs as builtins."""
+    xs, ys, ts = zip(*vertices) if vertices else ((), (), ())
+    xb, yb = xs[1:], ys[1:]
+    boxes = tuple(zip(map(min, xs, xb), map(max, xs, xb), map(min, ys, yb), map(max, ys, yb)))
+    return tuple(zip(xs, ys)), ts, boxes, max(map(abs, xs + ys), default=0.0)
+
+
+def mark_side_points_oracle(link, mark):
+    """`geometry.mark_side_points` measuring every segment of every loop."""
+    from shadowsum.errors import DegenerateGeometry
+    from shadowsum.geometry import COINCIDENCE_TOL, _seg_point_dist
+
+    px, py = mark.point
+    clearance = math.inf
+    for j, loop in enumerate(link.loops):
+        for _i, a, b in segments(loop):
+            d = _seg_point_dist((px, py), a, b)
+            if not (j == mark.loop and d <= COINCIDENCE_TOL):
+                clearance = min(clearance, d)
+    if not math.isfinite(clearance) or clearance <= 0:
+        raise DegenerateGeometry("no clearance around crossing mark")
+    d = clearance * 0.25
+    nx, ny = -mark.tangent[1], mark.tangent[0]
+    return (px + d * nx, py + d * ny), (px - d * nx, py - d * ny)
+
+
+def make_loop_oracle(vertices, color=None, vertical=False):
+    """`geometry.make_loop` one check at a time: convert every coordinate,
+    then check the count, finiteness, closure, the lift's winding, the
+    vertical shape or every segment's length, and the color, in that
+    order."""
+    from fractions import Fraction
+
+    from shadowsum.errors import DegenerateGeometry, InvariantViolation
+    from shadowsum.geometry import COINCIDENCE_TOL, TAU, Loop
+
+    color = Fraction(1, 2) if color is None else color
+    verts = [(float(x), float(y), float(t)) for x, y, t in vertices]
+    if len(verts) < 3:
+        raise InvariantViolation("loop needs at least 3 vertices")
+    if not all(math.isfinite(c) for v in verts for c in v):
+        raise InvariantViolation("non-finite loop coordinate")
+    (x0, y0, _), (xn, yn, _) = verts[0], verts[-1]
+    if math.hypot(xn - x0, yn - y0) > COINCIDENCE_TOL:
+        raise InvariantViolation("loop does not close in the plane")
+    verts[-1] = (x0, y0, verts[-1][2])
+    w = (verts[-1][2] - verts[0][2]) / TAU
+    if abs(w - round(w)) > 1e-9:
+        raise InvariantViolation(
+            f"circle-coordinate lift does not close up to 2*pi*integer (w = {w})")
+    if vertical:
+        if any(math.hypot(x - x0, y - y0) > COINCIDENCE_TOL for x, y, _ in verts):
+            raise InvariantViolation("vertical loop must project to a single point")
+        if round(w) == 0:
+            raise InvariantViolation("vertical loop must wind around the circle factor")
+        verts = [(x0, y0, t) for _, _, t in verts]
+    else:
+        for i in range(len(verts) - 1):
+            (ax, ay, _), (bx, by, _) = verts[i], verts[i + 1]
+            if math.hypot(bx - ax, by - ay) <= COINCIDENCE_TOL:
+                raise DegenerateGeometry(f"zero-length projected segment at vertex {i}")
+    col = Fraction(color)
+    if (2 * col).denominator != 1:
+        raise InvariantViolation(f"color {color!r} is not a half-integer")
+    return Loop(tuple(verts), col, bool(vertical))
+
+
+def segment_sweep_oracle(loops, selves=()):
+    """`geometry._segment_sweep` as an all-pairs box filter: every pair of
+    segments of two loops a < b, and of one loop a with itself when it is
+    the only loop or a is in `selves` (i < j, adjacent segments left out),
+    whose boxes lie within COINCIDENCE_TOL in x and in y, with the sweep's
+    float expressions (min - tol against the other's max)."""
+    from shadowsum.geometry import COINCIDENCE_TOL as tol
+
+    def meet(p, q):
+        return (p[0] - tol <= q[1] and q[0] - tol <= p[1]
+                and p[2] - tol <= q[3] and q[2] - tol <= p[3])
+
+    pairs = {}
+    for a, la in enumerate(loops):
+        for b in range(a, len(loops)):
+            if b == a and not (len(loops) == 1 or a in selves):
+                continue
+            n = la.nseg
+            found = [(i, j) for i, p in enumerate(la.boxes)
+                     for j, q in enumerate(loops[b].boxes)
+                     if (b > a or (j > i and j - i not in (1, n - 1))) and meet(p, q)]
+            if found:
+                pairs[(a, b)] = found
+    return pairs
+
+
 def proper_crossings_oracle(la, lb, same, tally=None):
     """All-pairs crossing scan: every segment pair passes the bounding-box
     filter and, if it passes, the body of `geometry._pair_crossings`, in
@@ -474,7 +575,7 @@ def min_clearance_oracle(loop) -> float:
     """All-pairs minimum distance between non-adjacent, non-crossing
     segments of one loop, with no pruning."""
     from shadowsum.errors import DegenerateGeometry
-    from shadowsum.geometry import _seg_seg_dist
+    from shadowsum.geometry import _seg_point_dist
 
     crossing = {(i, j) for (i, j, *_rest) in proper_crossings_oracle(loop, loop, same=True)}
     n = loop.nseg
@@ -486,7 +587,9 @@ def min_clearance_oracle(loop) -> float:
                 continue
             if (i, j) in crossing:
                 continue
-            best = min(best, _seg_seg_dist(pl[i], pl[i + 1], pl[j], pl[j + 1]))
+            a1, a2, b1, b2 = pl[i], pl[i + 1], pl[j], pl[j + 1]
+            best = min(best, _seg_point_dist(a1, b1, b2), _seg_point_dist(a2, b1, b2),
+                       _seg_point_dist(b1, a1, a2), _seg_point_dist(b2, a1, a2))
     if not math.isfinite(best):
         raise DegenerateGeometry("loop has no non-adjacent segment pairs")
     return best

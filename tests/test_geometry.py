@@ -3,8 +3,10 @@ import itertools
 import math
 import random
 import re
+import struct
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,11 +27,15 @@ from conftest import (
     face_complex_oracle,
     face_of_point_oracle,
     ind_oracle,
+    loop_fields_oracle,
     loop_orientation_oracle,
+    make_loop_oracle,
     mark_oracle,
+    mark_side_points_oracle,
     min_clearance_oracle,
     proper_crossings_oracle,
     sample_point_oracle,
+    segment_sweep_oracle,
     t0_cut_oracle,
     tangential_t0_link,
     validate_oracle,
@@ -171,6 +177,132 @@ class TestSweptScans:
         got = self.outcome(ss.geometry._proper_crossings, la, lb, False)
         assert got == self.outcome(proper_crossings_oracle, la, lb, False)
         assert got == (DegenerateGeometry, "segments graze or overlap (segments 0, 0)")
+
+    def test_sweep_matches_box_filter_oracle(self):
+        # the forward scan finds the pairs an all-pairs box filter finds,
+        # for any choice of loops paired with themselves
+        rng = random.Random(22)
+        seen = Counter()
+        cases = 0
+        while cases < 300:
+            pts = [scan_polygon(rng, 20) for _ in range(rng.randint(1, 5))]
+            for _ in range(rng.randint(0, 2)):
+                k = rng.randrange(len(pts))
+                pts[k] = nudge(rng, pts[k], rng.choice(pts))
+            try:
+                loops = [polygon(p) for p in pts]
+            except DegenerateGeometry:
+                continue  # a nudge made a zero-length segment
+            if rng.random() < 0.2:  # a two-segment loop, out and back
+                loops.insert(rng.randrange(len(loops) + 1), polygon([(0.1, 0.2), (0.7, -0.3)]))
+            cases += 1
+            selves = tuple(a for a in range(len(loops)) if rng.random() < 0.5)
+            got = ss.geometry._segment_sweep(loops, selves)
+            assert got == segment_sweep_oracle(loops, selves)
+            seen["own pairs"] += any(a == b for a, b in got)
+            seen["pairs of two loops"] += any(a != b for a, b in got)
+        assert min(seen.values()) >= 40, seen
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e12])
+    def test_line_side_filter_boundary(self, scale, monkeypatch):
+        # a slanted segment b beside a at distance d, in two triangles and
+        # in one loop: at d = tol (1 +- 1e-7) the endpoint tests decide, at
+        # m (1 +- 1e-7), m = tol + 1e-12 S, the line-side filter's bound is
+        # met; nudged variants move a vertex onto or near a segment
+        tol = ss.geometry.COINCIDENCE_TOL
+        size = 4.0 + 100 * (tol + 1e-12 * scale)  # well above m
+        m = tol + 1e-12 * (scale + size)
+        rng = random.Random(int(scale))
+        nx, ny = -math.sqrt(0.5), math.sqrt(0.5)  # left of a
+        seen = Counter()
+
+        def place(pts, d):
+            return [(scale + size * x + d * nx, scale + size * y + d * ny) for x, y in pts]
+
+        def beside(side, d):  # b and the rest of its triangle on one side of a
+            pts = [(0.2, 0.2), (0.8, 0.8), (0.1, 0.9)] if side > 0 else [
+                (0.8, 0.8), (0.2, 0.2), (0.9, 0.1)]
+            return place(pts, side * d)
+
+        for d in (tol * (1 - 1e-7), tol * (1 + 1e-7), m * (1 - 1e-7), m * (1 + 1e-7), 2 * m):
+            for side in (1, -1):
+                pa = place([(0.0, 0.0), (1.0, 1.0), (1.0, -1.0)], 0.0)
+                pb = beside(side, d)
+                own = (place([(0.0, 0.0), (1.0, 1.0), (1.2, 1.5)], 0.0)
+                       + place([(0.8, 0.8), (0.2, 0.2)], d) + place([(-0.2, 0.3)], 0.0))
+                variants = [(pa, pb, own)]
+                for _ in range(6):
+                    variants.append((nudge(rng, pa, pb), pb, nudge(rng, own, own))
+                                    if rng.random() < 0.5 else (pa, nudge(rng, pb, pa), own))
+                for qa, qb, qown in variants:
+                    try:
+                        la, lb, lown = polygon(qa), polygon(qb, 2.0), polygon(qown)
+                    except DegenerateGeometry:
+                        continue  # a nudge made a zero-length segment
+                    for args in ((la, lb, False), (lb, la, False), (lown, lown, True)):
+                        got = self.outcome(ss.geometry._proper_crossings, *args)
+                        assert got == self.outcome(proper_crossings_oracle, *args)
+                        seen["raised" if isinstance(got, tuple) else "passed"] += 1
+                    link = ss.Link((la, lb, lown))
+                    assert (TestSweptScans.outcome(ss.validate, link)
+                            == TestSweptScans.outcome(validate_oracle, link))
+        assert min(seen.values()) >= 20, seen
+        # well beyond m the filter drops every pair of the two triangles
+        # before any orientation test
+        orients = []
+        real = ss.geometry._orient
+        monkeypatch.setattr(ss.geometry, "_orient", lambda *a: orients.append(a) or real(*a))
+        for side in (1, -1):
+            pb = beside(side, 2 * m)
+            la = polygon(place([(0.0, 0.0), (1.0, 1.0), (1.0, -1.0)], 0.0))
+            assert ss.geometry._proper_crossings(la, polygon(pb), False) == []
+        assert orients == []
+
+    def test_fold_back_spike_first_defect(self):
+        # a vertex within tol of its neighbour segment (a spike folding
+        # back), with a vertex on a non-adjacent segment placed before or
+        # after it in lexicographic order: the first defect is the
+        # all-pairs scan's, alone, in a link, and with the spike clean
+        rng = random.Random(23)
+        seen = Counter()
+        for _ in range(300):
+            n = rng.randint(14, 20)
+            phase = rng.uniform(0, TAU)
+            pts = [(math.cos(phase + TAU * i / n), math.sin(phase + TAU * i / n)) for i in range(n)]
+            s = rng.randint(5, n - 8)
+            (x0, y0), (x2, y2) = pts[s], pts[s + 2]
+            dx, dy = x2 - x0, y2 - y0
+            norm = math.hypot(dx, dy)
+            gap = rng.choice((0.0, 5e-10, 2e-9)) * rng.choice((-1, 1)) * 1.5 / norm
+            pts[s + 1] = (x0 + 1.5 * dx - gap * dy, y0 + 1.5 * dy + gap * dx)
+            where = rng.choice(("before", "after", "none"))
+            # vertex k onto segment j, both segments at k before s or after s + 1
+            k = rng.randint(2, s - 1) if where == "before" else rng.randint(s + 4, n - 1)
+            js = [j for j in (range(s - 1) if where == "before" else range(s + 3, n))
+                  if abs(j - k) >= 3]
+            if where != "none" and js:
+                j = rng.choice(js)
+                (ax, ay), (bx, by) = pts[j], pts[(j + 1) % n]
+                off = rng.choice((0.0, 5e-10)) / math.hypot(bx - ax, by - ay)
+                pts[k] = ((ax + bx) / 2 - off * (by - ay), (ay + by) / 2 + off * (bx - ax))
+            try:
+                lp = polygon(pts)
+            except DegenerateGeometry:
+                continue
+            got = self.outcome(ss.geometry._proper_crossings, lp, lp, True)
+            assert got == self.outcome(proper_crossings_oracle, lp, lp, True)
+            spike = f"(segments {s}, {s + 1})"
+            if isinstance(got, tuple):
+                seen[where + (", spike first" if spike in got[1] else ", other first")] += 1
+            else:
+                seen[where + ", clean"] += 1
+            for link in (ss.Link((lp,)), ss.Link((polygon_circle(0.2, 0.1, 0.3, 12), lp))):
+                fresh = ss.Link(tuple(dataclasses.replace(x) for x in link.loops))
+                assert (TestSweptScans.outcome(ss.validate, fresh)
+                        == TestSweptScans.outcome(validate_oracle, link))
+        for case in ("before, other first", "after, spike first", "after, other first",
+                     "none, spike first", "none, clean"):
+            assert seen[case] >= 10, seen
 
     def test_clearance_prune_margin_covers_rounding(self):
         # two pairs at distance 0.1 whose float distances differ by 2 ulps;
@@ -379,6 +511,65 @@ class TestLoopBasics:
     def test_vertical_needs_winding(self):
         with pytest.raises(InvariantViolation):
             ss.make_loop([(1, 2, 0.2), (1, 2, 0.3), (1, 2, 0.2)], vertical=True)
+
+    def test_fields_match_column_expressions(self):
+        # one pass builds planar, lifts, boxes and scale with the bits of
+        # builtin min, max and abs over whole columns, NaN and -0.0 included
+        def bits(v):
+            return tuple(map(bits, v)) if isinstance(v, tuple) else struct.pack("<d", v)
+
+        rng = random.Random(22)
+        special = (math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -2.5)
+        cases = [(), ((-0.0, 0.0, -0.0),), ((math.nan, 1.0, 0.0), (-2.0, math.nan, 1.0))]
+        for _ in range(2000):
+            cases.append(tuple(
+                tuple(rng.choice(special) if rng.random() < 0.3 else rng.uniform(-3.0, 3.0)
+                      for _ in range(3))
+                for _ in range(rng.randint(1, 7))))
+        for verts in cases:
+            lp = ss.Loop(verts)
+            assert bits((lp.planar, lp.lifts, lp.boxes, lp.scale)) == bits(loop_fields_oracle(verts))
+
+    def test_make_loop_matches_check_by_check_oracle(self):
+        # one pass converts and checks each coordinate; the errors and
+        # their order are those of one check at a time.  Near-closing
+        # last vertices test the last segment's length after closing
+        rng = random.Random(21)
+        seen = Counter()
+
+        def outcome(fn, verts, vertical):
+            try:
+                lp = fn(verts, vertical=vertical)
+            except (InvariantViolation, DegenerateGeometry) as exc:
+                return type(exc), str(exc)
+            return lp, repr(lp.vertices)
+
+        for _ in range(4000):
+            n = rng.randint(2, 6)
+            grid = (0.0, 1.0, 2.0)
+            pts = [[rng.choice(grid) if rng.random() < 0.6 else rng.uniform(-1, 2),
+                    rng.choice(grid) if rng.random() < 0.6 else rng.uniform(-1, 2),
+                    rng.uniform(0.0, 6.0)] for _ in range(n)]
+            if rng.random() < 0.3:  # a vertex near its predecessor
+                k = rng.randrange(1, n)
+                pts[k][:2] = [pts[k - 1][0] + rng.choice((4e-10, 8e-10, 1.5e-9)), pts[k - 1][1]]
+            if rng.random() < 0.3:  # the last but one vertex near the first
+                pts[-1][:2] = [pts[0][0] + rng.choice((6e-10, 1.6e-9)), pts[0][1]]
+            w = rng.randint(-1, 1)
+            gap = rng.choice((0.0, 0.0, 5e-10, -5e-10, 8e-10, 2e-9))
+            last = [pts[0][0] + gap, pts[0][1],
+                    pts[0][2] + TAU * w + rng.choice((0.0, 0.0, 1e-12, 0.3))]
+            verts = [tuple(p) for p in pts] + [tuple(last)]
+            if rng.random() < 0.05:
+                k = rng.randrange(len(verts))
+                verts[k] = (verts[k][0], rng.choice((math.nan, math.inf)), verts[k][2])
+            vertical = rng.random() < 0.1
+            if vertical and rng.random() < 0.7:
+                verts = [(verts[0][0], verts[0][1], t) for _, _, t in verts]
+            got = outcome(ss.make_loop, verts, vertical)
+            assert got == outcome(make_loop_oracle, verts, vertical)
+            seen[got[0].__name__ if isinstance(got[0], type) else "loop"] += 1
+        assert min(seen[k] for k in ("loop", "InvariantViolation", "DegenerateGeometry")) >= 200, seen
 
 
 class TestWinding:
@@ -649,6 +840,40 @@ def scan_matches_t0_cut_oracle(lp, t0, w) -> str:
         assert math.dist(m.point, o.point) <= 1e-12
         assert math.dist(m.tangent, o.tangent) <= 1e-12
     return "marks"
+
+
+class TestMarkSidePoints:
+    def test_box_prune_matches_every_segment(self, corpus_dir):
+        # corpus links, crossing pairs shifted to large coordinates, and
+        # pairs beside a far loop of much larger scale
+        rng = random.Random(24)
+        links = [ss.load_link(p) for p in sorted(corpus_dir.glob("*.link.json"))]
+        for _ in range(100):
+            link = random_crossing_pair(rng)
+            # a level through the first loop's lift, so that it has marks
+            t0 = (rng.choice(link.loops[0].lifts) + 0.01) % TAU
+            shift = rng.choice((0.0, 1e6, 1e9))
+            loops = [ss.make_loop([(x + shift, y - shift, t) for x, y, t in lp.vertices])
+                     for lp in link.loops]
+            if rng.random() < 0.3:
+                loops.append(polygon([(1e8, 0.0), (1.1e8, 0.0), (1.1e8, 1e7), (1e8, 1e7)]))
+            links.append(ss.Link(tuple(loops), t0=t0))
+        cases = [(link, mk) for link in links for j, lp in enumerate(link.loops)
+                 if not lp.vertical for mk in ss.geometry._lift_scan(lp, link.t0, j)[0]]
+        assert len(cases) >= 200
+        # probes at the centre of regular polygons, whose edges all lie at
+        # about the same distance: the float minimum hangs on the last bits
+        for _ in range(200):
+            n = rng.choice((8, 12, 16, 64))
+            cx, cy = (rng.uniform(-1, 1) * rng.choice((1.0, 1e6)) for _ in range(2))
+            r, a = rng.uniform(0.5, 2.0), rng.uniform(0.0, TAU)
+            pts = [(cx + r * math.cos(a + TAU * i / n), cy + r * math.sin(a + TAU * i / n))
+                   for i in range(n)]
+            probe = ss.CrossingMark(0, 0.0, (cx, cy), 1, (1.0, 0.0))
+            cases.append((ss.Link((polygon(pts),)), probe))
+        for link, mk in cases:
+            got = TestSweptScans.outcome(ss.geometry.mark_side_points, link, mk)
+            assert got == TestSweptScans.outcome(mark_side_points_oracle, link, mk)
 
 
 class TestLiftScan:

@@ -87,7 +87,6 @@ ABELIAN_SHARED = {
     "Link": "the input link both routes evaluate",
     "Loop": "the input's loops; building one only projects its vertices",
     "nseg": "a loop's segment count",
-    "segments": "a loop's planar segments",
     "winding_s1": "the circle winding: both return 0 unless the windings sum to 0",
     "ind": "the planar winding number, the index the paper's formula is written in",
     "_orient": "the exact orientation predicate inside ind",
