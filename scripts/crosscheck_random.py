@@ -11,7 +11,8 @@ With --route abelian, on seeded random pairs of circles that cross twice
 (`random_crossing_pair`) with a random t0, compare the push-off framed
 Abelian product `wlo_abelian` against the crossing-mark route
 `wlo_abelian_intermediate`; links that are not admissible at their t0
-are drawn again.
+are drawn again.  Each link is also evaluated with its loops listed in
+reverse, by both routes, and all four values must agree.
 
     python scripts/crosscheck_random.py --configs 200 --seed 2024
     python scripts/crosscheck_random.py --route abelian --configs 300 --seed 3
@@ -62,7 +63,10 @@ def abelian(args):
         if not report.ok:
             continue
         try:
-            diff = abs(ss.wlo_abelian(link) - ss.wlo_abelian_intermediate(link, report))
+            rev = ss.Link(link.loops[::-1], t0=link.t0, level=k)
+            values = [ss.wlo_abelian(link), ss.wlo_abelian_intermediate(link, report),
+                      ss.wlo_abelian(rev), ss.wlo_abelian_intermediate(rev, ss.validate(rev))]
+            diff = max(abs(v - values[0]) for v in values)
         except ss.ShadowsumError as exc:  # an admissible link either route rejects
             errors += 1
             print(f"link {done} (k = {k}): {type(exc).__name__}: {exc}")

@@ -219,32 +219,16 @@ class Loop:
 def make_loop(vertices: Iterable[Sequence[float]], color=Fraction(1, 2),
               vertical: bool = False) -> Loop:
     """Build a Loop, checking closure and basic well-formedness."""
-    # one pass converts and checks each coordinate and finds the first
-    # segment short enough to be degenerate; the last one is measured again
-    # once the loop is closed
-    hypot = math.hypot
-    verts = []
-    finite = True
-    short = None
-    for x, y, t in vertices:
-        x, y, t = float(x), float(y), float(t)
-        finite = finite and (x - x) + (y - y) + (t - t) == 0.0  # inf - inf and NaN give NaN
-        if verts and short is None and hypot(x - xp, y - yp) <= COINCIDENCE_TOL:
-            short = len(verts) - 1
-        xp, yp = x, y
-        verts.append((x, y, t))
+    verts = [(float(x), float(y), float(t)) for x, y, t in vertices]
     if len(verts) < 3:
         raise InvariantViolation("loop needs at least 3 vertices")
-    if not finite:
-        raise InvariantViolation("non-finite loop coordinate")
+    for x, y, t in verts:
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(t)):
+            raise InvariantViolation("non-finite loop coordinate")
     (x0, y0, _), (xn, yn, _) = verts[0], verts[-1]
-    if hypot(xn - x0, yn - y0) > COINCIDENCE_TOL:
+    if math.hypot(xn - x0, yn - y0) > COINCIDENCE_TOL:
         raise InvariantViolation("loop does not close in the plane")
     verts[-1] = (x0, y0, verts[-1][2])
-    last = len(verts) - 2
-    if short is None or short == last:
-        xp, yp, _ = verts[last]
-        short = last if hypot(x0 - xp, y0 - yp) <= COINCIDENCE_TOL else None
     w = (verts[-1][2] - verts[0][2]) / TAU
     if abs(w - round(w)) > 1e-9:
         raise InvariantViolation(
@@ -255,8 +239,11 @@ def make_loop(vertices: Iterable[Sequence[float]], color=Fraction(1, 2),
         if round(w) == 0:
             raise InvariantViolation("vertical loop must wind around the circle factor")
         verts = [(x0, y0, t) for _, _, t in verts]
-    elif short is not None:
-        raise DegenerateGeometry(f"zero-length projected segment at vertex {short}")
+    else:
+        for i in range(len(verts) - 1):
+            (ax, ay, _), (bx, by, _) = verts[i], verts[i + 1]
+            if math.hypot(bx - ax, by - ay) <= COINCIDENCE_TOL:
+                raise DegenerateGeometry(f"zero-length projected segment at vertex {i}")
     col = Fraction(color)
     if (2 * col).denominator != 1:
         raise InvariantViolation(f"color {color!r} is not a half-integer")
@@ -357,8 +344,8 @@ def _pair_crossings(la: Loop, lb: Loop, same: bool, candidates):
     one fails, they are merged into `candidates` in lexicographic order,
     and the loop below raises whichever defect comes first.
 
-    The endpoint tests inline `_seg_point_dist` (same floats in the same
-    order; t = 0 on a zero-length segment), so each gives the same bit.
+    The adjacent-pair pass inlines `_seg_point_dist` (same floats in the
+    same order; t = 0 on a zero-length segment), so each gives the same bit.
     If o1 == o2 != 0, b lies strictly on one side of a's line: no crossing,
     and as `_orient` is exact no end of a lies on b, so o3, o4 are skipped.
 
@@ -421,28 +408,12 @@ def _pair_crossings(la: Loop, lb: Loop, same: bool, candidates):
             lim = mm * aden + 1e-300
             if c1 * c1 > lim and c2 * c2 > lim:
                 continue  # b lies on one side of a's line, farther than m
-        bdx, bdy = bx2 - bx, by2 - by
-        bden = bdx * bdx + bdy * bdy
         after = same and j == i + 1  # a2 is b1
         before = same and i == 0 and j == na - 1  # a1 is b2
-        near = False  # a1, a2 against b, then b1, b2 against a
-        if not before:
-            t = ((ax - bx) * bdx + (ay - by) * bdy) / bden if bden else 0.0
-            t = 1.0 if t >= 1.0 else (t if t > 0.0 else 0.0)  # min(1.0, max(0.0, t))
-            near = hypot(ax - (bx + t * bdx), ay - (by + t * bdy)) <= tol
-        if not (after or near):
-            t = ((ax2 - bx) * bdx + (ay2 - by) * bdy) / bden if bden else 0.0
-            t = 1.0 if t >= 1.0 else (t if t > 0.0 else 0.0)
-            near = hypot(ax2 - (bx + t * bdx), ay2 - (by + t * bdy)) <= tol
-        if not (after or near):
-            t = ((bx - ax) * adx + (by - ay) * ady) / aden if aden else 0.0
-            t = 1.0 if t >= 1.0 else (t if t > 0.0 else 0.0)
-            near = hypot(bx - (ax + t * adx), by - (ay + t * ady)) <= tol
-        if not (before or near):
-            t = ((bx2 - ax) * adx + (by2 - ay) * ady) / aden if aden else 0.0
-            t = 1.0 if t >= 1.0 else (t if t > 0.0 else 0.0)
-            near = hypot(bx2 - (ax + t * adx), by2 - (ay + t * ady)) <= tol
-        if near:
+        if ((not before and _seg_point_dist(a1, b1, b2) <= tol)
+                or (not after and _seg_point_dist(a2, b1, b2) <= tol)
+                or (not after and _seg_point_dist(b1, a1, a2) <= tol)
+                or (not before and _seg_point_dist(b2, a1, a2) <= tol)):
             raise DegenerateGeometry(f"a vertex lies on a segment (segments {i}, {j})")
         if after or before:
             continue
@@ -635,15 +606,12 @@ class CrossingMark:
     point: tuple[float, float]
     eps: int  # +1 iff the lift increases through t0
     tangent: tuple[float, float]
-    # where `_lift_scan` found it: the segment it lies on and the fraction of
-    # that segment before it, frac None at the vertex ending the segment; a
-    # push-off, whose lift is its loop's, places its own marks from these
-    segment: int | None = field(default=None, compare=False)
-    frac: float | None = field(default=None, compare=False)
 
 
 def _unit(v):
     n = math.hypot(v[0], v[1])
+    if n == 0.0:  # a loop that folds back exactly: its two tangents cancel
+        raise DegenerateGeometry("zero tangent vector")
     return (v[0] / n, v[1] / n)
 
 
@@ -688,7 +656,7 @@ def _lift_scan(loop: Loop, t0: float, j: int):
             if abs(lv - lb) > ANGLE_TOL:
                 frac = (lv - la) / delta
                 point = (ax + frac * (bx - ax), ay + frac * (by - ay))
-                marks.append(CrossingMark(j, (i + frac) / n, point, eps, tangent, i, frac))
+                marks.append(CrossingMark(j, (i + frac) / n, point, eps, tangent))
                 continue
             # at vertex v the lift crosses only if its next non-constant
             # segment goes on the same way (segment i ends the search)
@@ -699,7 +667,7 @@ def _lift_scan(loop: Loop, t0: float, j: int):
                 continue
             d2 = _unit((pl[v + 1][0] - pl[v][0], pl[v + 1][1] - pl[v][1]))
             marks.append(CrossingMark(j, v / n, pl[v], eps,
-                                      _unit((tangent[0] + d2[0], tangent[1] + d2[1])), i))
+                                      _unit((tangent[0] + d2[0], tangent[1] + d2[1]))))
     marks.sort(key=lambda m: m.param)
     return memo.setdefault((t0, j), (tuple(marks), tuple(defects)))
 
@@ -730,36 +698,18 @@ def crossing_marks(link: Link) -> tuple[CrossingMark, ...]:
 
 def mark_side_points(link: Link, mark: CrossingMark):
     """Probe points just left and just right of the strand at a crossing
-    mark, displaced by a quarter of the local clearance: the float minimum
-    of `_seg_point_dist` over every segment, bar those of the mark's loop
-    within COINCIDENCE_TOL of it.
-
-    A segment whose box lies beyond r = clearance + m of the mark in x or
-    y, m = COINCIDENCE_TOL + 1e-12 S and S the largest |coordinate| of the
-    mark and of every loop, cannot lower the running clearance and is not
-    measured.  As at `ind`, with u = 2^-53, rounding px + r leaves a true
-    distance above r - u (S + r), and `_seg_point_dist` loses at most
-    5.1 u S and a factor 1 - 3u of it.  The clearance is a float distance
-    between points within S, below 3 S, so the skipped distance exceeds
-    clearance + m - 6.1 u S - 4 u (3 S + m) > clearance.
-    """
+    mark, displaced by a quarter of the local clearance: the minimum of
+    `_seg_point_dist` over every segment, bar those of the mark's loop
+    within COINCIDENCE_TOL of it."""
     p = px, py = mark.point
-    loops = link.loops
-    m = COINCIDENCE_TOL + 1e-12 * max(abs(px), abs(py), *(lp.scale for lp in loops))
     clearance = math.inf
-    xlo, xhi, ylo, yhi = -math.inf, math.inf, -math.inf, math.inf
-    for j, loop in enumerate(loops):
+    for j, loop in enumerate(link.loops):
         pl = loop.planar
-        for i, (x0, x1, y0, y1) in enumerate(loop.boxes):
-            if x0 > xhi or x1 < xlo or y0 > yhi or y1 < ylo:
-                continue
+        for i in range(loop.nseg):
             d = _seg_point_dist(p, pl[i], pl[i + 1])
             if j == mark.loop and d <= COINCIDENCE_TOL:
                 continue  # a segment through the mark itself
-            if d < clearance:
-                clearance = d
-                r = clearance + m
-                xlo, xhi, ylo, yhi = px - r, px + r, py - r, py + r
+            clearance = min(clearance, d)
     if not math.isfinite(clearance) or clearance <= 0:
         raise DegenerateGeometry("no clearance around crossing mark")
     d = clearance * 0.25

@@ -15,8 +15,7 @@ offset; this horizontal push-off frames every loop.  The offset must stay
 below a third of the minimum clearance between non-adjacent segments.
 `pushoff` returns the offset loop with its crossing records against `l`;
 one sweep over both also finds the offset's own pairs, which are checked
-first.  A push-off keeps its loop's lift, so `self_link` reads its lift
-scan off the loop's instead of scanning it again.
+first.
 """
 
 from __future__ import annotations
@@ -30,10 +29,8 @@ from .errors import (
     OffsetTooLarge,
 )
 from .geometry import (
-    CrossingMark,
     DoublePoint,
     Loop,
-    _lift_scan,
     _loop_marks,
     _pair_crossings,
     _records,
@@ -119,39 +116,13 @@ def link_number(l: Loop, lt: Loop, crossings: tuple[DoublePoint, ...], t0: float
     return int(total)
 
 
-def _offset_lift_scan(l: Loop, off: Loop, t0: float):
-    """Store on `off`, a push-off of `l`, its lift scan at t0 as loop 1,
-    read off l's scan as loop 0: the lift is l's, so the levels, parameters,
-    signs and defects are too.  Only the points and tangents are the
-    offset's, from `_lift_scan`'s expressions on its planar vertices."""
-    marks, defects = _lift_scan(l, t0, 0)
-    pl = off.planar
-    n = off.nseg
-    out = []
-    for mk in marks:
-        i, frac = mk.segment, mk.frac
-        (ax, ay), (bx, by) = pl[i], pl[i + 1]
-        tangent = _unit((bx - ax, by - ay))
-        if frac is not None:
-            point = (ax + frac * (bx - ax), ay + frac * (by - ay))
-        else:  # at vertex v, which ends segment i
-            v = (i + 1) % n
-            point = pl[v]
-            d2 = _unit((pl[v + 1][0] - pl[v][0], pl[v + 1][1] - pl[v][1]))
-            tangent = _unit((tangent[0] + d2[0], tangent[1] + d2[1]))
-        out.append(CrossingMark(1, mk.param, point, mk.eps, tangent, i, frac))
-    off.lift_scans[(t0, 1)] = (tuple(out), tuple((1, kind, u) for _j, kind, u in defects))
-
-
 def self_link(l: Loop, t0: float) -> int:
     """Linking number of the loop with its horizontal push-off, evaluated at
-    two offsets to confirm stability as the offset shrinks.  Each push-off
-    takes its lift scan from the loop's."""
+    two offsets to confirm stability as the offset shrinks."""
     threshold = loop_min_clearance(l) / 3.0
     values = []
     for f in (0.5, 0.25):
         off, crossings = pushoff(l, threshold * f)
-        _offset_lift_scan(l, off, t0)
         values.append(link_number(l, off, crossings, t0))
     if values[0] != values[1]:
         raise OffsetTooLarge(

@@ -22,7 +22,9 @@ def polygon_circle(cx: float, cy: float, r: float, n: int = 16, *,
                    winding: int = 0, theta0: float = 0.5, ccw: bool = True,
                    phase: float = 0.0, color=Fraction(1, 2), theta_fn=None) -> Loop:
     """Regular n-gon approximation of a circle with a linear (or supplied)
-    circle-coordinate profile."""
+    circle-coordinate profile.  The closing vertex repeats vertex 0's x and
+    y: cos and sin of the full turn miss them by a rounding error times r,
+    which fails `make_loop`'s closure test from r = 1e7 on."""
     pts = []
     for i in range(n + 1):
         a = phase + 2.0 * math.pi * i / n * (1 if ccw else -1)
@@ -30,7 +32,8 @@ def polygon_circle(cx: float, cy: float, r: float, n: int = 16, *,
             th = theta_fn(i / n)
         else:
             th = theta0 + 2.0 * math.pi * winding * i / n
-        pts.append((cx + r * math.cos(a), cy + r * math.sin(a), th))
+        x, y = (cx + r * math.cos(a), cy + r * math.sin(a)) if i < n else pts[0][:2]
+        pts.append((x, y, th))
     return make_loop(pts, color=color)
 
 

@@ -433,11 +433,11 @@ def enumerate_pairs(link: Link, level: Level, fc: FaceComplex) -> list[Admissibl
     its spread is final as well.  A prefix whose final offsets or merged
     class spread by more than k is dropped with its whole subtree, since
     every completion keeps them: a nest listed innermost first is pruned
-    like one listed outermost first.  The classes are built, in O(n F),
-    only when some loop comes before one of its ancestors; otherwise none
-    forms.  Each surviving pair goes to the bucket of its l, and the
-    buckets are joined in l order.  Besides the output, the walk holds at
-    most n + 1 offset vectors.
+    like one listed outermost first.  The classes are built in O(n F);
+    with no loop listed before an ancestor, none forms.  Each surviving
+    pair goes to the bucket of its l, and the buckets are joined in l
+    order.  Besides the output, the walk holds at most n + 1 offset
+    vectors.
     """
     for j, lp in enumerate(link.loops):
         if lp.color2 != 1:
@@ -455,21 +455,18 @@ def enumerate_pairs(link: Link, level: Level, fc: FaceComplex) -> list[Admissibl
         if j >= 0:
             final[j].append(f)
     # merged[j]: a getter of the offsets of each class that loop j merges,
-    # of faces not yet final whose rows agree after column j but not in it;
-    # only a loop listed before an ancestor gives two faces one last loop,
-    # and without two such faces no class forms
+    # of faces not yet final whose rows agree after column j but not in it
     merged = [[] for _ in range(n)]
-    if any(len(faces) > 1 for faces in final):
-        cls = [0] * len(last)  # class ids of the faces' rows after column j
-        for j in range(n - 1, -1, -1):
-            classes = {}
-            for f, c in enumerate(cls):
-                if last[f] > j:
-                    classes.setdefault(c, []).append(f)
-            merged[j] = [operator.itemgetter(*faces) for faces in classes.values()
-                         if len({columns[j][f] for f in faces}) > 1]
-            ids = {}
-            cls = [ids.setdefault(cx, len(ids)) for cx in zip(cls, columns[j])]
+    cls = [0] * len(last)  # class ids of the faces' rows after column j
+    for j in range(n - 1, -1, -1):
+        classes = {}
+        for f, c in enumerate(cls):
+            if last[f] > j:
+                classes.setdefault(c, []).append(f)
+        merged[j] = [operator.itemgetter(*faces) for faces in classes.values()
+                     if len({columns[j][f] for f in faces}) > 1]
+        ids = {}
+        cls = [ids.setdefault(cx, len(ids)) for cx in zip(cls, columns[j])]
     buckets = [[] for _ in range(kp1 + 1)]
     # stack of (signs chosen so far, their offsets, min and max of 0 and
     # the final offsets); s = +1 is pushed first so that s = -1 is

@@ -199,8 +199,28 @@ class TestAbelianIntermediate:
             reject()
         sl = small_offset_self_link_oracle(loop, link.t0)
         assume(report.ok and sl is not None)
-        assert ss.wlo_abelian_intermediate(link, report) == pytest.approx(
-            cmath.exp(1j * math.pi * sl / link.level), abs=1e-9)
+        expected = cmath.exp(1j * math.pi * sl / link.level)
+        assert ss.wlo_abelian_intermediate(link, report) == pytest.approx(expected, abs=1e-9)
+
+        # with a far, unlinked partner whose lift crosses t0, listed after
+        # the loop and then before it: each route gives the same value in
+        # both orders, the crossing-mark route the oracle's
+        partner = polygon_circle(10.0, 0.0, 1.0, 16, phase=0.1,
+                                 theta_fn=lambda u: 0.4 + 0.8 * math.sin(TAU * u))
+        pair = ss.Link((loop, partner), t0=0.0, level=97)
+        swapped = ss.Link((partner, loop), t0=0.0, level=97)
+
+        def outcome(route, link):
+            try:
+                return route(link)
+            except ShadowsumError as exc:
+                return type(exc)
+
+        for route in (ss.wlo_abelian,
+                      lambda link: ss.wlo_abelian_intermediate(link, ss.validate(link))):
+            assert outcome(route, swapped) == outcome(route, pair)
+        assert ss.wlo_abelian_intermediate(swapped, ss.validate(swapped)) == pytest.approx(
+            expected, abs=1e-9)
 
 
 class TestVertical:

@@ -512,6 +512,13 @@ class TestLoopBasics:
         with pytest.raises(InvariantViolation):
             ss.make_loop([(1, 2, 0.2), (1, 2, 0.3), (1, 2, 0.2)], vertical=True)
 
+    def test_polygon_circle_at_large_radius(self):
+        # cos and sin of the full turn miss vertex 0 by more than 1e-9 at
+        # r = 1e7; the closing vertex repeats it instead
+        for r in (1e7, 1e12):
+            lp = polygon_circle(0.0, 0.0, r, 12)
+            assert lp.nseg == 12 and lp.planar[-1] == lp.planar[0]
+
     def test_fields_match_column_expressions(self):
         # one pass builds planar, lifts, boxes and scale with the bits of
         # builtin min, max and abs over whole columns, NaN and -0.0 included
@@ -531,9 +538,9 @@ class TestLoopBasics:
             assert bits((lp.planar, lp.lifts, lp.boxes, lp.scale)) == bits(loop_fields_oracle(verts))
 
     def test_make_loop_matches_check_by_check_oracle(self):
-        # one pass converts and checks each coordinate; the errors and
-        # their order are those of one check at a time.  Near-closing
-        # last vertices test the last segment's length after closing
+        # the errors and their order are those of one check at a time.
+        # Near-closing last vertices test the last segment's length after
+        # closing
         rng = random.Random(21)
         seen = Counter()
 
@@ -744,6 +751,17 @@ class TestCrossingMarks:
         assert [m.eps for m in marks] in ([1, -1], [-1, 1])
         assert sum(m.eps for m in marks) == 0
         assert mark_oracle(lp, 0.5) == [m.eps for m in marks]
+
+    def test_fold_back_at_a_level_degenerate(self):
+        # the lift crosses t0 = 0 at vertex 1, where the projection turns
+        # straight back, so the two unit tangents cancel; validate rejects
+        # the overlapping segments first
+        link = ss.Link((ss.make_loop([(0, 0, -1), (1, 0, 0), (0.5, 0, 1), (0.2, 0.7, 0.5),
+                                      (0, 0, -1)]),))
+        with pytest.raises(DegenerateGeometry):
+            ss.crossing_marks(link)
+        with pytest.raises(DegenerateGeometry):
+            ss.validate(link)
 
     def test_seam_rebased(self):
         # the lift starts exactly at t0; the internal rebasing must still

@@ -1,11 +1,9 @@
-import dataclasses
 import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import shadowsum as ss
 import shadowsum.linking
@@ -15,7 +13,7 @@ from shadowsum.errors import (
     OffsetTooLarge,
     TangentialCrossing,
 )
-from shadowsum.geometry import DoublePoint, _lift_scan, loop_min_clearance
+from shadowsum.geometry import DoublePoint, loop_min_clearance
 from shadowsum.random_links import polygon_circle, random_crossing_pair
 
 from conftest import diagram_linking_oracle, proper_crossings_oracle
@@ -226,82 +224,6 @@ class TestPushoffSweep:
                 "degenerates" in str(want) and bool(l.self_crossings))
             tally["crossings"] += bool(want) and want[0] is not OffsetTooLarge
         assert min(tally.values()) >= 20, tally
-
-
-def assert_offset_scan_is_fresh(l, off, t0):
-    """The scan `_offset_lift_scan` stores on `off` equals a fresh
-    `_lift_scan` of a copy of it, where each mark lies included."""
-    shadowsum.linking._offset_lift_scan(l, off, t0)
-    derived = off.lift_scans[(t0, 1)]
-    fresh = _lift_scan(dataclasses.replace(off), t0, 1)
-    assert derived == fresh
-    assert [(m.segment, m.frac) for m in derived[0]] == [(m.segment, m.frac) for m in fresh[0]]
-    return derived
-
-
-class TestOffsetLiftScan:
-    """A push-off's lift scan read off its loop's scan."""
-
-    def test_corpus_loops(self, corpus_dir):
-        seen = Counter()
-        for path in sorted(corpus_dir.glob("*.link.json")):
-            link = ss.load_link(path)
-            for lp in link.loops:
-                if lp.vertical:
-                    continue
-                try:
-                    offsets = [ss.pushoff(lp, loop_min_clearance(lp) * f)[0] for f in (1 / 6, 1 / 12)]
-                except (DegenerateGeometry, OffsetTooLarge):
-                    continue
-                for off in offsets:
-                    for t0 in (link.t0, 0.0, 1.3, 4.4):
-                        marks, defects = assert_offset_scan_is_fresh(lp, off, t0)
-                        seen["marks"] += len(marks)
-                        seen["vertex marks"] += sum(m.frac is None for m in marks)
-        assert seen["marks"] >= 20, seen
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(3, 10), st.sampled_from([0.0, 0.7, 5.9]),
-           st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2), st.floats(-9.0, 9.0)),
-                    min_size=10, max_size=10),
-           st.integers(-2, 2), st.floats(0.1, 3.0), st.floats(0.0, 6.0))
-    def test_random_lifts(self, n, t0, draws, w, radius, phase):
-        # vertices on a level, flat runs and the seam on a level give
-        # vertex marks and defects; the offset is any convex polygon with
-        # the lift
-        lifts = []
-        for kind, turn, x in draws[:n]:
-            if kind == 0:
-                lifts.append(t0 + TAU * turn)
-            elif kind == 1 and lifts:
-                lifts.append(lifts[-1])
-            else:
-                lifts.append(x)
-        lifts.append(lifts[0] + TAU * w)
-        def polygon(r, a):
-            pts = [(r * math.cos(a + TAU * i / n), r * math.sin(a + TAU * i / n))
-                   for i in range(n)]
-            return ss.Loop(tuple((x, y, t) for (x, y), t in zip(pts + pts[:1], lifts)))
-
-        l, off = polygon(1.0, 0.0), polygon(radius, phase)
-        assert_offset_scan_is_fresh(l, off, t0)
-
-    def test_self_link_scans_no_offset(self, monkeypatch):
-        # self_link scans the loop's lift once; its push-offs reuse it
-        lp = polygon_circle(0, 0, 1.0, 20, phase=0.07,
-                            theta_fn=lambda u: 0.3 + 0.5 * math.sin(TAU * u))
-        scanned = []
-        real = shadowsum.geometry._lift_scan
-
-        def scan(loop, t0, j):
-            if (t0, j) not in loop.lift_scans:
-                scanned.append(loop)
-            return real(loop, t0, j)
-
-        monkeypatch.setattr(shadowsum.geometry, "_lift_scan", scan)
-        monkeypatch.setattr(shadowsum.linking, "_lift_scan", scan)
-        assert ss.self_link(lp, 0.0) == 0
-        assert scanned == [lp]
 
 
 class TestSelfLink:
