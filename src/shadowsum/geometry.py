@@ -19,8 +19,9 @@ Arithmetic and Fast Robust Geometric Predicates", DCG 18, 1997).
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.  A `Loop` computes its self-crossings (unless a `validate`
 has found them first) and its clearance lazily, at most once, and its
-lift scans at one t0 (`lift_scans`, emptied when it is scanned at another
-t0), and caches them on the instance; a race between threads only
+lift scan at one t0 (`lift_scans`, read under any loop index and emptied
+when it is scanned at another t0), and caches them on the instance; a
+race between threads only
 computes the same value twice.  `ind` counts the crossings in one pass
 over the segments, and measures the distance to its point only on the
 segments whose stored box lies within COINCIDENCE_TOL plus a rounding
@@ -156,8 +157,8 @@ class Loop:
     color: Fraction = Fraction(1, 2)
     vertical: bool = False
     # the doubled color, projections of `vertices`, segment bounding boxes
-    # and the largest planar |coordinate|, built once, and `_lift_scan`
-    # results by (t0, loop index), kept for one t0 at a time
+    # and the largest planar |coordinate|, built once, and the last
+    # `_lift_scan` result by t0, with the loop index it was made under
     color2: int = field(init=False, repr=False, compare=False)
     planar: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     lifts: tuple[float, ...] = field(init=False, repr=False, compare=False)
@@ -625,9 +626,15 @@ def _lift_scan(loop: Loop, t0: float, j: int):
     that reaches it, so vertex 0 is handled at the end of the last segment.
     """
     memo = loop.lift_scans
-    if (found := memo.get((t0, j))) is not None:
-        return found
-    if any(t != t0 for t, _ in list(memo)):
+    if (found := memo.get(t0)) is not None:
+        i, scan = found
+        if i == j:
+            return scan
+        # the same scan under another loop index: only the labels differ
+        marks, defects = scan
+        return (tuple([CrossingMark(j, m.param, m.point, m.eps, m.tangent) for m in marks]),
+                tuple([(j, kind, param) for _, kind, param in defects]))
+    if any(t != t0 for t in list(memo)):
         memo.clear()
     n = loop.nseg
     pl = loop.planar
@@ -669,7 +676,9 @@ def _lift_scan(loop: Loop, t0: float, j: int):
             marks.append(CrossingMark(j, v / n, pl[v], eps,
                                       _unit((tangent[0] + d2[0], tangent[1] + d2[1]))))
     marks.sort(key=lambda m: m.param)
-    return memo.setdefault((t0, j), (tuple(marks), tuple(defects)))
+    scan = tuple(marks), tuple(defects)
+    i, kept = memo.setdefault(t0, (j, scan))
+    return kept if i == j else scan
 
 
 def _loop_marks(loop: Loop, t0: float, loop_index: int):

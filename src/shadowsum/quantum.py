@@ -7,6 +7,16 @@ public spin API (sixj, v_dim, u_exponent) is a thin wrapper: check_color on
 spins given as int, float, or Fraction with 2j integral, then the kernel.
 doubled reads a Fraction's 2j off its numerator, and _u_exponent_doubled's
 int division rounds as float(Fraction) does.
+
+The 6j kernel is table-fed: _sixj_doubled(qf, k, ...) takes the [n]!
+table and the level, so a state sum fetches the table from _qfactorials
+once per call and passes it to every 6j-symbol it evaluates; sixj fetches
+it per call.  The kernel reads the table only in products, quotients and
+square roots, so a rescaled table fits the same kernel: with qf[n] times
+lam**n every Racah term gains one factor lam and every triad factor
+lam**-0.5, so the kernel returns the 6j-symbol divided by lam.  The plain
+[n]! overflows from k = 202; with lam = [k+1]!**(-1/(k+1)), taken in logs,
+the rescaled entries span about e**62 at k = 202 and e**319 at k = 1000.
 """
 
 from __future__ import annotations
@@ -122,42 +132,39 @@ def _qfactorials(level: Level, n: int) -> tuple[float, ...]:
     return qf
 
 
-def _sixj_doubled(level: Level, t1: int, t2: int, t3: int, t4: int, t5: int, t6: int) -> float:
-    triads = (
-        (t1, t2, t3),
-        (t1, t5, t6),
-        (t4, t2, t6),
-        (t4, t5, t3),
-    )
-    km = level.k
-    for ta, tb, tc in triads:
-        if not _triple_ok(km, ta, tb, tc):
-            return 0.0
+def _sixj_doubled(qf, km: int, t1: int, t2: int, t3: int, t4: int, t5: int, t6: int) -> float:
+    """The Racah sum of the 6j-symbol at level km on doubled colors, read
+    off the table qf of [0]!, [1]!, ...; 0.0 when a triad is inadmissible.
 
-    # every index below is at most half the color sum plus one, and at most
-    # rbar-1 for admissible triads
-    qf = _qfactorials(level, min(level.rbar - 1, (t1 + t2 + t3 + t4 + t5 + t6) // 2 + 1))
+    qf must reach index min(km + 1, (t1 + ... + t6) // 2 + 1).  Each
+    triad factor and each Racah term is formed in a fixed order, so the
+    value does not depend on who built the table.
+    """
+    # a triad (a, b, c) with even sum 2h couples iff h <= km and each of
+    # a, b, c is at most h, the three triangle inequalities; its [.]!
+    # arguments are then h - a, h - b, h - c and h + 1
+    s1, s2, s3, s4 = t1 + t2 + t3, t1 + t5 + t6, t4 + t2 + t6, t4 + t5 + t3
+    if (s1 | s2 | s3 | s4) & 1:
+        return 0.0
+    h1, h2, h3, h4 = s1 >> 1, s2 >> 1, s3 >> 1, s4 >> 1
+    if (max(h1, h2, h3, h4) > km or max(t1, t2, t3) > h1 or max(t1, t5, t6) > h2
+            or max(t4, t2, t6) > h3 or max(t4, t5, t3) > h4):
+        return 0.0
 
-    # each doubled sum below is even, and its [.]! argument is half of it
     delta = 1.0
-    for ta, tb, tc in triads:
-        delta *= math.sqrt(
-            qf[(-ta + tb + tc) // 2] * qf[(ta - tb + tc) // 2] * qf[(ta + tb - tc) // 2]
-            / qf[(ta + tb + tc + 2) // 2]
-        )
+    delta *= math.sqrt(qf[h1 - t1] * qf[h1 - t2] * qf[h1 - t3] / qf[h1 + 1])
+    delta *= math.sqrt(qf[h2 - t1] * qf[h2 - t5] * qf[h2 - t6] / qf[h2 + 1])
+    delta *= math.sqrt(qf[h3 - t4] * qf[h3 - t2] * qf[h3 - t6] / qf[h3 + 1])
+    delta *= math.sqrt(qf[h4 - t4] * qf[h4 - t5] * qf[h4 - t3] / qf[h4 + 1])
 
-    tT = [ta + tb + tc for ta, tb, tc in triads]
-    tQ = (t1 + t2 + t4 + t5, t2 + t3 + t5 + t6, t3 + t1 + t6 + t4)
-    # z beyond rbar-2 only adds terms with a vanishing [z+1]! numerator
-    z_lo = max(tT) // 2
-    z_hi = min(min(tQ) // 2, level.rbar - 2)
+    # the three sums of opposite pairs, halved; each is even for
+    # admissible triads
+    q1, q2, q3 = (t1 + t2 + t4 + t5) >> 1, (t2 + t3 + t5 + t6) >> 1, (t3 + t1 + t6 + t4) >> 1
+    # z beyond km = rbar-2 only adds terms with a vanishing [z+1]! numerator
     total = 0.0
-    for z in range(z_lo, z_hi + 1):
-        term = qf[z + 1]
-        for tt in tT:
-            term /= qf[z - tt // 2]
-        for tq in tQ:
-            term /= qf[tq // 2 - z]
+    for z in range(max(h1, h2, h3, h4), min(q1, q2, q3, km) + 1):
+        term = (qf[z + 1] / qf[z - h1] / qf[z - h2] / qf[z - h3] / qf[z - h4]
+                / qf[q1 - z] / qf[q2 - z] / qf[q3 - z])
         total += -term if z % 2 else term
     return delta * total
 
@@ -173,4 +180,6 @@ def sixj(level: Level, i, j, k, l, m, n) -> float:
     (i,j,k), (i,m,n), (l,j,n), (l,m,k); the value is 0 whenever any of
     them is inadmissible at this level.
     """
-    return _sixj_doubled(level, *map(level.check_color, (i, j, k, l, m, n)))
+    ts = tuple(map(level.check_color, (i, j, k, l, m, n)))
+    qf = _qfactorials(level, min(level.rbar - 1, sum(ts) // 2 + 1))
+    return _sixj_doubled(qf, level.k, *ts)

@@ -39,7 +39,11 @@ the list from a caller that already holds it: the CLI's eval enumerates
 once for both the value and the coloring count it prints.  Both state sums
 call quantum's doubled-int kernels, not its spin API, so a memo miss
 builds no Fraction; x = gleam - z/2 is the int quotient (2 gleam - z) / 2,
-rounded like float() of the Fraction.  The same list backs the bijection
+rounded like float() of the Fraction.  The 6j kernel is table-fed:
+state_sum_general fetches the [n]! table once per call, as far as its
+colorings can read it, and passes it to every 6j-symbol it evaluates; it
+keeps each vertex's strand colors and quadrants as one tuple, and the face
+weights in lists indexed by color.  The same list backs the bijection
 check.  The pair route keeps its own enumeration and shares only the
 level, the doubled colors and the exception types with either state sum.
 
@@ -66,6 +70,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import (
@@ -77,7 +82,15 @@ from .errors import (
     UnsupportedColor,
 )
 from .geometry import FaceComplex, Link, gleams_dpfree, winding_s1
-from .quantum import Level, _sixj_doubled, _triple_ok, _u_exponent_doubled, _v_dim_doubled, doubled
+from .quantum import (
+    Level,
+    _qfactorials,
+    _sixj_doubled,
+    _triple_ok,
+    _u_exponent_doubled,
+    _v_dim_doubled,
+    doubled,
+)
 
 __all__ = [
     "ShadowFace",
@@ -321,28 +334,45 @@ def state_sum_general(shadow: Shadow, level: Level,
             f"strand color {Fraction(top, 2)} outside color set of level {level.k}")
     if colorings is None:
         colorings = enumerate_colorings(shadow, level)
+    km = level.k
+    vertices = [(v.e1_2, v.j, v.k, v.e2_2, v.m, v.n) for v in shadow.vertices]
+    if vertices and colorings:
+        # the [n]! table, fetched once: a 6j-symbol reads it up to half its
+        # color sum plus one, and no further than [k+1]!
+        hi = min(km, max(chain.from_iterable(colorings), default=0))
+        strands = max(e1 + e2 for e1, _, _, e2, _, _ in vertices)
+        qf = _qfactorials(level, min(km + 1, (strands + 4 * hi) // 2 + 1))
     sixjs: dict[tuple, float] = {}
-    shared: dict[tuple, dict] = {}
-    weights = [shared.setdefault((f.chi, f.gleam, f.z), {}) for f in shadow.faces]
+    # face weights by (chi, gleam, z) in lists indexed by color; a color
+    # outside 0 .. k reads None from the second half (a negative one from
+    # its end) or misses the list, and the face weight raises on it
+    shared: dict[tuple, list] = {}
+    weights = [shared.setdefault((f.chi, f.gleam, f.z), [None] * (2 * km + 2))
+               for f in shadow.faces] if colorings else []
+    faces = shadow.faces
+    nf = len(faces)
     total = 0j
     for col in colorings:
-        if len(col) != len(weights):
-            raise PreconditionError(f"coloring {col} does not color the {len(weights)} faces")
+        if len(col) != nf:
+            raise PreconditionError(f"coloring {col} does not color the {nf} faces")
         vertex_part = 1.0
-        for v in shadow.vertices:
-            ts = (v.e1_2, col[v.j], col[v.k], v.e2_2, col[v.m], col[v.n])
+        for e1, j, k, e2, m, n in vertices:
+            ts = (e1, col[j], col[k], e2, col[m], col[n])
             s = sixjs.get(ts)
             if s is None:
-                s = sixjs[ts] = _sixj_doubled(level, *ts)
+                s = sixjs[ts] = _sixj_doubled(qf, km, *ts)
             vertex_part *= s
         if vertex_part == 0.0:  # no face weight reads its colors, so check them here
-            if min(col) < 0 or max(col) > level.k:
+            if min(col) < 0 or max(col) > km:
                 raise ColorOutOfRange(f"coloring {col} has a face color outside color set "
-                                      f"of level {level.k}")
+                                      f"of level {km}")
             continue
         term = complex(vertex_part)
-        for t, face, memo in zip(col, shadow.faces, weights):
-            w = memo.get(t)
+        for t, face, memo in zip(col, faces, weights):
+            try:
+                w = memo[t]
+            except IndexError:
+                w = None
             if w is None:
                 w = memo[t] = _face_weight(level, face, t)
             term *= w

@@ -1,3 +1,4 @@
+import functools
 import math
 import pathlib
 import sys
@@ -357,66 +358,6 @@ def loop_fields_oracle(vertices):
     return tuple(zip(xs, ys)), ts, boxes, max(map(abs, xs + ys), default=0.0)
 
 
-def mark_side_points_oracle(link, mark):
-    """`geometry.mark_side_points` measuring every segment of every loop."""
-    from shadowsum.errors import DegenerateGeometry
-    from shadowsum.geometry import COINCIDENCE_TOL, _seg_point_dist
-
-    px, py = mark.point
-    clearance = math.inf
-    for j, loop in enumerate(link.loops):
-        for _i, a, b in segments(loop):
-            d = _seg_point_dist((px, py), a, b)
-            if not (j == mark.loop and d <= COINCIDENCE_TOL):
-                clearance = min(clearance, d)
-    if not math.isfinite(clearance) or clearance <= 0:
-        raise DegenerateGeometry("no clearance around crossing mark")
-    d = clearance * 0.25
-    nx, ny = -mark.tangent[1], mark.tangent[0]
-    return (px + d * nx, py + d * ny), (px - d * nx, py - d * ny)
-
-
-def make_loop_oracle(vertices, color=None, vertical=False):
-    """`geometry.make_loop` one check at a time: convert every coordinate,
-    then check the count, finiteness, closure, the lift's winding, the
-    vertical shape or every segment's length, and the color, in that
-    order."""
-    from fractions import Fraction
-
-    from shadowsum.errors import DegenerateGeometry, InvariantViolation
-    from shadowsum.geometry import COINCIDENCE_TOL, TAU, Loop
-
-    color = Fraction(1, 2) if color is None else color
-    verts = [(float(x), float(y), float(t)) for x, y, t in vertices]
-    if len(verts) < 3:
-        raise InvariantViolation("loop needs at least 3 vertices")
-    if not all(math.isfinite(c) for v in verts for c in v):
-        raise InvariantViolation("non-finite loop coordinate")
-    (x0, y0, _), (xn, yn, _) = verts[0], verts[-1]
-    if math.hypot(xn - x0, yn - y0) > COINCIDENCE_TOL:
-        raise InvariantViolation("loop does not close in the plane")
-    verts[-1] = (x0, y0, verts[-1][2])
-    w = (verts[-1][2] - verts[0][2]) / TAU
-    if abs(w - round(w)) > 1e-9:
-        raise InvariantViolation(
-            f"circle-coordinate lift does not close up to 2*pi*integer (w = {w})")
-    if vertical:
-        if any(math.hypot(x - x0, y - y0) > COINCIDENCE_TOL for x, y, _ in verts):
-            raise InvariantViolation("vertical loop must project to a single point")
-        if round(w) == 0:
-            raise InvariantViolation("vertical loop must wind around the circle factor")
-        verts = [(x0, y0, t) for _, _, t in verts]
-    else:
-        for i in range(len(verts) - 1):
-            (ax, ay, _), (bx, by, _) = verts[i], verts[i + 1]
-            if math.hypot(bx - ax, by - ay) <= COINCIDENCE_TOL:
-                raise DegenerateGeometry(f"zero-length projected segment at vertex {i}")
-    col = Fraction(color)
-    if (2 * col).denominator != 1:
-        raise InvariantViolation(f"color {color!r} is not a half-integer")
-    return Loop(tuple(verts), col, bool(vertical))
-
-
 def segment_sweep_oracle(loops, selves=()):
     """`geometry._segment_sweep` as an all-pairs box filter: every pair of
     segments of two loops a < b, and of one loop a with itself when it is
@@ -710,10 +651,24 @@ def u_exponent_oracle(level, j) -> complex:
     return complex(0.0, math.pi * float(val))
 
 
+@functools.lru_cache(maxsize=None)
+def _qfactorials_oracle(k) -> tuple:
+    """[0]!, ..., [k+1]! at level k, each the product [m-1]! * [m]."""
+    r = k + 2
+    qf = [1.0]
+    for m in range(1, k + 2):
+        qf.append(qf[-1] * (math.sin(m * math.pi / r) / math.sin(math.pi / r)))
+    return tuple(qf)
+
+
 def sixj_doubled_oracle(level, t1, t2, t3, t4, t5, t6) -> float:
-    """The 6j kernel as written before it indexed [n]! directly: the same
-    Racah sum, with each factorial read through a per-call closure."""
-    from shadowsum.quantum import _qfactorials, _triple_ok
+    """The 6j kernel as written before it was table-fed, with its own [n]!
+    table and triad check: the same Racah sum, with each factorial read
+    through a per-call closure."""
+
+    def couples(ta, tb, tc):
+        return ((ta + tb + tc) % 2 == 0 and ta + tb + tc <= 2 * level.k
+                and abs(ta - tb) <= tc <= ta + tb)
 
     triads = (
         (t1, t2, t3),
@@ -721,12 +676,10 @@ def sixj_doubled_oracle(level, t1, t2, t3, t4, t5, t6) -> float:
         (t4, t2, t6),
         (t4, t5, t3),
     )
-    km = level.k
-    for ta, tb, tc in triads:
-        if not _triple_ok(km, ta, tb, tc):
-            return 0.0
+    if not all(couples(*triad) for triad in triads):
+        return 0.0
 
-    qf = _qfactorials(level, min(level.rbar - 1, (t1 + t2 + t3 + t4 + t5 + t6) // 2 + 1))
+    qf = _qfactorials_oracle(level.k)
 
     def fact(t: int) -> float:
         # t is a doubled even quantity here; argument of [.]! is t//2

@@ -199,9 +199,9 @@ def sixj_evaluations(monkeypatch):
     calls = []
     real = shadowsum.shadow._sixj_doubled
 
-    def counting(level, *ts):
+    def counting(qf, km, *ts):
         calls.append(ts)
-        return real(level, *ts)
+        return real(qf, km, *ts)
 
     monkeypatch.setattr(shadowsum.shadow, "_sixj_doubled", counting)
     return calls
@@ -483,13 +483,12 @@ class TestCliWlo:
     def test_abelian_scans_each_lift_once(self, capsys, corpus_dir, lift_scans):
         # validate scans both loops; the CLI's crossing marks and the
         # crossing-mark route reuse those scans, and so do the pair's
-        # link_number and each loop's self_link as loop 0, except that
-        # hopf's second loop is loop 1 in the link; each of the four
-        # push-offs is scanned once
+        # link_number and each loop's self_link, which reads hopf's second
+        # loop as loop 0; each of the four push-offs is scanned once
         code, _ = run_cli(capsys, "wlo", "--mode", "abelian", str(corpus_dir / "hopf.link.json"))
         assert code == 0
-        assert len(lift_scans) <= 7  # 16 when nothing was kept
-        assert len({(id(lp), t0, j) for lp, t0, j in lift_scans}) == len(lift_scans)
+        assert len(lift_scans) == 6  # 16 when nothing was kept, 7 when kept per index
+        assert len({(id(lp), t0) for lp, t0, _ in lift_scans}) == len(lift_scans)
 
     def test_abelian_every_vertex_on_a_level(self, capsys, tmp_path):
         # a triangle whose lift is 0, 2pi, 4pi, 6pi at t0 = 0 passes

@@ -29,9 +29,7 @@ from conftest import (
     ind_oracle,
     loop_fields_oracle,
     loop_orientation_oracle,
-    make_loop_oracle,
     mark_oracle,
-    mark_side_points_oracle,
     min_clearance_oracle,
     proper_crossings_oracle,
     sample_point_oracle,
@@ -537,19 +535,45 @@ class TestLoopBasics:
             lp = ss.Loop(verts)
             assert bits((lp.planar, lp.lifts, lp.boxes, lp.scale)) == bits(loop_fields_oracle(verts))
 
-    def test_make_loop_matches_check_by_check_oracle(self):
-        # the errors and their order are those of one check at a time.
+    def test_make_loop_accepts_exactly_the_well_formed_loops(self):
+        # each outcome is checked against its own input: a loop comes back
+        # only for well-formed input, with its last vertex closed onto the
+        # first, and every error names a fault that its input has.
         # Near-closing last vertices test the last segment's length after
         # closing
         rng = random.Random(21)
+        tol = ss.geometry.COINCIDENCE_TOL
         seen = Counter()
 
-        def outcome(fn, verts, vertical):
-            try:
-                lp = fn(verts, vertical=vertical)
-            except (InvariantViolation, DegenerateGeometry) as exc:
-                return type(exc), str(exc)
-            return lp, repr(lp.vertices)
+        def winding(pts):
+            return (pts[-1][2] - pts[0][2]) / TAU
+
+        def far(a, b):
+            return math.hypot(b[0] - a[0], b[1] - a[1]) > tol
+
+        def has_fault(message, raw, closed, vertical):
+            if message == "loop needs at least 3 vertices":
+                return len(raw) < 3
+            if message == "non-finite loop coordinate":
+                return not all(math.isfinite(c) for p in raw for c in p)
+            if message == "loop does not close in the plane":
+                return far(raw[0], raw[-1])
+            if message.startswith("circle-coordinate lift does not close"):
+                return abs(winding(closed) - round(winding(closed))) > 1e-9
+            if message == "vertical loop must project to a single point":
+                return vertical and any(far(closed[0], p) for p in closed)
+            if message == "vertical loop must wind around the circle factor":
+                return vertical and round(winding(closed)) == 0
+            short = re.fullmatch(r"zero-length projected segment at vertex (\d+)", message)
+            return bool(short) and not vertical and not far(*closed[int(short[1]):][:2])
+
+        def well_formed(lp, closed, vertical):
+            want = [(closed[0][0], closed[0][1], t) for _, _, t in closed] if vertical else closed
+            shape = (round(winding(closed)) != 0 and not any(far(closed[0], p) for p in closed)
+                     if vertical else all(map(far, closed, closed[1:])))
+            return (list(lp.vertices) == want and len(closed) >= 3 and shape
+                    and all(math.isfinite(c) for p in closed for c in p)
+                    and abs(winding(closed) - round(winding(closed))) <= 1e-9)
 
         for _ in range(4000):
             n = rng.randint(2, 6)
@@ -573,9 +597,16 @@ class TestLoopBasics:
             vertical = rng.random() < 0.1
             if vertical and rng.random() < 0.7:
                 verts = [(verts[0][0], verts[0][1], t) for _, _, t in verts]
-            got = outcome(ss.make_loop, verts, vertical)
-            assert got == outcome(make_loop_oracle, verts, vertical)
-            seen[got[0].__name__ if isinstance(got[0], type) else "loop"] += 1
+            raw = [tuple(map(float, p)) for p in verts]
+            closed = raw[:-1] + [(raw[0][0], raw[0][1], raw[-1][2])]
+            try:
+                lp = ss.make_loop(verts, vertical=vertical)
+            except (InvariantViolation, DegenerateGeometry) as exc:
+                assert has_fault(str(exc), raw, closed, vertical), (verts, vertical, exc)
+                seen[type(exc).__name__] += 1
+            else:
+                assert well_formed(lp, closed, vertical), (verts, vertical)
+                seen["loop"] += 1
         assert min(seen[k] for k in ("loop", "InvariantViolation", "DegenerateGeometry")) >= 200, seen
 
 
@@ -861,9 +892,13 @@ def scan_matches_t0_cut_oracle(lp, t0, w) -> str:
 
 
 class TestMarkSidePoints:
-    def test_box_prune_matches_every_segment(self, corpus_dir):
-        # corpus links, crossing pairs shifted to large coordinates, and
-        # pairs beside a far loop of much larger scale
+    def test_probes_a_quarter_clearance_across_the_strand(self, corpus_dir):
+        # the probes sit on the strand's left and right normal, a quarter
+        # of the clearance away from the mark: the least distance to a
+        # segment, bar the mark loop's segments through the mark, here
+        # measured by complex projection rather than by _seg_point_dist.
+        # Cases: corpus links, crossing pairs shifted to large coordinates,
+        # and pairs beside a far loop of much larger scale
         rng = random.Random(24)
         links = [ss.load_link(p) for p in sorted(corpus_dir.glob("*.link.json"))]
         for _ in range(100):
@@ -880,7 +915,7 @@ class TestMarkSidePoints:
                  if not lp.vertical for mk in ss.geometry._lift_scan(lp, link.t0, j)[0]]
         assert len(cases) >= 200
         # probes at the centre of regular polygons, whose edges all lie at
-        # about the same distance: the float minimum hangs on the last bits
+        # about the same distance
         for _ in range(200):
             n = rng.choice((8, 12, 16, 64))
             cx, cy = (rng.uniform(-1, 1) * rng.choice((1.0, 1e6)) for _ in range(2))
@@ -889,9 +924,24 @@ class TestMarkSidePoints:
                    for i in range(n)]
             probe = ss.CrossingMark(0, 0.0, (cx, cy), 1, (1.0, 0.0))
             cases.append((ss.Link((polygon(pts),)), probe))
+        tol = ss.geometry.COINCIDENCE_TOL
         for link, mk in cases:
-            got = TestSweptScans.outcome(ss.geometry.mark_side_points, link, mk)
-            assert got == TestSweptScans.outcome(mark_side_points_oracle, link, mk)
+            z = complex(*mk.point)
+            clearance = math.inf
+            for j, lp in enumerate(link.loops):
+                for a, b in zip(lp.planar, lp.planar[1:]):
+                    u, w = complex(*a), complex(*b) - complex(*a)
+                    s = min(1.0, max(0.0, ((z - u) / w).real))
+                    d = abs(z - (u + s * w))
+                    if not (j == mk.loop and d <= tol):
+                        clearance = min(clearance, d)
+            assert 0 < clearance < math.inf
+            # rounding error grows with the coordinates
+            err = 1e-13 * max(1.0, max(abs(c) for lp in link.loops for p in lp.planar for c in p))
+            left, right = ss.geometry.mark_side_points(link, mk)
+            normal = complex(-mk.tangent[1], mk.tangent[0])
+            assert abs(complex(*left) - (z + clearance / 4 * normal)) <= err, (mk, clearance)
+            assert abs(complex(*right) - (z - clearance / 4 * normal)) <= err, (mk, clearance)
 
 
 class TestLiftScan:
@@ -903,7 +953,7 @@ class TestLiftScan:
         assert min(seen.values()) >= 50, seen
 
     def test_alternating_t0_match_oracle(self):
-        # scans of one loop at t0 = a, b, a: the loop keeps the results of
+        # scans of one loop at t0 = a, b, a: the loop keeps the result of
         # one t0, and each scan is the oracle's at its own t0
         rng = random.Random(18)
         seen = {"marks": 0, "rejected": 0, "all on levels": 0}
@@ -912,10 +962,12 @@ class TestLiftScan:
             b = rng.choice([0.0, a + 1e-6, rng.uniform(0.0, TAU)])
             for t0 in (a, b, a):
                 seen[scan_matches_t0_cut_oracle(lp, t0, w)] += 1
-                assert {t for t, _ in lp.lift_scans} == {t0}
+                assert set(lp.lift_scans) == {t0}
             assert ss.geometry._lift_scan(lp, a, 0) is ss.geometry._lift_scan(lp, a, 0)
-            marks, _ = ss.geometry._lift_scan(lp, a, 3)
-            assert {m.loop for m in marks} <= {3} and len(lp.lift_scans) == 2
+            # the kept scan, read as loop 3, is a fresh scan's as loop 3
+            relabelled = ss.geometry._lift_scan(lp, a, 3)
+            assert relabelled == ss.geometry._lift_scan(dataclasses.replace(lp), a, 3)
+            assert len(lp.lift_scans) == 1
         assert min(seen.values()) >= 50, seen
 
     def test_threads_sharing_a_loop_get_their_own_t0(self):

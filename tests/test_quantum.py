@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from shadowsum.errors import ColorOutOfRange
 from shadowsum.quantum import (
     Level,
+    _qfactorials,
     _sixj_doubled,
     _u_exponent_doubled,
     _v_dim_doubled,
@@ -115,29 +116,32 @@ class TestBitIdentity:
                 assert (u.real.hex(), u.imag.hex()) == (want.real.hex(), want.imag.hex()), (k, t)
 
     def test_sixj_kernel_matches_closure_form_to_the_bit(self):
+        # the kernel reads the level's [n]! table, the oracle its own; every
+        # 6-tuple of colors, at k <= 3 also with the colors -1/2 and
+        # (k+1)/2, which no triad admits
         for k in range(1, 7):
-            lev, ref = Level(k), Level(k)
+            lev = Level(k)
+            qf = _qfactorials(lev, k + 1)
             admissible = 0
-            for ts in itertools.product(range(k + 1), repeat=6):
+            for ts in itertools.product(range(-1, k + 2) if k <= 3 else range(k + 1), repeat=6):
                 t1, t2, t3, t4, t5, t6 = ts
-                if not all(admissible_oracle(k, *triad) for triad in (
-                        (t1, t2, t3), (t1, t5, t6), (t4, t2, t6), (t4, t5, t3))):
-                    continue
-                admissible += 1
-                assert _sixj_doubled(lev, *ts).hex() == sixj_doubled_oracle(ref, *ts).hex(), ts
+                admissible += all(admissible_oracle(k, *triad) for triad in (
+                    (t1, t2, t3), (t1, t5, t6), (t4, t2, t6), (t4, t5, t3)))
+                assert _sixj_doubled(qf, k, *ts).hex() == sixj_doubled_oracle(lev, *ts).hex(), ts
             assert admissible > 0
         # longer Racah sums, on tuples whose triads (0, 1, 2) and (0, 4, 5)
         # are drawn admissible
         rng = random.Random(17)
         for k in (32, 128, 200):
-            lev, ref = Level(k), Level(k)
+            lev = Level(k)
+            qf = _qfactorials(lev, k + 1)
             for _ in range(500):
                 ts = [rng.randint(0, k) for _ in range(6)]
                 for a, b, c in ((0, 1, 2), (0, 4, 5)):
                     ta, tb = ts[a], ts[b]
                     fusion = range(abs(ta - tb), min(ta + tb, 2 * k - ta - tb) + 1, 2)
                     ts[c] = rng.choice(fusion) if fusion else 0
-                assert _sixj_doubled(lev, *ts).hex() == sixj_doubled_oracle(ref, *ts).hex(), ts
+                assert _sixj_doubled(qf, k, *ts).hex() == sixj_doubled_oracle(lev, *ts).hex(), ts
 
     @given(st.one_of(
         st.integers(),

@@ -26,6 +26,7 @@ from conftest import (
     face_weight_oracle,
     pairsum_oracle,
     sample_point_oracle,
+    sixj_doubled_oracle,
 )
 
 F = Fraction
@@ -89,18 +90,20 @@ def brute_force_state_sum(shadow, level):
 
 def term_by_term_sum(shadow, level, colorings):
     """The state sum over `colorings` in their order, each term built as
-    complex(product of 6j-symbols) times the face weights in face order."""
+    complex(product of 6j-symbols) times the face weights in face order;
+    the 6j-symbols and face weights come from the oracles, not from the
+    kernels under test."""
     total = 0j
     for col in colorings:
         vertex_part = 1.0
         for v in shadow.vertices:
-            vertex_part *= sixj(level, F(v.e1_2, 2), F(col[v.j], 2), F(col[v.k], 2),
-                                F(v.e2_2, 2), F(col[v.m], 2), F(col[v.n], 2))
+            vertex_part *= sixj_doubled_oracle(level, v.e1_2, col[v.j], col[v.k],
+                                               v.e2_2, col[v.m], col[v.n])
         if vertex_part == 0.0:
             continue
         term = complex(vertex_part)
         for t, face in zip(col, shadow.faces):
-            term *= _face_weight(level, face, t)
+            term *= face_weight_oracle(level, face, t)
         total += term
     return total
 
@@ -423,7 +426,7 @@ class TestStateSums:
         assert nonzero >= 40
         assert several >= 75, several
 
-    @pytest.mark.parametrize("k", [2, 32, 128, 200])
+    @pytest.mark.parametrize("k", [2, 32, 128, 200, 201])
     def test_twocircles_bit_identical_to_term_by_term_sum(self, corpus_dir, k):
         # every term is built as complex(prod of 6j) times the face weights
         # in face order and added in lexicographic order, so the memoized
@@ -468,6 +471,29 @@ class TestStateSums:
         ss.state_sum_general(two, Level(6))
         assert calls
         assert len(calls) == len(set(calls))
+
+    def test_qfactorials_fetched_once_as_far_as_the_colorings_read(self, corpus_dir,
+                                                                    monkeypatch):
+        # one [n]! table per call; caller colorings in colors 0 and 1/2 at
+        # level 10**6 read at most [3]!, and no coloring reads none
+        two = ss.load_shadow(corpus_dir / "twocircles.shadow.json")
+        fetched = []
+        real = ss.shadow._qfactorials
+
+        def counting(level, n):
+            fetched.append(n)
+            return real(level, n)
+
+        monkeypatch.setattr(ss.shadow, "_qfactorials", counting)
+        ss.state_sum_general(two, Level(6))
+        assert fetched == [7]
+        huge = Level(10**6)
+        assert ss.state_sum_general(two, huge, colorings=[(0, 1, 0, 1), (1, 0, 1, 0)]) != 0
+        assert len(huge._qfactorial_table) <= 4
+        huge = Level(10**6)
+        assert ss.state_sum_general(two, huge, colorings=[]) == 0
+        assert huge._qfactorial_table == (1.0,)
+        assert len(fetched) == 2
 
     def test_empty_link_level_one(self):
         shadow, _ = dpfree_shadow(empty_link())
