@@ -113,8 +113,8 @@ def main(argv=None) -> int:
 
     record = json.loads(args.out.read_text()) if args.out.is_file() else {}
     record["method"] = {
-        "command": f"python3 bench/run.py --workload W --seed S --seconds T --trace 0, "
-                   f"run from the root of each checkout by scripts/bench_pairs.py",
+        "command": "python3 bench/run.py --workload W --seed S --seconds T --trace 0, "
+                   "run from the root of each checkout by scripts/bench_pairs.py",
         "bytecode": "every __pycache__ deleted, then python3 -m compileall -q src bench "
                     "scripts in both checkouts, before the runs",
         "order": "pair i runs the parent first when i is even, the change first when odd",
