@@ -42,9 +42,8 @@ builds no Fraction; x = gleam - z/2 is the int quotient (2 gleam - z) / 2,
 rounded like float() of the Fraction.  The 6j kernel is table-fed:
 state_sum_general fetches the [n]! table once per call, as far as its
 colorings can read it, and passes it to every 6j-symbol it evaluates; it
-keeps each vertex's strand colors and quadrants as one tuple, and the face
-weights in lists indexed by color.  The same list backs the bijection
-check.  The pair route keeps its own enumeration and shares only the
+keeps each vertex's strand colors and quadrants as one tuple.  The same
+coloring list backs the bijection check.  The pair route keeps its own enumeration and shares only the
 level, the doubled colors and the exception types with either state sum.
 
 The pair route costs about its output.  enumerate_pairs walks the sign
@@ -343,12 +342,8 @@ def state_sum_general(shadow: Shadow, level: Level,
         strands = max(e1 + e2 for e1, _, _, e2, _, _ in vertices)
         qf = _qfactorials(level, min(km + 1, (strands + 4 * hi) // 2 + 1))
     sixjs: dict[tuple, float] = {}
-    # face weights by (chi, gleam, z) in lists indexed by color; a color
-    # outside 0 .. k reads None from the second half (a negative one from
-    # its end) or misses the list, and the face weight raises on it
-    shared: dict[tuple, list] = {}
-    weights = [shared.setdefault((f.chi, f.gleam, f.z), [None] * (2 * km + 2))
-               for f in shadow.faces] if colorings else []
+    shared: dict[tuple, dict] = {}
+    weights = [shared.setdefault((f.chi, f.gleam, f.z), {}) for f in shadow.faces]
     faces = shadow.faces
     nf = len(faces)
     total = 0j
@@ -369,10 +364,7 @@ def state_sum_general(shadow: Shadow, level: Level,
             continue
         term = complex(vertex_part)
         for t, face, memo in zip(col, faces, weights):
-            try:
-                w = memo[t]
-            except IndexError:
-                w = None
+            w = memo.get(t)
             if w is None:
                 w = memo[t] = _face_weight(level, face, t)
             term *= w

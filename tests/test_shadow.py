@@ -616,8 +616,11 @@ class TestStateSums:
         ((0, 0, 0, 3), "coloring (0, 0, 0, 3) has a face color outside"),
         ((1, 0, 0, 1, -1), "coloring (1, 0, 0, 1, -1) has a face color outside"),
         ((0, 1, 0, 1, 3), "face color 3/2 outside"),
+        ((0, 1, 0, 1, -4), "face color -2 outside"),
+        ((0, 1, 0, 1, -6), "face color -3 outside"),
     ], ids=["minus-one", "k-plus-one", "one-face-k-plus-one",
-            "free-face-vanishing-term", "free-face-nonzero-term"])
+            "free-face-vanishing-term", "free-face-nonzero-term",
+            "free-face-minus-two", "free-face-minus-three"])
     def test_caller_coloring_out_of_range(self, corpus_dir, col, message):
         # a caller's color outside 0 .. k raises, also in a term whose 6j
         # product vanishes and so reads no face weight; a fifth color goes
