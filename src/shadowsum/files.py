@@ -16,8 +16,9 @@ Loops are framed by their horizontal push-off (`self_link`).  A loop's
 optional "framing" key, which older files wrote as 0, is accepted only as
 0: any other value raises ParseError rather than being ignored.
 
-Parsers reject NaN/Inf, non-closing loops, files that are not UTF-8 and
-JSON nested too deeply to parse with ParseError; violated structural
+Parsers reject NaN/Inf, colors and gleams whose value is not exactly a
+half-integer, non-closing loops, files that are not UTF-8 and JSON nested
+too deeply to parse with ParseError; violated structural
 invariants of the parsed objects raise InvariantViolation.
 """
 
@@ -83,9 +84,9 @@ def _half_integer(obj, what: str) -> Fraction:
     doubled = val * 2
     if not math.isfinite(doubled):
         raise ParseError(f"{what} is too large, got {obj!r}")
-    if abs(doubled - round(doubled)) > 1e-9:
+    if not doubled.is_integer():
         raise ParseError(f"{what} must be a half-integer, got {obj!r}")
-    return Fraction(round(doubled), 2)
+    return Fraction(int(doubled), 2)
 
 
 def _link_from_json(obj) -> Link:

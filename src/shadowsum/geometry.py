@@ -19,9 +19,8 @@ Arithmetic and Fast Robust Geometric Predicates", DCG 18, 1997).
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.  A `Loop` computes its self-crossings (unless a `validate`
 has found them first) and its clearance lazily, at most once, and its
-lift scan at one t0 (`lift_scans`, read under any loop index and emptied
-when it is scanned at another t0), and caches them on the instance; a
-race between threads only
+lift scan at one t0 (`lift_scans`, emptied when it is scanned at another
+t0), and caches them on the instance; a race between threads only
 computes the same value twice.  `ind` counts the crossings in one pass
 over the segments, and measures the distance to its point only on the
 segments whose stored box lies within COINCIDENCE_TOL plus a rounding
@@ -158,7 +157,7 @@ class Loop:
     vertical: bool = False
     # the doubled color, projections of `vertices`, segment bounding boxes
     # and the largest planar |coordinate|, built once, and the last
-    # `_lift_scan` result by t0, with the loop index it was made under
+    # `_lift_scan` result, by t0
     color2: int = field(init=False, repr=False, compare=False)
     planar: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     lifts: tuple[float, ...] = field(init=False, repr=False, compare=False)
@@ -506,8 +505,8 @@ def _t0_events(link: Link, double_points: Iterable[DoublePoint], t0: float):
     """Double points with a strand at t0, and lift defects at t0."""
     hits = [d.point for d in double_points
             if _angle_eq(d.thetas[0], t0) or _angle_eq(d.thetas[1], t0)]
-    defects = [x for i, lp in enumerate(link.loops) if not lp.vertical
-               for x in _lift_scan(lp, t0, i)[1]]
+    defects = [(i, *x) for i, lp in enumerate(link.loops) if not lp.vertical
+               for x in _lift_scan(lp, t0)[1]]
     return hits, defects
 
 
@@ -616,24 +615,19 @@ def _unit(v):
     return (v[0] / n, v[1] / n)
 
 
-def _lift_scan(loop: Loop, t0: float, j: int):
-    """Meet loop j's lift with the levels t0 + 2*pi*Z in one pass.
+def _lift_scan(loop: Loop, t0: float):
+    """Meet the loop's lift with the levels t0 + 2*pi*Z in one pass.
 
-    Returns the crossing marks, sorted by parameter, and the defects
-    (j, "constant-at-t0" | "tangential", param): a segment whose lift is
+    Returns the crossing marks (param, point, eps, tangent), the fields of
+    a `CrossingMark` after its loop, sorted by parameter, and the defects
+    ("constant-at-t0" | "tangential", param): a segment whose lift is
     constant at a level, or a vertex where the lift meets a level and turns
     back.  A level met at a vertex is handled at the end of the segment
     that reaches it, so vertex 0 is handled at the end of the last segment.
     """
     memo = loop.lift_scans
     if (found := memo.get(t0)) is not None:
-        i, scan = found
-        if i == j:
-            return scan
-        # the same scan under another loop index: only the labels differ
-        marks, defects = scan
-        return (tuple([CrossingMark(j, m.param, m.point, m.eps, m.tangent) for m in marks]),
-                tuple([(j, kind, param) for _, kind, param in defects]))
+        return found
     if any(t != t0 for t in list(memo)):
         memo.clear()
     n = loop.nseg
@@ -651,7 +645,7 @@ def _lift_scan(loop: Loop, t0: float, j: int):
         la, lb = lifts[i], lifts[i + 1]
         if abs(delta) <= ANGLE_TOL:
             if any(abs(la - lv) <= ANGLE_TOL for lv in levels):
-                defects.append((j, "constant-at-t0", i / n))
+                defects.append(("constant-at-t0", i / n))
             continue
         eps = 1 if delta > 0 else -1
         lo, hi = (la, lb) if delta > 0 else (lb, la)
@@ -663,29 +657,28 @@ def _lift_scan(loop: Loop, t0: float, j: int):
             if abs(lv - lb) > ANGLE_TOL:
                 frac = (lv - la) / delta
                 point = (ax + frac * (bx - ax), ay + frac * (by - ay))
-                marks.append(CrossingMark(j, (i + frac) / n, point, eps, tangent))
+                marks.append(((i + frac) / n, point, eps, tangent))
                 continue
             # at vertex v the lift crosses only if its next non-constant
             # segment goes on the same way (segment i ends the search)
             v = (i + 1) % n
             nxt = next(d for d in deltas[v:] + deltas[:v] if abs(d) > ANGLE_TOL)
             if (nxt > 0) != (delta > 0):
-                defects.append((j, "tangential", v / n))
+                defects.append(("tangential", v / n))
                 continue
             d2 = _unit((pl[v + 1][0] - pl[v][0], pl[v + 1][1] - pl[v][1]))
-            marks.append(CrossingMark(j, v / n, pl[v], eps,
-                                      _unit((tangent[0] + d2[0], tangent[1] + d2[1]))))
-    marks.sort(key=lambda m: m.param)
-    scan = tuple(marks), tuple(defects)
-    i, kept = memo.setdefault(t0, (j, scan))
-    return kept if i == j else scan
+            marks.append((v / n, pl[v], eps,
+                          _unit((tangent[0] + d2[0], tangent[1] + d2[1]))))
+    marks.sort(key=lambda m: m[0])
+    return memo.setdefault(t0, (tuple(marks), tuple(defects)))
 
 
 def _loop_marks(loop: Loop, t0: float, loop_index: int):
-    """The crossing marks of one loop; TangentialCrossing on a lift defect."""
-    marks, defects = _lift_scan(loop, t0, loop_index)
+    """The crossing marks of one loop, as `_lift_scan` returns them;
+    TangentialCrossing, naming loop_index, on a lift defect."""
+    marks, defects = _lift_scan(loop, t0)
     if defects:
-        _j, kind, param = defects[0]
+        kind, param = defects[0]
         raise TangentialCrossing(f"loop {loop_index}: {kind} lift at parameter {param}")
     return marks
 
@@ -697,7 +690,7 @@ def crossing_marks(link: Link) -> tuple[CrossingMark, ...]:
     for j, lp in enumerate(link.loops):
         if lp.vertical:
             raise PreconditionError("vertical loops have no crossing marks")
-        lm = _loop_marks(lp, link.t0, j)
+        lm = [CrossingMark(j, *m) for m in _loop_marks(lp, link.t0, j)]
         if sum(m.eps for m in lm) != winding_s1(lp):
             raise TangentialCrossing(
                 f"crossing signs of loop {j} do not sum to its winding number")

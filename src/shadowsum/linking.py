@@ -107,10 +107,10 @@ def link_number(l: Loop, lt: Loop, crossings: tuple[DoublePoint, ...], t0: float
     if winding_s1(l) != 0 or winding_s1(lt) != 0:
         raise NotNullHomologous("linking number requires both circle windings to vanish")
     total = lk(crossings, t0)
-    for m in _loop_marks(l, t0, 0):
-        total -= m.eps * ind(lt, m.point)
-    for m in _loop_marks(lt, t0, 1):
-        total -= m.eps * ind(l, m.point)
+    for _, point, eps, _ in _loop_marks(l, t0, 0):
+        total -= eps * ind(lt, point)
+    for _, point, eps, _ in _loop_marks(lt, t0, 1):
+        total -= eps * ind(l, point)
     if total.denominator != 1:
         raise NonTransverse("crossing data did not combine to an integer linking number")
     return int(total)

@@ -11,18 +11,20 @@ int division rounds as float(Fraction) does.
 The 6j kernel is table-fed: _sixj_doubled(qf, k, ...) takes the [n]!
 table and the level, so a state sum fetches the table from _qfactorials
 once per call and passes it to every 6j-symbol it evaluates; sixj fetches
-it per call.  The kernel reads the table only in products, quotients and
-square roots, so a rescaled table fits the same kernel: with qf[n] times
-lam**n every Racah term gains one factor lam and every triad factor
-lam**-0.5, so the kernel returns the 6j-symbol divided by lam.  The plain
-[n]! overflows from k = 202; with lam = [k+1]!**(-1/(k+1)), taken in logs,
-the rescaled entries span about e**62 at k = 202 and e**319 at k = 1000.
+it per call.  A Level holds only k: _qfactorials builds the table afresh,
+only as far as asked and never past [k+1]!.  The kernel reads the table
+only in products, quotients and square roots, so a rescaled table fits
+the same kernel: with qf[n] times lam**n every Racah term gains one factor
+lam and every triad factor lam**-0.5, so the kernel returns the 6j-symbol
+divided by lam.  The plain [n]! overflows from k = 202; with
+lam = [k+1]!**(-1/(k+1)), taken in logs, the rescaled entries span about
+e**62 at k = 202 and e**319 at k = 1000.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ColorOutOfRange
@@ -53,9 +55,6 @@ class Level:
     """Level k with rbar = k + 2 and color set {0, 1/2, ..., k/2}."""
 
     k: int
-    # [0]!, [1]!, ...: the prefix of the [n]! table that the 6j-symbols
-    # evaluated so far have needed (see _qfactorials)
-    _qfactorial_table: tuple = field(default=(1.0,), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 1:
@@ -114,22 +113,13 @@ def triple_admissible(level: Level, i, j, k) -> bool:
 
 
 def _qfactorials(level: Level, n: int) -> tuple[float, ...]:
-    """[0]!, ..., [n]! for n <= rbar-1 ([rbar-1]! is the last nonzero value).
-
-    The level keeps the table and extends it on demand by [m]! = [m-1]! * [m],
-    so each entry is the same product whenever it was built, and a huge
-    level pays only for the entries its colors reach.
-    """
-    qf = level._qfactorial_table
-    if len(qf) <= n:
-        grown = list(qf)
-        for m in range(len(qf), n + 1):
-            grown.append(grown[-1] * quantum_int(level, m))
-        qf = tuple(grown)
-        # one rebinding publishes the whole longer table; a concurrent
-        # caller keeps the table it read and at worst repeats the work
-        object.__setattr__(level, "_qfactorial_table", qf)
-    return qf
+    """[0]!, ..., [min(n, rbar-1)]! ([rbar-1]! is the last nonzero value),
+    built as [m]! = [m-1]! * [m], so a huge level pays only for the
+    entries its colors reach."""
+    qf = [1.0]
+    for m in range(1, min(n, level.rbar - 1) + 1):
+        qf.append(qf[-1] * quantum_int(level, m))
+    return tuple(qf)
 
 
 def _sixj_doubled(qf, km: int, t1: int, t2: int, t3: int, t4: int, t5: int, t6: int) -> float:
@@ -181,5 +171,5 @@ def sixj(level: Level, i, j, k, l, m, n) -> float:
     them is inadmissible at this level.
     """
     ts = tuple(map(level.check_color, (i, j, k, l, m, n)))
-    qf = _qfactorials(level, min(level.rbar - 1, sum(ts) // 2 + 1))
+    qf = _qfactorials(level, sum(ts) // 2 + 1)
     return _sixj_doubled(qf, level.k, *ts)

@@ -337,10 +337,10 @@ def state_sum_general(shadow: Shadow, level: Level,
     vertices = [(v.e1_2, v.j, v.k, v.e2_2, v.m, v.n) for v in shadow.vertices]
     if vertices and colorings:
         # the [n]! table, fetched once: a 6j-symbol reads it up to half its
-        # color sum plus one, and no further than [k+1]!
-        hi = min(km, max(chain.from_iterable(colorings), default=0))
+        # color sum plus one (_qfactorials stops at [k+1]!)
+        hi = max(chain.from_iterable(colorings), default=0)
         strands = max(e1 + e2 for e1, _, _, e2, _, _ in vertices)
-        qf = _qfactorials(level, min(km + 1, (strands + 4 * hi) // 2 + 1))
+        qf = _qfactorials(level, (strands + 4 * hi) // 2 + 1)
     sixjs: dict[tuple, float] = {}
     shared: dict[tuple, dict] = {}
     weights = [shared.setdefault((f.chi, f.gleam, f.z), {}) for f in shadow.faces]

@@ -160,16 +160,16 @@ class _LiftReads:
 
 @pytest.fixture
 def lift_scans(monkeypatch):
-    """The lift scans that do the work, as (loop, t0, loop index): the
-    calls of `_lift_scan` that read the loop's lift."""
+    """The lift scans that do the work, as (loop, t0): the calls of
+    `_lift_scan` that read the loop's lift."""
     scans = []
     real = shadowsum.geometry._lift_scan
 
-    def scan(loop, t0, j):
+    def scan(loop, t0):
         watched = _LiftReads(loop)
-        result = real(watched, t0, j)
+        result = real(watched, t0)
         if watched.read:
-            scans.append((loop, t0, j))
+            scans.append((loop, t0))
         return result
 
     monkeypatch.setattr(shadowsum.geometry, "_lift_scan", scan)
@@ -488,7 +488,7 @@ class TestCliWlo:
         code, _ = run_cli(capsys, "wlo", "--mode", "abelian", str(corpus_dir / "hopf.link.json"))
         assert code == 0
         assert len(lift_scans) == 6  # 16 when nothing was kept, 7 when kept per index
-        assert len({(id(lp), t0) for lp, t0, _ in lift_scans}) == len(lift_scans)
+        assert len({(id(lp), t0) for lp, t0 in lift_scans}) == len(lift_scans)
 
     def test_abelian_every_vertex_on_a_level(self, capsys, tmp_path):
         # a triangle whose lift is 0, 2pi, 4pi, 6pi at t0 = 0 passes
@@ -612,7 +612,7 @@ class TestCliCheck:
         code, _ = run_cli(capsys, "check", "--what", "lem2", str(corpus_dir / "hopf.link.json"))
         assert code == 0
         assert len(lift_scans) <= 18  # 34 when nothing was kept
-        assert len({(id(lp), t0, j) for lp, t0, j in lift_scans}) == len(lift_scans)
+        assert len({(id(lp), t0) for lp, t0 in lift_scans}) == len(lift_scans)
 
     def test_lem2_needs_two_loops(self, capsys, corpus_dir):
         code, _ = run_cli(capsys, "check", "--what", "lem2",
@@ -838,21 +838,49 @@ HUGE_NUMBER_PROBES = [  # (file, command, key path, value, the parse error it ra
 ]
 
 
+def run_on_edited_corpus_file(capsys, corpus_dir, tmp_path, name, command, keys, value):
+    """Run the command on a copy of a corpus file with one value replaced;
+    return the exit code and the captured output."""
+    obj = json.loads((corpus_dir / name).read_text())
+    parent = obj
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    code = main([*command, str(path)])
+    return code, capsys.readouterr()
+
+
 @pytest.mark.parametrize("name, command, keys, big, message", HUGE_NUMBER_PROBES,
                          ids=[m for *_rest, m in HUGE_NUMBER_PROBES])
 def test_number_past_float_range_exit_2(capsys, corpus_dir, tmp_path, name, command, keys,
                                         big, message):
     # float() of a JSON integer too large for a float raises OverflowError,
     # which must not pass for a result that is not finite (exit 3)
-    obj = json.loads((corpus_dir / name).read_text())
-    parent = obj
-    for key in keys[:-1]:
-        parent = parent[key]
-    parent[keys[-1]] = big
-    path = tmp_path / name
-    path.write_text(json.dumps(obj))
-    code = main([*command, str(path)])
-    captured = capsys.readouterr()
+    code, captured = run_on_edited_corpus_file(capsys, corpus_dir, tmp_path, name, command,
+                                               keys, big)
+    assert code == 2
+    assert captured.out == ""
+    assert f"parse error: {message}" in captured.err
+
+
+NEAR_HALF_INTEGER_PROBES = [  # (file, command, key path, value, the parse error it raises)
+    ("hopf.link.json", ABELIAN, ("loops", 1, "color"), 0.5000000001,
+     "loop 1 color must be a half-integer, got 0.5000000001"),
+    ("twocircles.shadow.json", ("eval", "--level", "3"), ("faces", 0, "gleam"), 1.0000000001,
+     "face 0 gleam must be a half-integer, got 1.0000000001"),
+]
+
+
+@pytest.mark.parametrize("name, command, keys, value, message", NEAR_HALF_INTEGER_PROBES,
+                         ids=[m for *_rest, m in NEAR_HALF_INTEGER_PROBES])
+def test_near_half_integer_exit_2(capsys, corpus_dir, tmp_path, name, command, keys, value,
+                                  message):
+    # a value within rounding distance of a half-integer is not one: it is
+    # rejected, not rounded, as make_loop rejects such a color
+    code, captured = run_on_edited_corpus_file(capsys, corpus_dir, tmp_path, name, command,
+                                               keys, value)
     assert code == 2
     assert captured.out == ""
     assert f"parse error: {message}" in captured.err

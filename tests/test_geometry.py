@@ -872,7 +872,9 @@ def scan_matches_t0_cut_oracle(lp, t0, w) -> str:
     finds marks, the same marks.  The oracle cannot rebase a lift with
     every vertex on a level and raises there; the scan counts those
     crossings, and they must sum to the winding.  Returns the case seen."""
-    marks, defects = ss.geometry._lift_scan(lp, t0, 0)
+    marks, defects = ss.geometry._lift_scan(lp, t0)
+    marks = [ss.CrossingMark(0, *m) for m in marks]
+    defects = [(0, *d) for d in defects]
     oracle_defects, oracle_marks = t0_cut_oracle(lp, t0)
     assert bool(defects) == bool(oracle_defects)
     assert set(defects) <= set(oracle_defects)
@@ -911,8 +913,9 @@ class TestMarkSidePoints:
             if rng.random() < 0.3:
                 loops.append(polygon([(1e8, 0.0), (1.1e8, 0.0), (1.1e8, 1e7), (1e8, 1e7)]))
             links.append(ss.Link(tuple(loops), t0=t0))
-        cases = [(link, mk) for link in links for j, lp in enumerate(link.loops)
-                 if not lp.vertical for mk in ss.geometry._lift_scan(lp, link.t0, j)[0]]
+        cases = [(link, ss.CrossingMark(j, *m)) for link in links
+                 for j, lp in enumerate(link.loops) if not lp.vertical
+                 for m in ss.geometry._lift_scan(lp, link.t0)[0]]
         assert len(cases) >= 200
         # probes at the centre of regular polygons, whose edges all lie at
         # about the same distance
@@ -963,10 +966,7 @@ class TestLiftScan:
             for t0 in (a, b, a):
                 seen[scan_matches_t0_cut_oracle(lp, t0, w)] += 1
                 assert set(lp.lift_scans) == {t0}
-            assert ss.geometry._lift_scan(lp, a, 0) is ss.geometry._lift_scan(lp, a, 0)
-            # the kept scan, read as loop 3, is a fresh scan's as loop 3
-            relabelled = ss.geometry._lift_scan(lp, a, 3)
-            assert relabelled == ss.geometry._lift_scan(dataclasses.replace(lp), a, 3)
+            assert ss.geometry._lift_scan(lp, a) is ss.geometry._lift_scan(lp, a)
             assert len(lp.lift_scans) == 1
         assert min(seen.values()) >= 50, seen
 
@@ -975,13 +975,13 @@ class TestLiftScan:
         # each gets the scan of its own t0
         lp = polygon_circle(0.0, 0.0, 1.0, 24, winding=2, theta0=0.4)
         t0s = (0.3, 1.7, 4.1)
-        want = {t0: ss.geometry._lift_scan(dataclasses.replace(lp), t0, 0) for t0 in t0s}
+        want = {t0: ss.geometry._lift_scan(dataclasses.replace(lp), t0) for t0 in t0s}
         wrong = []
 
         def scan(k):
             for n in range(400):
                 t0 = t0s[(k + n) % len(t0s)]
-                if ss.geometry._lift_scan(lp, t0, 0) != want[t0]:
+                if ss.geometry._lift_scan(lp, t0) != want[t0]:
                     wrong.append(t0)
 
         interval = sys.getswitchinterval()

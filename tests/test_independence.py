@@ -93,7 +93,6 @@ ABELIAN_SHARED = {
     "_seg_point_dist": "ind's check that its point is off the curve",
     "DoublePoint": "the crossing record type; each route makes its own records",
     "s1_order": "the t0-cut order of a crossing's strands, the paper's pairing",
-    "CrossingMark": "the record of a lift crossing t0",
     "_loop_marks": "a loop's crossing marks, where both routes correct by winding numbers",
     "_lift_scan": "the one scan of a loop's lift for its marks",
     "_unit": "the unit tangent at a mark",

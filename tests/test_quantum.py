@@ -190,12 +190,27 @@ class TestSixJ:
         lev = Level(2)
         assert sixj(lev, HALF, HALF, HALF, 0, 0, 0) == 0.0
 
-    def test_qfactorial_table_grows_on_demand(self):
-        # a huge level builds only the [n]! entries its colors reach
+    def test_qfactorial_table_grows_on_demand(self, monkeypatch):
+        # a huge level builds only the [n]! entries its colors reach, and
+        # no level builds past [rbar-1]!
+        import shadowsum.quantum
+
+        tables = []
+
+        def recording(level, n):
+            tables.append(_qfactorials(level, n))
+            return tables[-1]
+
+        monkeypatch.setattr(shadowsum.quantum, "_qfactorials", recording)
         lev = Level(10**7 - 2)
         assert sixj(lev, HALF, HALF, 0, HALF, HALF, 0) != 0.0
-        assert lev._qfactorial_table == tuple(itertools.accumulate(
-            (quantum_int(lev, n) for n in range(1, 4)), operator.mul, initial=1.0))
+        assert tables == [tuple(itertools.accumulate(
+            (quantum_int(lev, n) for n in range(1, 4)), operator.mul, initial=1.0))]
+        lev = Level(3)  # the triad (3/2, 3/2, 1) sums past k, so the value is 0
+        assert sixj(lev, F(3, 2), F(3, 2), 1, F(3, 2), F(3, 2), 1) == 0.0
+        assert len(tables[-1]) == lev.rbar
+        assert _qfactorials(lev, 100) == _qfactorials(lev, lev.rbar - 1)
+        assert _qfactorials(lev, 0) == (1.0,)
 
     def test_evaluation_order_immaterial(self):
         # the table grows at different points when the same symbols come in
