@@ -17,7 +17,8 @@ optional "framing" key, which older files wrote as 0, is accepted only as
 0: any other value raises ParseError rather than being ignored.
 
 Parsers reject NaN/Inf, colors and gleams whose value is not exactly a
-half-integer, non-closing loops, files that are not UTF-8 and JSON nested
+half-integer (a JSON int past 2^53 that no float holds included),
+non-closing loops, files that are not UTF-8 and JSON nested
 too deeply to parse with ParseError; violated structural
 invariants of the parsed objects raise InvariantViolation.
 """
@@ -81,6 +82,8 @@ def _integer(obj, what: str) -> int:
 
 def _half_integer(obj, what: str) -> Fraction:
     val = _number(obj, what)
+    if val != obj:  # a JSON int that float() rounds; int == float compares exactly
+        raise ParseError(f"{what} has no exact float value, got {obj!r}")
     doubled = val * 2
     if not math.isfinite(doubled):
         raise ParseError(f"{what} is too large, got {obj!r}")

@@ -14,7 +14,14 @@ against a segment, `_loop_orientation` for a polygon) evaluate in floats
 first and return the float sign only when it clears a bound on the
 rounding error; otherwise they redo the sum with Fractions (the
 filter-then-exact scheme of Shewchuk, "Adaptive Precision Floating-Point
-Arithmetic and Fast Robust Geometric Predicates", DCG 18, 1997).
+Arithmetic and Fast Robust Geometric Predicates", DCG 18, 1997).  A
+crossing's loop parameters and point are exact without Fractions in the
+arithmetic: `_pair_crossings` writes the eight coordinates of a crossing
+pair as ints over their largest denominator (a power of two, so a multiple
+of every other), and each float it or `_records` returns is one int true
+division, which CPython rounds correctly, so it is the float of the exact
+rational, as `float(Fraction)` gives it (Yap, "Towards exact geometric
+computation", CGTA 7, 1997).
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.  A `Loop` computes its self-crossings (unless a `validate`
@@ -330,7 +337,14 @@ def _pair_crossings(la: Loop, lb: Loop, same: bool, candidates):
     la, j of lb), which passed the bounding-box test, in their order.
 
     Yields (seg_a, seg_b, ta, tb, point, cross_sign) with exact Fraction
-    parameters.  The one scan that rejects non-generic PL input: raises
+    parameters, each built once from int numerator and denominator: the
+    eight coordinates of a crossing pair are written as ints over their
+    largest `as_integer_ratio()` denominator, a power of two.  Each point
+    coordinate is one int true division by a positive divisor, correctly
+    rounded, so it is the float of the exact rational a1 + ta (a2 - a1),
+    and a zero comes out +0.0.
+
+    The one scan that rejects non-generic PL input: raises
     DegenerateGeometry when an endpoint of one segment lies within
     COINCIDENCE_TOL of the other (bar the vertex adjacent segments share),
     or when segments graze or overlap.  With same=True, la and lb are the
@@ -424,15 +438,20 @@ def _pair_crossings(la: Loop, lb: Loop, same: bool, candidates):
         o3 = _orient(b1, b2, a1)
         o4 = _orient(b1, b2, a2)
         if o1 * o2 < 0 and o3 * o4 < 0:
-            r = (Fraction(a2[0]) - Fraction(a1[0]), Fraction(a2[1]) - Fraction(a1[1]))
-            s = (Fraction(b2[0]) - Fraction(b1[0]), Fraction(b2[1]) - Fraction(b1[1]))
-            q = (Fraction(b1[0]) - Fraction(a1[0]), Fraction(b1[1]) - Fraction(a1[1]))
-            den = r[0] * s[1] - r[1] * s[0]
-            ta = (q[0] * s[1] - q[1] * s[0]) / den
-            tb = (q[0] * r[1] - q[1] * r[0]) / den
-            pt = (float(Fraction(a1[0]) + ta * r[0]),
-                  float(Fraction(a1[1]) + ta * r[1]))
-            out.append((i, j, ta, tb, pt, 1 if den > 0 else -1))
+            # the eight coordinates as ints over their largest denominator, a
+            # power of two and so their least common one
+            ratios = [v.as_integer_ratio() for v in (ax, ay, ax2, ay2, bx, by, bx2, by2)]
+            lcd = max(d for _, d in ratios)
+            iax, iay, iax2, iay2, ibx, iby, ibx2, iby2 = [n * (lcd // d) for n, d in ratios]
+            r0, r1 = iax2 - iax, iay2 - iay
+            s0, s1 = ibx2 - ibx, iby2 - iby
+            q0, q1 = ibx - iax, iby - iay
+            den = r0 * s1 - r1 * s0
+            tan = q0 * s1 - q1 * s0
+            sg = 1 if den > 0 else -1
+            div = abs(den) * lcd
+            pt = (sg * (iax * den + tan * r0) / div, sg * (iay * den + tan * r1) / div)
+            out.append((i, j, Fraction(tan, den), Fraction(q0 * r1 - q1 * r0, den), pt, sg))
         elif (o1, o2, o3, o4).count(0) > 0:
             # an endpoint grazes or the segments are collinear
             if (
@@ -477,10 +496,17 @@ def crossings_between(l: Loop, lt: Loop) -> tuple[DoublePoint, ...]:
 
 
 def _records(la: Loop, i: int, lb: Loop, j: int, pairs) -> tuple[DoublePoint, ...]:
+    """The crossings `pairs` of `_pair_crossings` on la (loop i) and lb
+    (loop j) as `DoublePoint`s.  A strand's loop parameter (s + t) / nseg,
+    with t = p/q, is the int true division (s q + p) / (q nseg): the
+    correctly rounded float of that rational, with no Fraction arithmetic."""
     out = []
+    na, nb = la.nseg, lb.nseg
     for (si, sj, ta, tb, pt, sign) in pairs:
-        ua = float((si + ta) / la.nseg)
-        ub = float((sj + tb) / lb.nseg)
+        p, q = ta.numerator, ta.denominator
+        ua = (si * q + p) / (q * na)
+        p, q = tb.numerator, tb.denominator
+        ub = (sj * q + p) / (q * nb)
         out.append(DoublePoint(pt, ((i, ua), (j, ub)), (la.theta_at(ua), lb.theta_at(ub)), sign))
     return tuple(out)
 

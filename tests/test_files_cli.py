@@ -886,6 +886,18 @@ def test_near_half_integer_exit_2(capsys, corpus_dir, tmp_path, name, command, k
     assert f"parse error: {message}" in captured.err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_integer_past_2_53_exit_2(capsys, corpus_dir, tmp_path, fmt):
+    # 2^53 + 1 has no float: it is rejected, not rounded to 2^53
+    code, captured = run_on_edited_corpus_file(
+        capsys, corpus_dir, tmp_path, "twocircles.shadow.json",
+        ("eval", "--level", "3", "--format", fmt), ("faces", 0, "gleam"), 2**53 + 1)
+    assert code == 2
+    assert captured.out == ""
+    assert ("parse error: face 0 gleam has no exact float value, got 9007199254740993"
+            in captured.err)
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "twocircles.shadow.json"),
     ("wlo", "--mode", "vertical", "--dims", "2"),

@@ -310,6 +310,164 @@ class TestSweptScans:
         assert ss.geometry.loop_min_clearance(lp) == min_clearance_oracle(lp)
 
 
+def scattered(rng):
+    """4-12 random points in the unit square: as a closed polygon it
+    usually crosses itself."""
+    return [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randint(4, 12))]
+
+
+def exact(obj):
+    """`obj` with every float replaced by its value and the sign of its
+    zero (math.copysign), and every Fraction tagged, recursing into
+    tuples, lists and dataclasses, so that == tells -0.0 from 0.0."""
+    if isinstance(obj, float):
+        return ("float", obj, math.copysign(1.0, obj))
+    if isinstance(obj, Fraction):
+        return ("Fraction", obj)
+    if dataclasses.is_dataclass(obj):
+        return (type(obj).__name__, exact(tuple(getattr(obj, f.name)
+                                                for f in dataclasses.fields(obj))))
+    if isinstance(obj, (tuple, list)):
+        return (type(obj).__name__, tuple(exact(x) for x in obj))
+    return obj
+
+
+@pytest.fixture
+def fraction_work(monkeypatch):
+    """The Fractions that `geometry` builds by name, and the arithmetic
+    done on them: each build returns a subclass whose operators record
+    their names, so arithmetic on a built parameter is seen too."""
+    work = {"built": [], "ops": []}
+
+    class Watched(Fraction):
+        pass
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__float__"):
+        def op(self, *other, _name=name, _real=getattr(Fraction, name)):
+            work["ops"].append(_name)
+            return _real(self, *other)
+        setattr(Watched, name, op)
+
+    def build(*args):
+        work["built"].append(args)
+        return Watched(*args)
+
+    monkeypatch.setattr(ss.geometry, "Fraction", build)
+    return work
+
+
+class TestExactCrossings:
+    """Crossing parameters and points from int arithmetic over one power of
+    two, against the Fraction oracles, bit for bit at extreme scales."""
+
+    @staticmethod
+    def lifted(rng, pts, s, tx, ty):
+        """The closed polygon `pts` scaled by `s` and moved by (tx, ty),
+        with a random lift that closes; None if that leaves a segment
+        shorter than the coincidence tolerance."""
+        ts = [rng.uniform(0.1, 6.1) for _ in pts]
+        verts = [(tx + s * x, ty + s * y, t) for (x, y), t in zip(pts, ts)]
+        try:
+            return ss.make_loop(verts + [verts[0]])
+        except DegenerateGeometry:
+            return None
+
+    @staticmethod
+    def near_parallel(rng):
+        """Two thin triangles whose long sides cross at an angle of about
+        2^-8 to 2^-30 radians, and a bowtie whose two diagonals do."""
+        h, g = (rng.uniform(0.5, 1.0) * 2.0 ** -rng.randint(8, 30) for _ in range(2))
+        pair = ([(-1.0, -h), (1.0, h), (rng.uniform(-0.5, 0.5), 1.0)],
+                [(-1.0, g), (1.0, -g), (rng.uniform(-0.5, 0.5), -1.0)])
+        bowtie = [(-1.0, -h), (1.0, h), (1.0, -g), (-1.0, g)]
+        return pair, bowtie
+
+    def test_int_true_division_is_correctly_rounded(self):
+        # the premise of bit-identity: p / q on ints is p/q rounded once,
+        # to nearest with ties to even, as float(Fraction(p, q)) is, also
+        # when p and q share a factor, and past the 2^53 and 2^1023 marks;
+        # a zero over a negative divisor is -0.0, which is why the point
+        # coordinates divide by |den|
+        rng = random.Random(26)
+        cases = []
+        for _ in range(400):
+            m = rng.getrandbits(52) << 1 | 1 << 53 | 1  # 54 bits, odd: halfway between floats
+            shift = rng.randint(-1130, 960)
+            for p in (2 * m, 2 * m - 1, 2 * m + 1):  # the tie m, and m -+ 1/2
+                p, q = (p << shift, 2) if shift >= 0 else (p, 2 << -shift)
+                cases += [(p, q), (-p, q), (p * 3, q * 3), (p + 1, q), (p - 1, q)]
+            cases.append((rng.getrandbits(rng.randint(1, 400)) + 1,
+                           rng.getrandbits(rng.randint(1, 400)) + 1))
+        ties = 0
+        for p, q in cases:
+            got = p / q
+            assert got == float(Fraction(p, q))
+            exact_q = Fraction(p, q)
+            err = abs(Fraction(got) - exact_q)
+            even = struct.unpack("<Q", struct.pack("<d", got))[0] % 2 == 0
+            for near in (math.nextafter(got, math.inf), math.nextafter(got, -math.inf)):
+                if math.isfinite(near):
+                    other = abs(Fraction(near) - exact_q)
+                    assert err < other or (err == other and even)
+                    ties += err == other
+        assert ties >= 500
+        assert math.copysign(1.0, 0 / -3) == -1.0 and math.copysign(1.0, -1 * 0 / 3) == 1.0
+
+    def test_match_fraction_oracles_at_extreme_scales(self):
+        rng = random.Random(2026)
+        seen = Counter()
+        for _ in range(240):
+            e = rng.randint(-20, 300)
+            s = 2.0 ** e * rng.uniform(1.0, 2.0)
+            tx, ty = (rng.choice((0.0, 1.0, -1.0)) * rng.uniform(0.5, 1.0)
+                      * 2.0 ** rng.randint(0, min(60, e + 40)) for _ in range(2))
+            kind = rng.choice(("pair", "self", "near-parallel pair", "near-parallel bowtie"))
+            if kind == "pair":
+                link = random_crossing_pair(rng)
+                shapes = [lp.planar[:-1] for lp in link.loops]
+            elif kind == "self":
+                shapes = [scattered(rng)]
+            else:
+                pair, bowtie = self.near_parallel(rng)
+                shapes = list(pair) if kind == "near-parallel pair" else [bowtie]
+            loops = [self.lifted(rng, pts, s, tx, ty) for pts in shapes]
+            if None in loops:
+                continue
+            for la in loops:
+                for lb in loops:
+                    args = (la, lb, la is lb)
+                    got = TestSweptScans.outcome(ss.geometry._proper_crossings, *args)
+                    assert exact(got) == exact(TestSweptScans.outcome(proper_crossings_oracle,
+                                                                      *args))
+                    if isinstance(got, list) and got:
+                        seen[kind] += len(got)
+                        seen["2^-20 .. 2^0" if e <= 0 else "2^200 .. 2^300" if e >= 200
+                             else "2^1 .. 2^199"] += len(got)
+                        seen["moved past 2^40"] += max(abs(tx), abs(ty)) > 2.0 ** 40
+                        seen["a zero coordinate"] += sum(0.0 in c[4] for c in got)
+            link = ss.Link(tuple(dataclasses.replace(lp) for lp in loops))
+            assert (exact(TestSweptScans.outcome(ss.validate, link))
+                    == exact(TestSweptScans.outcome(validate_oracle, link)))
+        assert min(seen.values()) >= 20, seen
+
+    def test_validate_builds_two_fractions_per_crossing(self, corpus_dir, fraction_work):
+        rng = random.Random(3)
+        links = [ss.load_link(corpus_dir / "hopf.link.json")]
+        links += [random_crossing_pair(rng) for _ in range(5)]
+        links += [ss.Link((self.lifted(rng, scattered(rng), 1.0, 0.0, 0.0),)) for _ in range(5)]
+        crossings = 0
+        for link in links:  # built with the patch on: loop colors are Fractions too
+            fraction_work["built"].clear()
+            fraction_work["ops"].clear()
+            report = ss.validate(link)
+            assert not report.triple_points
+            crossings += len(report.double_points)
+            assert len(fraction_work["built"]) == 2 * len(report.double_points)
+            assert fraction_work["ops"] == []
+        assert crossings >= 20
+
+
 class TestLinkSweep:
     """`validate`'s one sweep over all loops against one all-pairs scan
     per loop pair, exceptions included."""
