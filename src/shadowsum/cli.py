@@ -165,10 +165,10 @@ def _wlo_vertical(args) -> RunResult:
 
 def _wlo_abelian(args) -> RunResult:
     link, digest = _spherical_link_arg(args)
+    _require_genus_zero(args)
     report = validate(link)
     if not report.ok:
         raise PreconditionError("link failed admissibility validation")
-    _require_genus_zero(args)
     winds = [winding_s1(lp) for lp in link.loops]
     value = wlo_abelian(link)
     marks = crossing_marks(link)
@@ -183,8 +183,8 @@ def _wlo_abelian(args) -> RunResult:
 
 def _wlo_dpfree(args) -> RunResult:
     link, digest = _spherical_link_arg(args)
-    fc = face_complex(link)
     _require_genus_zero(args)
+    fc = face_complex(link)
     level = Level(link.level)
     value = wlo_dpfree_final(link, level, fc)
     pairs = enumerate_pairs(link, level, fc)
@@ -219,9 +219,9 @@ def _check_bijection(args) -> RunResult:
 
 def _check_lem2(args) -> RunResult:
     link, digest = _load_link_arg(args)
-    report = validate(link)
     if len(link.loops) != 2:
         raise PreconditionError("lem2 check requires a two-loop link")
+    report = validate(link)
     if not report.ok:
         raise PreconditionError("lem2 check requires an admissible link")
     crossings = tuple(d for d in report.double_points if d.strands[0][0] != d.strands[1][0])

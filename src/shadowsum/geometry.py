@@ -251,8 +251,11 @@ def make_loop(vertices: Iterable[Sequence[float]], color=Fraction(1, 2),
             (ax, ay, _), (bx, by, _) = verts[i], verts[i + 1]
             if math.hypot(bx - ax, by - ay) <= COINCIDENCE_TOL:
                 raise DegenerateGeometry(f"zero-length projected segment at vertex {i}")
-    col = Fraction(color)
-    if (2 * col).denominator != 1:
+    try:  # Fraction parses strings, but a color is a number
+        col = None if isinstance(color, str) else Fraction(color)
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN, +-inf
+        col = None
+    if col is None or (2 * col).denominator != 1:
         raise InvariantViolation(f"color {color!r} is not a half-integer")
     return Loop(tuple(verts), col, bool(vertical))
 

@@ -41,11 +41,15 @@ __all__ = [
 
 
 def doubled(j) -> int:
-    """Return 2j as an exact integer; reject non-half-integer input."""
+    """Return 2j as an exact integer; raise ColorOutOfRange for anything
+    but a finite half-integral number."""
     if isinstance(j, Fraction) and j.denominator <= 2:
         return j.numerator * (2 // j.denominator)
-    t = Fraction(j) * 2
-    if t.denominator != 1:
+    try:  # Fraction parses strings, but a color is a number
+        t = None if isinstance(j, str) else Fraction(j) * 2
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN, +-inf
+        t = None
+    if t is None or t.denominator != 1:
         raise ColorOutOfRange(f"color {j!r} is not a half-integer")
     return int(t)
 

@@ -47,14 +47,15 @@ coloring list backs the bijection check.  The pair route keeps its own enumerati
 level, the doubled colors and the exception types with either state sum.
 
 The pair route costs about its output.  enumerate_pairs walks the sign
-vectors depth first, extending the face offsets by one column of the ind
-table per step, and drops a prefix, with every vector below it, once the
-offsets that no later loop changes spread by more than k together with 0,
-or the offset differences that no later loop changes exceed k; a
-complete vector reads its admissible levels off its largest and smallest
-offset.  That is O(F) per visited node and per pair, where filtering all
-2^n (k+1) candidates cost O(2^n (k+1) F n): a nested chain of 40 circles
-at k = 1 keeps two prefixes per depth and has 2 pairs, in either order.
+vectors depth first, the loops ancestor first in the nesting forest,
+extending the face offsets by one column of the ind table per step.  Each
+step makes one face's offset final, and the walk drops a prefix, with
+every vector below it, once the final offsets spread by more than k
+together with 0; a complete vector reads its admissible levels off its
+largest and smallest offset.  That is O(F) per visited node and per pair,
+where filtering all 2^n (k+1) candidates cost O(2^n (k+1) F n): a nested
+chain of 50 circles at k = 1 keeps two prefixes per depth and has 2
+pairs, in any order.
 wlo_dpfree_pairsum takes each face's sin(pi x / rbar)^chi and c x^2, its
 part of the integer phase exponent, from tables over x in {1, ..., k+1},
 and each phase from a memo on that exponent; the factors and the
@@ -443,22 +444,22 @@ def enumerate_pairs(link: Link, level: Level, fc: FaceComplex) -> list[Admissibl
     face into {1, ..., k+1}, ordered by l and then by sign vector in
     itertools.product order.
 
-    The sign vectors are walked depth first in that order; choosing s_j
-    adds s_j times column j of the ind table to the face offsets
+    The sign vectors are walked depth first, taking the loops ancestor
+    first: in index order, each loop right after those of its ancestors in
+    the nesting forest fc.parent not yet taken.  Choosing s_j adds s_j
+    times column j of the ind table to the face offsets
     d = sum_j s_j ind_j.  A vector's admissible levels are exactly
     1 + max(0, max d) <= l <= k+1 + min(0, min d), so it has one iff the
-    offsets and 0 spread by at most k.  A face's offset is final once the
-    last loop with a nonzero entry in its row has its sign, and the walk
-    keeps the running min and max of 0 and the final offsets.  Faces whose
-    rows agree on the loops still to come keep their offset differences,
-    so once loop j merges such a class (faces that differ in column j),
-    its spread is final as well.  A prefix whose final offsets or merged
-    class spread by more than k is dropped with its whole subtree, since
-    every completion keeps them: a nest listed innermost first is pruned
-    like one listed outermost first.  The classes are built in O(n F);
-    with no loop listed before an ancestor, none forms.  Each surviving
-    pair goes to the bucket of its l, and the buckets are joined in l
-    order.  Besides the output, the walk holds at most n + 1 offset
+    offsets and 0 spread by at most k.  Face j's row is nonzero at loop j
+    and its ancestors only, so in this order its offset is final once loop
+    j has its sign, and the walk keeps the running min and max of 0 and
+    the final offsets.  A prefix whose final offsets spread by more than k
+    is dropped with its whole subtree, since every completion keeps them:
+    each step prunes on the face it finalizes, however the file lists the
+    loops.  Each surviving pair goes to the bucket of its l with its signs
+    in loop order, each bucket is sorted by sign vector (already sorted
+    when no loop is listed before an ancestor), and the buckets are joined
+    in l order.  Besides the output, the walk holds at most n + 1 offset
     vectors.
     """
     for j, lp in enumerate(link.loops):
@@ -469,56 +470,41 @@ def enumerate_pairs(link: Link, level: Level, fc: FaceComplex) -> list[Admissibl
     k = level.k
     kp1 = k + 1
     columns = list(zip(*fc.ind_table))
-    # last[f]: the last loop with a nonzero entry in face f's row;
-    # final[j]: the faces whose offset is final once loop j has its sign
-    last = [max((j for j, x in enumerate(row) if x), default=-1) for row in fc.ind_table]
-    final = [[] for _ in range(n)]
-    for f, j in enumerate(last):
-        if j >= 0:
-            final[j].append(f)
-    # merged[j]: a getter of the offsets of each class that loop j merges,
-    # of faces not yet final whose rows agree after column j but not in it
-    merged = [[] for _ in range(n)]
-    cls = [0] * len(last)  # class ids of the faces' rows after column j
-    for j in range(n - 1, -1, -1):
-        classes = {}
-        for f, c in enumerate(cls):
-            if last[f] > j:
-                classes.setdefault(c, []).append(f)
-        merged[j] = [operator.itemgetter(*faces) for faces in classes.values()
-                     if len({columns[j][f] for f in faces}) > 1]
-        ids = {}
-        cls = [ids.setdefault(cx, len(ids)) for cx in zip(cls, columns[j])]
+    order, taken = [], [False] * n
+    for j in range(n):
+        path = []
+        while j is not None and not taken[j]:
+            taken[j] = True
+            path.append(j)
+            j = fc.parent[j]
+        order += reversed(path)
+    at = sorted(range(n), key=order.__getitem__)  # at[j]: loop j's place in the walk
     buckets = [[] for _ in range(kp1 + 1)]
-    # stack of (signs chosen so far, their offsets, min and max of 0 and
-    # the final offsets); s = +1 is pushed first so that s = -1 is
-    # expanded first, as itertools.product orders them
+    # stack of (signs chosen so far in walk order, their offsets, min and
+    # max of 0 and the final offsets); s = +1 is pushed first so that
+    # s = -1 is expanded first, as itertools.product orders them
     stack = [((), (0,) * len(fc.ind_table), 0, 0)]
     while stack:
         signs, d, lo, hi = stack.pop()
-        j = len(signs)
-        if j == n:
+        i = len(signs)
+        if i == n:
+            signs = tuple([signs[p] for p in at])
             for l in range(1 + hi, kp1 + lo + 1):
                 buckets[l].append(AdmissiblePair(l, signs, tuple([l - x for x in d])))
             continue
+        j = order[i]
         col = columns[j]
         for s, step in ((1, operator.add), (-1, operator.sub)):
             e = tuple(map(step, d, col))
-            elo, ehi = lo, hi
-            for f in final[j]:
-                x = e[f]
-                if x < elo:
-                    elo = x
-                elif x > ehi:
-                    ehi = x
-            if ehi - elo > k:
-                continue
-            for offsets in merged[j]:
-                xs = offsets(e)
-                if max(xs) - min(xs) > k:
-                    break
-            else:
+            x, elo, ehi = e[j], lo, hi
+            if x < elo:
+                elo = x
+            elif x > ehi:
+                ehi = x
+            if ehi - elo <= k:
                 stack.append((signs + (s,), e, elo, ehi))
+    for bucket in buckets:
+        bucket.sort()  # by signs: a bucket's pairs share l and differ in signs
     return [pair for bucket in buckets for pair in bucket]
 
 

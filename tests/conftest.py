@@ -611,13 +611,16 @@ def colors(level) -> tuple:
 
 
 def doubled_oracle(j) -> int:
-    """2j through Fraction arithmetic for every input, as `quantum.doubled`
-    computed it before reading exact Fractions off numerator and
-    denominator."""
+    """2j through Fraction arithmetic for every finite real number, as
+    `quantum.doubled` computed it before reading exact Fractions off
+    numerator and denominator; anything else is no color."""
+    import numbers
     from fractions import Fraction
 
     from shadowsum.errors import ColorOutOfRange
 
+    if not (isinstance(j, numbers.Real) and math.isfinite(j)):
+        raise ColorOutOfRange(f"color {j!r} is not a half-integer")
     t = Fraction(j) * 2
     if t.denominator != 1:
         raise ColorOutOfRange(f"color {j!r} is not a half-integer")

@@ -505,19 +505,22 @@ class TestCliWlo:
         assert diag["crossing_marks"] == [[0, 1], [0, 1], [0, 1]]
         assert diag["windings"] == [3]
 
-    def test_dpfree_genus_must_be_zero(self, capsys, corpus_dir):
+    def test_dpfree_genus_must_be_zero(self, capsys, corpus_dir, validate_calls):
+        # the argument is checked before any geometry
         code, out = run_cli(capsys, "wlo", "--mode", "dpfree", "--genus", "1",
                             str(corpus_dir / "circle_w0.link.json"))
         assert code == 4
         assert out == ""
+        assert validate_calls == []
 
-    def test_abelian_genus_must_be_zero(self, capsys, corpus_dir):
+    def test_abelian_genus_must_be_zero(self, capsys, corpus_dir, validate_calls):
         code = main(["wlo", "--mode", "abelian", "--genus", "3",
                      str(corpus_dir / "hopf.link.json")])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
         assert "abelian mode evaluates spherical geometry; --genus must be 0" in captured.err
+        assert validate_calls == []
 
     @pytest.mark.parametrize("mode, name", [("dpfree", "circle_w0"), ("abelian", "hopf")])
     def test_dims_only_in_vertical_mode(self, capsys, corpus_dir, mode, name):
@@ -614,10 +617,13 @@ class TestCliCheck:
         assert len(lift_scans) <= 18  # 34 when nothing was kept
         assert len({(id(lp), t0) for lp, t0 in lift_scans}) == len(lift_scans)
 
-    def test_lem2_needs_two_loops(self, capsys, corpus_dir):
-        code, _ = run_cli(capsys, "check", "--what", "lem2",
-                          str(corpus_dir / "circle_w0.link.json"))
-        assert code == 4
+    def test_lem2_needs_two_loops(self, capsys, corpus_dir, validate_calls):
+        # the loop count is checked before any geometry
+        for name in ("circle_w0", "three_chain"):
+            code, _ = run_cli(capsys, "check", "--what", "lem2",
+                              str(corpus_dir / f"{name}.link.json"))
+            assert code == 4
+        assert validate_calls == []
 
 
 DPFREE_COMMANDS = (

@@ -668,6 +668,11 @@ class TestLoopBasics:
         with pytest.raises(InvariantViolation):
             ss.make_loop([(1, 2, 0.2), (1, 2, 0.3), (1, 2, 0.2)], vertical=True)
 
+    @pytest.mark.parametrize("color", [math.nan, None, "1"])
+    def test_rejects_color_that_is_no_finite_number(self, color):
+        with pytest.raises(InvariantViolation, match="is not a half-integer"):
+            ss.make_loop([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 0)], color=color)
+
     def test_polygon_circle_at_large_radius(self):
         # cos and sin of the full turn miss vertex 0 by more than 1e-9 at
         # r = 1e7; the closing vertex repeats it instead

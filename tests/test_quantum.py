@@ -154,6 +154,11 @@ class TestBitIdentity:
     def test_doubled_matches_oracle(self, j):
         assert _outcome(doubled, j) == _outcome(doubled_oracle, j)
 
+    @pytest.mark.parametrize("j", [math.nan, math.inf, -math.inf, None, "1/2"])
+    def test_doubled_rejects_what_is_no_finite_number(self, j):
+        with pytest.raises(ColorOutOfRange, match="is not a half-integer"):
+            doubled(j)
+
 
 class TestAdmissibility:
     def test_examples(self):

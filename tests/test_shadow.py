@@ -250,6 +250,13 @@ def reversed_link(link):
     return ss.Link(link.loops[::-1], t0=link.t0, level=link.level)
 
 
+def shuffled_link(link, seed):
+    """The same link with its loops listed in a seeded random order."""
+    loops = list(link.loops)
+    random.Random(seed).shuffle(loops)
+    return ss.Link(tuple(loops), t0=link.t0, level=link.level)
+
+
 def circle_chain(rng, n, level):
     """n concentric 16-gons of radius 0.75^i, loop 0 outermost, with
     seeded orientations and windings."""
@@ -309,6 +316,11 @@ class TestShadowConstruction:
     def test_invariants_checked_at_construction(self, face, edge, vertex, message):
         with pytest.raises(InvariantViolation, match=message):
             ss.Shadow(faces=(face,), edges=(edge,), vertices=(vertex,) if vertex else ())
+
+    @pytest.mark.parametrize("gleam", [math.nan, "1/2"])
+    def test_gleam_that_is_no_finite_number_rejected(self, gleam):
+        with pytest.raises(InvariantViolation, match="is not half-integral"):
+            ss.Shadow(faces=(ss.ShadowFace(2, gleam),), edges=())
 
 
 class TestEnumerateColorings:
@@ -725,23 +737,24 @@ class TestPairs:
 
     def test_matches_filter_oracle(self):
         # the same pairs in the same order: l-major, then itertools.product,
-        # also with the loops listed children first
+        # also with the loops listed children first or shuffled
         links = pair_links()
-        for link in links + [reversed_link(link) for link in links]:
+        links += ([reversed_link(link) for link in links]
+                  + [shuffled_link(link, seed) for seed, link in enumerate(links)])
+        for link in links:
             fc = ss.face_complex(link)
             level = Level(link.level)
             assert ss.enumerate_pairs(link, level, fc) == enumerate_pairs_oracle(link, level, fc)
 
     def test_pruned_walk_matches_filter_oracle(self):
-        # nested chains, where a face's offset is final once its own loop
-        # has its sign and the walk drops most prefixes, and rows, where
-        # only k = 1 drops any: at the first offset of the other sign.
-        # Listed innermost first, a chain's offsets are final only at its
-        # outermost loop, and the walk drops prefixes on the faces whose
-        # rows agree on the loops still to come
+        # nested chains, where the walk drops most prefixes, and rows,
+        # where only k = 1 drops any: at the first offset of the other
+        # sign.  Listed innermost first or shuffled, a chain is walked
+        # outermost first all the same
         rng = random.Random(19)
         links = [circle_chain(rng, n, 1) for n in range(1, 13)]
-        links += [reversed_link(link) for link in links]
+        links += ([reversed_link(link) for link in links]
+                  + [shuffled_link(link, seed) for seed, link in enumerate(links)])
         links += [circle_row(n, 1, (0, 1, -1)) for n in range(1, 8)]
         for link in links:
             fc = ss.face_complex(link)
@@ -753,12 +766,13 @@ class TestPairs:
     def test_deep_chain_at_low_level(self):
         # 2^n sign vectors, of which two have an admissible level at k = 1:
         # the offsets of nested faces must alternate between 0 and +1 or -1.
-        # Listed innermost first, offsets are final only at the outermost
-        # loop; pruning on nothing else, the walk took seconds on 20 circles
-        for n in (20, 40):
+        # Walked in file order, an innermost-first or shuffled chain would
+        # finalize most face offsets late and prune little; walked ancestor
+        # first, every step finalizes one
+        for n in (20, 40, 50):
             link = circle_chain(random.Random(40), n, 1)
-            for loops in (link.loops, link.loops[::-1]):
-                chain = ss.Link(loops, t0=0.0, level=1)
+            orders = [reversed_link(link)] + [shuffled_link(link, seed) for seed in (7, 8, 9)]
+            for chain in [link] + orders:
                 fc = ss.face_complex(chain)
                 start = time.perf_counter()
                 pairs = ss.enumerate_pairs(chain, Level(1), fc)
