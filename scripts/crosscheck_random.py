@@ -15,7 +15,13 @@ With --route abelian, on seeded random pairs of circles that cross twice
 Abelian product `wlo_abelian` against the crossing-mark route
 `wlo_abelian_intermediate`; links that are not admissible at their t0
 are drawn again.  Each link is also evaluated with its loops listed in
-reverse, by both routes, and all four values must agree.
+reverse, by both routes, and all four values must agree.  Then, on as many
+single self-crossing loops (`self_crossing_loop`) at a random t0, every
+second one with the circle coordinates at its first self-crossing brought
+within 1e-4 to 1e-1 rad of each other (`narrow_gap`), the two routes must
+agree as well; loops that do not cross themselves or are not admissible
+are drawn again.  The loops come from a generator of their own, so a seed
+draws the same pairs as it would without them.
 
     python scripts/crosscheck_random.py --configs 200 --seed 2024
     python scripts/crosscheck_random.py --route abelian --configs 300 --seed 3
@@ -32,7 +38,12 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 import shadowsum as ss
 from shadowsum.quantum import Level
-from shadowsum.random_links import random_crossing_pair, random_dpfree_link
+from shadowsum.random_links import (
+    narrow_gap,
+    random_crossing_pair,
+    random_dpfree_link,
+    self_crossing_loop,
+)
 
 
 def rel_diff(a: complex, b: complex) -> float:
@@ -54,25 +65,80 @@ def main():
 def abelian(args):
     rng = random.Random(args.seed)
     start = time.perf_counter()
+    pairs = abelian_runs(args, "link", lambda done, k: crossing_pair_links(rng, k),
+                         args.configs)
+    loop_rng = random.Random(f"{args.seed}:self-crossing")
+    loops = abelian_runs(args, "loop",
+                         lambda done, k: self_crossing_links(loop_rng, k, done % 2 == 1),
+                         args.configs)
+    elapsed = time.perf_counter() - start
+
+    print(f"links and self-crossing loops: {args.configs} each   seed: {args.seed}"
+          f"   elapsed: {elapsed:.2f}s")
+    ok = True
+    for label, (worst, worst_case, errors, by_k) in (("link", pairs), ("loop", loops)):
+        print(f"{'k':>3} {label + 's':>6} {'worst abs diff':>16}")
+        for k in sorted(by_k):
+            count, w = by_k[k]
+            print(f"{k:>3} {count:>6} {w:>16.3e}")
+        print(f"overall worst abs diff: {worst:.3e} at {label} {worst_case}")
+        print(f"errors: {errors}")
+        ok = ok and worst <= 1e-9
+    print("RESULT:", "PASS" if ok else "FAIL")
+    return 0 if ok else 1
+
+
+def crossing_pair_links(rng, k):
+    """A random pair of crossing circles at a random t0, admissible there,
+    with its validate report, then with its loops listed in reverse."""
+    while True:
+        link = random_crossing_pair(rng, level=k, t0=rng.uniform(0.0, 2.0 * math.pi))
+        report = ss.validate(link)
+        if report.ok:
+            rev = ss.Link(link.loops[::-1], t0=link.t0, level=k)
+            return [(link, report), (rev, None)]
+
+
+def self_crossing_links(rng, k, narrowed):
+    """A random self-crossing loop at a random t0, admissible there, with
+    its validate report; if `narrowed`, with the gap at its first
+    self-crossing narrowed.  Each try draws the same numbers either way."""
+    while True:
+        loop = self_crossing_loop(rng)
+        t0 = rng.uniform(0.0, 2.0 * math.pi)
+        gap = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4.0, -1.0)
+        try:
+            if not loop.self_crossings:
+                continue
+            if narrowed:
+                loop = narrow_gap(loop, gap)
+            link = ss.Link((loop,), t0=t0, level=k)
+            report = ss.validate(link)
+        except ss.ShadowsumError:
+            continue
+        if report.ok:
+            return [(link, report)]
+
+
+def abelian_runs(args, label, draw, count):
+    """`wlo_abelian` against `wlo_abelian_intermediate` on `count` drawn
+    links, k = 1..kmax in turn; every value of a draw must agree with its
+    first.  Returns (worst diff, its case, errors, per-k rows)."""
     worst = 0.0
     worst_case = None
     errors = 0
     by_k = {}
-    done = 0
-    while done < args.configs:
+    for done in range(count):
         k = 1 + done % args.kmax
-        link = random_crossing_pair(rng, level=k, t0=rng.uniform(0.0, 2.0 * math.pi))
-        report = ss.validate(link)
-        if not report.ok:
-            continue
         try:
-            rev = ss.Link(link.loops[::-1], t0=link.t0, level=k)
-            values = [ss.wlo_abelian(link), ss.wlo_abelian_intermediate(link, report),
-                      ss.wlo_abelian(rev), ss.wlo_abelian_intermediate(rev, ss.validate(rev))]
+            values = []
+            for link, report in draw(done, k):
+                values += [ss.wlo_abelian(link), ss.wlo_abelian_intermediate(
+                    link, ss.validate(link) if report is None else report)]
             diff = max(abs(v - values[0]) for v in values)
         except ss.ShadowsumError as exc:  # an admissible link either route rejects
             errors += 1
-            print(f"link {done} (k = {k}): {type(exc).__name__}: {exc}")
+            print(f"{label} {done} (k = {k}): {type(exc).__name__}: {exc}")
             diff = math.inf
         if diff > worst:
             worst = diff
@@ -80,19 +146,7 @@ def abelian(args):
         row = by_k.setdefault(k, [0, 0.0])
         row[0] += 1
         row[1] = max(row[1], diff)
-        done += 1
-    elapsed = time.perf_counter() - start
-
-    print(f"links: {done}   seed: {args.seed}   elapsed: {elapsed:.2f}s")
-    print(f"{'k':>3} {'count':>6} {'worst abs diff':>16}")
-    for k in sorted(by_k):
-        count, w = by_k[k]
-        print(f"{k:>3} {count:>6} {w:>16.3e}")
-    print(f"overall worst abs diff: {worst:.3e} at link {worst_case}")
-    print(f"errors: {errors}")
-    ok = worst <= 1e-9
-    print("RESULT:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return worst, worst_case, errors, by_k
 
 
 def dpfree(args):

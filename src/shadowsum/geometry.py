@@ -64,8 +64,11 @@ once and returns its crossing marks together with its defects, which
 `validate` reports and `crossing_marks` raises on.
 
 The face complex of a double-point-free link is its nesting forest:
-`face_complex` reads every face datum off each loop's innermost container
-and the loop orientations.
+`FaceComplex` holds the forest, each loop's two side faces and each face's
+chi, all read off each loop's innermost container and the loop
+orientations, and a loop's winding number on a face follows from them.
+`face_complex` keeps for each loop the loops that contain it, not a table
+over loop pairs.
 """
 
 from __future__ import annotations
@@ -838,13 +841,12 @@ def _loop_orientation(loop: Loop) -> int:
 @dataclass(frozen=True)
 class FaceComplex:
     """Complement regions of pairwise-disjoint projected Jordan curves on
-    S^2, with per-loop winding numbers constant on each face.  A face is
-    its index: chi, ind_table and the gleams are indexed by face."""
+    S^2.  A face is its index: face j lies just inside loop j and face n,
+    n = len(parent), is the outer face; chi and the gleams are indexed by
+    face."""
 
     chi: tuple[int, ...]                     # Euler characteristic per face
-    ind_table: tuple[tuple[int, ...], ...]   # [face][loop]
     loop_sides: tuple[tuple[int, int], ...]  # (left face, right face) per loop
-    outer: int
     parent: tuple[int | None, ...]           # nesting forest over loops
 
 
@@ -857,14 +859,16 @@ def face_complex(link: Link) -> FaceComplex:
     vertical loops or any other failed admissibility condition.
 
     Faces are indexed 0..n-1 (region immediately inside loop j) plus the
-    outer face n containing sigma_0.  Every face datum (chi, ind_table,
-    loop_sides) is read off the nesting forest `parent` and the loop
-    orientations: loop j separates face j from the face beyond it (its
-    parent's, or the outer face for a root), so face j is a disc less one
-    hole per child and the outer face a sphere less one hole per root, and
-    the chi sum to n + 2 - n = 2.  A loop's winding number is its
-    orientation on its own face and on every face it encloses, and 0
-    elsewhere.
+    outer face n containing sigma_0.  Every face datum (chi, loop_sides)
+    is read off the nesting forest `parent` and the loop orientations:
+    loop j separates face j from the face beyond it (its parent's, or the
+    outer face for a root), so face j is a disc less one hole per child
+    and the outer face a sphere less one hole per root, and the chi sum to
+    n + 2 - n = 2.  A loop's winding number is its orientation (+1 iff
+    face j is its left face) on its own face and on every face it
+    encloses, and 0 elsewhere.  The loops containing loop j are nested, so
+    its parent, the innermost of them, is the one with the most containers
+    of its own; no table over all loop pairs is built.
     """
     report = validate(link)
     if report.double_points or report.triple_points:
@@ -877,7 +881,7 @@ def face_complex(link: Link) -> FaceComplex:
     loops = link.loops
     n = len(loops)
     orient = [_loop_orientation(lp) for lp in loops]
-    inside = [[False] * n for _ in range(n)]  # inside[i][j]: loop j lies inside loop i
+    containers = [[] for _ in range(n)]  # containers[j]: the loops that contain loop j
     for i in range(n):
         xs, ys = zip(*loops[i].planar)
         x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
@@ -885,28 +889,18 @@ def face_complex(link: Link) -> FaceComplex:
             # a point off the open bounding box of loop i has winding number
             # 0 (validate has put every vertex off the other loops' curves)
             x, y = loops[j].planar[0]
-            if i != j and x0 < x < x1 and y0 < y < y1:
-                inside[i][j] = ind(loops[i], (x, y)) != 0
-
-    depth = [sum(1 for i in range(n) if inside[i][j]) for j in range(n)]
-    parent: list[int | None] = [None] * n
-    for j in range(n):
-        containers = [i for i in range(n) if inside[i][j]]
-        if containers:
-            parent[j] = max(containers, key=lambda i: depth[i])
+            if i != j and x0 < x < x1 and y0 < y < y1 and ind(loops[i], (x, y)) != 0:
+                containers[j].append(i)
+    parent = [max(c, key=lambda i: len(containers[i])) if c else None for c in containers]
 
     # loop j separates face j from the face beyond it
-    outer = n
-    beyond = [outer if p is None else p for p in parent]
+    beyond = [n if p is None else p for p in parent]
     chi = [1] * n + [2]
     for b in beyond:
         chi[b] -= 1
     return FaceComplex(
         chi=tuple(chi),
-        ind_table=tuple(tuple(orient[j] if j == f or inside[j][f] else 0 for j in range(n))
-                        for f in range(n)) + ((0,) * n,),
         loop_sides=tuple((j, b) if orient[j] > 0 else (b, j) for j, b in enumerate(beyond)),
-        outer=outer,
         parent=tuple(parent),
     )
 

@@ -15,11 +15,15 @@ offset; this horizontal push-off frames every loop.  The offset must stay
 below a third of the minimum clearance between non-adjacent segments.
 `pushoff` returns the offset loop with its crossing records against `l`;
 one sweep over both also finds the offset's own pairs, which are checked
-first.
+first.  `self_link` makes one push-off per loop, at an offset small
+enough that every crossing of the push-off with the loop keeps the order
+of the circle coordinates at its self double point, a lift bound derived
+at `_framing_offset`.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -29,6 +33,7 @@ from .errors import (
     OffsetTooLarge,
 )
 from .geometry import (
+    TAU,
     DoublePoint,
     Loop,
     _loop_marks,
@@ -116,15 +121,71 @@ def link_number(l: Loop, lt: Loop, crossings: tuple[DoublePoint, ...], t0: float
     return int(total)
 
 
+def _framing_offset(l: Loop) -> float:
+    """The push-off offset of `self_link`: the least of
+    clearance / 6 * min_v cos(phi_v / 2) and, over the loop's self double
+    points d, gap_d / (2 rate_d).
+
+    Here phi_v is the turn at vertex v, gap_d the circular distance of the
+    two strands' circle coordinates at d, and, for d a crossing of
+    segments i and j at angle alpha_d,
+    rate_d = sum over s in {i, j} of
+    max(sigma_{s-1}, sigma_s, sigma_{s+1})
+    * (1 / |sin alpha_d| + tan(phi_s / 2) + tan(phi_{s+1} / 2)),
+    sigma_s = |lift change| / length of segment s.
+
+    The miter puts offset vertex v at offset / cos(phi_v / 2) from vertex
+    v, so under the first term no vertex moves by more than clearance / 6,
+    half of what `pushoff` allows.  Near d the push-off meets the loop
+    twice: offset strand i crosses strand j, and strand i crosses offset
+    strand j.  Shifting a line by the offset moves its crossing with a
+    line at angle alpha_d by offset / |sin alpha_d| along that line.  An
+    offset segment runs between miter points that lie at most
+    offset * tan(phi / 2) beyond or short of the normal feet of its ends,
+    so the parameter of a point on it differs from that of its foot on
+    the original by at most those shifts over its length.  The crossing
+    may pass onto a neighbouring segment, whence the largest sigma of
+    three.  So each strand's circle coordinate at a crossing moves by at
+    most the offset times its term of rate_d, and under the second term
+    both strands' moves add up to at most gap_d / 2: each crossing keeps
+    the order of d's two circle coordinates, that of the small-offset
+    limit.  The factor 2 leaves room for an offset segment shorter than
+    its original, whose rate is higher by their length ratio.  The bound
+    reads coordinates and segment geometry only, not the t0 cut.
+    """
+    clearance = loop_min_clearance(l)
+    pl, lifts, n = l.planar, l.lifts, l.nseg
+    units, sigma = [], []
+    for (ax, ay), (bx, by), ta, tb in zip(pl, pl[1:], lifts, lifts[1:]):
+        length = math.hypot(bx - ax, by - ay)
+        units.append(((bx - ax) / length, (by - ay) / length))
+        sigma.append(abs(tb - ta) / length)
+    # half the turn at vertex v, from segment v - 1 to segment v
+    half = [math.atan2(abs(px * qy - py * qx), px * qx + py * qy) / 2.0
+            for (px, py), (qx, qy) in zip(units[-1:] + units[:-1], units)]
+    offset = clearance / 6.0 * min(math.cos(h) for h in half)
+    for i, j, ta, tb, *_ in l.self_crossings:
+        (px, py), (qx, qy) = units[i], units[j]
+        sin_a = abs(px * qy - py * qx)
+        gap = (lifts[i] + float(ta) * (lifts[i + 1] - lifts[i])
+               - lifts[j] - float(tb) * (lifts[j + 1] - lifts[j])) % TAU
+        gap = min(gap, TAU - gap)
+        # rate_d * |sin alpha_d|, so that a zero sine gives offset 0
+        rate = sum(max(sigma[s - 1], sigma[s], sigma[(s + 1) % n])
+                   * (1.0 + sin_a * (math.tan(half[s]) + math.tan(half[(s + 1) % n])))
+                   for s in (i, j))
+        if rate > 0.0:
+            offset = min(offset, gap * sin_a / (2.0 * rate))
+    return offset
+
+
 def self_link(l: Loop, t0: float) -> int:
-    """Linking number of the loop with its horizontal push-off, evaluated at
-    two offsets to confirm stability as the offset shrinks."""
-    threshold = loop_min_clearance(l) / 3.0
-    values = []
-    for f in (0.5, 0.25):
-        off, crossings = pushoff(l, threshold * f)
-        values.append(link_number(l, off, crossings, t0))
-    if values[0] != values[1]:
-        raise OffsetTooLarge(
-            f"self-linking value not stable under offset refinement: {values}")
-    return values[0]
+    """Linking number of the loop with its horizontal push-off at
+    `_framing_offset(l)`, one push-off per loop.  Where two strands'
+    circle coordinates at a self double point differ by so little that
+    the offset falls to the coincidence tolerance of 1e-9, the push-off
+    lies within that tolerance of the loop and `pushoff` raises
+    OffsetTooLarge, so `wlo --mode abelian` exits 3 on the loop."""
+    if l.vertical:
+        raise DegenerateGeometry("vertical loops have no planar push-off")
+    return link_number(l, *pushoff(l, _framing_offset(l)), t0)

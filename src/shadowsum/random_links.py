@@ -3,8 +3,10 @@
 Configurations are families of pairwise-disjoint polygonal circles with a
 random nesting forest, random orientations, and circle windings drawn from
 a bounded range; geometry is placed so that disjointness holds by
-construction.  Everything is driven by a caller-supplied random.Random, so
-runs are reproducible.
+construction.  For the Abelian routes there are pairs of crossing circles
+and single loops that usually cross themselves, whose circle coordinates
+at a self-crossing can be brought within a chosen gap.  Everything is
+driven by a caller-supplied random.Random, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ import math
 import random
 from fractions import Fraction
 
-from .geometry import Link, Loop, make_loop
+from .geometry import TAU, Link, Loop, make_loop
 
-__all__ = ["polygon_circle", "random_dpfree_link", "random_crossing_pair"]
+__all__ = ["polygon_circle", "random_dpfree_link", "random_crossing_pair", "self_crossing_loop",
+           "narrow_gap"]
 
 
 def polygon_circle(cx: float, cy: float, r: float, n: int = 16, *,
@@ -93,3 +96,32 @@ def random_crossing_pair(rng: random.Random, level: int = 2, t0: float = 0.0) ->
                        ccw=rng.random() < 0.5, phase=rng.uniform(0, 6.28),
                        theta_fn=profile(rng))
     return Link((a, b), t0=t0, level=level)
+
+
+def self_crossing_loop(rng: random.Random) -> Loop:
+    """A random polygon of 5-14 vertices around the origin, half of whose
+    angles are random, so that it usually crosses itself, with an
+    oscillating lift of winding 0."""
+    n = rng.randint(5, 14)
+    angles = [TAU * i / n for i in range(n)]
+    for i in rng.sample(range(n), n // 2):
+        angles[i] = rng.uniform(0.0, TAU)
+    base, amp = rng.uniform(0.5, 5.8), rng.uniform(0.2, 3.0)
+    freq, phase = rng.randint(1, 3), rng.uniform(0.0, TAU)
+    pts = [(r * math.cos(a), r * math.sin(a), base + amp * math.sin(TAU * freq * i / n + phase))
+           for i, (a, r) in enumerate(zip(angles, [rng.uniform(0.5, 1.5) for _ in range(n)]))]
+    return make_loop(pts + [pts[0]])
+
+
+def narrow_gap(loop: Loop, gap: float) -> Loop:
+    """`loop` with the lift of the second strand's segment at its first
+    self-crossing shifted so that its circle coordinate there exceeds the
+    first strand's by `gap`.  The two segments cross, so they share no
+    vertex, and the first strand's lift is unchanged."""
+    i, j, ta, tb, *_ = loop.self_crossings[0]
+    lifts = loop.lifts
+    shift = (lifts[i] + float(ta) * (lifts[i + 1] - lifts[i]) + gap
+             - lifts[j] - float(tb) * (lifts[j + 1] - lifts[j]))
+    moved = {j, j + 1} | ({0} if j + 1 == loop.nseg else set())
+    return make_loop([(x, y, t + shift if v in moved else t)
+                      for v, (x, y, t) in enumerate(loop.vertices)])

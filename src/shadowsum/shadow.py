@@ -47,15 +47,15 @@ coloring list backs the bijection check.  The pair route keeps its own enumerati
 level, the doubled colors and the exception types with either state sum.
 
 The pair route costs about its output.  enumerate_pairs walks the sign
-vectors depth first, the loops ancestor first in the nesting forest,
-extending the face offsets by one column of the ind table per step.  Each
-step makes one face's offset final, and the walk drops a prefix, with
-every vector below it, once the final offsets spread by more than k
-together with 0; a complete vector reads its admissible levels off its
-largest and smallest offset.  That is O(F) per visited node and per pair,
-where filtering all 2^n (k+1) candidates cost O(2^n (k+1) F n): a nested
-chain of 50 circles at k = 1 keeps two prefixes per depth and has 2
-pairs, in any order.
+vectors depth first, the loops ancestor first in the nesting forest.
+Each step sets one face's offset, final from then on: its parent face's
+offset plus or minus one.  The walk drops a prefix, with every vector
+below it, once its offsets spread by more than k together with 0; a
+complete vector reads its admissible levels off its largest and smallest
+offset.  That is O(n) per visited node, for the prefix it copies, and
+O(F) per pair, where filtering all 2^n (k+1) candidates cost
+O(2^n (k+1) F n): a nested chain of 50 circles at k = 1 keeps two
+prefixes per depth and has 2 pairs, in any order.
 wlo_dpfree_pairsum takes each face's sin(pi x / rbar)^chi and c x^2, its
 part of the integer phase exponent, from tables over x in {1, ..., k+1},
 and each phase from a memo on that exponent; the factors and the
@@ -444,23 +444,21 @@ def enumerate_pairs(link: Link, level: Level, fc: FaceComplex) -> list[Admissibl
     face into {1, ..., k+1}, ordered by l and then by sign vector in
     itertools.product order.
 
-    The sign vectors are walked depth first, taking the loops ancestor
-    first: in index order, each loop right after those of its ancestors in
-    the nesting forest fc.parent not yet taken.  Choosing s_j adds s_j
-    times column j of the ind table to the face offsets
-    d = sum_j s_j ind_j.  A vector's admissible levels are exactly
+    The sign vectors are walked depth first, the loops ancestor first: in
+    index order, each loop right after its ancestors in fc.parent not yet
+    taken.  ind_j is loop j's orientation o_j (+1 iff face j is its left
+    face) on face j and the faces inside it, and 0 elsewhere, so face j's
+    offset d_j = sum_i s_i ind_i(face j) is its parent face's (0 for the
+    outer face) plus s_j o_j: each step sets one offset, final from then
+    on.  A vector's admissible levels are exactly
     1 + max(0, max d) <= l <= k+1 + min(0, min d), so it has one iff the
-    offsets and 0 spread by at most k.  Face j's row is nonzero at loop j
-    and its ancestors only, so in this order its offset is final once loop
-    j has its sign, and the walk keeps the running min and max of 0 and
-    the final offsets.  A prefix whose final offsets spread by more than k
-    is dropped with its whole subtree, since every completion keeps them:
-    each step prunes on the face it finalizes, however the file lists the
-    loops.  Each surviving pair goes to the bucket of its l with its signs
-    in loop order, each bucket is sorted by sign vector (already sorted
-    when no loop is listed before an ancestor), and the buckets are joined
-    in l order.  Besides the output, the walk holds at most n + 1 offset
-    vectors.
+    offsets and 0 spread by at most k; the walk keeps their running min
+    and max and drops a prefix that spreads by more than k with its whole
+    subtree, in any loop order.  Each surviving pair goes to the bucket of
+    its l with its signs in loop order, each bucket is sorted by sign
+    vector (already sorted when no loop is listed before an ancestor), and
+    the buckets are joined in l order.  Besides the output, the walk holds
+    at most n + 1 prefixes.
     """
     for j, lp in enumerate(link.loops):
         if lp.color2 != 1:
@@ -469,7 +467,6 @@ def enumerate_pairs(link: Link, level: Level, fc: FaceComplex) -> list[Admissibl
     n = len(link.loops)
     k = level.k
     kp1 = k + 1
-    columns = list(zip(*fc.ind_table))
     order, taken = [], [False] * n
     for j in range(n):
         path = []
@@ -479,30 +476,32 @@ def enumerate_pairs(link: Link, level: Level, fc: FaceComplex) -> list[Admissibl
             j = fc.parent[j]
         order += reversed(path)
     at = sorted(range(n), key=order.__getitem__)  # at[j]: loop j's place in the walk
+    # per step: its parent face's place in d (0: the outer face) and o_j
+    steps = [(0 if fc.parent[j] is None else 1 + at[fc.parent[j]],
+              1 if fc.loop_sides[j][0] == j else -1) for j in order]
     buckets = [[] for _ in range(kp1 + 1)]
-    # stack of (signs chosen so far in walk order, their offsets, min and
-    # max of 0 and the final offsets); s = +1 is pushed first so that
+    # stack of (signs so far, then d: 0 and the offsets they set, both in
+    # walk order, min and max of d); s = +1 is pushed first so that
     # s = -1 is expanded first, as itertools.product orders them
-    stack = [((), (0,) * len(fc.ind_table), 0, 0)]
+    stack = [((), (0,), 0, 0)]
     while stack:
         signs, d, lo, hi = stack.pop()
         i = len(signs)
         if i == n:
             signs = tuple([signs[p] for p in at])
+            d = [d[p + 1] for p in at] + [0]
             for l in range(1 + hi, kp1 + lo + 1):
                 buckets[l].append(AdmissiblePair(l, signs, tuple([l - x for x in d])))
             continue
-        j = order[i]
-        col = columns[j]
-        for s, step in ((1, operator.add), (-1, operator.sub)):
-            e = tuple(map(step, d, col))
-            x, elo, ehi = e[j], lo, hi
+        up, o = steps[i]
+        for s in (1, -1):
+            x, elo, ehi = d[up] + s * o, lo, hi
             if x < elo:
                 elo = x
             elif x > ehi:
                 ehi = x
             if ehi - elo <= k:
-                stack.append((signs + (s,), e, elo, ehi))
+                stack.append((signs + (s,), d + (x,), elo, ehi))
     for bucket in buckets:
         bucket.sort()  # by signs: a bucket's pairs share l and differ in signs
     return [pair for bucket in buckets for pair in bucket]

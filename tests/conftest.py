@@ -46,7 +46,7 @@ def face_of_point_oracle(link, fc, p) -> int:
 
     containing = [j for j, lp in enumerate(link.loops) if ind(lp, p) != 0]
     if not containing:
-        return fc.outer
+        return len(link.loops)
     depth = {j: sum(1 for i in containing if contains(i, j)) for j in containing}
     return max(containing, key=lambda j: depth[j])
 
@@ -99,6 +99,19 @@ def face_complex_oracle(link):
     return (tuple(faces), tuple(ind_table), tuple(loop_sides), outer, tuple(parent), gleams)
 
 
+def forest_winding(fc, f, j) -> int:
+    """ind_j on face f as the face complex implies it: loop j's
+    orientation (+1 iff face j is its left face) when f is face j or a
+    face inside loop j along fc.parent, else 0 (the outer face f = n
+    lies inside no loop)."""
+    g = f if f < len(fc.parent) else None
+    while g is not None:
+        if g == j:
+            return 1 if fc.loop_sides[j][0] == j else -1
+        g = fc.parent[g]
+    return 0
+
+
 def segments(loop):
     """(i, start, end) for each planar segment of a loop."""
     pl = loop.planar
@@ -113,7 +126,7 @@ def sample_point_oracle(link, fc, face_id) -> tuple[float, float]:
     from shadowsum.errors import DegenerateGeometry, PointOnCurve
     from shadowsum.geometry import _loop_orientation, _seg_point_dist, _unit
 
-    if face_id == fc.outer:
+    if face_id == len(link.loops):
         xs = [x for lp in link.loops for x, _ in lp.planar] or [0.0]
         ys = [y for lp in link.loops for _, y in lp.planar] or [0.0]
         return (max(xs) + 1.0, max(ys) + 1.0)
@@ -554,9 +567,10 @@ def loop_orientation_oracle(loop) -> int:
     return 1 if area > 0 else -1
 
 
-def enumerate_pairs_oracle(link, level, fc) -> list:
+def enumerate_pairs_oracle(link, level) -> list:
     """Admissible pairs by filtering all 2^n (k+1) candidates, l-major and
-    then in itertools.product order, each face field summed anew."""
+    then in itertools.product order, each face field summed anew from the
+    winding table of `face_complex_oracle`."""
     import itertools
 
     from shadowsum.errors import UnsupportedColor
@@ -566,6 +580,7 @@ def enumerate_pairs_oracle(link, level, fc) -> list:
         if lp.color2 != 1:
             raise UnsupportedColor(
                 f"pair enumeration requires the fundamental color 1/2 on loop {j}")
+    ind_table = face_complex_oracle(link)[1]
     n = len(link.loops)
     kp1 = level.k + 1
     out = []
@@ -573,7 +588,7 @@ def enumerate_pairs_oracle(link, level, fc) -> list:
         for signs in itertools.product((-1, 1), repeat=n):
             xi = tuple(
                 l - sum(s * w for s, w in zip(signs, row))
-                for row in fc.ind_table
+                for row in ind_table
             )
             if all(1 <= x <= kp1 for x in xi):
                 out.append(AdmissiblePair(l=l, signs=signs, xi=xi))

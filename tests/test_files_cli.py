@@ -445,8 +445,9 @@ class TestCliWlo:
         assert last_value(out) == 0
 
     def test_abelian_scans_each_loop_once(self, capsys, corpus_dir, loop_scans):
-        # both Abelian routes run; self_link asks 3 times per loop for the
-        # clearance, the crossing-mark route not at all
+        # both Abelian routes run; self_link asks twice per loop for the
+        # clearance (its offset, then pushoff's check), the crossing-mark
+        # route not at all
         path = corpus_dir / "hopf.link.json"
         code, out = run_cli(capsys, "wlo", "--mode", "abelian", str(path))
         assert code == 0
@@ -457,8 +458,8 @@ class TestCliWlo:
 
     def test_abelian_scans_each_pushoff_once(self, capsys, corpus_dir, loop_scans):
         # validate sweeps the loop pair once, with each loop against itself,
-        # and wlo_abelian sweeps the pair once more; self_link makes two
-        # push-offs per loop, and pushoff sweeps each once, against its loop
+        # and wlo_abelian sweeps the pair once more; self_link makes one
+        # push-off per loop, and pushoff sweeps each once, against its loop
         # and against itself; wlo_abelian_intermediate reads validate's
         # records
         path = corpus_dir / "hopf.link.json"
@@ -467,13 +468,13 @@ class TestCliWlo:
         loops = ss.load_link(path).loops
         pairs = loop_scans["pairs"]
         offsets = [(la, lb) for la, lb in pairs if lb not in loops]
-        assert len(offsets) == 4 and all(la in loops for la, _ in offsets)
+        assert len(offsets) == 2 and all(la in loops for la, _ in offsets)
         for _, off in offsets:
             assert sum(lb is off for _, lb in pairs) == 1
             assert sum(lp is off for lp in loop_scans["self_crossings"]) == 1
         assert pairs.count(loops) == 2
-        assert len(pairs) == 6
-        assert loop_scans["sweeps"] == 6
+        assert len(pairs) == 4
+        assert loop_scans["sweeps"] == 4
         # validate's sweep, the first, scans each hopf loop's own pairs, and
         # no later sweep scans them again
         assert pairs[0] == loops and loop_scans["self_crossings"][:2] == list(loops)
@@ -484,10 +485,10 @@ class TestCliWlo:
         # validate scans both loops; the CLI's crossing marks and the
         # crossing-mark route reuse those scans, and so do the pair's
         # link_number and each loop's self_link, which reads hopf's second
-        # loop as loop 0; each of the four push-offs is scanned once
+        # loop as loop 0; each of the two push-offs is scanned once
         code, _ = run_cli(capsys, "wlo", "--mode", "abelian", str(corpus_dir / "hopf.link.json"))
         assert code == 0
-        assert len(lift_scans) == 6  # 16 when nothing was kept, 7 when kept per index
+        assert len(lift_scans) == 4  # two in validate, one per push-off
         assert len({(id(lp), t0) for lp, t0 in lift_scans}) == len(lift_scans)
 
     def test_abelian_every_vertex_on_a_level(self, capsys, tmp_path):

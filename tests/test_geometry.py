@@ -26,6 +26,7 @@ from conftest import (
     crossing_count_oracle,
     face_complex_oracle,
     face_of_point_oracle,
+    forest_winding,
     ind_oracle,
     loop_fields_oracle,
     loop_orientation_oracle,
@@ -1356,13 +1357,13 @@ class TestFaceComplex:
         link = ss.Link((polygon_circle(0, 0, 1, phase=0.1),), t0=0.0, level=1)
         fc = ss.face_complex(link)
         assert sorted(fc.chi) == [1, 1]
-        assert fc.chi[fc.outer] == 1
+        assert fc.chi[len(link.loops)] == 1
 
     def test_two_nested(self):
         link = ss.Link((polygon_circle(0, 0, 1, phase=0.1),
                         polygon_circle(0, 0, 0.4, 14, phase=0.2)), t0=0.0, level=1)
         fc = ss.face_complex(link)
-        assert fc.chi[fc.outer] == 1
+        assert fc.chi[len(link.loops)] == 1
         assert fc.chi[0] == 0    # annulus between the two circles
         assert fc.chi[1] == 1    # inner disk
         assert sum(fc.chi) == 2
@@ -1371,7 +1372,7 @@ class TestFaceComplex:
         link = ss.Link((polygon_circle(0, 0, 1, phase=0.1),
                         polygon_circle(3, 0, 1, 14, phase=0.2)), t0=0.0, level=1)
         fc = ss.face_complex(link)
-        assert fc.chi[fc.outer] == 0
+        assert fc.chi[len(link.loops)] == 0
         assert sum(fc.chi) == 2
 
     def test_rejects_double_points(self):
@@ -1387,13 +1388,14 @@ class TestFaceComplex:
             ss.face_complex(link)
 
     def test_ind_left_minus_right_is_one(self):
+        # measured with ind at a point inside each side face
         rng = random.Random(21)
         for _ in range(20):
             link = random_dpfree_link(rng, max_loops=5, level=1)
             fc = ss.face_complex(link)
-            for j in range(len(link.loops)):
-                left, right = fc.loop_sides[j]
-                assert fc.ind_table[left][j] - fc.ind_table[right][j] == 1
+            for j, lp in enumerate(link.loops):
+                left, right = (sample_point_oracle(link, fc, f) for f in fc.loop_sides[j])
+                assert ss.ind(lp, left) - ss.ind(lp, right) == 1
 
     def test_chi_sums_to_two_randomized(self):
         rng = random.Random(22)
@@ -1411,9 +1413,10 @@ class TestFaceComplex:
             gleams = ss.gleams_dpfree(link, fc)
             faces, ind_table, loop_sides, outer, parent, oracle_gleams = face_complex_oracle(link)
             assert tuple(enumerate(fc.chi)) == faces
-            assert fc.ind_table == ind_table
+            assert tuple(tuple(forest_winding(fc, f, j) for j in range(len(link.loops)))
+                         for f in range(len(fc.chi))) == ind_table
             assert fc.loop_sides == loop_sides
-            assert fc.outer == outer
+            assert len(link.loops) == outer
             assert fc.parent == parent
             assert gleams == oracle_gleams
             assert sum(fc.chi) == 2
@@ -1422,6 +1425,8 @@ class TestFaceComplex:
         assert deep > 100  # many forests nest three loops deep
 
     def test_face_of_point_matches_ind_table(self):
+        # ind at a point of each face is the winding number that the
+        # forest and the loop sides imply there
         rng = random.Random(23)
         for _ in range(10):
             link = random_dpfree_link(rng, max_loops=4, level=1)
@@ -1430,7 +1435,12 @@ class TestFaceComplex:
                 p = sample_point_oracle(link, fc, f)
                 assert face_of_point_oracle(link, fc, p) == f
                 for j, lp in enumerate(link.loops):
-                    assert ss.ind(lp, p) == fc.ind_table[f][j]
+                    assert ss.ind(lp, p) == forest_winding(fc, f, j)
+
+    def test_fields(self):
+        # the face complex is its nesting forest, the loop sides and chi
+        assert [f.name for f in dataclasses.fields(ss.FaceComplex)] == [
+            "chi", "loop_sides", "parent"]
 
 
 class TestGleams:
@@ -1444,7 +1454,7 @@ class TestGleams:
         fc = ss.face_complex(link)
         gleams = ss.gleams_dpfree(link, fc)
         assert gleams[0] == 1          # inner face of the ccw circle
-        assert gleams[fc.outer] == -1
+        assert gleams[len(link.loops)] == -1
 
     def test_nested_pair_hand_count(self):
         link = ss.Link((polygon_circle(0, 0, 1, winding=1, phase=0.1),
@@ -1452,7 +1462,7 @@ class TestGleams:
                        t0=0.0, level=1)
         fc = ss.face_complex(link)
         gleams = ss.gleams_dpfree(link, fc)
-        assert gleams[fc.outer] == -1  # outer boundary only sees loop 0 from outside
+        assert gleams[len(link.loops)] == -1  # outer boundary only sees loop 0 from outside
         assert gleams[0] == 2          # annulus: +1 from loop 0, +1 from reversed loop 1
         assert gleams[1] == -1         # inner disk: loop 1 from inside, wind -1
 

@@ -279,7 +279,7 @@ class TestShadowConstruction:
         shadow, fc = dpfree_shadow(circle_link(1))
         gleams = {f.chi: f.gleam for f in shadow.faces}
         assert shadow.faces[0].gleam == 1       # inside the ccw circle
-        assert shadow.faces[fc.outer].gleam == -1
+        assert shadow.faces[len(fc.parent)].gleam == -1
 
     def test_empty_link(self):
         shadow, _fc = dpfree_shadow(empty_link())
@@ -744,7 +744,7 @@ class TestPairs:
         for link in links:
             fc = ss.face_complex(link)
             level = Level(link.level)
-            assert ss.enumerate_pairs(link, level, fc) == enumerate_pairs_oracle(link, level, fc)
+            assert ss.enumerate_pairs(link, level, fc) == enumerate_pairs_oracle(link, level)
 
     def test_pruned_walk_matches_filter_oracle(self):
         # nested chains, where the walk drops most prefixes, and rows,
@@ -760,8 +760,7 @@ class TestPairs:
             fc = ss.face_complex(link)
             for k in range(1, 5):
                 level = Level(k)
-                assert ss.enumerate_pairs(link, level, fc) == enumerate_pairs_oracle(
-                    link, level, fc)
+                assert ss.enumerate_pairs(link, level, fc) == enumerate_pairs_oracle(link, level)
 
     def test_deep_chain_at_low_level(self):
         # 2^n sign vectors, of which two have an admissible level at k = 1:
@@ -785,7 +784,7 @@ class TestPairs:
         for link in pair_links():
             fc = ss.face_complex(link)
             level = Level(link.level)
-            want = pairsum_oracle(link, level, fc, enumerate_pairs_oracle(link, level, fc))
+            want = pairsum_oracle(link, level, fc, enumerate_pairs_oracle(link, level))
             for got in (ss.wlo_dpfree_pairsum(link, level, fc),
                         ss.wlo_dpfree_pairsum(link, level, fc,
                                               pairs=ss.enumerate_pairs(link, level, fc))):
@@ -806,7 +805,7 @@ class TestPairs:
             link = random_dpfree_link(rng, max_loops=4, level=k)
             fc = ss.face_complex(link)
             for pair in ss.enumerate_pairs(link, Level(k), fc):
-                assert ss.coloring_of_pair(pair)[fc.outer] == pair.l - 1
+                assert ss.coloring_of_pair(pair)[len(link.loops)] == pair.l - 1
 
 
 class TestBijection:
