@@ -20,8 +20,12 @@ single self-crossing loops (`self_crossing_loop`) at a random t0, every
 second one with the circle coordinates at its first self-crossing brought
 within 1e-4 to 1e-1 rad of each other (`narrow_gap`), the two routes must
 agree as well; loops that do not cross themselves or are not admissible
-are drawn again.  The loops come from a generator of their own, so a seed
-draws the same pairs as it would without them.
+are drawn again.  Last, on as many triangles and {5/2}, {7/3} and {9/4}
+star polygons (`star_polygon_loop`), whose non-adjacent segments all cross,
+each at a random t0, the two routes must agree; polygons that are not
+admissible there are drawn again.  The loops and the polygons come from
+generators of their own, so a seed draws the same pairs and loops as it
+would without them.
 
     python scripts/crosscheck_random.py --configs 200 --seed 2024
     python scripts/crosscheck_random.py --route abelian --configs 300 --seed 3
@@ -43,6 +47,7 @@ from shadowsum.random_links import (
     random_crossing_pair,
     random_dpfree_link,
     self_crossing_loop,
+    star_polygon_loop,
 )
 
 
@@ -71,16 +76,20 @@ def abelian(args):
     loops = abelian_runs(args, "loop",
                          lambda done, k: self_crossing_links(loop_rng, k, done % 2 == 1),
                          args.configs)
+    polygon_rng = random.Random(f"{args.seed}:polygon")
+    polygons = abelian_runs(args, "polygon", lambda done, k: polygon_links(polygon_rng, k),
+                            args.configs)
     elapsed = time.perf_counter() - start
 
-    print(f"links and self-crossing loops: {args.configs} each   seed: {args.seed}"
+    print(f"links, self-crossing loops and polygons: {args.configs} each   seed: {args.seed}"
           f"   elapsed: {elapsed:.2f}s")
     ok = True
-    for label, (worst, worst_case, errors, by_k) in (("link", pairs), ("loop", loops)):
-        print(f"{'k':>3} {label + 's':>6} {'worst abs diff':>16}")
+    for label, (worst, worst_case, errors, by_k) in (("link", pairs), ("loop", loops),
+                                                     ("polygon", polygons)):
+        print(f"{'k':>3} {label + 's':>8} {'worst abs diff':>16}")
         for k in sorted(by_k):
             count, w = by_k[k]
-            print(f"{k:>3} {count:>6} {w:>16.3e}")
+            print(f"{k:>3} {count:>8} {w:>16.3e}")
         print(f"overall worst abs diff: {worst:.3e} at {label} {worst_case}")
         print(f"errors: {errors}")
         ok = ok and worst <= 1e-9
@@ -116,6 +125,16 @@ def self_crossing_links(rng, k, narrowed):
             report = ss.validate(link)
         except ss.ShadowsumError:
             continue
+        if report.ok:
+            return [(link, report)]
+
+
+def polygon_links(rng, k):
+    """A random triangle or star polygon at a random t0, admissible there,
+    with its validate report."""
+    while True:
+        link = ss.Link((star_polygon_loop(rng),), t0=rng.uniform(0.0, 2.0 * math.pi), level=k)
+        report = ss.validate(link)
         if report.ok:
             return [(link, report)]
 

@@ -37,8 +37,9 @@ The segment-pair scans sweep the segments' x-extents (Shamos and Hoey,
 "Geometric intersection problems", FOCS 1976), so they visit only pairs
 whose bounding boxes can meet or lie close, not all O(S^2) pairs.  Each
 `Loop` stores its segments' bounding boxes once.  The sweep sorts them by
-min x - COINCIDENCE_TOL and scans forward from each segment over the
-segments that start before it ends, so no active list is rebuilt.  It
+min x less a margin, COINCIDENCE_TOL for the crossing scans, and scans
+forward from each segment over the segments that start before it ends,
+so no active list is rebuilt.  It
 leaves out the adjacent segments of a loop, which share a vertex: one
 linear pass gives them the endpoint tests of the pair scan, and only if
 that pass finds a defect are they merged back, in lexicographic order,
@@ -53,7 +54,9 @@ whose self-crossings are not known yet, which it stores on the loop.  It
 visits loop pairs and segment pairs in the order of one all-pairs scan
 per loop pair, so its crossings and first defect are that scan's.
 `pushoff` sweeps a loop and its offset once, pairing the offset with
-itself too.
+itself too.  `_min_clearance` sweeps its loop at a margin just above the
+shortest segment's length, and only if the closest pair found lies
+farther apart than that, again at an infinite margin.
 
 The t0 cut rests on two facts with one implementation each.  `_records`
 turns the crossing scan into `DoublePoint` records: both strands'
@@ -81,6 +84,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
+    ColorOutOfRange,
     DegenerateGeometry,
     HasDoublePoints,
     InvariantViolation,
@@ -89,6 +93,7 @@ from .errors import (
     PreconditionError,
     TangentialCrossing,
 )
+from .quantum import doubled
 
 TAU = 2.0 * math.pi
 COINCIDENCE_TOL = 1e-9
@@ -144,7 +149,8 @@ def _seg_point_dist(p, a, b) -> float:
     if den == 0.0:
         return math.hypot(px - ax, py - ay)
     t = ((px - ax) * dx + (py - ay) * dy) / den
-    t = min(1.0, max(0.0, t))
+    # min(1.0, max(0.0, t)) bit for bit, NaN and -0.0 included
+    t = 1.0 if t >= 1.0 else (t if t > 0.0 else 0.0)
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
@@ -254,12 +260,10 @@ def make_loop(vertices: Iterable[Sequence[float]], color=Fraction(1, 2),
             (ax, ay, _), (bx, by, _) = verts[i], verts[i + 1]
             if math.hypot(bx - ax, by - ay) <= COINCIDENCE_TOL:
                 raise DegenerateGeometry(f"zero-length projected segment at vertex {i}")
-    try:  # Fraction parses strings, but a color is a number
-        col = None if isinstance(color, str) else Fraction(color)
-    except (TypeError, ValueError, OverflowError):  # not a number, NaN, +-inf
-        col = None
-    if col is None or (2 * col).denominator != 1:
-        raise InvariantViolation(f"color {color!r} is not a half-integer")
+    try:
+        col = Fraction(doubled(color), 2)
+    except ColorOutOfRange as exc:
+        raise InvariantViolation(str(exc)) from None
     return Loop(tuple(verts), col, bool(vertical))
 
 
@@ -291,24 +295,25 @@ def winding_s1(loop: Loop) -> int:
 # ---------------------------------------------------------------------------
 # pairwise crossing enumeration
 
-def _segment_sweep(loops: Sequence[Loop], selves=()) -> dict:
-    """Segment pairs whose bounding boxes lie within COINCIDENCE_TOL of
-    each other in x and in y, found in one sweep over the segments of all
-    `loops` sorted by min x - COINCIDENCE_TOL.  Returns, for each loop pair
-    a <= b (indices into `loops`) with candidates, the pairs (segment of a,
-    segment of b) sorted lexicographically.  Loops are paired with each
-    other, and a single loop or those indexed in `selves` with themselves
-    (i < j), bar adjacent segments: they share a vertex, so their boxes
-    always meet, and `_pair_crossings` checks them in its own pass.
+def _segment_sweep(loops: Sequence[Loop], selves=(), margin: float = COINCIDENCE_TOL) -> dict:
+    """Segment pairs whose bounding boxes lie within `margin` of each other
+    in x and in y, found in one sweep over the segments of all `loops`
+    sorted by min x - margin.  Returns, for each loop pair a <= b (indices
+    into `loops`) with candidates, the pairs (segment of a, segment of b)
+    sorted lexicographically.  Loops are paired with each other, and a
+    single loop or those indexed in `selves` with themselves (i < j), bar
+    adjacent segments: they share a vertex, so their boxes always meet,
+    and `_pair_crossings` checks them in its own pass.  The crossing scans
+    take the margin COINCIDENCE_TOL, `_min_clearance` one of its own, and
+    an infinite margin pairs every segment with every other.
 
     Each segment is paired with the segments after it in the sorted order
-    that start (min x - COINCIDENCE_TOL) no later than it ends (max x);
-    those form one slice of the order, found by bisection."""
-    tol = COINCIDENCE_TOL
+    that start (min x - margin) no later than it ends (max x); those form
+    one slice of the order, found by bisection."""
     own = [len(loops) == 1] * len(loops)  # own[a]: pair loop a with itself
     for a in selves:
         own[a] = True
-    events = sorted((x0 - tol, x1, y0 - tol, y1, a, i)
+    events = sorted((x0 - margin, x1, y0 - margin, y1, a, i)
                     for a, lp in enumerate(loops) for i, (x0, x1, y0, y1) in enumerate(lp.boxes))
     starts = [ev[0] for ev in events]
     nseg = [lp.nseg for lp in loops]
@@ -918,61 +923,48 @@ def gleams_dpfree(link: Link, fc: FaceComplex) -> tuple[int, ...]:
 
 def loop_min_clearance(loop: Loop) -> float:
     """Minimum distance between non-adjacent, non-crossing segments of the
-    projection; the push-off admissibility threshold is a third of this.
-    Computed once per loop."""
+    projection, or, if every non-adjacent pair crosses (a triangle, a
+    {5/2} star), between a vertex and a segment it does not bound; the
+    push-off admissibility threshold is a third of this.  Computed once per
+    loop."""
     return loop._clearance
 
 
 def _min_clearance(loop: Loop) -> float:
-    """Closest pair over a sweep of x-extents.  A pair is skipped only when
-    its bounding-box gap exceeds the best distance so far by a margin far
-    above the rounding error of its distance (a few ulps of the largest
-    coordinate), so the float minimum is the all-pairs one.  The distance
-    of a pair is the least of its four endpoint-to-segment distances, the
-    expressions of `_seg_point_dist` inlined as in `_pair_crossings`."""
+    """The closest pair among the candidates of `_segment_sweep` on the loop
+    alone, at the margin r = L (1 + 1e-9) + 1e-12 S, with L the shortest
+    segment's length and S the loop's `scale`; the distance of a pair is
+    the least of its four `_seg_point_dist` endpoint-to-segment distances.
+
+    The segments on either side of the shortest one lie within L of each
+    other, so unless they cross the minimum is at most L.  Then it is the
+    all-pairs float minimum: with u = 2^-53, a pair the sweep leaves out
+    has a box gap above r - u (S + r) after the rounding of min - r, so its
+    float distance exceeds (r - u (S + r) - 5.1 u S)(1 - 3u) > L (the
+    rounding of `_seg_point_dist` is derived at `ind`).  Otherwise the
+    sweep runs again at an infinite margin, over every pair.  A loop with
+    no non-adjacent, non-crossing pair gets the least distance from a
+    vertex to a segment it does not bound: on a triangle that is its least
+    altitude h, and h / 3 never exceeds its inradius, so no push-off below
+    the threshold collapses."""
     crossing = {(i, j) for (i, j, *_rest) in loop.self_crossings}
-    hypot = math.hypot
     n = loop.nseg
     pl = loop.planar
-    scale = loop.scale
-    boxes = sorted(box + (i,) for i, box in enumerate(loop.boxes))
-    best = math.inf
-    bound = math.inf  # gaps above this cannot lower `best`
-    active = []
-    for x0, x1, y0, y1, j in boxes:
-        active = [a for a in active if x0 - a[1] <= bound]
-        for ax0, ax1, ay0, ay1, i in active:
-            if y0 - ay1 > bound or ay0 - y1 > bound or x0 - ax1 > bound:
-                continue
-            lo, hi = (i, j) if i < j else (j, i)
-            if hi - lo == 1 or (lo == 0 and hi == n - 1) or (lo, hi) in crossing:
-                continue
-            (ax, ay), (ax2, ay2), (bx, by), (bx2, by2) = pl[lo], pl[lo + 1], pl[hi], pl[hi + 1]
-            adx, ady, bdx, bdy = ax2 - ax, ay2 - ay, bx2 - bx, by2 - by
-            aden, bden = adx * adx + ady * ady, bdx * bdx + bdy * bdy
-            # a1, a2 against b, then b1, b2 against a; `e < d` keeps min()'s choice
-            t = ((ax - bx) * bdx + (ay - by) * bdy) / bden if bden else 0.0
-            t = 1.0 if t >= 1.0 else (t if t > 0.0 else 0.0)
-            d = hypot(ax - (bx + t * bdx), ay - (by + t * bdy))
-            t = ((ax2 - bx) * bdx + (ay2 - by) * bdy) / bden if bden else 0.0
-            t = 1.0 if t >= 1.0 else (t if t > 0.0 else 0.0)
-            e = hypot(ax2 - (bx + t * bdx), ay2 - (by + t * bdy))
-            if e < d:
-                d = e
-            t = ((bx - ax) * adx + (by - ay) * ady) / aden if aden else 0.0
-            t = 1.0 if t >= 1.0 else (t if t > 0.0 else 0.0)
-            e = hypot(bx - (ax + t * adx), by - (ay + t * ady))
-            if e < d:
-                d = e
-            t = ((bx2 - ax) * adx + (by2 - ay) * ady) / aden if aden else 0.0
-            t = 1.0 if t >= 1.0 else (t if t > 0.0 else 0.0)
-            e = hypot(bx2 - (ax + t * adx), by2 - (ay + t * ady))
-            if e < d:
-                d = e
-            if d < best:
-                best = d
-                bound = best * (1.0 + 1e-9) + 1e-12 * scale
-        active.append((x0, x1, y0, y1, j))
+    dist = _seg_point_dist
+    shortest = min(math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(pl, pl[1:]))
+    for margin in (shortest * (1.0 + 1e-9) + 1e-12 * loop.scale, math.inf):
+        best = math.inf
+        for i, j in _segment_sweep((loop,), margin=margin).get((0, 0), ()):
+            if (i, j) not in crossing:
+                a1, a2, b1, b2 = pl[i], pl[i + 1], pl[j], pl[j + 1]
+                d = min(dist(a1, b1, b2), dist(a2, b1, b2), dist(b1, a1, a2), dist(b2, a1, a2))
+                if d < best:
+                    best = d
+        if best <= shortest:
+            return best
+    if best == math.inf:  # no non-adjacent, non-crossing pair
+        best = min((dist(pl[v], pl[s], pl[s + 1]) for s in range(n) for v in range(n)
+                    if v != s and v != (s + 1) % n), default=math.inf)
     if not math.isfinite(best):
         raise DegenerateGeometry("loop has no non-adjacent segment pairs")
     return best

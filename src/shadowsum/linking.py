@@ -74,13 +74,11 @@ def pushoff(l: Loop, offset: float) -> tuple[Loop, tuple[DoublePoint, ...]]:
             f"offset {offset} is not below the admissibility threshold {threshold}")
     n = l.nseg
     pl = l.planar
+    units = [_unit((b[0] - a[0], b[1] - a[1])) for a, b in zip(pl, pl[1:])]
     new_pts = []
     for i in range(n):
-        prev = pl[(i - 1) % n]
         cur = pl[i]
-        nxt = pl[i + 1]
-        d0 = _unit((cur[0] - prev[0], cur[1] - prev[1]))
-        d1 = _unit((nxt[0] - cur[0], nxt[1] - cur[1]))
+        d0, d1 = units[i - 1], units[i]  # the segments into and out of vertex i
         n0 = (-d0[1], d0[0])
         n1 = (-d1[1], d1[0])
         # miter: intersect the two offset lines through cur

@@ -3,10 +3,11 @@
 Configurations are families of pairwise-disjoint polygonal circles with a
 random nesting forest, random orientations, and circle windings drawn from
 a bounded range; geometry is placed so that disjointness holds by
-construction.  For the Abelian routes there are pairs of crossing circles
-and single loops that usually cross themselves, whose circle coordinates
-at a self-crossing can be brought within a chosen gap.  Everything is
-driven by a caller-supplied random.Random, so runs are reproducible.
+construction.  For the Abelian routes there are pairs of crossing circles,
+single loops that usually cross themselves, whose circle coordinates at a
+self-crossing can be brought within a chosen gap, and triangles and star
+polygons, whose non-adjacent segments all cross.  Everything is driven by
+a caller-supplied random.Random, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from .geometry import TAU, Link, Loop, make_loop
 
 __all__ = ["polygon_circle", "random_dpfree_link", "random_crossing_pair", "self_crossing_loop",
-           "narrow_gap"]
+           "star_polygon_loop", "narrow_gap"]
 
 
 def polygon_circle(cx: float, cy: float, r: float, n: int = 16, *,
@@ -110,6 +111,22 @@ def self_crossing_loop(rng: random.Random) -> Loop:
     freq, phase = rng.randint(1, 3), rng.uniform(0.0, TAU)
     pts = [(r * math.cos(a), r * math.sin(a), base + amp * math.sin(TAU * freq * i / n + phase))
            for i, (a, r) in enumerate(zip(angles, [rng.uniform(0.5, 1.5) for _ in range(n)]))]
+    return make_loop(pts + [pts[0]])
+
+
+def star_polygon_loop(rng: random.Random) -> Loop:
+    """A triangle or a {5/2}, {7/3} or {9/4} star polygon: p vertices, each
+    q steps of 2*pi/p around the origin from the last, with a random phase
+    and radii jittered by 0.7-1.3, and an oscillating lift of winding 0."""
+    p, q = rng.choice(((3, 1), (5, 2), (7, 3), (9, 4)))
+    phase = rng.uniform(0.0, TAU)
+    base, amp = rng.uniform(0.5, 5.8), rng.uniform(0.2, 3.0)
+    freq, lift_phase = rng.randint(1, p // 2), rng.uniform(0.0, TAU)
+    pts = []
+    for i in range(p):
+        a, r = phase + TAU * q * i / p, rng.uniform(0.7, 1.3)
+        pts.append((r * math.cos(a), r * math.sin(a),
+                    base + amp * math.sin(TAU * freq * i / p + lift_phase)))
     return make_loop(pts + [pts[0]])
 
 

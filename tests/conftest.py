@@ -527,7 +527,9 @@ def small_offset_self_link_oracle(loop, t0):
 
 def min_clearance_oracle(loop) -> float:
     """All-pairs minimum distance between non-adjacent, non-crossing
-    segments of one loop, with no pruning."""
+    segments of one loop, with no pruning; if there is no such pair, the
+    all-pairs minimum distance from a vertex to a segment that does not
+    end at it."""
     from shadowsum.errors import DegenerateGeometry
     from shadowsum.geometry import _seg_point_dist
 
@@ -544,6 +546,11 @@ def min_clearance_oracle(loop) -> float:
             a1, a2, b1, b2 = pl[i], pl[i + 1], pl[j], pl[j + 1]
             best = min(best, _seg_point_dist(a1, b1, b2), _seg_point_dist(a2, b1, b2),
                        _seg_point_dist(b1, a1, a2), _seg_point_dist(b2, a1, a2))
+    if best == math.inf:
+        for v in range(n):
+            for j in range(n):
+                if v not in (j, (j + 1) % n):
+                    best = min(best, _seg_point_dist(pl[v], pl[j], pl[j + 1]))
     if not math.isfinite(best):
         raise DegenerateGeometry("loop has no non-adjacent segment pairs")
     return best

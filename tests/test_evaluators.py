@@ -65,6 +65,26 @@ class TestAbelian:
         with pytest.raises(PreconditionError):
             ss.wlo_abelian(ss.Link((lp,), t0=0.5, level=1))
 
+    @pytest.mark.parametrize("pts, lifts, level, sl", [
+        ([(0, 0), (4, 0), (1, 3)], (1.0, 7.5, 3.0), 5, 0),  # counterclockwise
+        ([(0, 0), (1, 3), (4, 0)], (1.0, 7.5, 3.0), 5, 0),  # clockwise
+        ([(0, 0), (5, 0), (4.5, 0.4)], (0.5, 3.0, 8.0), 5, 0),  # obtuse
+        ([(math.cos(math.pi / 2 + 2 * TAU * i / 5), math.sin(math.pi / 2 + 2 * TAU * i / 5))
+          for i in range(5)], [1 + 0.8 * math.sin(TAU * i / 5 + 0.3) for i in range(5)], 5, 1),
+        ([(math.cos(0.2 + 3 * TAU * i / 7), math.sin(0.2 + 3 * TAU * i / 7)) for i in range(7)],
+         [1 + 0.8 * math.sin(TAU * i / 7 + 0.3) for i in range(7)], 7, 2),
+    ], ids=["ccw-triangle", "cw-triangle", "obtuse-triangle", "pentagram", "star-7-3"])
+    def test_no_two_segments_miss_each_other(self, pts, lifts, level, sl):
+        # every non-adjacent segment pair crosses, so the push-off is sized
+        # by the least distance from a vertex to a segment it does not bound
+        verts = [(x, y, t) for (x, y), t in zip(pts, lifts)]
+        link = ss.Link((ss.make_loop(verts + verts[:1]),), t0=0.0, level=level)
+        report = ss.validate(link)
+        expected = cmath.exp(1j * math.pi * sl / level)
+        assert report.ok
+        assert ss.wlo_abelian_intermediate(link, report) == pytest.approx(expected, abs=1e-9)
+        assert ss.wlo_abelian(link) == pytest.approx(expected, abs=1e-9)
+
 
 class TestAbelianIntermediate:
     def test_no_marks_reduces_to_lk_product(self):
@@ -114,9 +134,9 @@ class TestAbelianIntermediate:
                              (shadowsum.geometry, "_segment_sweep")):
             real = getattr(module, name)
 
-            def counting(*args, name=name, real=real):
+            def counting(*args, name=name, real=real, **kwargs):
                 calls.append(name)
-                return real(*args)
+                return real(*args, **kwargs)
 
             for mod in modules:
                 if getattr(mod, name, None) is real:
@@ -190,8 +210,6 @@ class TestAbelianIntermediate:
             loop = narrow_gap(loop, -gap if below else gap)
             link = ss.Link((loop,), t0=0.0, level=97)
             report = ss.validate(link)
-            # a loop whose non-adjacent segments all cross has no clearance
-            shadowsum.geometry.loop_min_clearance(loop)
         except ShadowsumError:
             reject()
         assume(report.ok)

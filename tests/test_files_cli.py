@@ -120,10 +120,12 @@ def validate_calls(monkeypatch):
 @pytest.fixture
 def loop_scans(monkeypatch):
     """The loops whose clearance is computed, the loops swept for their
+    clearance (`_segment_sweep` given a margin), the loops swept for their
     own crossings (`_segment_sweep` on one loop, or named in its `selves`
     argument), the loop tuples swept against each other (on several
-    loops), and the number of sweeps, in call order."""
-    scans = {"clearance": [], "self_crossings": [], "pairs": [], "sweeps": 0}
+    loops), and the number of crossing sweeps, in call order."""
+    scans = {"clearance": [], "clearance_sweeps": [], "self_crossings": [], "pairs": [],
+             "sweeps": 0}
     real_clearance = shadowsum.geometry._min_clearance
     real_sweep = shadowsum.geometry._segment_sweep
 
@@ -131,7 +133,10 @@ def loop_scans(monkeypatch):
         scans["clearance"].append(loop)
         return real_clearance(loop)
 
-    def sweep(loops, *selves):
+    def sweep(loops, *selves, **margin):
+        if margin:
+            scans["clearance_sweeps"].extend(loops)
+            return real_sweep(loops, *selves, **margin)
         scans["sweeps"] += 1
         if len(loops) == 1:
             scans["self_crossings"].append(loops[0])
@@ -454,6 +459,7 @@ class TestCliWlo:
         assert any(line.startswith("intermediate") for line in out.splitlines())
         for lp in ss.load_link(path).loops:
             assert loop_scans["clearance"].count(lp) == 1
+            assert loop_scans["clearance_sweeps"].count(lp) == 1
             assert loop_scans["self_crossings"].count(lp) == 1
 
     def test_abelian_scans_each_pushoff_once(self, capsys, corpus_dir, loop_scans):
@@ -480,6 +486,8 @@ class TestCliWlo:
         assert pairs[0] == loops and loop_scans["self_crossings"][:2] == list(loops)
         for lp in loops:
             assert loop_scans["self_crossings"].count(lp) == 1
+        # each hopf loop's clearance takes one sweep of its own, at its margin
+        assert loop_scans["clearance_sweeps"] == list(loops)
 
     def test_abelian_scans_each_lift_once(self, capsys, corpus_dir, lift_scans):
         # validate scans both loops; the CLI's crossing marks and the
@@ -505,6 +513,18 @@ class TestCliWlo:
         diag = json.loads(out)["diagnostics"]
         assert diag["crossing_marks"] == [[0, 1], [0, 1], [0, 1]]
         assert diag["windings"] == [3]
+
+    def test_abelian_triangle(self, capsys, tmp_path):
+        # every two segments of a triangle are adjacent, so its clearance
+        # is its least altitude and its push-off evaluates
+        path = tmp_path / "triangle.link.json"
+        path.write_text(json.dumps({"t0": 0.0, "level": 5, "loops": [{
+            "color": 0.5, "framing": 0, "vertical": False,
+            "vertices": [[0.0, 0.0, 1.0], [4.0, 0.0, 7.5], [1.0, 3.0, 3.0],
+                         [0.0, 0.0, 1.0]]}]}))
+        code, out = run_cli(capsys, "wlo", "--mode", "abelian", "--format", "json", str(path))
+        assert code == 0
+        assert json.loads(out)["value"] == [1.0, 0.0]
 
     def test_dpfree_genus_must_be_zero(self, capsys, corpus_dir, validate_calls):
         # the argument is checked before any geometry

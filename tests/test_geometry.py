@@ -20,7 +20,12 @@ from shadowsum.errors import (
     PointOnCurve,
     PreconditionError,
 )
-from shadowsum.random_links import polygon_circle, random_crossing_pair, random_dpfree_link
+from shadowsum.random_links import (
+    polygon_circle,
+    random_crossing_pair,
+    random_dpfree_link,
+    star_polygon_loop,
+)
 
 from conftest import (
     crossing_count_oracle,
@@ -309,6 +314,73 @@ class TestSweptScans:
         lp = polygon([(-1.3, -0.2), (-1.2, -1.4), (-0.2, 1.5), (-0.9, 2.0),
                       (1.3, -1.9), (-0.1, 1.5), (0.6, 1.5), (1.8, 1.8)])
         assert ss.geometry.loop_min_clearance(lp) == min_clearance_oracle(lp)
+
+    def test_clearance_rescans_when_the_shortest_segments_neighbours_cross(self, monkeypatch):
+        # segment 0 is the shortest; segments 5 and 1, on either side of
+        # it, cross, and every other pair lies farther apart than its
+        # length, so the sweep runs again at an infinite margin
+        lp = polygon([(0.0, 0.0), (0.1, 0.0), (-1.0, 1.0), (-1.0, 3.0), (1.0, 3.0), (1.0, 1.0)])
+        assert [(i, j) for i, j, *_ in lp.self_crossings] == [(1, 5)]
+        margins = []
+        real = ss.geometry._segment_sweep
+
+        def sweep(loops, *selves, **kwargs):
+            margins.append(kwargs["margin"])
+            return real(loops, *selves, **kwargs)
+
+        monkeypatch.setattr(ss.geometry, "_segment_sweep", sweep)
+        assert ss.geometry.loop_min_clearance(lp) == min_clearance_oracle(lp) > 0.1
+        assert len(margins) == 2 and 0.1 < margins[0] < 0.11 and margins[1] == math.inf
+
+    def test_clearance_of_triangles_and_stars(self):
+        # no two non-adjacent segments miss each other, so the clearance is
+        # the least distance from a vertex to a segment it does not bound:
+        # a triangle's least altitude
+        lp = polygon([(0.0, 0.0), (4.0, 0.0), (1.0, 3.0)])
+        assert ss.geometry.loop_min_clearance(lp) == pytest.approx(12 / math.hypot(3, 3))
+        rng = random.Random(29)
+        for _ in range(300):
+            lp = star_polygon_loop(rng)
+            n = lp.nseg
+            assert len(lp.self_crossings) == n * (n - 3) // 2
+            assert ss.geometry.loop_min_clearance(lp) == min_clearance_oracle(lp)
+
+    def test_seg_point_dist_clamps_as_min_max(self):
+        # the clamp of t to [0, 1] gives the bits of min(1.0, max(0.0, t)):
+        # t at 0, at 1 and at -0.0, zero-length segments, and coordinates
+        # near 1e308, where t comes out NaN
+        def reference(p, a, b):
+            (px, py), (ax, ay), (bx, by) = p, a, b
+            dx, dy = bx - ax, by - ay
+            den = dx * dx + dy * dy
+            if den == 0.0:
+                return math.hypot(px - ax, py - ay)
+            t = min(1.0, max(0.0, ((px - ax) * dx + (py - ay) * dy) / den))
+            return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+
+        big = 1.5e308
+        cases = [((0.0, 1.0), (0.0, 0.0), (1.0, 0.0)),  # t = 0
+                 ((1.0, 1.0), (0.0, 0.0), (1.0, 0.0)),  # t = 1
+                 ((0.0, 1.0), (0.0, 0.0), (-1.0, -0.0)),  # t = -0.0
+                 ((2.0, 3.0), (0.5, -0.5), (0.5, -0.5)),  # zero length
+                 ((-0.0, 0.0), (0.0, -0.0), (0.0, 0.0)),
+                 ((0.0, 0.0), (-big, -big), (big, big)),  # t = inf / inf
+                 ((big, 0.0), (-big, big), (big, -big)),
+                 ((1e308, -1e308), (-big, 0.0), (big, 1.0))]
+        rng = random.Random(3)
+        for _ in range(2000):
+            a = (rng.uniform(-2, 2), rng.uniform(-2, 2))
+            b = rng.choice((a, (rng.uniform(-2, 2), rng.uniform(-2, 2))))
+            t = rng.choice((0.0, 1.0, -0.0, rng.uniform(-1, 2)))
+            p = (a[0] + t * (b[0] - a[0]) + rng.choice((0.0, 0.5)),
+                 a[1] + t * (b[1] - a[1]) - rng.choice((0.0, 0.5)))
+            cases.append((p, a, b))
+        nan = 0
+        for p, a, b in cases:
+            got = ss.geometry._seg_point_dist(p, a, b)
+            assert struct.pack("<d", got) == struct.pack("<d", reference(p, a, b)), (p, a, b)
+            nan += math.isnan(got)
+        assert nan >= 1
 
 
 def scattered(rng):
