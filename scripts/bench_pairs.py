@@ -14,9 +14,19 @@ metrics, and its report line the stdout digest.
 
 The output file holds, per workload, every pair's end-to-end metrics (the
 `end_to_end` list of the change's BENCHMARK.json) and, per metric, each
-side's median and quartiles, the change's median over the parent's, and
-the number of pairs the change wins.  An existing output file keeps its
-other workloads, so one file can collect several invocations.
+side's median and quartiles, the change's median over the parent's, the
+number of pairs the change wins and a verdict:
+
+  * `gain`: the change wins at least 9 of every 10 pairs, and its median
+    is better than the parent's by more than the parent's interquartile
+    range;
+  * `worse than bound`: its median is worse than the parent's by more
+    than the metric's `bound` (a fraction of the parent's median);
+  * `within noise`: neither.
+
+A warning line is printed when the parent's and the change's stdout
+digests differ or a run fails its output checks.  An existing output file
+keeps its other workloads, so one file can collect several invocations.
 """
 
 from __future__ import annotations
@@ -66,9 +76,10 @@ def run_once(root: pathlib.Path, args) -> dict:
     }
 
 
-def summary(runs: list[dict], better: str) -> dict:
-    """Median and quartiles of each side, and the change's wins by pair."""
-    out = {"better": better}
+def summary(runs: list[dict], better: str, bound: float) -> dict:
+    """Median and quartiles of each side, the change's wins by pair and
+    the verdict."""
+    out = {"better": better, "bound": bound}
     for side in ("parent", "change"):
         values = [r[side] for r in runs]
         q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
@@ -77,6 +88,30 @@ def summary(runs: list[dict], better: str) -> dict:
     sign = 1 if better == "higher" else -1
     out["change_wins"] = sum(sign * (r["change"] - r["parent"]) > 0 for r in runs)
     out["change_over_parent"] = out["change"]["median"] / out["parent"]["median"]
+    parent = out["parent"]
+    gain = sign * (out["change"]["median"] - parent["median"])
+    if 10 * out["change_wins"] >= 9 * len(runs) and gain > parent["q3"] - parent["q1"]:
+        out["verdict"] = "gain"
+    elif -gain > bound * parent["median"]:
+        out["verdict"] = "worse than bound"
+    else:
+        out["verdict"] = "within noise"
+    return out
+
+
+def warnings(pairs: list[dict]) -> list[str]:
+    """A line for each side's runs that failed their output checks, and
+    one when the two sides' stdout digests differ."""
+    out = []
+    for side in ("parent", "change"):
+        failed = [i + 1 for i, p in enumerate(pairs) if not p[side]["correct"]]
+        if failed:
+            out.append(f"WARNING: {side} runs of pairs {failed} failed their output checks")
+    digests = {side: sorted({p[side]["stdout_sha256"] for p in pairs})
+               for side in ("parent", "change")}
+    if digests["parent"] != digests["change"]:
+        out.append(f"WARNING: stdout digests differ: parent {digests['parent']}, "
+                   f"change {digests['change']}")
     return out
 
 
@@ -128,14 +163,18 @@ def main(argv=None) -> int:
         "correct_all": all(p[s]["correct"] for p in pairs for s in roots),
         "stdout_sha256": sorted({p[s]["stdout_sha256"] for p in pairs for s in roots}),
         "summary": {m["name"]: summary(
-            [{s: p[s]["metrics"][m["name"]] for s in roots} for p in pairs], m["better"])
-            for m in end_to_end},
+            [{s: p[s]["metrics"][m["name"]] for s in roots} for p in pairs], m["better"],
+            m["bound"]) for m in end_to_end},
         "pairs": pairs,
     }
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     for name, s in record["workloads"][args.workload]["summary"].items():
-        print(f"  {name:12s} parent {s['parent']['median']:.4g} change {s['change']['median']:.4g} "
-              f"({s['change_over_parent']:.3f}x, change wins {s['change_wins']}/{args.pairs})")
+        p = s["parent"]
+        print(f"  {name:12s} parent {p['median']:.4g} (quartiles {p['q1']:.4g}-{p['q3']:.4g}) "
+              f"change {s['change']['median']:.4g} ({s['change_over_parent']:.3f}x, "
+              f"change wins {s['change_wins']}/{args.pairs}): {s['verdict']}")
+    for line in warnings(pairs):
+        print(line)
     return 0
 
 

@@ -80,7 +80,8 @@ def _integer(obj, what: str) -> int:
     return obj
 
 
-def _half_integer(obj, what: str) -> Fraction:
+def _twice_half_integer(obj, what: str) -> int:
+    """2 * obj as an int, for a JSON number that is exactly a half-integer."""
     val = _number(obj, what)
     if val != obj:  # a JSON int that float() rounds; int == float compares exactly
         raise ParseError(f"{what} has no exact float value, got {obj!r}")
@@ -89,7 +90,20 @@ def _half_integer(obj, what: str) -> Fraction:
         raise ParseError(f"{what} is too large, got {obj!r}")
     if not doubled.is_integer():
         raise ParseError(f"{what} must be a half-integer, got {obj!r}")
-    return Fraction(int(doubled), 2)
+    return int(doubled)
+
+
+def _half_integer(obj, what: str) -> Fraction:
+    return Fraction(_twice_half_integer(obj, what), 2)
+
+
+def _doubled_color(obj, what: str) -> int:
+    """An edge or strand color as its doubled int 2j; a negative color
+    raises ParseError."""
+    t = _twice_half_integer(obj, what)
+    if t < 0:
+        raise ParseError(f"{what} must be non-negative")
+    return t
 
 
 def _link_from_json(obj) -> Link:
@@ -157,11 +171,8 @@ def _shadow_from_json(obj) -> Shadow:
     for i, rec in enumerate(obj["edges"]):
         if not isinstance(rec, dict) or {"color", "left", "right"} - rec.keys():
             raise ParseError(f"edge {i} must carry color, left, right")
-        color = _half_integer(rec["color"], f"edge {i} color")
-        if color < 0:
-            raise ParseError(f"edge {i} color must be non-negative")
         edges.append(ShadowEdge(
-            color2=int(color * 2),
+            color2=_doubled_color(rec["color"], f"edge {i} color"),
             left=_integer(rec["left"], f"edge {i} left"),
             right=_integer(rec["right"], f"edge {i} right"),
         ))
@@ -170,8 +181,8 @@ def _shadow_from_json(obj) -> Shadow:
         if not isinstance(rec, dict) or {"e1", "e2", "j", "k", "m", "n"} - rec.keys():
             raise ParseError(f"vertex {i} must carry e1, e2, j, k, m, n")
         vertices.append(ShadowVertex(
-            e1_2=int(_half_integer(rec["e1"], f"vertex {i} e1") * 2),
-            e2_2=int(_half_integer(rec["e2"], f"vertex {i} e2") * 2),
+            e1_2=_doubled_color(rec["e1"], f"vertex {i} e1"),
+            e2_2=_doubled_color(rec["e2"], f"vertex {i} e2"),
             j=_integer(rec["j"], f"vertex {i} j"),
             k=_integer(rec["k"], f"vertex {i} k"),
             m=_integer(rec["m"], f"vertex {i} m"),

@@ -3,10 +3,14 @@
 Colors are half-integer spins stored as doubled integers (2j), which keeps
 all admissibility arithmetic exact.  Each formula lives once, in a kernel on
 doubled ints with no range check, which the state sums call directly.  The
-public spin API (sixj, v_dim, u_exponent) is a thin wrapper: check_color on
-spins given as int, float, or Fraction with 2j integral, then the kernel.
-doubled reads a Fraction's 2j off its numerator, and _u_exponent_doubled's
-int division rounds as float(Fraction) does.
+kernels take rbar as an int, and those of the quantum integer and the
+quantum dimension also take s1 = sin(pi/rbar), so a caller that evaluates
+many of them (a state sum's face weights, the [n]! table) computes it
+once.  The public spin API (sixj, v_dim, u_exponent) is a thin wrapper:
+check_color on spins given as int, float, or Fraction with 2j integral,
+then the kernel; quantum_int computes s1 and calls its kernel.  doubled
+reads a Fraction's 2j off its numerator, and _u_exponent_doubled's int
+division rounds as float(Fraction) does.
 
 The 6j kernel is table-fed: _sixj_doubled(qf, k, ...) takes the [n]!
 table and the level, so a state sum fetches the table from _qfactorials
@@ -75,54 +79,55 @@ class Level:
         return t
 
 
+def _quantum_int(r: int, s1: float, n: int) -> float:
+    return math.sin(n * math.pi / r) / s1
+
+
 def quantum_int(level: Level, n: int) -> float:
     """Quantum integer [n] = sin(n*pi/rbar)/sin(pi/rbar)."""
     r = level.rbar
-    return math.sin(n * math.pi / r) / math.sin(math.pi / r)
+    return _quantum_int(r, math.sin(math.pi / r), n)
 
 
-def _u_exponent_doubled(level: Level, t: int) -> complex:
-    val = (2 * t * level.rbar - t * (t + 2)) / (4 * level.rbar)
+def _u_exponent_doubled(r: int, t: int) -> complex:
+    val = (2 * t * r - t * (t + 2)) / (4 * r)
     return complex(0.0, math.pi * val)
 
 
 def u_exponent(level: Level, j) -> complex:
     """Exponential weight of color j: pi*i*(j - j(j+1)/rbar), purely imaginary."""
-    return _u_exponent_doubled(level, level.check_color(j))
+    return _u_exponent_doubled(level.rbar, level.check_color(j))
 
 
-def _v_dim_doubled(level: Level, t: int) -> float:
+def _v_dim_doubled(r: int, s1: float, t: int) -> float:
     sign = -1.0 if t % 2 else 1.0
-    return sign * quantum_int(level, t + 1)
+    return sign * _quantum_int(r, s1, t + 1)
 
 
 def v_dim(level: Level, j) -> float:
     """Signed quantum dimension of color j: (-1)^{2j} [2j+1]."""
-    return _v_dim_doubled(level, level.check_color(j))
-
-
-def _triple_ok(tk_max: int, ta: int, tb: int, tc: int) -> bool:
-    return (
-        (ta + tb + tc) % 2 == 0
-        and ta + tb + tc <= 2 * tk_max
-        and abs(ta - tb) <= tc <= ta + tb
-    )
+    r = level.rbar
+    return _v_dim_doubled(r, math.sin(math.pi / r), level.check_color(j))
 
 
 def triple_admissible(level: Level, i, j, k) -> bool:
     """True iff (i, j, k) couples at this level: integral total spin, the
     three triangle inequalities, and i + j + k <= rbar - 2."""
     ti, tj, tk = level.check_color(i), level.check_color(j), level.check_color(k)
-    return _triple_ok(level.k, ti, tj, tk)
+    return ((ti + tj + tk) % 2 == 0
+            and ti + tj + tk <= 2 * level.k
+            and abs(ti - tj) <= tk <= ti + tj)
 
 
 def _qfactorials(level: Level, n: int) -> tuple[float, ...]:
     """[0]!, ..., [min(n, rbar-1)]! ([rbar-1]! is the last nonzero value),
     built as [m]! = [m-1]! * [m], so a huge level pays only for the
     entries its colors reach."""
+    r = level.rbar
+    s1 = math.sin(math.pi / r)
     qf = [1.0]
-    for m in range(1, min(n, level.rbar - 1) + 1):
-        qf.append(qf[-1] * quantum_int(level, m))
+    for m in range(1, min(n, r - 1) + 1):
+        qf.append(qf[-1] * _quantum_int(r, s1, m))
     return tuple(qf)
 
 
@@ -135,28 +140,33 @@ def _sixj_doubled(qf, km: int, t1: int, t2: int, t3: int, t4: int, t5: int, t6: 
     value does not depend on who built the table.
     """
     # a triad (a, b, c) with even sum 2h couples iff h <= km and each of
-    # a, b, c is at most h, the three triangle inequalities; its [.]!
-    # arguments are then h - a, h - b, h - c and h + 1
+    # h - a, h - b, h - c, the three triangle inequalities, is at least 0;
+    # they are its [.]! arguments besides h + 1, and an int OR of them is
+    # negative iff one is
     s1, s2, s3, s4 = t1 + t2 + t3, t1 + t5 + t6, t4 + t2 + t6, t4 + t5 + t3
     if (s1 | s2 | s3 | s4) & 1:
         return 0.0
     h1, h2, h3, h4 = s1 >> 1, s2 >> 1, s3 >> 1, s4 >> 1
-    if (max(h1, h2, h3, h4) > km or max(t1, t2, t3) > h1 or max(t1, t5, t6) > h2
-            or max(t4, t2, t6) > h3 or max(t4, t5, t3) > h4):
+    a1, a2, a3 = h1 - t1, h1 - t2, h1 - t3
+    b1, b5, b6 = h2 - t1, h2 - t5, h2 - t6
+    c4, c2, c6 = h3 - t4, h3 - t2, h3 - t6
+    d4, d5, d3 = h4 - t4, h4 - t5, h4 - t3
+    hmax = max(h1, h2, h3, h4)
+    if hmax > km or (a1 | a2 | a3 | b1 | b5 | b6 | c4 | c2 | c6 | d4 | d5 | d3) < 0:
         return 0.0
 
     delta = 1.0
-    delta *= math.sqrt(qf[h1 - t1] * qf[h1 - t2] * qf[h1 - t3] / qf[h1 + 1])
-    delta *= math.sqrt(qf[h2 - t1] * qf[h2 - t5] * qf[h2 - t6] / qf[h2 + 1])
-    delta *= math.sqrt(qf[h3 - t4] * qf[h3 - t2] * qf[h3 - t6] / qf[h3 + 1])
-    delta *= math.sqrt(qf[h4 - t4] * qf[h4 - t5] * qf[h4 - t3] / qf[h4 + 1])
+    delta *= math.sqrt(qf[a1] * qf[a2] * qf[a3] / qf[h1 + 1])
+    delta *= math.sqrt(qf[b1] * qf[b5] * qf[b6] / qf[h2 + 1])
+    delta *= math.sqrt(qf[c4] * qf[c2] * qf[c6] / qf[h3 + 1])
+    delta *= math.sqrt(qf[d4] * qf[d5] * qf[d3] / qf[h4 + 1])
 
     # the three sums of opposite pairs, halved; each is even for
     # admissible triads
     q1, q2, q3 = (t1 + t2 + t4 + t5) >> 1, (t2 + t3 + t5 + t6) >> 1, (t3 + t1 + t6 + t4) >> 1
     # z beyond km = rbar-2 only adds terms with a vanishing [z+1]! numerator
     total = 0.0
-    for z in range(max(h1, h2, h3, h4), min(q1, q2, q3, km) + 1):
+    for z in range(hmax, min(q1, q2, q3, km) + 1):
         term = (qf[z + 1] / qf[z - h1] / qf[z - h2] / qf[z - h3] / qf[z - h4]
                 / qf[q1 - z] / qf[q2 - z] / qf[q3 - z])
         total += -term if z % 2 else term

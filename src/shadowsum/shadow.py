@@ -29,22 +29,28 @@ and state_sum_general share the face weight but no summation code.
 Shadows with vertices are summed over the explicit list of
 enumerate_colorings in one pass.  The enumeration colors faces breadth
 first over the face graph, each component from its lowest face, and draws
-a face's candidates from the fusion range of an already colored
-neighbour, so only a component's first face tries all k+1 colors; on a
-face forest, which every vertex-free shadow of a link is, no partial
-coloring is abandoned.  The list is sorted into face id order, so it is
-lexicographic whatever the visiting order.  state_sum_general evaluates each
-distinct 6j-symbol and each (face, color) weight once per call and accepts
-the list from a caller that already holds it: the CLI's eval enumerates
-once for both the value and the coloring count it prints.  Both state sums
-call quantum's doubled-int kernels, not its spin API, so a memo miss
-builds no Fraction; x = gleam - z/2 is the int quotient (2 gleam - z) / 2,
-rounded like float() of the Fraction.  The 6j kernel is table-fed:
-state_sum_general fetches the [n]! table once per call, as far as its
-colorings can read it, and passes it to every 6j-symbol it evaluates; it
-keeps each vertex's strand colors and quadrants as one tuple.  The same
-coloring list backs the bijection check.  The pair route keeps its own enumeration and shares only the
-level, the doubled colors and the exception types with either state sum.
+a face's candidates as one step-2 range, the intersection of the fusion
+ranges of its neighbours colored before it, narrowed by its self-loops;
+no candidate is tested after it is drawn, and only a component's first
+face draws from all k+1 colors.  On a face forest, which every
+vertex-free shadow of a link is, no partial coloring is abandoned.  The
+list is sorted into face id order, so it is lexicographic whatever the
+visiting order.  state_sum_general evaluates each distinct 6j-symbol and
+each (face, color) weight once per call and accepts the list from a
+caller that already holds it: the CLI's eval enumerates once for both the
+value and the coloring count it prints.  Both state sums call quantum's
+doubled-int kernels, not its spin API, so a memo miss builds no Fraction,
+and both evaluate a face's weights through _face_weight with per-call
+constants: sin(pi/rbar) once per call and x = gleam - z/2 once per face,
+the int quotient (2 gleam - z) / 2, rounded like float() of the Fraction.
+Faces of equal (chi, gleam, z) share one memo of weights (the general
+sum) or one row of them (the vertex-free sum).  The 6j kernel is
+table-fed: state_sum_general fetches the [n]! table once per call, as far
+as its colorings can read it, and passes it to every 6j-symbol it
+evaluates; it keeps each vertex's strand colors and quadrants as one
+tuple.  The same coloring list backs the bijection check.  The pair route
+keeps its own enumeration and shares only the level, the doubled colors
+and the exception types with either state sum.
 
 The pair route costs about its output.  enumerate_pairs walks the sign
 vectors depth first, the loops ancestor first in the nesting forest.
@@ -86,7 +92,6 @@ from .quantum import (
     Level,
     _qfactorials,
     _sixj_doubled,
-    _triple_ok,
     _u_exponent_doubled,
     _v_dim_doubled,
     doubled,
@@ -218,13 +223,16 @@ def enumerate_colorings(shadow: Shadow, level: Level) -> list[AreaColoring]:
     doubled colors indexed by face id, in lexicographic order.
 
     Faces are colored in breadth-first order over the face graph, each
-    connected component from its lowest face.  Every face after a
-    component's first has an already colored neighbour and draws its
-    candidates from the colors admissible with it across their edge (of
-    the edges to colored faces, the one of least color c, so at most
-    c + 1 candidates); its other edges to colored faces, self-loops
-    included, are checked one by one.  Only a component's first face tries
-    every color 0 .. k.  On a face forest every candidate extends, so the
+    connected component from its lowest face.  A face's candidates are
+    the intersection of the fusion ranges of its neighbours colored
+    before it, one step-2 range: across an edge of color c, a neighbour
+    of color tg admits |tg - c| .. min(tg + c, 2k - tg - c) in the parity
+    of tg + c, so two neighbours of different parity admit nothing.  A
+    self-loop of even color c admits c/2 .. k - c/2, one of odd color
+    nothing, whatever the other faces' colors.  No candidate is tested
+    after it is drawn, and the last face's range is appended in one pass.
+    Only a component's first face draws from all of 0 .. k (less its
+    self-loops' bounds).  On a face forest every candidate extends, so the
     walk costs O(F) per coloring.  The list is then sorted into
     lexicographic order by face id, a single pass when the visiting order
     is ascending.
@@ -233,14 +241,26 @@ def enumerate_colorings(shadow: Shadow, level: Level) -> list[AreaColoring]:
     if nf == 0:
         return [()]
     km = level.k
+    k2 = 2 * km
     adjacent = [[] for _ in range(nf)]
+    # each face's color bounds from its self-loops
+    lows, highs = [0] * nf, [km] * nf
+    odd_loop = False
     for e in shadow.edges:
-        if not 0 <= e.color2 <= km:
+        c2, f = e.color2, e.left
+        if not 0 <= c2 <= km:
             raise ColorOutOfRange(
-                f"edge color {Fraction(e.color2, 2)} outside color set of level {km}")
-        adjacent[e.left].append((e.right, e.color2))
-        if e.right != e.left:
-            adjacent[e.right].append((e.left, e.color2))
+                f"edge color {Fraction(c2, 2)} outside color set of level {km}")
+        if e.right != f:
+            adjacent[f].append((e.right, c2))
+            adjacent[e.right].append((f, c2))
+        elif c2 & 1:
+            odd_loop = True
+        else:
+            lows[f] = max(lows[f], c2 >> 1)
+            highs[f] = min(highs[f], km - (c2 >> 1))
+    if odd_loop:
+        return []
     # breadth-first visiting order; pos[f] is face f's place in it
     order = []
     pos = [nf] * nf
@@ -256,61 +276,74 @@ def enumerate_colorings(shadow: Shadow, level: Level) -> list[AreaColoring]:
                     pos[g] = len(order)
                     order.append(g)
             head += 1
-    # per place: the face, the (neighbour, edge color) its candidates come
-    # from or None, and the edges to colored faces left to check on each
-    # candidate
-    plan = []
-    for i, f in enumerate(order):
-        checks = [gc for gc in adjacent[f] if pos[gc[0]] <= i]
-        driver = min((gc for gc in checks if gc[0] != f), key=lambda gc: gc[1], default=None)
-        if driver is not None:
-            checks.remove(driver)
-        plan.append((f, driver, checks))
-    out: list[AreaColoring] = []
+    # per place: the (neighbour, edge color) pairs of its face's
+    # neighbours colored before it, and the face's self-loop bounds
+    plan = [([gc for gc in adjacent[f] if pos[gc[0]] < i], lows[f], highs[f])
+            for i, f in enumerate(order)]
     assignment = [0] * nf
-    every_color = range(km + 1)
 
     def candidates(i: int):
-        driver = plan[i][1]
-        if driver is None:
-            return iter(every_color)
-        g, c2 = driver
-        tg = assignment[g]
-        return iter(range(abs(tg - c2), min(tg + c2, 2 * km - tg - c2) + 1, 2))
+        near, lo, hi = plan[i]
+        if not near:
+            return range(lo, hi + 1)
+        parity = -1
+        for g, c2 in near:
+            tg = assignment[g]
+            top = tg + c2
+            if parity != top & 1:
+                if parity >= 0:
+                    return ()  # two fusion ranges of different parity
+                parity = top & 1
+            bottom = abs(tg - c2)
+            if bottom > lo:
+                lo = bottom
+            if top > k2 - top:
+                top = k2 - top
+            if top < hi:
+                hi = top
+        return range(lo + ((lo ^ parity) & 1), hi + 1, 2)
 
+    if nf == 1:
+        return [(t,) for t in candidates(0)]
+    last = order[-1]
+    out: list[AreaColoring] = []
     # depth-first with an explicit stack: stack[i] holds the candidates of
     # the face at place i not tried yet, so a shadow of any size needs no
-    # recursion
-    stack = [candidates(0)]
+    # recursion; the last face's candidates are never stacked
+    stack = [iter(candidates(0))]
     while stack:
         i = len(stack) - 1
-        f, _, checks = plan[i]
         for t in stack[i]:
-            for g, c2 in checks:
-                if not _triple_ok(km, c2, t, t if g == f else assignment[g]):
-                    break
-            else:
-                break  # t passes every check
+            break
         else:
             stack.pop()  # the face at place i has no candidates left
             continue
-        assignment[f] = t
-        if i + 1 == nf:
+        assignment[order[i]] = t
+        if i + 2 < nf:
+            stack.append(iter(candidates(i + 1)))
+            continue
+        for t in candidates(nf - 1):
+            assignment[last] = t
             out.append(tuple(assignment))
-        else:
-            stack.append(candidates(i + 1))
     out.sort()
     return out
 
 
-def _face_weight(level: Level, face: ShadowFace, t: int) -> complex:
+def _modified_gleam(face: ShadowFace) -> float:
+    """x = gleam - z/2, the int quotient (2 gleam - z) / 2, rounded like
+    float() of the Fraction."""
     if face.gleam is None:
         raise MissingGleams("state sum requires a gleam on every face")
-    if not 0 <= t <= level.k:
-        raise ColorOutOfRange(f"face color {Fraction(t, 2)} outside color set of level {level.k}")
-    x = (doubled(face.gleam) - face.z) / 2
-    amp = _v_dim_doubled(level, t) ** face.chi
-    return amp * cmath.exp(2.0 * x * _u_exponent_doubled(level, t))
+    return (doubled(face.gleam) - face.z) / 2
+
+
+def _face_weight(r: int, s1: float, chi: int, x: float, t: int) -> complex:
+    """v^chi * exp(2 x u) of a face at doubled color t, at rbar = r with
+    s1 = sin(pi / r) and x the face's modified gleam."""
+    if not 0 <= t <= r - 2:
+        raise ColorOutOfRange(f"face color {Fraction(t, 2)} outside color set of level {r - 2}")
+    amp = _v_dim_doubled(r, s1, t) ** chi
+    return amp * cmath.exp(2.0 * x * _u_exponent_doubled(r, t))
 
 
 def state_sum_general(shadow: Shadow, level: Level,
@@ -326,8 +359,9 @@ def state_sum_general(shadow: Shadow, level: Level,
     evaluated once per call.  Terms are built in a fixed factor order and
     added in the colorings' order, so the value does not depend on the memos.
     """
-    if any(f.gleam is None for f in shadow.faces):
-        raise MissingGleams("state sum requires a gleam on every face")
+    faces = shadow.faces
+    # each face's chi and modified gleam, the constants of its weight
+    consts = [(f.chi, _modified_gleam(f)) for f in faces]
     top = max((c2 for v in shadow.vertices for c2 in (v.e1_2, v.e2_2)), default=0)
     if top > level.k:
         raise ColorOutOfRange(
@@ -335,6 +369,8 @@ def state_sum_general(shadow: Shadow, level: Level,
     if colorings is None:
         colorings = enumerate_colorings(shadow, level)
     km = level.k
+    r = level.rbar
+    s1 = math.sin(math.pi / r)
     vertices = [(v.e1_2, v.j, v.k, v.e2_2, v.m, v.n) for v in shadow.vertices]
     if vertices and colorings:
         # the [n]! table, fetched once: a 6j-symbol reads it up to half its
@@ -343,9 +379,9 @@ def state_sum_general(shadow: Shadow, level: Level,
         strands = max(e1 + e2 for e1, _, _, e2, _, _ in vertices)
         qf = _qfactorials(level, (strands + 4 * hi) // 2 + 1)
     sixjs: dict[tuple, float] = {}
+    # one memo of weights by color per distinct (chi, gleam, z)
     shared: dict[tuple, dict] = {}
-    weights = [shared.setdefault((f.chi, f.gleam, f.z), {}) for f in shadow.faces]
-    faces = shadow.faces
+    memos = [shared.setdefault((f.chi, f.gleam, f.z), {}) for f in faces]
     nf = len(faces)
     total = 0j
     for col in colorings:
@@ -364,10 +400,10 @@ def state_sum_general(shadow: Shadow, level: Level,
                                       f"of level {km}")
             continue
         term = complex(vertex_part)
-        for t, face, memo in zip(col, faces, weights):
+        for t, memo, (chi, x) in zip(col, memos, consts):
             w = memo.get(t)
             if w is None:
-                w = memo[t] = _face_weight(level, face, t)
+                w = memo[t] = _face_weight(r, s1, chi, x, t)
             term *= w
         total += term
     return total
@@ -418,7 +454,19 @@ def state_sum_dpfree(shadow: Shadow, level: Level) -> complex:
         raise PreconditionError("vertex-free state sum requires a face forest")
 
     colors = range(km + 1)
-    message = [[_face_weight(level, face, t) for t in colors] for face in shadow.faces]
+    r = level.rbar
+    s1 = math.sin(math.pi / r)
+    # one row of weights per distinct (chi, gleam, z), shared by the faces
+    # of that key: a message is rebound below, never changed in place
+    rows: dict[tuple, list] = {}
+    message = []
+    for face in shadow.faces:
+        key = (face.chi, face.gleam, face.z)
+        row = rows.get(key)
+        if row is None:
+            x = _modified_gleam(face)
+            row = rows[key] = [_face_weight(r, s1, face.chi, x, t) for t in colors]
+        message.append(row)
     total = complex(1.0)
     for order in orders:
         for f, parent, c2 in reversed(order[1:]):

@@ -1,0 +1,63 @@
+"""The verdicts and warnings of scripts/bench_pairs.py on hand-made runs."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def runs(parent, change):
+    return [{"parent": p, "change": c} for p, c in zip(parent, change)]
+
+
+PARENT = [100, 98, 102, 99, 101, 97, 103, 100, 99, 101]  # quartiles 99 and 101
+
+
+@pytest.mark.parametrize("better, parent, change, verdict", [
+    # wins 10/10 by far more than the parent's IQR of 2
+    ("higher", PARENT, [v + 20 for v in PARENT], "gain"),
+    ("lower", PARENT, [v - 20 for v in PARENT], "gain"),
+    # wins 9/10: still a gain
+    ("higher", PARENT, [v + 20 for v in PARENT[:9]] + [PARENT[9] - 1], "gain"),
+    # wins 8/10 by far: not a gain
+    ("higher", PARENT, [v + 20 for v in PARENT[:8]] + [v - 1 for v in PARENT[8:]],
+     "within noise"),
+    # wins 10/10 by 1 each, less than the IQR
+    ("higher", PARENT, [v + 1 for v in PARENT], "within noise"),
+    # 30% worse against a bound of 25%, in either direction of better
+    ("higher", PARENT, [v * 0.7 for v in PARENT], "worse than bound"),
+    ("lower", PARENT, [v * 1.3 for v in PARENT], "worse than bound"),
+    # 20% worse: within the bound
+    ("higher", PARENT, [v * 0.8 for v in PARENT], "within noise"),
+    ("lower", PARENT, [v * 1.2 for v in PARENT], "within noise"),
+    # better by far is never worse than the bound
+    ("lower", PARENT, [v * 0.5 for v in PARENT[:8]] + [200, 200], "within noise"),
+])
+def test_verdict(better, parent, change, verdict):
+    s = bench_pairs.summary(runs(parent, change), better, 0.25)
+    assert (s["parent"]["q1"], s["parent"]["q3"]) == (99, 101)
+    assert s["verdict"] == verdict
+
+
+def test_single_pair_has_a_verdict():
+    s = bench_pairs.summary(runs([10.0], [12.0]), "higher", 0.25)
+    assert s["change_wins"] == 1 and s["verdict"] == "gain"
+
+
+def record(correct, digest):
+    return {"correct": correct, "stdout_sha256": digest}
+
+
+def test_warnings():
+    same = [{"parent": record(True, "a"), "change": record(True, "a")}] * 3
+    assert bench_pairs.warnings(same) == []
+    changed = same[:2] + [{"parent": record(True, "a"), "change": record(False, "b")}]
+    lines = bench_pairs.warnings(changed)
+    assert len(lines) == 2
+    assert "change runs of pairs [3] failed" in lines[0]
+    assert "stdout digests differ: parent ['a'], change ['a', 'b']" in lines[1]

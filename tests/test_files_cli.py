@@ -825,6 +825,12 @@ SHADOW_PROBES = [
      "edge 0 color must be non-negative"),
     ('{"faces": [%s], "edges": [], "vertices": [{"e1": 0, "j": 0, "k": 0, "m": 0, "n": 0}]}'
      % FACE, "vertex 0 must carry e1, e2, j, k, m, n"),
+    ('{"faces": [%s], "edges": [], "vertices": [{"e1": -0.5, "e2": 0, %s}]}'
+     % (FACE.replace("}", ', "z": 1}'), '"j": 0, "k": 0, "m": 0, "n": 0'),
+     "vertex 0 e1 must be non-negative"),
+    ('{"faces": [%s], "edges": [], "vertices": [{"e1": 0, "e2": -1, %s}]}'
+     % (FACE.replace("}", ', "z": 1}'), '"j": 0, "k": 0, "m": 0, "n": 0'),
+     "vertex 0 e2 must be non-negative"),
 ]
 NOT_A_LIST = [
     ('{"faces": 5, "edges": []}', "faces must be a list"),

@@ -115,10 +115,11 @@ STATE_SUM_SHARED = {
     "quadrants": "a vertex's four faces, read by check_shadow",
     "check_shadow": "the shadow's invariants, checked once when it is built",
     "_face_weight": "the face weight both sums multiply; the pair sum checks it apart",
+    "_modified_gleam": "a face's x = gleam - z/2, the constant its face weight reads",
     "_v_dim_doubled": "the quantum dimension kernel inside the face weight",
     "_u_exponent_doubled": "the twist exponent kernel inside the face weight",
-    "quantum_int": "the quantum integer inside the quantum dimension",
-    "doubled": "the doubled gleam inside the face weight",
+    "_quantum_int": "the quantum integer inside the quantum dimension",
+    "doubled": "the doubled gleam inside the modified gleam",
 }
 
 ROUTE_PAIRS = [

@@ -109,10 +109,12 @@ class TestBitIdentity:
         # the kernels the state sums call, on the doubled color itself
         for k in range(1, 301):
             lev = Level(k)
+            s1 = math.sin(math.pi / lev.rbar)
             for t in range(k + 1):
                 spin = F(t, 2)
-                assert _v_dim_doubled(lev, t).hex() == v_dim_oracle(lev, spin).hex(), (k, t)
-                u, want = _u_exponent_doubled(lev, t), u_exponent_oracle(lev, spin)
+                assert _v_dim_doubled(lev.rbar, s1, t).hex() == v_dim_oracle(lev, spin).hex(), \
+                    (k, t)
+                u, want = _u_exponent_doubled(lev.rbar, t), u_exponent_oracle(lev, spin)
                 assert (u.real.hex(), u.imag.hex()) == (want.real.hex(), want.imag.hex()), (k, t)
 
     def test_sixj_kernel_matches_closure_form_to_the_bit(self):

@@ -17,7 +17,7 @@ from shadowsum.errors import (
     UnsupportedColor,
 )
 from shadowsum.quantum import Level, sixj
-from shadowsum.shadow import _face_weight
+from shadowsum.shadow import _face_weight, _modified_gleam
 from shadowsum.random_links import polygon_circle, random_dpfree_link
 
 from conftest import (
@@ -220,6 +220,52 @@ def visiting_order(shadow):
     return order, starts
 
 
+def walk_events(shadow, level):
+    """Which of the enumeration's narrowing rules a shadow exercises, by an
+    exhaustive walk in `visiting_order`: an odd self-loop; a parity clash,
+    two neighbours colored earlier whose fusion ranges differ in parity;
+    and a range narrowed by a second neighbour, an intersection of the
+    same-parity fusion ranges of two or more neighbours colored earlier
+    that is smaller than each one's range.  The walk reaches every
+    prefix that is admissible on the edges among its faces."""
+    k = level.k
+    events = set()
+    if any(e.left == e.right and e.color2 % 2 for e in shadow.edges):
+        events.add("odd self-loop")
+    order, _ = visiting_order(shadow)
+    place = {f: i for i, f in enumerate(order)}
+
+    def fusion(tg, c):
+        return set(range(abs(tg - c), min(tg + c, 2 * k - tg - c) + 1, 2))
+
+    def admits(col, e):
+        a, b = col[e.left], col[e.right]
+        c = e.color2
+        return (a + b + c) % 2 == 0 and a + b + c <= 2 * k and abs(a - b) <= c <= a + b
+
+    def walk(col, i):
+        if i == len(order):
+            return
+        f = order[i]
+        near = [(e.right if e.left == f else e.left, e.color2) for e in shadow.edges
+                if e.left != e.right and f in (e.left, e.right)
+                and place[e.right if e.left == f else e.left] < i]
+        ranges = [fusion(col[g], c) for g, c in near]
+        if len({(col[g] + c) % 2 for g, c in near}) > 1:
+            events.add("parity clash")
+        elif len(ranges) > 1 and all(set.intersection(*ranges) < r for r in ranges):
+            events.add("range narrowed by a second neighbour")
+        for t in range(k + 1):
+            col[f] = t
+            if all(admits(col, e) for e in shadow.edges
+                   if max(place[e.left], place[e.right]) == i):
+                walk(col, i + 1)
+        col[f] = None
+
+    walk([None] * len(shadow.faces), 0)
+    return events
+
+
 def star_shadow(n):
     """n leaf faces, listed first, each joined to the centre face n by an
     edge of color 1/2."""
@@ -353,13 +399,14 @@ class TestEnumerateColorings:
 
     def test_relabelled_vertex_shadows_match_brute_force(self):
         # faces are colored breadth first, each component from its lowest
-        # face, so relabelling moves which faces start a component and scan
-        # 0..k, which draw candidates from a colored neighbour, and which
-        # have further colored neighbours to check; the shadows drawn
+        # face, so relabelling moves which faces start a component and draw
+        # from 0..k, which draw from one colored neighbour's fusion range,
+        # and which intersect the ranges of several; the shadows drawn
         # coloring first mostly have several colorings, whose order counts
         rng = random.Random(22)
-        seen = {"component start other than face 0": 0, "checks beyond driver": 0,
-                "self-loop": 0, "isolated face": 0}
+        seen = {"component start other than face 0": 0, "several edges to colored faces": 0,
+                "self-loop": 0, "isolated face": 0, "odd self-loop": 0, "parity clash": 0,
+                "range narrowed by a second neighbour": 0}
         several = 0
         for draw in [random_vertex_shadow] * 150 + [random_colored_vertex_shadow] * 150:
             k = rng.randint(1, 4)
@@ -379,7 +426,9 @@ class TestEnumerateColorings:
                 placed = [ab for ab in ends if f in ab and max(place[a] for a in ab) == place[f]]
                 seen["isolated face"] += not any(f in ab for ab in ends)
                 seen["component start other than face 0"] += f > 0 and f in starts
-                seen["checks beyond driver"] += f not in starts and len(placed) > 1
+                seen["several edges to colored faces"] += f not in starts and len(placed) > 1
+            for event in walk_events(shadow, lev):
+                seen[event] += 1
         assert min(seen.values()) >= 10, seen
         assert several >= 75, several
 
@@ -387,20 +436,29 @@ class TestEnumerateColorings:
         # small face graphs with few edges, so often several components or
         # isolated faces: the walk finishes a component before it starts
         # the next, and its list is often out of lexicographic order until
-        # it is sorted back
+        # it is sorted back; then denser graphs without self-loops, where
+        # faces often have two or more neighbours colored before them
         rng = random.Random(24)
         sorted_back = 0
-        for _ in range(200):
-            k, nf = rng.randint(1, 3), rng.randint(2, 5)
-            edges = [ss.ShadowEdge(rng.randint(0, k), rng.randrange(nf), rng.randrange(nf))
-                     for _ in range(rng.randint(1, 3))]
+        seen = {"odd self-loop": 0, "parity clash": 0, "range narrowed by a second neighbour": 0}
+        for dense in [False] * 200 + [True] * 100:
+            k, nf = rng.randint(1, 3), rng.randint(2 + dense, 5)
+            if dense:
+                edges = [ss.ShadowEdge(rng.randint(0, k), *rng.sample(range(nf), 2))
+                         for _ in range(rng.randint(3, 6))]
+            else:
+                edges = [ss.ShadowEdge(rng.randint(0, k), rng.randrange(nf), rng.randrange(nf))
+                         for _ in range(rng.randint(1, 3))]
             shadow = ss.Shadow(faces=[ss.ShadowFace(chi=1, gleam=F(0))] * nf, edges=edges)
             lev = Level(k)
             expected = brute_force_colorings(shadow, lev)
             assert ss.enumerate_colorings(shadow, lev) == expected
             order, _ = visiting_order(shadow)
             sorted_back += sorted(expected, key=lambda col: [col[f] for f in order]) != expected
+            for event in walk_events(shadow, lev):
+                seen[event] += 1
         assert sorted_back >= 10, sorted_back
+        assert min(seen.values()) >= 10, seen
 
     @pytest.mark.parametrize("n", [12, 14])
     def test_star_leaves_before_centre(self, n):
@@ -469,20 +527,29 @@ class TestStateSums:
 
     def test_face_weight_once_per_distinct_face_and_color(self, corpus_dir, monkeypatch):
         # the four faces of twocircles carry equal (chi, gleam, z), so they
-        # share one weight per color
+        # share one weight per color; in a row of three circles of winding
+        # 0 the three inner faces do, so the vertex-free sum evaluates two
+        # rows of weights for its four faces
         two = ss.load_shadow(corpus_dir / "twocircles.shadow.json")
         assert len({(f.chi, f.gleam, f.z) for f in two.faces}) == 1
         calls = []
         real = ss.shadow._face_weight
 
-        def counting(level, face, t):
-            calls.append((face.chi, face.gleam, face.z, t))
-            return real(level, face, t)
+        def counting(r, s1, chi, x, t):
+            calls.append((chi, x, t))
+            return real(r, s1, chi, x, t)
 
         monkeypatch.setattr(ss.shadow, "_face_weight", counting)
         ss.state_sum_general(two, Level(6))
         assert calls
         assert len(calls) == len(set(calls))
+
+        row, _ = dpfree_shadow(circle_row(3, 6, (0,)))
+        assert len(row.faces) == 4
+        assert len({(f.chi, f.gleam, f.z) for f in row.faces}) == 2
+        calls.clear()
+        ss.state_sum_dpfree(row, Level(6))
+        assert len(calls) == len(set(calls)) == 2 * 7
 
     def test_qfactorials_fetched_once_as_far_as_the_colorings_read(self, corpus_dir,
                                                                     monkeypatch):
@@ -581,6 +648,12 @@ class TestStateSums:
         for state_sum in (ss.state_sum_dpfree, ss.state_sum_general):
             with pytest.raises(ColorOutOfRange):
                 state_sum(shadow, Level(2))
+        # an odd self-loop admits no coloring, but an edge color above the
+        # level listed after it still raises
+        looped = ss.Shadow(shadow.faces, (ss.ShadowEdge(1, 0, 0),) + shadow.edges)
+        assert ss.enumerate_colorings(looped, Level(3)) == []
+        with pytest.raises(ColorOutOfRange, match="edge color 3/2 outside"):
+            ss.enumerate_colorings(looped, Level(2))
 
     def test_edges_without_faces(self):
         with pytest.raises(InvariantViolation, match="edge 0 references a missing face"):
@@ -666,7 +739,9 @@ class TestStateSums:
             for t in range(k + 1):
                 face = grid[i % len(grid)]
                 i += 1
-                w, want = _face_weight(lev, face, t), face_weight_oracle(lev, face, t)
+                w = _face_weight(lev.rbar, math.sin(math.pi / lev.rbar), face.chi,
+                                 _modified_gleam(face), t)
+                want = face_weight_oracle(lev, face, t)
                 assert (w.real.hex(), w.imag.hex()) == (want.real.hex(), want.imag.hex()), \
                     (k, t, face)
         assert i > 10 * len(grid)
