@@ -10,7 +10,6 @@ rows through the command line.
 import math
 import pathlib
 import sys
-from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -32,7 +31,6 @@ def link_of(loops, t0=0.0, level=1):
 
 def main():
     CORPUS.mkdir(exist_ok=True)
-    half = Fraction(1, 2)
 
     write("empty.link.json", ss.dumps_link(link_of([], level=1)))
 
@@ -97,32 +95,32 @@ def main():
     fig8_pts.append(fig8_pts[0])
     fig8 = ss.make_loop(
         [(x, y, 1.5 + 0.8 * math.sin(2 * math.pi * i / (2 * n) + 0.4))
-         for i, (x, y) in enumerate(fig8_pts)], color=half)
+         for i, (x, y) in enumerate(fig8_pts)], color2=1)
     write("figure8.link.json", ss.dumps_link(link_of([fig8], t0=0.0, level=2)))
 
     vertical = [
         ss.make_loop([(0.0, 0.0, 0.2), (0.0, 0.0, 0.2 + math.pi), (0.0, 0.0, 0.2 + 2 * math.pi)],
-                     color=half, vertical=True),
+                     color2=1, vertical=True),
         ss.make_loop([(2.0, 0.0, 1.2), (2.0, 0.0, 1.2 + math.pi), (2.0, 0.0, 1.2 + 2 * math.pi)],
-                     color=Fraction(1), vertical=True),
+                     color2=2, vertical=True),
     ]
     write("vertical_pair.link.json", ss.dumps_link(link_of(vertical, level=3)))
 
     write("empty.shadow.json", ss.dumps_shadow(
-        ss.Shadow(faces=(ss.ShadowFace(chi=2, gleam=Fraction(0)),), edges=())))
+        ss.Shadow(faces=(ss.ShadowFace(chi=2, gleam2=0),), edges=())))
 
     write("circle_w0.shadow.json", ss.dumps_shadow(ss.Shadow(
-        faces=(ss.ShadowFace(chi=1, gleam=Fraction(0)), ss.ShadowFace(chi=1, gleam=Fraction(0))),
+        faces=(ss.ShadowFace(chi=1, gleam2=0), ss.ShadowFace(chi=1, gleam2=0)),
         edges=(ss.ShadowEdge(color2=1, left=0, right=1),),
     )))
 
     # two overlapping circles, second strand colored 0: faces O, A-only, B-only, lens
     two = ss.Shadow(
         faces=(
-            ss.ShadowFace(chi=1, gleam=Fraction(1), z=2),   # 0: outer
-            ss.ShadowFace(chi=1, gleam=Fraction(1), z=2),   # 1: inside first only
-            ss.ShadowFace(chi=1, gleam=Fraction(1), z=2),   # 2: inside second only
-            ss.ShadowFace(chi=1, gleam=Fraction(1), z=2),   # 3: lens
+            ss.ShadowFace(chi=1, gleam2=2, z=2),   # 0: outer
+            ss.ShadowFace(chi=1, gleam2=2, z=2),   # 1: inside first only
+            ss.ShadowFace(chi=1, gleam2=2, z=2),   # 2: inside second only
+            ss.ShadowFace(chi=1, gleam2=2, z=2),   # 3: lens
         ),
         edges=(
             ss.ShadowEdge(color2=1, left=3, right=2),  # first circle, arc inside second

@@ -16,18 +16,19 @@ Loops are framed by their horizontal push-off (`self_link`).  A loop's
 optional "framing" key, which older files wrote as 0, is accepted only as
 0: any other value raises ParseError rather than being ignored.
 
-Parsers reject NaN/Inf, colors and gleams whose value is not exactly a
-half-integer (a JSON int past 2^53 that no float holds included),
-non-closing loops, files that are not UTF-8 and JSON nested
-too deeply to parse with ParseError; violated structural
-invariants of the parsed objects raise InvariantViolation.
+Colors and gleams are read to doubled ints (color2, e1_2, e2_2, gleam2)
+and written as half of them.  Parsers reject NaN/Inf, negative colors,
+colors and gleams whose value is not exactly a half-integer (a JSON int
+past 2^53 that no float holds included), non-closing loops, files that
+are not UTF-8 and JSON nested too deeply to parse with ParseError;
+violated structural invariants of the parsed objects raise
+InvariantViolation.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 
 from .errors import InvariantViolation, ParseError
 from .geometry import Link, make_loop
@@ -93,13 +94,9 @@ def _twice_half_integer(obj, what: str) -> int:
     return int(doubled)
 
 
-def _half_integer(obj, what: str) -> Fraction:
-    return Fraction(_twice_half_integer(obj, what), 2)
-
-
 def _doubled_color(obj, what: str) -> int:
-    """An edge or strand color as its doubled int 2j; a negative color
-    raises ParseError."""
+    """A loop, edge or strand color as its doubled int 2j; a negative
+    color raises ParseError."""
     t = _twice_half_integer(obj, what)
     if t < 0:
         raise ParseError(f"{what} must be non-negative")
@@ -128,14 +125,14 @@ def _link_from_json(obj) -> Link:
         what = "loop {} vertex coordinate"
         triples = [(_number(x, what, i), _number(y, what, i), _number(t, what, i))
                    for x, y, t in verts]
-        color = _half_integer(rec.get("color", 0.5), f"loop {i} color")
+        color2 = _doubled_color(rec.get("color", 0.5), f"loop {i} color")
         if _integer(rec.get("framing", 0), f"loop {i} framing"):
             raise ParseError(f"loop {i} framing must be 0, got {rec['framing']!r}")
         vertical = rec.get("vertical", False)
         if not isinstance(vertical, bool):
             raise ParseError(f"loop {i} vertical flag must be a boolean")
         try:
-            loops.append(make_loop(triples, color=color, vertical=vertical))
+            loops.append(make_loop(triples, color2=color2, vertical=vertical))
         except InvariantViolation as exc:
             raise ParseError(f"loop {i}: {exc}") from exc
     return Link(loops=tuple(loops), t0=t0, level=level)
@@ -164,7 +161,7 @@ def _shadow_from_json(obj) -> Shadow:
         gleam = rec.get("gleam")
         faces.append(ShadowFace(
             chi=_integer(rec["chi"], f"face {i} chi"),
-            gleam=None if gleam is None else _half_integer(gleam, f"face {i} gleam"),
+            gleam2=None if gleam is None else _twice_half_integer(gleam, f"face {i} gleam"),
             z=_integer(rec.get("z", 0), f"face {i} z"),
         ))
     edges = []
@@ -215,7 +212,7 @@ def dumps_link(link: Link) -> str:
         "loops": [
             {
                 "vertices": [[x, y, t] for x, y, t in lp.vertices],
-                "color": float(lp.color),
+                "color": lp.color2 / 2,
                 "vertical": lp.vertical,
             }
             for lp in link.loops
@@ -227,7 +224,7 @@ def dumps_link(link: Link) -> str:
 def dumps_shadow(shadow: Shadow) -> str:
     obj = {
         "faces": [
-            {"chi": f.chi, "gleam": None if f.gleam is None else float(f.gleam), "z": f.z}
+            {"chi": f.chi, "gleam": None if f.gleam2 is None else f.gleam2 / 2, "z": f.z}
             for f in shadow.faces
         ],
         "edges": [

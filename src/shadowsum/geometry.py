@@ -15,17 +15,18 @@ first and return the float sign only when it clears a bound on the
 rounding error; otherwise they redo the sum with Fractions (the
 filter-then-exact scheme of Shewchuk, "Adaptive Precision Floating-Point
 Arithmetic and Fast Robust Geometric Predicates", DCG 18, 1997).  A
-crossing's loop parameters and point are exact without Fractions in the
-arithmetic: `_pair_crossings` writes the eight coordinates of a crossing
-pair as ints over their largest denominator (a power of two, so a multiple
-of every other), and each float it or `_records` returns is one int true
-division, which CPython rounds correctly, so it is the float of the exact
-rational, as `float(Fraction)` gives it (Yap, "Towards exact geometric
-computation", CGTA 7, 1997).
+crossing's loop parameters and point are exact with no Fraction:
+`_pair_crossings` writes the eight coordinates of a crossing pair as ints
+over their largest denominator (a power of two, so a multiple of every
+other) and keeps the parameters as int ratios, and each float it or
+`_records` returns is one int true division, which CPython rounds
+correctly, so it is the float of the exact rational (Yap, "Towards exact
+geometric computation", CGTA 7, 1997).
 
 All operations are pure functions of immutable inputs and are safe to call
 concurrently.  A `Loop` computes its self-crossings (unless a `validate`
-has found them first) and its clearance lazily, at most once, and its
+has found them first), its clearance and its segments' lengths and unit
+vectors (`segment_frames`) lazily, at most once, and its
 lift scan at one t0 (`lift_scans`, emptied when it is scanned at another
 t0), and caches them on the instance; a race between threads only
 computes the same value twice.  `ind` counts the crossings in one pass
@@ -84,7 +85,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
-    ColorOutOfRange,
     DegenerateGeometry,
     HasDoublePoints,
     InvariantViolation,
@@ -93,7 +93,6 @@ from .errors import (
     PreconditionError,
     TangentialCrossing,
 )
-from .quantum import doubled
 
 TAU = 2.0 * math.pi
 COINCIDENCE_TOL = 1e-9
@@ -166,15 +165,14 @@ def _in_box(p, a, b) -> bool:
 @dataclass(frozen=True)
 class Loop:
     """Closed PL curve: (x, y, theta-lift) vertices with the closing vertex
-    repeated and a half-integer color."""
+    repeated and a half-integer color j, held as the int color2 = 2j."""
 
     vertices: tuple[tuple[float, float, float], ...]
-    color: Fraction = Fraction(1, 2)
+    color2: int = 1
     vertical: bool = False
-    # the doubled color, projections of `vertices`, segment bounding boxes
-    # and the largest planar |coordinate|, built once, and the last
-    # `_lift_scan` result, by t0
-    color2: int = field(init=False, repr=False, compare=False)
+    # projections of `vertices`, segment bounding boxes and the largest
+    # planar |coordinate|, built once, and the last `_lift_scan` result,
+    # by t0
     planar: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     lifts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     boxes: tuple[tuple[float, float, float, float], ...] = field(
@@ -183,6 +181,8 @@ class Loop:
     lift_scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.color2, bool) or not isinstance(self.color2, int):
+            raise InvariantViolation(f"loop color2 {self.color2!r} is not an int")
         # one pass; `b if b < a else a` is min(a, b) and `b if b > a else a`
         # is max(a, b) bit for bit, NaN and -0.0 included, and `scale` starts
         # at |x_0| as max(|x_0|, ..., |y_n|) does
@@ -200,7 +200,6 @@ class Loop:
                 scale = a
             if b > scale:
                 scale = b
-        object.__setattr__(self, "color2", int(self.color * 2))
         object.__setattr__(self, "planar", tuple(planar))
         object.__setattr__(self, "lifts", tuple(lifts))
         object.__setattr__(self, "boxes", tuple(boxes))
@@ -231,10 +230,20 @@ class Loop:
     def _clearance(self) -> float:
         return _min_clearance(self)
 
+    @cached_property
+    def segment_frames(self) -> tuple[tuple[float, ...], tuple]:
+        """(lengths, units): each segment's hypot length and `_unit` vector,
+        None where the length is 0 and `_unit` raises."""
+        pl = self.planar
+        deltas = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(pl, pl[1:])]
+        lengths = tuple(math.hypot(dx, dy) for dx, dy in deltas)
+        return lengths, tuple((dx / n, dy / n) if n else None
+                              for (dx, dy), n in zip(deltas, lengths))
 
-def make_loop(vertices: Iterable[Sequence[float]], color=Fraction(1, 2),
+
+def make_loop(vertices: Iterable[Sequence[float]], color2: int = 1,
               vertical: bool = False) -> Loop:
-    """Build a Loop, checking closure and basic well-formedness."""
+    """Build a Loop of doubled color color2, checking closure and well-formedness."""
     verts = [(float(x), float(y), float(t)) for x, y, t in vertices]
     if len(verts) < 3:
         raise InvariantViolation("loop needs at least 3 vertices")
@@ -260,11 +269,7 @@ def make_loop(vertices: Iterable[Sequence[float]], color=Fraction(1, 2),
             (ax, ay, _), (bx, by, _) = verts[i], verts[i + 1]
             if math.hypot(bx - ax, by - ay) <= COINCIDENCE_TOL:
                 raise DegenerateGeometry(f"zero-length projected segment at vertex {i}")
-    try:
-        col = Fraction(doubled(color), 2)
-    except ColorOutOfRange as exc:
-        raise InvariantViolation(str(exc)) from None
-    return Loop(tuple(verts), col, bool(vertical))
+    return Loop(tuple(verts), color2, bool(vertical))
 
 
 @dataclass(frozen=True)
@@ -283,8 +288,8 @@ class Link:
             raise InvariantViolation(f"level must be a positive integer, got {self.level!r}")
         for i, lp in enumerate(self.loops):
             if not 0 <= lp.color2 <= self.level:
-                raise InvariantViolation(
-                    f"loop {i} color {lp.color} outside color set of level {self.level}")
+                raise InvariantViolation(f"loop {i} color {Fraction(lp.color2, 2)} "
+                                         f"outside color set of level {self.level}")
 
 
 def winding_s1(loop: Loop) -> int:
@@ -347,13 +352,13 @@ def _pair_crossings(la: Loop, lb: Loop, same: bool, candidates):
     """The transversal crossings among the candidate segment pairs (i of
     la, j of lb), which passed the bounding-box test, in their order.
 
-    Yields (seg_a, seg_b, ta, tb, point, cross_sign) with exact Fraction
-    parameters, each built once from int numerator and denominator: the
-    eight coordinates of a crossing pair are written as ints over their
-    largest `as_integer_ratio()` denominator, a power of two.  Each point
-    coordinate is one int true division by a positive divisor, correctly
-    rounded, so it is the float of the exact rational a1 + ta (a2 - a1),
-    and a zero comes out +0.0.
+    Yields (seg_a, seg_b, tan, tbn, den, point, cross_sign), the exact
+    parameters ta = tan / den and tb = tbn / den as int ratios (den has
+    the cross sign): the eight coordinates of a crossing pair are written
+    as ints over their largest `as_integer_ratio()` denominator, a power
+    of two.  Each point coordinate is one int true division by a positive
+    divisor, correctly rounded, so it is the float of the exact rational
+    a1 + ta (a2 - a1), and a zero comes out +0.0.
 
     The one scan that rejects non-generic PL input: raises
     DegenerateGeometry when an endpoint of one segment lies within
@@ -462,7 +467,7 @@ def _pair_crossings(la: Loop, lb: Loop, same: bool, candidates):
             sg = 1 if den > 0 else -1
             div = abs(den) * lcd
             pt = (sg * (iax * den + tan * r0) / div, sg * (iay * den + tan * r1) / div)
-            out.append((i, j, Fraction(tan, den), Fraction(q0 * r1 - q1 * r0, den), pt, sg))
+            out.append((i, j, tan, q0 * r1 - q1 * r0, den, pt, sg))
         elif (o1, o2, o3, o4).count(0) > 0:
             # an endpoint grazes or the segments are collinear
             if (
@@ -509,15 +514,14 @@ def crossings_between(l: Loop, lt: Loop) -> tuple[DoublePoint, ...]:
 def _records(la: Loop, i: int, lb: Loop, j: int, pairs) -> tuple[DoublePoint, ...]:
     """The crossings `pairs` of `_pair_crossings` on la (loop i) and lb
     (loop j) as `DoublePoint`s.  A strand's loop parameter (s + t) / nseg,
-    with t = p/q, is the int true division (s q + p) / (q nseg): the
-    correctly rounded float of that rational, with no Fraction arithmetic."""
+    with t = tn / den, is the int true division (s den + tn) / (den nseg):
+    the correctly rounded float of that rational, with no Fraction
+    arithmetic."""
     out = []
     na, nb = la.nseg, lb.nseg
-    for (si, sj, ta, tb, pt, sign) in pairs:
-        p, q = ta.numerator, ta.denominator
-        ua = (si * q + p) / (q * na)
-        p, q = tb.numerator, tb.denominator
-        ub = (sj * q + p) / (q * nb)
+    for (si, sj, tan, tbn, den, pt, sign) in pairs:
+        ua = (si * den + tan) / (den * na)
+        ub = (sj * den + tbn) / (den * nb)
         out.append(DoublePoint(pt, ((i, ua), (j, ub)), (la.theta_at(ua), lb.theta_at(ub)), sign))
     return tuple(out)
 
@@ -951,7 +955,7 @@ def _min_clearance(loop: Loop) -> float:
     n = loop.nseg
     pl = loop.planar
     dist = _seg_point_dist
-    shortest = min(math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(pl, pl[1:]))
+    shortest = min(loop.segment_frames[0])
     for margin in (shortest * (1.0 + 1e-9) + 1e-12 * loop.scale, math.inf):
         best = math.inf
         for i, j in _segment_sweep((loop,), margin=margin).get((0, 0), ()):

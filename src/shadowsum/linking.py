@@ -15,7 +15,9 @@ offset; this horizontal push-off frames every loop.  The offset must stay
 below a third of the minimum clearance between non-adjacent segments.
 `pushoff` returns the offset loop with its crossing records against `l`;
 one sweep over both also finds the offset's own pairs, which are checked
-first.  `self_link` makes one push-off per loop, at an offset small
+first.  The clearance, the framing offset and the push-off read one
+table of segment lengths and unit vectors per loop (`Loop.segment_frames`).
+`self_link` makes one push-off per loop, at an offset small
 enough that every crossing of the push-off with the loop keeps the order
 of the circle coordinates at its self double point, a lift bound derived
 at `_framing_offset`.
@@ -40,7 +42,6 @@ from .geometry import (
     _pair_crossings,
     _records,
     _segment_sweep,
-    _unit,
     crossings_between,
     ind,
     loop_min_clearance,
@@ -74,7 +75,9 @@ def pushoff(l: Loop, offset: float) -> tuple[Loop, tuple[DoublePoint, ...]]:
             f"offset {offset} is not below the admissibility threshold {threshold}")
     n = l.nseg
     pl = l.planar
-    units = [_unit((b[0] - a[0], b[1] - a[1])) for a, b in zip(pl, pl[1:])]
+    units = l.segment_frames[1]
+    if None in units:  # a zero-length segment
+        raise DegenerateGeometry("zero tangent vector")
     new_pts = []
     for i in range(n):
         cur = pl[i]
@@ -92,7 +95,7 @@ def pushoff(l: Loop, offset: float) -> tuple[Loop, tuple[DoublePoint, ...]]:
             new_pts.append((cur[0] + offset * n0[0] + t * d0[0],
                             cur[1] + offset * n0[1] + t * d0[1]))
     verts = tuple((*new_pts[i % n], l.lifts[i]) for i in range(n + 1))
-    off = Loop(verts, l.color, l.vertical)
+    off = Loop(verts, l.color2, l.vertical)
     # one sweep; the offset's own pairs come first, also when l self-crosses
     found = _segment_sweep((l, off), (1,))
     try:
@@ -152,21 +155,18 @@ def _framing_offset(l: Loop) -> float:
     reads coordinates and segment geometry only, not the t0 cut.
     """
     clearance = loop_min_clearance(l)
-    pl, lifts, n = l.planar, l.lifts, l.nseg
-    units, sigma = [], []
-    for (ax, ay), (bx, by), ta, tb in zip(pl, pl[1:], lifts, lifts[1:]):
-        length = math.hypot(bx - ax, by - ay)
-        units.append(((bx - ax) / length, (by - ay) / length))
-        sigma.append(abs(tb - ta) / length)
+    lifts, n = l.lifts, l.nseg
+    lengths, units = l.segment_frames
+    sigma = [abs(tb - ta) / length for ta, tb, length in zip(lifts, lifts[1:], lengths)]
     # half the turn at vertex v, from segment v - 1 to segment v
     half = [math.atan2(abs(px * qy - py * qx), px * qx + py * qy) / 2.0
             for (px, py), (qx, qy) in zip(units[-1:] + units[:-1], units)]
     offset = clearance / 6.0 * min(math.cos(h) for h in half)
-    for i, j, ta, tb, *_ in l.self_crossings:
+    for i, j, tan, tbn, den, *_ in l.self_crossings:
         (px, py), (qx, qy) = units[i], units[j]
         sin_a = abs(px * qy - py * qx)
-        gap = (lifts[i] + float(ta) * (lifts[i + 1] - lifts[i])
-               - lifts[j] - float(tb) * (lifts[j + 1] - lifts[j])) % TAU
+        gap = (lifts[i] + tan / den * (lifts[i + 1] - lifts[i])
+               - lifts[j] - tbn / den * (lifts[j + 1] - lifts[j])) % TAU
         gap = min(gap, TAU - gap)
         # rate_d * |sin alpha_d|, so that a zero sine gives offset 0
         rate = sum(max(sigma[s - 1], sigma[s], sigma[(s + 1) % n])

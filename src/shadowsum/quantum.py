@@ -8,9 +8,10 @@ quantum dimension also take s1 = sin(pi/rbar), so a caller that evaluates
 many of them (a state sum's face weights, the [n]! table) computes it
 once.  The public spin API (sixj, v_dim, u_exponent) is a thin wrapper:
 check_color on spins given as int, float, or Fraction with 2j integral,
-then the kernel; quantum_int computes s1 and calls its kernel.  doubled
-reads a Fraction's 2j off its numerator, and _u_exponent_doubled's int
-division rounds as float(Fraction) does.
+then the kernel; quantum_int computes s1 and calls its kernel.  The
+package holds colors and gleams as doubled ints, so check_color is the
+only caller of doubled, and _u_exponent_doubled's int division rounds
+as float() of the exact exponent does.
 
 The 6j kernel is table-fed: _sixj_doubled(qf, k, ...) takes the [n]!
 table and the level, so a state sum fetches the table from _qfactorials
@@ -47,8 +48,6 @@ __all__ = [
 def doubled(j) -> int:
     """Return 2j as an exact integer; raise ColorOutOfRange for anything
     but a finite half-integral number."""
-    if isinstance(j, Fraction) and j.denominator <= 2:
-        return j.numerator * (2 // j.denominator)
     try:  # Fraction parses strings, but a color is a number
         t = None if isinstance(j, str) else Fraction(j) * 2
     except (TypeError, ValueError, OverflowError):  # not a number, NaN, +-inf

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 from .geometry import TAU, Link, Loop, make_loop
 
@@ -24,9 +23,9 @@ __all__ = ["polygon_circle", "random_dpfree_link", "random_crossing_pair", "self
 
 def polygon_circle(cx: float, cy: float, r: float, n: int = 16, *,
                    winding: int = 0, theta0: float = 0.5, ccw: bool = True,
-                   phase: float = 0.0, color=Fraction(1, 2), theta_fn=None) -> Loop:
-    """Regular n-gon approximation of a circle with a linear (or supplied)
-    circle-coordinate profile.  The closing vertex repeats vertex 0's x and
+                   phase: float = 0.0, color2: int = 1, theta_fn=None) -> Loop:
+    """Regular n-gon approximation of a circle of doubled color color2 with
+    a linear (or supplied) circle-coordinate profile.  The closing vertex repeats vertex 0's x and
     y: cos and sin of the full turn miss them by a rounding error times r,
     which fails `make_loop`'s closure test from r = 1e7 on."""
     pts = []
@@ -38,7 +37,7 @@ def polygon_circle(cx: float, cy: float, r: float, n: int = 16, *,
             th = theta0 + 2.0 * math.pi * winding * i / n
         x, y = (cx + r * math.cos(a), cy + r * math.sin(a)) if i < n else pts[0][:2]
         pts.append((x, y, th))
-    return make_loop(pts, color=color)
+    return make_loop(pts, color2=color2)
 
 
 def random_dpfree_link(rng: random.Random, max_loops: int = 5, level: int = 1,
@@ -135,10 +134,10 @@ def narrow_gap(loop: Loop, gap: float) -> Loop:
     self-crossing shifted so that its circle coordinate there exceeds the
     first strand's by `gap`.  The two segments cross, so they share no
     vertex, and the first strand's lift is unchanged."""
-    i, j, ta, tb, *_ = loop.self_crossings[0]
+    i, j, tan, tbn, den, *_ = loop.self_crossings[0]
     lifts = loop.lifts
-    shift = (lifts[i] + float(ta) * (lifts[i + 1] - lifts[i]) + gap
-             - lifts[j] - float(tb) * (lifts[j + 1] - lifts[j]))
+    shift = (lifts[i] + tan / den * (lifts[i + 1] - lifts[i]) + gap
+             - lifts[j] - tbn / den * (lifts[j + 1] - lifts[j]))
     moved = {j, j + 1} | ({0} if j + 1 == loop.nseg else set())
     return make_loop([(x, y, t + shift if v in moved else t)
                       for v, (x, y, t) in enumerate(loop.vertices)])

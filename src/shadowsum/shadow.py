@@ -5,8 +5,9 @@ characteristic and a gleam, edges carry a color and their two adjacent
 faces, and vertices (double points) carry the two strand colors and the
 four quadrant faces in the frozen convention: quadrants (j, k, m, n) in
 cyclic order with (j, m) and (k, n) opposite, edge e1 between j and k,
-edge e2 between j and n.  A Shadow checks these invariants once, when it
-is built.
+edge e2 between j and n.  Gleams and colors, half-integers, are held
+doubled, as the ints gleam2, color2, e1_2 and e2_2.  A Shadow checks
+these invariants once, when it is built.
 
 Two independent evaluation routes are implemented for double-point-free
 links with fundamental colors and must agree exactly:
@@ -42,8 +43,8 @@ value and the coloring count it prints.  Both state sums call quantum's
 doubled-int kernels, not its spin API, so a memo miss builds no Fraction,
 and both evaluate a face's weights through _face_weight with per-call
 constants: sin(pi/rbar) once per call and x = gleam - z/2 once per face,
-the int quotient (2 gleam - z) / 2, rounded like float() of the Fraction.
-Faces of equal (chi, gleam, z) share one memo of weights (the general
+the int quotient (gleam2 - z) / 2, correctly rounded.
+Faces of equal (chi, gleam2, z) share one memo of weights (the general
 sum) or one row of them (the vertex-free sum).  The 6j kernel is
 table-fed: state_sum_general fetches the [n]! table once per call, as far
 as its colorings can read it, and passes it to every 6j-symbol it
@@ -94,7 +95,6 @@ from .quantum import (
     _sixj_doubled,
     _u_exponent_doubled,
     _v_dim_doubled,
-    doubled,
 )
 
 __all__ = [
@@ -125,7 +125,7 @@ AreaColoring = tuple
 @dataclass(frozen=True)
 class ShadowFace:
     chi: int
-    gleam: Fraction | None
+    gleam2: int | None  # twice the gleam
     z: int = 0
 
 
@@ -165,7 +165,7 @@ class Shadow:
 
 def check_shadow(shadow: Shadow) -> None:
     """Structural invariants: valid face references, consistent double-point
-    counts, half-integral modified gleams."""
+    counts, gleams held as doubled ints."""
     nf = len(shadow.faces)
     for i, e in enumerate(shadow.edges):
         if not (0 <= e.left < nf and 0 <= e.right < nf):
@@ -188,12 +188,9 @@ def check_shadow(shadow: Shadow) -> None:
         if face.z != touch[t]:
             raise InvariantViolation(
                 f"face {t} declares z={face.z} but touches {touch[t]} double points")
-        if face.gleam is not None:
-            try:
-                doubled(face.gleam)
-            except ColorOutOfRange:
-                raise InvariantViolation(
-                    f"face {t} gleam {face.gleam} is not half-integral") from None
+        g2 = face.gleam2
+        if g2 is not None and (isinstance(g2, bool) or not isinstance(g2, int)):
+            raise InvariantViolation(f"face {t} gleam2 {g2!r} is not an int")
 
 
 def euler_identity_holds(shadow: Shadow) -> bool:
@@ -209,7 +206,7 @@ def euler_identity_holds(shadow: Shadow) -> bool:
 def shadow_from_dpfree(link: Link, fc: FaceComplex) -> Shadow:
     """Vertex-free shadow of a double-point-free link: one edge per loop
     with the faces on its two sides, and the gleams of `gleams_dpfree`."""
-    faces = tuple(ShadowFace(chi=chi, gleam=Fraction(g), z=0)
+    faces = tuple(ShadowFace(chi=chi, gleam2=2 * g, z=0)
                   for chi, g in zip(fc.chi, gleams_dpfree(link, fc)))
     edges = tuple(
         ShadowEdge(color2=lp.color2, left=fc.loop_sides[j][0], right=fc.loop_sides[j][1])
@@ -330,11 +327,11 @@ def enumerate_colorings(shadow: Shadow, level: Level) -> list[AreaColoring]:
 
 
 def _modified_gleam(face: ShadowFace) -> float:
-    """x = gleam - z/2, the int quotient (2 gleam - z) / 2, rounded like
-    float() of the Fraction."""
-    if face.gleam is None:
+    """x = gleam - z/2, the int quotient (gleam2 - z) / 2, correctly
+    rounded."""
+    if face.gleam2 is None:
         raise MissingGleams("state sum requires a gleam on every face")
-    return (doubled(face.gleam) - face.z) / 2
+    return (face.gleam2 - face.z) / 2
 
 
 def _face_weight(r: int, s1: float, chi: int, x: float, t: int) -> complex:
@@ -355,7 +352,7 @@ def state_sum_general(shadow: Shadow, level: Level,
     caller's face color outside 0 .. k raises ColorOutOfRange (a 6j-symbol
     with one is 0), a coloring of the wrong length PreconditionError.
 
-    Each distinct 6j argument and (chi, gleam, z, color) face weight is
+    Each distinct 6j argument and (chi, gleam2, z, color) face weight is
     evaluated once per call.  Terms are built in a fixed factor order and
     added in the colorings' order, so the value does not depend on the memos.
     """
@@ -379,9 +376,9 @@ def state_sum_general(shadow: Shadow, level: Level,
         strands = max(e1 + e2 for e1, _, _, e2, _, _ in vertices)
         qf = _qfactorials(level, (strands + 4 * hi) // 2 + 1)
     sixjs: dict[tuple, float] = {}
-    # one memo of weights by color per distinct (chi, gleam, z)
+    # one memo of weights by color per distinct (chi, gleam2, z)
     shared: dict[tuple, dict] = {}
-    memos = [shared.setdefault((f.chi, f.gleam, f.z), {}) for f in faces]
+    memos = [shared.setdefault((f.chi, f.gleam2, f.z), {}) for f in faces]
     nf = len(faces)
     total = 0j
     for col in colorings:
@@ -456,12 +453,12 @@ def state_sum_dpfree(shadow: Shadow, level: Level) -> complex:
     colors = range(km + 1)
     r = level.rbar
     s1 = math.sin(math.pi / r)
-    # one row of weights per distinct (chi, gleam, z), shared by the faces
+    # one row of weights per distinct (chi, gleam2, z), shared by the faces
     # of that key: a message is rebound below, never changed in place
     rows: dict[tuple, list] = {}
     message = []
     for face in shadow.faces:
-        key = (face.chi, face.gleam, face.z)
+        key = (face.chi, face.gleam2, face.z)
         row = rows.get(key)
         if row is None:
             x = _modified_gleam(face)

@@ -464,6 +464,17 @@ def proper_crossings_oracle(la, lb, same, tally=None):
     return out
 
 
+def fraction_form(crossings) -> list:
+    """Crossings (i, j, tan, tbn, den, point, sign) of
+    `geometry._pair_crossings`, whose parameters are the int ratios
+    tan / den and tbn / den, in the form of `proper_crossings_oracle`:
+    (i, j, ta, tb, point, sign) with ta and tb Fractions."""
+    from fractions import Fraction
+
+    return [(i, j, Fraction(tan, den), Fraction(tbn, den), pt, sign)
+            for i, j, tan, tbn, den, pt, sign in crossings]
+
+
 def validate_oracle(link):
     """`geometry.validate` with one all-pairs scan per loop pair: loop i
     with itself and with each later loop j, in that order."""
@@ -633,9 +644,8 @@ def colors(level) -> tuple:
 
 
 def doubled_oracle(j) -> int:
-    """2j through Fraction arithmetic for every finite real number, as
-    `quantum.doubled` computed it before reading exact Fractions off
-    numerator and denominator; anything else is no color."""
+    """2j through Fraction arithmetic for every finite real number;
+    anything else is no color."""
     import numbers
     from fractions import Fraction
 
@@ -741,10 +751,10 @@ def face_weight_oracle(level, face, t) -> complex:
 
     from shadowsum.errors import MissingGleams
 
-    if face.gleam is None:
+    if face.gleam2 is None:
         raise MissingGleams("state sum requires a gleam on every face")
     spin = Fraction(t, 2)
-    x = Fraction(face.gleam) - Fraction(face.z, 2)
+    x = Fraction(face.gleam2, 2) - Fraction(face.z, 2)
     amp = v_dim_oracle(level, spin) ** face.chi
     return amp * cmath.exp(2.0 * float(x) * u_exponent_oracle(level, spin))
 

@@ -274,7 +274,7 @@ class TestCliEval:
         # interpreter's recursion limit if enumeration recursed per face
         nf = 1100
         chain = ss.Shadow(
-            faces=[ss.ShadowFace(chi=1 if f in (0, nf - 1) else 0, gleam=0)
+            faces=[ss.ShadowFace(chi=1 if f in (0, nf - 1) else 0, gleam2=0)
                    for f in range(nf)],
             edges=[ss.ShadowEdge(color2=0, left=f, right=f + 1) for f in range(nf - 1)],
         )
@@ -815,6 +815,8 @@ LINK_PROBES = [  # (file text, the parse error it raises)
      "loop 1 framing must be 0"),
     ('{"t0": 0, "level": 1, "loops": [{%s, "framing": 0.0}]}' % LOOP,
      "loop 0 framing must be an integer"),
+    ('{"t0": 0, "level": 1, "loops": [{%s, "color": -0.5}]}' % LOOP,
+     "loop 0 color must be non-negative"),
 ]
 SHADOW_PROBES = [
     ('[]', "shadow file must contain a JSON object"),

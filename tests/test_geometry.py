@@ -32,6 +32,7 @@ from conftest import (
     face_complex_oracle,
     face_of_point_oracle,
     forest_winding,
+    fraction_form,
     ind_oracle,
     loop_fields_oracle,
     loop_orientation_oracle,
@@ -48,7 +49,11 @@ from conftest import (
 )
 
 TAU = 2 * math.pi
-HALF = Fraction(1, 2)
+
+
+def proper_crossings(la, lb, same):
+    """`geometry._proper_crossings` in the form of its oracle."""
+    return fraction_form(ss.geometry._proper_crossings(la, lb, same))
 
 
 def polygon(pts, theta0=0.5):
@@ -162,7 +167,7 @@ class TestSweptScans:
                 continue  # a nudge made a zero-length segment
             cases += 1
             for args in ((la, la, True), (lb, lb, True), (la, lb, False), (lb, la, False)):
-                got = self.outcome(ss.geometry._proper_crossings, *args)
+                got = self.outcome(proper_crossings, *args)
                 assert got == self.outcome(proper_crossings_oracle, *args)
                 seen["raised" if isinstance(got, tuple) else "crossings"] += bool(got)
             for lp in (la, lb):
@@ -178,7 +183,7 @@ class TestSweptScans:
         a1, a2 = (558.0, -80.0), (386302656.0, 530731888.0)
         b1, b2 = (64384241.0, 88455248.0), (836988437.0, 1149919184.0)
         la, lb = polygon([a1, a2, (-5e8, 4e8)]), polygon([b1, b2, (9e8, 1e8)])
-        got = self.outcome(ss.geometry._proper_crossings, la, lb, False)
+        got = self.outcome(proper_crossings, la, lb, False)
         assert got == self.outcome(proper_crossings_oracle, la, lb, False)
         assert got == (DegenerateGeometry, "segments graze or overlap (segments 0, 0)")
 
@@ -244,7 +249,7 @@ class TestSweptScans:
                     except DegenerateGeometry:
                         continue  # a nudge made a zero-length segment
                     for args in ((la, lb, False), (lb, la, False), (lown, lown, True)):
-                        got = self.outcome(ss.geometry._proper_crossings, *args)
+                        got = self.outcome(proper_crossings, *args)
                         assert got == self.outcome(proper_crossings_oracle, *args)
                         seen["raised" if isinstance(got, tuple) else "passed"] += 1
                     link = ss.Link((la, lb, lown))
@@ -293,7 +298,7 @@ class TestSweptScans:
                 lp = polygon(pts)
             except DegenerateGeometry:
                 continue
-            got = self.outcome(ss.geometry._proper_crossings, lp, lp, True)
+            got = self.outcome(proper_crossings, lp, lp, True)
             assert got == self.outcome(proper_crossings_oracle, lp, lp, True)
             spike = f"(segments {s}, {s + 1})"
             if isinstance(got, tuple):
@@ -510,7 +515,7 @@ class TestExactCrossings:
             for la in loops:
                 for lb in loops:
                     args = (la, lb, la is lb)
-                    got = TestSweptScans.outcome(ss.geometry._proper_crossings, *args)
+                    got = TestSweptScans.outcome(proper_crossings, *args)
                     assert exact(got) == exact(TestSweptScans.outcome(proper_crossings_oracle,
                                                                       *args))
                     if isinstance(got, list) and got:
@@ -524,19 +529,21 @@ class TestExactCrossings:
                     == exact(TestSweptScans.outcome(validate_oracle, link)))
         assert min(seen.values()) >= 20, seen
 
-    def test_validate_builds_two_fractions_per_crossing(self, corpus_dir, fraction_work):
+    def test_validate_builds_no_fraction_per_crossing(self, corpus_dir, fraction_work):
+        # a crossing's parameters are int ratios: no Fraction is built
+        # for a crossing in general position, nor for a loop's color
         rng = random.Random(3)
         links = [ss.load_link(corpus_dir / "hopf.link.json")]
         links += [random_crossing_pair(rng) for _ in range(5)]
         links += [ss.Link((self.lifted(rng, scattered(rng), 1.0, 0.0, 0.0),)) for _ in range(5)]
         crossings = 0
-        for link in links:  # built with the patch on: loop colors are Fractions too
+        for link in links:
             fraction_work["built"].clear()
             fraction_work["ops"].clear()
             report = ss.validate(link)
             assert not report.triple_points
             crossings += len(report.double_points)
-            assert len(fraction_work["built"]) == 2 * len(report.double_points)
+            assert fraction_work["built"] == []
             assert fraction_work["ops"] == []
         assert crossings >= 20
 
@@ -572,7 +579,7 @@ class TestLinkSweep:
             # the own crossings validate's sweep stored on each loop
             for lp in loops:
                 if not lp.vertical:
-                    assert lp.self_crossings == tuple(proper_crossings_oracle(lp, lp, True))
+                    assert fraction_form(lp.self_crossings) == proper_crossings_oracle(lp, lp, True)
                     seen["self-crossing loops"] += bool(lp.self_crossings)
         assert min(seen.values()) >= 40, seen
 
@@ -741,10 +748,15 @@ class TestLoopBasics:
         with pytest.raises(InvariantViolation):
             ss.make_loop([(1, 2, 0.2), (1, 2, 0.3), (1, 2, 0.2)], vertical=True)
 
-    @pytest.mark.parametrize("color", [math.nan, None, "1"])
-    def test_rejects_color_that_is_no_finite_number(self, color):
-        with pytest.raises(InvariantViolation, match="is not a half-integer"):
-            ss.make_loop([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 0)], color=color)
+    @pytest.mark.parametrize("color2", [math.nan, None, "1", True, 1.0, Fraction(1)])
+    def test_rejects_color_that_is_no_finite_number(self, color2):
+        # the doubled color is an int: a bool, a float, a Fraction or a str
+        # is rejected whatever its value, by make_loop and by Loop itself
+        verts = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 0)]
+        with pytest.raises(InvariantViolation, match="color2 .* is not an int"):
+            ss.make_loop(verts, color2=color2)
+        with pytest.raises(InvariantViolation, match="color2 .* is not an int"):
+            ss.Loop(tuple(map(tuple, verts)), color2)
 
     def test_polygon_circle_at_large_radius(self):
         # cos and sin of the full turn miss vertex 0 by more than 1e-9 at

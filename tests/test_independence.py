@@ -7,7 +7,9 @@ assumption of independence in multiversion programming", IEEE TSE 12(1),
 1986).  These tests build the static call graph of `src/shadowsum` with
 `ast` and assert that what both routes of a pair can reach lies inside
 that pair's allow-list of shared inputs, each with its reason.  A new
-shared helper fails here until it is reviewed and listed.
+shared helper fails here until it is reviewed and listed.  The package's
+module import graph is asserted as well, so a change that couples two
+layers, geometry back to quantum say, fails here until it is listed.
 
 The graph is name-level.  Its nodes are the module-level functions and
 classes and the methods of those classes, by bare name.  A function or
@@ -119,7 +121,6 @@ STATE_SUM_SHARED = {
     "_v_dim_doubled": "the quantum dimension kernel inside the face weight",
     "_u_exponent_doubled": "the twist exponent kernel inside the face weight",
     "_quantum_int": "the quantum integer inside the quantum dimension",
-    "doubled": "the doubled gleam inside the modified gleam",
 }
 
 ROUTE_PAIRS = [
@@ -128,6 +129,39 @@ ROUTE_PAIRS = [
     ("wlo_dpfree_pairsum", "state_sum_general", PAIRSUM_SHARED),
     ("state_sum_dpfree", "state_sum_general", STATE_SUM_SHARED),
 ]
+
+
+# each module's relative imports: the kernels (quantum) and the geometry
+# read only the exception types, and nothing imports the command line
+LAYERS = {
+    "errors": set(),
+    "quantum": {"errors"},
+    "geometry": {"errors"},
+    "linking": {"errors", "geometry"},
+    "random_links": {"geometry"},
+    "shadow": {"errors", "geometry", "quantum"},
+    "evaluators": {"errors", "geometry", "linking"},
+    "files": {"errors", "geometry", "shadow"},
+    "cli": {"errors", "evaluators", "files", "geometry", "linking", "quantum", "shadow"},
+    "__init__": {"errors", "evaluators", "files", "geometry", "linking", "quantum", "shadow"},
+}
+
+
+def module_imports(src: pathlib.Path = SRC) -> dict[str, set[str]]:
+    """Module name -> the package modules it imports, read with `ast` from
+    its relative imports (`from .x import y`, `from . import x`)."""
+    graph = {}
+    for path in sorted(src.glob("*.py")):
+        deps = graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                deps.update([node.module.split(".")[0]] if node.module
+                            else (alias.name for alias in node.names))
+    return graph
+
+
+def test_module_imports_follow_the_layers():
+    assert module_imports() == LAYERS
 
 
 @pytest.fixture(scope="module")

@@ -13,8 +13,8 @@ from shadowsum.errors import (
     OffsetTooLarge,
     TangentialCrossing,
 )
-from shadowsum.geometry import DoublePoint, loop_min_clearance
-from shadowsum.random_links import polygon_circle, random_crossing_pair
+from shadowsum.geometry import DoublePoint, _unit, loop_min_clearance
+from shadowsum.random_links import polygon_circle, random_crossing_pair, self_crossing_loop
 
 from conftest import diagram_linking_oracle, proper_crossings_oracle
 
@@ -139,6 +139,23 @@ class TestPushoff:
         off, _ = ss.pushoff(lp, 0.01)
         assert math.hypot(*off.planar[0]) == pytest.approx(1.01, abs=1e-3)
 
+    def test_segment_frames_match_hypot_and_unit(self):
+        # the one table that the clearance, the framing offset and the
+        # push-off read: each segment's hypot length and `_unit` vector, to
+        # the bit, and None for a zero-length segment, where `_unit` raises
+        rng = random.Random(31)
+        for _ in range(200):
+            lp = self_crossing_loop(rng)
+            for (a, b), n, u in zip(zip(lp.planar, lp.planar[1:]), *lp.segment_frames):
+                d = (b[0] - a[0], b[1] - a[1])
+                assert (n.hex(), u[0].hex(), u[1].hex()) == (
+                    math.hypot(*d).hex(), *(c.hex() for c in _unit(d)))
+        folded = ss.Loop(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                          (0.0, 0.0, 0.0)))
+        r = math.hypot(-1.0, 1.0)
+        assert folded.segment_frames == ((1.0, 0.0, r, 1.0),
+                                         ((1.0, 0.0), None, (-1.0 / r, 1.0 / r), (0.0, -1.0)))
+
     def test_offset_too_large(self):
         lp = polygon_circle(0, 0, 1.0, 24, theta0=0.4, phase=0.1)
         with pytest.raises(OffsetTooLarge):
@@ -257,7 +274,7 @@ class TestSelfLink:
             (2 * vx - lx, 2 * vy - ly, vt)
             for (vx, vy, vt), (lx, ly, _t) in zip(lp.vertices, left.vertices)
         )
-        right = ss.Loop(right_verts, lp.color, lp.vertical)
+        right = ss.Loop(right_verts, lp.color2, lp.vertical)
         assert (ss.link_number(lp, left, left_crossings, 0.0)
                 == ss.link_number(lp, right, ss.crossings_between(lp, right), 0.0))
 

@@ -30,13 +30,12 @@ from conftest import (
 )
 
 F = Fraction
-HALF = F(1, 2)
 TAU = 2 * math.pi
 
 
-def circle_link(winding=0, level=1, color=HALF):
+def circle_link(winding=0, level=1, color2=1):
     lp = polygon_circle(0, 0, 1.0, 16, winding=winding, theta0=0.5, phase=0.13,
-                        color=color)
+                        color2=color2)
     return ss.Link((lp,), t0=0.0, level=level)
 
 
@@ -71,7 +70,7 @@ def brute_force_state_sum(shadow, level):
     r = level.k + 2
 
     def weight(face, t):
-        x = float(face.gleam) - face.z / 2
+        x = face.gleam2 / 2 - face.z / 2
         v = (-1) ** t * math.sin((t + 1) * math.pi / r) / math.sin(math.pi / r)
         u = math.pi * (t / 2 - t * (t + 2) / (4 * r))
         return v ** face.chi * complex(math.cos(2 * x * u), math.sin(2 * x * u))
@@ -129,7 +128,7 @@ def random_vertex_shadow(rng, k):
     for _ in range(rng.randint(0, 2)):
         edges.append(ss.ShadowEdge(rng.randint(0, k), rng.randrange(nf), rng.randrange(nf)))
     touch = [sum(f in v.quadrants for v in vertices) for f in range(nf)]
-    faces = tuple(ss.ShadowFace(chi=rng.randint(-1, 2), gleam=F(rng.randint(-4, 4), 2),
+    faces = tuple(ss.ShadowFace(chi=rng.randint(-1, 2), gleam2=rng.randint(-4, 4),
                                 z=touch[f])
                   for f in range(nf))
     return ss.Shadow(faces=faces, edges=tuple(edges), vertices=tuple(vertices))
@@ -169,7 +168,7 @@ def random_colored_vertex_shadow(rng, k):
         (left, right), (c,) = draw(2, [(0, 1)])
         edges.append(ss.ShadowEdge(c, left, right))
     touch = [sum(f in v.quadrants for v in vertices) for f in range(nf)]
-    faces = tuple(ss.ShadowFace(chi=rng.randint(-1, 2), gleam=F(rng.randint(-4, 4), 2),
+    faces = tuple(ss.ShadowFace(chi=rng.randint(-1, 2), gleam2=rng.randint(-4, 4),
                                 z=touch[f])
                   for f in range(nf))
     return ss.Shadow(faces=faces, edges=tuple(edges), vertices=tuple(vertices))
@@ -269,7 +268,7 @@ def walk_events(shadow, level):
 def star_shadow(n):
     """n leaf faces, listed first, each joined to the centre face n by an
     edge of color 1/2."""
-    faces = [ss.ShadowFace(chi=1, gleam=F(0))] * n + [ss.ShadowFace(chi=2 - n, gleam=F(0))]
+    faces = [ss.ShadowFace(chi=1, gleam2=0)] * n + [ss.ShadowFace(chi=2 - n, gleam2=0)]
     return ss.Shadow(faces=faces, edges=[ss.ShadowEdge(1, f, n) for f in range(n)])
 
 
@@ -318,55 +317,57 @@ class TestShadowConstruction:
         shadow, fc = dpfree_shadow(circle_link(0))
         assert len(shadow.faces) == 2
         assert [f.chi for f in shadow.faces] == [1, 1]
-        assert [f.gleam for f in shadow.faces] == [0, 0]
+        assert [f.gleam2 for f in shadow.faces] == [0, 0]
         assert len(shadow.edges) == 1 and not shadow.vertices
 
     def test_circle_w1_gleams(self):
         shadow, fc = dpfree_shadow(circle_link(1))
-        gleams = {f.chi: f.gleam for f in shadow.faces}
-        assert shadow.faces[0].gleam == 1       # inside the ccw circle
-        assert shadow.faces[len(fc.parent)].gleam == -1
+        gleams = {f.chi: f.gleam2 for f in shadow.faces}
+        assert shadow.faces[0].gleam2 == 2       # inside the ccw circle
+        assert shadow.faces[len(fc.parent)].gleam2 == -2
 
     def test_empty_link(self):
         shadow, _fc = dpfree_shadow(empty_link())
         assert len(shadow.faces) == 1
-        assert shadow.faces[0].chi == 2 and shadow.faces[0].gleam == 0
+        assert shadow.faces[0].chi == 2 and shadow.faces[0].gleam2 == 0
         assert not shadow.edges
 
     def test_structural_validation(self):
         with pytest.raises(InvariantViolation, match="edge 0 references a missing face"):
-            ss.Shadow(faces=(ss.ShadowFace(chi=1, gleam=F(0)),),
+            ss.Shadow(faces=(ss.ShadowFace(chi=1, gleam2=0),),
                       edges=(ss.ShadowEdge(color2=1, left=0, right=3),))
 
     def test_z_consistency_checked(self):
         with pytest.raises(InvariantViolation, match="declares z=1 but touches 0"):
             ss.Shadow(
-                faces=(ss.ShadowFace(chi=1, gleam=F(0), z=1),
-                       ss.ShadowFace(chi=1, gleam=F(0), z=0)),
+                faces=(ss.ShadowFace(chi=1, gleam2=0, z=1),
+                       ss.ShadowFace(chi=1, gleam2=0, z=0)),
                 edges=(ss.ShadowEdge(color2=1, left=0, right=1),))
 
     @pytest.mark.parametrize("face, edge, vertex, message", [
-        (ss.ShadowFace(chi=2, gleam=F(0)), ss.ShadowEdge(-1, 0, 0), None,
+        (ss.ShadowFace(chi=2, gleam2=0), ss.ShadowEdge(-1, 0, 0), None,
          "edge 0 has negative color"),
-        (ss.ShadowFace(chi=2, gleam=F(0), z=1), ss.ShadowEdge(1, 0, 0),
+        (ss.ShadowFace(chi=2, gleam2=0, z=1), ss.ShadowEdge(1, 0, 0),
          ss.ShadowVertex(e1_2=1, e2_2=1, j=0, k=0, m=1, n=0),
          "vertex 0 references a missing face"),
-        (ss.ShadowFace(chi=2, gleam=F(0), z=1), ss.ShadowEdge(1, 0, 0),
+        (ss.ShadowFace(chi=2, gleam2=0, z=1), ss.ShadowEdge(1, 0, 0),
          ss.ShadowVertex(e1_2=1, e2_2=-1, j=0, k=0, m=0, n=0),
          "vertex 0 has a negative strand color"),
-        (ss.ShadowFace(chi=2, gleam=F(0), z=-1), ss.ShadowEdge(1, 0, 0), None,
+        (ss.ShadowFace(chi=2, gleam2=0, z=-1), ss.ShadowEdge(1, 0, 0), None,
          "face 0 has negative double-point count"),
-        (ss.ShadowFace(chi=2, gleam=F(1, 3)), ss.ShadowEdge(1, 0, 0), None,
-         "face 0 gleam 1/3 is not half-integral"),
+        (ss.ShadowFace(chi=2, gleam2=F(2, 3)), ss.ShadowEdge(1, 0, 0), None,
+         "face 0 gleam2 Fraction\\(2, 3\\) is not an int"),
     ])
     def test_invariants_checked_at_construction(self, face, edge, vertex, message):
         with pytest.raises(InvariantViolation, match=message):
             ss.Shadow(faces=(face,), edges=(edge,), vertices=(vertex,) if vertex else ())
 
-    @pytest.mark.parametrize("gleam", [math.nan, "1/2"])
-    def test_gleam_that_is_no_finite_number_rejected(self, gleam):
-        with pytest.raises(InvariantViolation, match="is not half-integral"):
-            ss.Shadow(faces=(ss.ShadowFace(2, gleam),), edges=())
+    @pytest.mark.parametrize("gleam2", [math.nan, "1/2", True, 1.0, F(2)])
+    def test_gleam_that_is_no_finite_number_rejected(self, gleam2):
+        # a bool, a float, a Fraction or a str is no doubled gleam, whatever
+        # its value
+        with pytest.raises(InvariantViolation, match="gleam2 .* is not an int"):
+            ss.Shadow(faces=(ss.ShadowFace(2, gleam2),), edges=())
 
 
 class TestEnumerateColorings:
@@ -449,7 +450,7 @@ class TestEnumerateColorings:
             else:
                 edges = [ss.ShadowEdge(rng.randint(0, k), rng.randrange(nf), rng.randrange(nf))
                          for _ in range(rng.randint(1, 3))]
-            shadow = ss.Shadow(faces=[ss.ShadowFace(chi=1, gleam=F(0))] * nf, edges=edges)
+            shadow = ss.Shadow(faces=[ss.ShadowFace(chi=1, gleam2=0)] * nf, edges=edges)
             lev = Level(k)
             expected = brute_force_colorings(shadow, lev)
             assert ss.enumerate_colorings(shadow, lev) == expected
@@ -531,7 +532,7 @@ class TestStateSums:
         # 0 the three inner faces do, so the vertex-free sum evaluates two
         # rows of weights for its four faces
         two = ss.load_shadow(corpus_dir / "twocircles.shadow.json")
-        assert len({(f.chi, f.gleam, f.z) for f in two.faces}) == 1
+        assert len({(f.chi, f.gleam2, f.z) for f in two.faces}) == 1
         calls = []
         real = ss.shadow._face_weight
 
@@ -546,7 +547,7 @@ class TestStateSums:
 
         row, _ = dpfree_shadow(circle_row(3, 6, (0,)))
         assert len(row.faces) == 4
-        assert len({(f.chi, f.gleam, f.z) for f in row.faces}) == 2
+        assert len({(f.chi, f.gleam2, f.z) for f in row.faces}) == 2
         calls.clear()
         ss.state_sum_dpfree(row, Level(6))
         assert len(calls) == len(set(calls)) == 2 * 7
@@ -633,7 +634,7 @@ class TestStateSums:
         # no link has such a face graph: the general sum evaluates it, the
         # vertex-free sum refuses it
         shadow = ss.Shadow(
-            faces=tuple(ss.ShadowFace(chi=chi, gleam=F(i - 1, 2))
+            faces=tuple(ss.ShadowFace(chi=chi, gleam2=i - 1)
                         for i, chi in enumerate(faces)),
             edges=tuple(ss.ShadowEdge(c, a, b) for c, a, b in edges))
         for k in (2, 3, 4):
@@ -643,7 +644,7 @@ class TestStateSums:
 
     def test_edge_color_above_level(self):
         shadow = ss.Shadow(
-            faces=(ss.ShadowFace(chi=1, gleam=F(0)), ss.ShadowFace(chi=1, gleam=F(0))),
+            faces=(ss.ShadowFace(chi=1, gleam2=0), ss.ShadowFace(chi=1, gleam2=0)),
             edges=(ss.ShadowEdge(color2=3, left=0, right=1),))
         for state_sum in (ss.state_sum_dpfree, ss.state_sum_general):
             with pytest.raises(ColorOutOfRange):
@@ -661,14 +662,14 @@ class TestStateSums:
 
     def test_dpfree_rejects_vertices(self):
         shadow = ss.Shadow(
-            faces=(ss.ShadowFace(chi=2, gleam=F(0), z=1),),
+            faces=(ss.ShadowFace(chi=2, gleam2=0, z=1),),
             edges=(ss.ShadowEdge(color2=0, left=0, right=0),),
             vertices=(ss.ShadowVertex(e1_2=0, e2_2=0, j=0, k=0, m=0, n=0),))
         with pytest.raises(HasVertices):
             ss.state_sum_dpfree(shadow, Level(1))
 
     def test_missing_gleam(self):
-        shadow = ss.Shadow(faces=(ss.ShadowFace(chi=2, gleam=None),), edges=())
+        shadow = ss.Shadow(faces=(ss.ShadowFace(chi=2, gleam2=None),), edges=())
         with pytest.raises(MissingGleams):
             ss.state_sum_dpfree(shadow, Level(1))
 
@@ -676,7 +677,7 @@ class TestStateSums:
         # (1/2, t, t) never couples, so the one 6j factor is 0 for every
         # coloring and no face weight is ever needed
         shadow = ss.Shadow(
-            faces=(ss.ShadowFace(chi=2, gleam=None, z=1),), edges=(),
+            faces=(ss.ShadowFace(chi=2, gleam2=None, z=1),), edges=(),
             vertices=(ss.ShadowVertex(e1_2=1, e2_2=1, j=0, k=0, m=0, n=0),))
         assert ss.enumerate_colorings(shadow, Level(3))
         with pytest.raises(MissingGleams):
@@ -686,7 +687,7 @@ class TestStateSums:
         # a color-1/2 edge from face 0 to itself admits no coloring, so no
         # 6j-symbol sees the strand color 5/2
         shadow = ss.Shadow(
-            faces=(ss.ShadowFace(chi=2, gleam=F(0), z=1),),
+            faces=(ss.ShadowFace(chi=2, gleam2=0, z=1),),
             edges=(ss.ShadowEdge(color2=1, left=0, right=0),),
             vertices=(ss.ShadowVertex(e1_2=5, e2_2=0, j=0, k=0, m=0, n=0),))
         assert ss.enumerate_colorings(shadow, Level(1)) == []
@@ -710,7 +711,7 @@ class TestStateSums:
         # to an added face that touches no double point
         two = ss.load_shadow(corpus_dir / "twocircles.shadow.json")
         if len(col) == 5:
-            two = ss.Shadow(faces=two.faces + (ss.ShadowFace(chi=0, gleam=F(1)),),
+            two = ss.Shadow(faces=two.faces + (ss.ShadowFace(chi=0, gleam2=2),),
                             edges=two.edges, vertices=two.vertices)
         lev = Level(2)
         with pytest.raises(ColorOutOfRange, match=re.escape(f"{message} color set of level 2")):
@@ -727,11 +728,11 @@ class TestStateSums:
             ss.state_sum_general(two, Level(2), colorings=[col])
 
     def test_face_weights_match_fraction_oracle_to_the_bit(self):
-        # x = (2 gleam - z) / 2 is one correctly rounded int division, also
+        # x = (gleam2 - z) / 2 is one correctly rounded int division, also
         # for gleams past 2**53; each (k, t) gets the next face of the
-        # (chi, gleam, z) grid in turn
-        gleams = [F(g, 2) for g in range(-9, 10)] + [F(2**53 + 1), F(-(2**60) - 1, 2)]
-        grid = [ss.ShadowFace(chi=chi, gleam=g, z=z)
+        # (chi, gleam2, z) grid in turn
+        gleams = list(range(-9, 10)) + [2 * (2**53 + 1), -(2**60) - 1]
+        grid = [ss.ShadowFace(chi=chi, gleam2=g, z=z)
                 for chi in range(-2, 3) for g in gleams for z in range(5)]
         i = 0
         for k in range(1, 301):
@@ -797,12 +798,12 @@ class TestPairs:
             Level(0)
 
     def test_rejects_non_fundamental_colors(self):
-        link = circle_link(0, level=2, color=F(1))
+        link = circle_link(0, level=2, color2=2)
         fc = ss.face_complex(link)
         with pytest.raises(UnsupportedColor):
             ss.enumerate_pairs(link, Level(2), fc)
         # a colored loop after a fundamental one, on both pair routes
-        loops = (polygon_circle(0, 0, 1.0, 16), polygon_circle(3.0, 0, 1.0, 16, color=F(1)))
+        loops = (polygon_circle(0, 0, 1.0, 16), polygon_circle(3.0, 0, 1.0, 16, color2=2))
         link = ss.Link(loops, t0=0.0, level=2)
         fc = ss.face_complex(link)
         with pytest.raises(UnsupportedColor, match="loop 1"):
@@ -950,7 +951,7 @@ class TestPairSumAndFinal:
         for t0 in (0.7, 2.9, 5.1):
             moved = ss.Link(
                 tuple(ss.make_loop([(x + 11.0, y - 7.0, th) for x, y, th in lp.vertices],
-                                   color=lp.color)
+                                   color2=lp.color2)
                       for lp in link.loops),
                 t0=t0, level=link.level)
             fc2 = ss.face_complex(moved)
