@@ -2,7 +2,9 @@
 """Run every corpus file through the command line and digest what it prints.
 
 Each `corpus/*.json` file goes through `eval --level 2`, `wlo` in the
-dpfree, abelian and vertical modes, and `check --what bijection --level 3`,
+dpfree, abelian and vertical modes, `wlo --mode dpfree --level 6` (where a
+link that lists a loop before its ancestor has pairs enough for the order
+of their terms to matter), and `check --what bijection --level 3`,
 `check --what euler` and `check --what lem2`, in both output formats.  Each
 run prints one line: the exit code, the sha256 of its stdout and its argv.
 The last line is the sha256 of all of those lines.  Stdout is
@@ -28,6 +30,7 @@ from shadowsum.cli import main as cli_main  # noqa: E402
 COMMANDS = (
     ("eval", "--level", "2"),
     ("wlo", "--mode", "dpfree"),
+    ("wlo", "--mode", "dpfree", "--level", "6"),
     ("wlo", "--mode", "abelian"),
     ("wlo", "--mode", "vertical"),
     ("check", "--what", "bijection", "--level", "3"),

@@ -39,13 +39,12 @@ from .linking import link_number
 from .quantum import Level
 from .shadow import (
     Shadow,
+    _pair_walk,
     check_bijection,
     enumerate_colorings,
-    enumerate_pairs,
     euler_identity_holds,
     state_sum_general,
     wlo_dpfree_final,
-    wlo_dpfree_pairsum,
 )
 
 EXIT_OK = 0
@@ -187,11 +186,10 @@ def _wlo_dpfree(args) -> RunResult:
     fc = face_complex(link)
     level = Level(link.level)
     value = wlo_dpfree_final(link, level, fc)
-    pairs = enumerate_pairs(link, level, fc)
-    pair_value = wlo_dpfree_pairsum(link, level, fc, pairs=pairs)
+    pair_value, pairs = _pair_walk(link, level, fc)
     return RunResult("wlo", digest, value, {
         "difference": abs(value - pair_value), "faces": len(fc.chi), "level": link.level,
-        "pairs": len(pairs), "pairsum": [pair_value.real, pair_value.imag]})
+        "pairs": pairs, "pairsum": [pair_value.real, pair_value.imag]})
 
 
 def _check_euler(args) -> RunResult:

@@ -53,28 +53,31 @@ tuple.  The same coloring list backs the bijection check.  The pair route
 keeps its own enumeration and shares only the level, the doubled colors
 and the exception types with either state sum.
 
-The pair route costs about its output.  enumerate_pairs walks the sign
-vectors depth first, the loops ancestor first in the nesting forest.
-Each step sets one face's offset, final from then on: its parent face's
-offset plus or minus one.  The walk drops a prefix, with every vector
-below it, once its offsets spread by more than k together with 0; a
-complete vector reads its admissible levels off its largest and smallest
-offset.  That is O(n) per visited node, for the prefix it copies, and
-O(F) per pair, where filtering all 2^n (k+1) candidates cost
-O(2^n (k+1) F n): a nested chain of 50 circles at k = 1 keeps two
-prefixes per depth and has 2 pairs, in any order.
-wlo_dpfree_pairsum takes each face's sin(pi x / rbar)^chi and c x^2, its
-part of the integer phase exponent, from tables over x in {1, ..., k+1},
-and each phase from a memo on that exponent; the factors and the
-summation order are those of the per-pair formula, so the value is
-bit-identical.
+The pair route costs about its output.  _pair_walk walks the sign
+vectors depth first once per level l = 1..k+1, the loops ancestor first
+in the nesting forest.  Each step sets one face's field, final from then
+on: its parent face's field (l for the outer face) plus or minus one, one
+int addition.  The walk drops a branch as soon as its field leaves
+{1, ..., k+1}; every other prefix extends, so a node costs O(1) beyond
+the factors it multiplies in and the walk O(n) per pair, where filtering
+all 2^n (k+1) candidates cost O(2^n (k+1) F n): a nested chain of 50
+circles at k = 1 keeps one prefix per depth and level and has 2 pairs, in
+any order.  Each step also carries the pair's integer phase exponent, one
+int addition of its face's c x^2, and its amplitude, multiplying in the
+sin(pi x / rbar)^chi factors of the faces that complete the face-index
+prefix, both read from tables over x in {1, ..., k+1}; each phase comes
+from a memo on its exponent.  The factors and the summation order are
+those of the per-pair formula, so the value is bit-identical: a file that
+lists a loop before an ancestor has each level's terms held and added in
+sign-vector order.  wlo_dpfree_pairsum and the CLI's wlo take the value
+from that one walk, the CLI its pair count too; enumerate_pairs reads the
+AdmissiblePair list off the same walk.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -484,34 +487,52 @@ class AdmissiblePair(NamedTuple):
     xi: tuple[int, ...]  # indexed by face id
 
 
-def enumerate_pairs(link: Link, level: Level, fc: FaceComplex) -> list[AdmissiblePair]:
-    """All (l, sign-vector) pairs with xi = l - sum_j s_j ind_j mapping every
-    face into {1, ..., k+1}, ordered by l and then by sign vector in
-    itertools.product order.
+def _pair_walk(link: Link, level: Level, fc: FaceComplex,
+               record: list | None = None) -> tuple[complex, int]:
+    """The pair sum and the number of admissible pairs, from one walk of
+    the sign vectors per level l = 1..k+1.  With `record`, each pair's
+    (l, sign key, xi) is appended to it, in enumerate_pairs' order; bit
+    n-1-j of the sign key is set iff s_j = +1.
 
-    The sign vectors are walked depth first, the loops ancestor first: in
-    index order, each loop right after its ancestors in fc.parent not yet
-    taken.  ind_j is loop j's orientation o_j (+1 iff face j is its left
-    face) on face j and the faces inside it, and 0 elsewhere, so face j's
-    offset d_j = sum_i s_i ind_i(face j) is its parent face's (0 for the
-    outer face) plus s_j o_j: each step sets one offset, final from then
-    on.  A vector's admissible levels are exactly
-    1 + max(0, max d) <= l <= k+1 + min(0, min d), so it has one iff the
-    offsets and 0 spread by at most k; the walk keeps their running min
-    and max and drops a prefix that spreads by more than k with its whole
-    subtree, in any loop order.  Each surviving pair goes to the bucket of
-    its l with its signs in loop order, each bucket is sorted by sign
-    vector (already sorted when no loop is listed before an ancestor), and
-    the buckets are joined in l order.  Besides the output, the walk holds
-    at most n + 1 prefixes.
+    The loops are taken ancestor first: in index order, each loop right
+    after its ancestors in fc.parent not yet taken.  ind_j is loop j's
+    orientation o_j (+1 iff face j is its left face) on face j and the
+    faces inside it, and 0 elsewhere, so at level l face j's field is its
+    parent face's (l for the outer face) less s_j o_j: each step sets one
+    face's field, final from then on, with one int addition, and drops
+    the branch unless it lies in {1, ..., k+1}.  Every kept prefix extends
+    (of x - 1 and x + 1, for x in {1, ..., k+1} and k >= 1, at least one
+    is in range), so the walk costs O(n) per pair.  Each step adds its face's part c_f xi_f^2 of the
+    integer phase exponent and multiplies its amplitude by the factors
+    sin(pi xi_f / rbar)^chi_f of the faces that complete the face-index
+    prefix, its own face alone when no loop is listed before an ancestor;
+    a leaf multiplies by the outer face's, so every amplitude is the
+    product of the per-pair formula in its order.  The pairs of one level
+    come out of the walk in sign-vector order exactly when the loops are
+    listed ancestor first; otherwise the walk holds the level's terms and
+    adds them sorted by sign key.  Either way the terms are added in pair
+    order, so the value is bit-identical to the per-pair formula.
     """
     for j, lp in enumerate(link.loops):
         if lp.color2 != 1:
             raise UnsupportedColor(
                 f"pair enumeration requires the fundamental color 1/2 on loop {j}")
     n = len(link.loops)
-    k = level.k
-    kp1 = k + 1
+    kp1 = level.k + 1
+    r = level.rbar
+    winds = [winding_s1(lp) for lp in link.loops]
+    parity = -1.0 if sum(1 for w in winds if w % 2 == 0) % 2 else 1.0
+    # s = sum_j w_j (xi(left_j)^2 - xi(right_j)^2) = sum_f c_f xi_f^2 with
+    # c_f = sum_j w_j ([left_j = f] - [right_j = f])
+    coef = [0] * (n + 1)
+    for w, (left, right) in zip(winds, fc.loop_sides):
+        coef[left] += w
+        coef[right] -= w
+    # sin(pi x / rbar)^chi_f and c_f x^2 for every face f and face field
+    # value x in {1, ..., k+1}, indexed by x
+    xs = range(1, kp1 + 1)
+    amps = [[None] + [math.sin(math.pi * x / r) ** chi for x in xs] for chi in fc.chi]
+    squares = [[None] + [c * x * x for x in xs] for c in coef]
     order, taken = [], [False] * n
     for j in range(n):
         path = []
@@ -520,36 +541,79 @@ def enumerate_pairs(link: Link, level: Level, fc: FaceComplex) -> list[Admissibl
             path.append(j)
             j = fc.parent[j]
         order += reversed(path)
-    at = sorted(range(n), key=order.__getitem__)  # at[j]: loop j's place in the walk
-    # per step: its parent face's place in d (0: the outer face) and o_j
-    steps = [(0 if fc.parent[j] is None else 1 + at[fc.parent[j]],
-              1 if fc.loop_sides[j][0] == j else -1) for j in order]
-    buckets = [[] for _ in range(kp1 + 1)]
-    # stack of (signs so far, then d: 0 and the offsets they set, both in
-    # walk order, min and max of d); s = +1 is pushed first so that
-    # s = -1 is expanded first, as itertools.product orders them
-    stack = [((), (0,), 0, 0)]
-    while stack:
-        signs, d, lo, hi = stack.pop()
-        i = len(signs)
-        if i == n:
-            signs = tuple([signs[p] for p in at])
-            d = [d[p + 1] for p in at] + [0]
-            for l in range(1 + hi, kp1 + lo + 1):
-                buckets[l].append(AdmissiblePair(l, signs, tuple([l - x for x in d])))
-            continue
-        up, o = steps[i]
-        for s in (1, -1):
-            x, elo, ehi = d[up] + s * o, lo, hi
-            if x < elo:
-                elo = x
-            elif x > ehi:
-                ehi = x
-            if ehi - elo <= k:
-                stack.append((signs + (s,), d + (x,), elo, ehi))
-    for bucket in buckets:
-        bucket.sort()  # by signs: a bucket's pairs share l and differ in signs
-    return [pair for bucket in buckets for pair in bucket]
+    # per step: its parent face, its face, the faces whose factors it
+    # multiplies in (None: its own face alone), its face's tables, and its
+    # children as (field change, sign key change), s = +1 first so that
+    # s = -1 is popped first, as itertools.product orders them
+    steps = []
+    prefix, final = 0, [False] * n
+    for j in order:
+        final[j] = True
+        first = prefix
+        while prefix < n and final[prefix]:
+            prefix += 1
+        o = 1 if fc.loop_sides[j][0] == j else -1
+        up = n if fc.parent[j] is None else fc.parent[j]
+        completes = None if (first, prefix) == (j, j + 1) else range(first, prefix)
+        steps.append((up, j, completes, amps[j], squares[j], ((-o, 1 << (n - 1 - j)), (o, 0))))
+    hold = record is not None or order != list(range(n))
+    phases: dict[int, complex] = {}
+    xi = [0] * (n + 1)
+    total = 0j
+    count = 0
+    for l in xs:
+        outer = amps[n][l]
+        held = [] if hold else None
+        # a node: the step it takes next, the face it set to x, the
+        # amplitude and phase exponent so far, and its sign key
+        stack = [(0, n, l, 1.0, squares[n][l], 0)]
+        while stack:
+            i, f, x, amp, s, key = stack.pop()
+            xi[f] = x
+            if i == n:
+                phase = phases.get(s)
+                if phase is None:
+                    phase = phases[s] = cmath.exp(complex(0.0, -math.pi * s / (2.0 * r)))
+                term = parity * (amp * outer) * phase
+                count += 1
+                if held is None:
+                    total += term
+                else:
+                    held.append((key, term, tuple(xi)))
+                continue
+            up, j, completes, am, sq, children = steps[i]
+            xp = xi[up]
+            for dx, dkey in children:
+                y = xp + dx
+                if 0 < y <= kp1:
+                    if completes is None:
+                        a = amp * am[y]
+                    else:
+                        xi[j] = y
+                        a = amp
+                        for g in completes:
+                            a *= amps[g][xi[g]]
+                    stack.append((i + 1, j, y, a, s + sq[y], key + dkey))
+        if held is not None:
+            held.sort()  # by sign key, unique within a level
+            for key, term, fields in held:
+                total += term
+            if record is not None:
+                record += [(l, key, fields) for key, _, fields in held]
+    return total, count
+
+
+def enumerate_pairs(link: Link, level: Level, fc: FaceComplex) -> list[AdmissiblePair]:
+    """All (l, sign-vector) pairs with xi = l - sum_j s_j ind_j mapping every
+    face into {1, ..., k+1}, ordered by l and then by sign vector in
+    itertools.product order, read off `_pair_walk`.  Besides the output,
+    the walk holds at most n + 1 nodes and one level's pairs.
+    """
+    record: list = []
+    _pair_walk(link, level, fc, record)
+    shifts = range(len(link.loops) - 1, -1, -1)
+    return [AdmissiblePair(l, tuple([1 if key >> b & 1 else -1 for b in shifts]), xi)
+            for l, key, xi in record]
 
 
 def coloring_of_pair(pair: AdmissiblePair) -> AreaColoring:
@@ -589,10 +653,9 @@ def check_bijection(link: Link, level: Level, fc: FaceComplex) -> BijectionRepor
     )
 
 
-def wlo_dpfree_pairsum(link: Link, level: Level, fc: FaceComplex,
-                       pairs: list[AdmissiblePair] | None = None) -> complex:
-    """Loop-observable value as a sum over admissible pairs (enumerated
-    here unless the caller already holds enumerate_pairs' result).
+def wlo_dpfree_pairsum(link: Link, level: Level, fc: FaceComplex) -> complex:
+    """Loop-observable value as a sum over admissible pairs, from one walk
+    (`_pair_walk`).
 
     Each pair contributes prod_t sin(pi xi_t / rbar)^chi_t times the phase
     exp(-(pi i/rbar) * (1/2) * sum_j wind_j (xi(left_j)^2 - xi(right_j)^2));
@@ -601,35 +664,7 @@ def wlo_dpfree_pairsum(link: Link, level: Level, fc: FaceComplex,
     (one sign per even-winding loop) keeps this route equal to
     wlo_dpfree_final term-for-term.
     """
-    r = level.rbar
-    winds = [winding_s1(lp) for lp in link.loops]
-    parity = -1.0 if sum(1 for w in winds if w % 2 == 0) % 2 else 1.0
-    if pairs is None:
-        pairs = enumerate_pairs(link, level, fc)
-    # s = sum_j w_j (xi(left_j)^2 - xi(right_j)^2) = sum_f c_f xi_f^2 with
-    # c_f = sum_j w_j ([left_j = f] - [right_j = f])
-    coef = [0] * len(fc.chi)
-    for w, (left, right) in zip(winds, fc.loop_sides):
-        coef[left] += w
-        coef[right] -= w
-    # sin(pi x / rbar)^chi_f and c_f x^2 for every face f and face field
-    # value x in {1, ..., k+1}, indexed by x, and the phase of each
-    # exponent s met so far
-    xs = range(1, level.k + 2)
-    amps = [[None] + [math.sin(math.pi * x / r) ** chi for x in xs] for chi in fc.chi]
-    squares = [[None] + [c * x * x for x in xs] for c in coef]
-    phases: dict[int, complex] = {}
-    getitem = operator.getitem
-    total = 0j
-    for pair in pairs:
-        xi = pair.xi
-        amp = math.prod(map(getitem, amps, xi))
-        s = sum(map(getitem, squares, xi))
-        phase = phases.get(s)
-        if phase is None:
-            phase = phases[s] = cmath.exp(complex(0.0, -math.pi * s / (2.0 * r)))
-        total += parity * amp * phase
-    return total
+    return _pair_walk(link, level, fc)[0]
 
 
 def wlo_dpfree_final(link: Link, level: Level, fc: FaceComplex) -> complex:

@@ -16,7 +16,7 @@ from shadowsum.cli import main
 from shadowsum.errors import ParseError
 from shadowsum.random_links import polygon_circle
 
-from conftest import tangential_t0_link
+from conftest import enumerate_pairs_oracle, pairsum_oracle, tangential_t0_link
 
 TAU = 2 * math.pi
 
@@ -573,6 +573,23 @@ class TestCliWlo:
         fc = ss.face_complex(link)
         assert last_value(out) == pytest.approx(
             ss.wlo_dpfree_final(link, lev, fc), abs=1e-12)
+
+    def test_dpfree_pairs_of_a_loop_listed_before_its_ancestor(self, capsys, corpus_dir):
+        # concentric lists its inner loop first, so the pair walk takes the
+        # loops out of file order and adds each level's terms sorted
+        path = corpus_dir / "concentric.link.json"
+        loaded = ss.load_link(path)
+        assert ss.face_complex(loaded).parent == (1, None)
+        for k in range(1, 9):
+            code, out = run_cli(capsys, "wlo", "--mode", "dpfree", "--level", str(k),
+                                "--format", "json", str(path))
+            assert code == 0
+            diag = json.loads(out)["diagnostics"]
+            link = ss.Link(loaded.loops, loaded.t0, k)
+            pairs = enumerate_pairs_oracle(link, ss.Level(k))
+            want = pairsum_oracle(link, ss.Level(k), ss.face_complex(link), pairs)
+            assert diag["pairs"] == len(pairs)
+            assert diag["pairsum"] == [want.real, want.imag]
 
 
 class TestCliCheck:

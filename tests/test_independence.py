@@ -186,6 +186,8 @@ def test_graph_sees_each_route(graph):
     # an empty graph would share nothing and pass vacuously
     assert {"pushoff", "self_link", "loop_min_clearance"} <= reachable(graph, "wlo_abelian")
     assert "pushoff" not in reachable(graph, "wlo_abelian_intermediate")
-    assert "enumerate_pairs" in reachable(graph, "wlo_dpfree_pairsum")
+    # the pair sum and the pair list come from one walk
+    assert "_pair_walk" in reachable(graph, "wlo_dpfree_pairsum")
+    assert "_pair_walk" in reachable(graph, "enumerate_pairs")
     assert {"_sixj_doubled", "enumerate_colorings"} <= reachable(graph, "state_sum_general")
     assert not {"state_sum_general", "enumerate_colorings"} & reachable(graph, "state_sum_dpfree")

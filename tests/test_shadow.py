@@ -850,21 +850,24 @@ class TestPairs:
             for chain in [link] + orders:
                 fc = ss.face_complex(chain)
                 start = time.perf_counter()
-                pairs = ss.enumerate_pairs(chain, Level(1), fc)
+                pair = ss.wlo_dpfree_pairsum(chain, Level(1), fc)
                 assert time.perf_counter() - start < 0.1
-                assert len(pairs) == 2
-                pair = ss.wlo_dpfree_pairsum(chain, Level(1), fc, pairs=pairs)
+                assert len(ss.enumerate_pairs(chain, Level(1), fc)) == 2
                 assert abs(pair - ss.wlo_dpfree_final(chain, Level(1), fc)) <= 1e-9
 
     def test_pairsum_bit_identical_to_per_pair_formula(self):
-        for link in pair_links():
+        # listed children first or shuffled, a level's terms come out of the
+        # walk out of pair order and are added sorted
+        links = pair_links()
+        links += ([reversed_link(link) for link in links]
+                  + [shuffled_link(link, seed) for seed, link in enumerate(links)]
+                  + [shuffled_link(link, 100 + seed) for seed, link in enumerate(links)])
+        for link in links:
             fc = ss.face_complex(link)
             level = Level(link.level)
             want = pairsum_oracle(link, level, fc, enumerate_pairs_oracle(link, level))
-            for got in (ss.wlo_dpfree_pairsum(link, level, fc),
-                        ss.wlo_dpfree_pairsum(link, level, fc,
-                                              pairs=ss.enumerate_pairs(link, level, fc))):
-                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+            got = ss.wlo_dpfree_pairsum(link, level, fc)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
     def test_coloring_of_pair(self):
         link = circle_link(0, level=1)
