@@ -115,6 +115,16 @@ def warnings(pairs: list[dict]) -> list[str]:
     return out
 
 
+def pair_line(i: int, total: int, pair: dict, end_to_end: list[dict]) -> str:
+    """One pair's line: which side ran first, each side's attempted job
+    count, against which `peak_rss_mb` grows, and each end-to-end metric,
+    parent -> change."""
+    return f"pair {i + 1}/{total} ({pair['first']} first): " + ", ".join(
+        [f"attempted {pair['parent']['attempted']} -> {pair['change']['attempted']}"]
+        + [f"{m['name']} {pair['parent']['metrics'][m['name']]:.4g} -> "
+           f"{pair['change']['metrics'][m['name']]:.4g}" for m in end_to_end])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=pathlib.Path)
@@ -142,9 +152,7 @@ def main(argv=None) -> int:
         for side in order:
             pair[side] = run_once(roots[side], args)
         pairs.append(pair)
-        print(f"pair {i + 1}/{args.pairs} ({order[0]} first): " + ", ".join(
-            f"{m['name']} {pair['parent']['metrics'][m['name']]:.4g} -> "
-            f"{pair['change']['metrics'][m['name']]:.4g}" for m in end_to_end), flush=True)
+        print(pair_line(i, args.pairs, pair, end_to_end), flush=True)
 
     record = json.loads(args.out.read_text()) if args.out.is_file() else {}
     record["method"] = {

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 from .errors import InvariantViolation, ParseError
 from .geometry import Link, make_loop
@@ -122,9 +123,15 @@ def _link_from_json(obj) -> Link:
             not isinstance(v, list) or len(v) != 3 for v in verts
         ):
             raise ParseError(f"loop {i} vertices must be [x, y, theta] triples")
-        what = "loop {} vertex coordinate"
-        triples = [(_number(x, what, i), _number(y, what, i), _number(t, what, i))
-                   for x, y, t in verts]
+        # one test by builtins over all coordinates: each is a float, and
+        # their float sum is finite, which no inf or NaN term allows; only
+        # when it fails does each coordinate that is not a finite float go
+        # through _number, in file order
+        coords = list(chain.from_iterable(verts))
+        if not (set(map(type, coords)) <= {float} and math.isfinite(sum(coords))):
+            what = "loop {} vertex coordinate"
+            verts = [[c if type(c) is float and c - c == 0.0 else _number(c, what, i)
+                      for c in v] for v in verts]
         color2 = _doubled_color(rec.get("color", 0.5), f"loop {i} color")
         if _integer(rec.get("framing", 0), f"loop {i} framing"):
             raise ParseError(f"loop {i} framing must be 0, got {rec['framing']!r}")
@@ -132,7 +139,7 @@ def _link_from_json(obj) -> Link:
         if not isinstance(vertical, bool):
             raise ParseError(f"loop {i} vertical flag must be a boolean")
         try:
-            loops.append(make_loop(triples, color2=color2, vertical=vertical))
+            loops.append(make_loop(verts, color2=color2, vertical=vertical))
         except InvariantViolation as exc:
             raise ParseError(f"loop {i}: {exc}") from exc
     return Link(loops=tuple(loops), t0=t0, level=level)

@@ -24,12 +24,14 @@ correctly, so it is the float of the exact rational (Yap, "Towards exact
 geometric computation", CGTA 7, 1997).
 
 All operations are pure functions of immutable inputs and are safe to call
-concurrently.  A `Loop` computes its self-crossings (unless a `validate`
-has found them first), its clearance and its segments' lengths and unit
-vectors (`segment_frames`) lazily, at most once, and its
-lift scan at one t0 (`lift_scans`, emptied when it is scanned at another
-t0), and caches them on the instance; a race between threads only
-computes the same value twice.  `ind` counts the crossings in one pass
+concurrently.  A `Loop` builds its projections, segment boxes, segment
+lengths and scale in one pass when it is made.  It computes its
+self-crossings (unless a `validate` has found them first), its clearance,
+its segments' unit vectors (`segment_frames`) and the t0-free half of its
+lift scan (`lift_table`) lazily, at most once, and its lift scan at one
+t0 (`lift_scans`, emptied when it is scanned at another t0), and caches
+them on the instance; a race between threads only computes the same
+value twice.  `ind` counts the crossings in one pass
 over the segments, and measures the distance to its point only on the
 segments whose stored box lies within COINCIDENCE_TOL plus a rounding
 margin of 1e-12 times the largest coordinate (derived at `ind`).
@@ -65,7 +67,10 @@ parameters and circle coordinates, the crossing sign and their order in
 the t0 cut; `validate` and `crossings_between` (two distinct loops) both
 read them.  `_lift_scan` meets a loop's lift with the levels t0 + 2*pi*Z
 once and returns its crossing marks together with its defects, which
-`validate` reports and `crossing_marks` raises on.
+`validate` reports and `crossing_marks` raises on.  What does not depend
+on t0, the rebased lift, its changes and each segment's interval of
+levels, is the loop's `lift_table`, so a scan at a new t0 tests only the
+segments whose interval holds one of its levels.
 
 The face complex of a double-point-free link is its nesting forest:
 `FaceComplex` holds the forest, each loop's two side faces and each face's
@@ -170,13 +175,14 @@ class Loop:
     vertices: tuple[tuple[float, float, float], ...]
     color2: int = 1
     vertical: bool = False
-    # projections of `vertices`, segment bounding boxes and the largest
-    # planar |coordinate|, built once, and the last `_lift_scan` result,
-    # by t0
+    # projections of `vertices`, segment bounding boxes and hypot lengths
+    # and the largest planar |coordinate|, built once, and the last
+    # `_lift_scan` result, by t0
     planar: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     lifts: tuple[float, ...] = field(init=False, repr=False, compare=False)
     boxes: tuple[tuple[float, float, float, float], ...] = field(
         init=False, repr=False, compare=False)
+    lengths: tuple[float, ...] = field(init=False, repr=False, compare=False)
     scale: float = field(init=False, repr=False, compare=False)
     lift_scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -186,13 +192,15 @@ class Loop:
         # one pass; `b if b < a else a` is min(a, b) and `b if b > a else a`
         # is max(a, b) bit for bit, NaN and -0.0 included, and `scale` starts
         # at |x_0| as max(|x_0|, ..., |y_n|) does
-        planar, lifts, boxes = [], [], []
+        planar, lifts, boxes, lengths = [], [], [], []
+        hypot = math.hypot
         scale = abs(self.vertices[0][0]) if self.vertices else 0.0
         for x, y, t in self.vertices:
             if planar:
                 a, b = planar[-1]
                 boxes.append((x if x < a else a, x if x > a else a,
                               y if y < b else b, y if y > b else b))
+                lengths.append(hypot(x - a, y - b))
             planar.append((x, y))
             lifts.append(t)
             a, b = abs(x), abs(y)
@@ -203,6 +211,7 @@ class Loop:
         object.__setattr__(self, "planar", tuple(planar))
         object.__setattr__(self, "lifts", tuple(lifts))
         object.__setattr__(self, "boxes", tuple(boxes))
+        object.__setattr__(self, "lengths", tuple(lengths))
         object.__setattr__(self, "scale", scale)
 
     @property
@@ -235,15 +244,44 @@ class Loop:
         """(lengths, units): each segment's hypot length and `_unit` vector,
         None where the length is 0 and `_unit` raises."""
         pl = self.planar
-        deltas = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(pl, pl[1:])]
-        lengths = tuple(math.hypot(dx, dy) for dx, dy in deltas)
-        return lengths, tuple((dx / n, dy / n) if n else None
-                              for (dx, dy), n in zip(deltas, lengths))
+        return self.lengths, tuple(((bx - ax) / n, (by - ay) / n) if n else None
+                                   for (ax, ay), (bx, by), n in zip(pl, pl[1:], self.lengths))
+
+    @cached_property
+    def lift_table(self) -> tuple:
+        """The t0-free half of `_lift_scan`, built on the loop's first scan:
+        (lifts, deltas, spans, bottom, top).  `lifts` takes vertex 0 from
+        its end copy (make_loop closes lifts only to 2*pi*1e-9, so the two
+        copies can disagree about a level), `deltas` holds each segment's
+        lift change and `spans` each segment's (index, lo, hi), the closed
+        interval of levels the scan tests on it; bottom and top bound the
+        levels, one radian beyond the lift's extremes.
+
+        A segment whose lift moves by more than ANGLE_TOL takes
+        [lo - ANGLE_TOL, hi + ANGLE_TOL], the floats its level test
+        compares with.  A constant one takes a margin of 2 * ANGLE_TOL, so
+        its span holds every level lv with |la - lv| <= ANGLE_TOL in
+        floats: that difference rounds with relative error at most 2^-53,
+        so lv lies within 2 * ANGLE_TOL of la, and lo <= la <= hi; rounding
+        is monotone, so the rounded ends enclose lv too."""
+        n = self.nseg
+        lifts = list(self.lifts)
+        lifts[0] = lifts[n] - TAU * round((lifts[n] - lifts[0]) / TAU)
+        deltas = [lb - la for la, lb in zip(lifts, lifts[1:])]
+        tol, wide = ANGLE_TOL, 2.0 * ANGLE_TOL
+        spans = [(i, la - tol, lb + tol) if d > tol else (i, lb - tol, la + tol) if d < -tol
+                 else (i, la - wide, lb + wide) if d > 0 else (i, lb - wide, la + wide)
+                 for i, la, lb, d in zip(range(n), lifts, lifts[1:], deltas)]
+        return (tuple(lifts), tuple(deltas), tuple(spans),
+                min(self.lifts) - 1.0, max(self.lifts) + 1.0)
 
 
 def make_loop(vertices: Iterable[Sequence[float]], color2: int = 1,
               vertical: bool = False) -> Loop:
-    """Build a Loop of doubled color color2, checking closure and well-formedness."""
+    """Build a Loop of doubled color color2, checking closure and well-formedness.
+
+    The zero-length check comes last and reads the segment lengths that
+    the Loop's own pass keeps."""
     verts = [(float(x), float(y), float(t)) for x, y, t in vertices]
     if len(verts) < 3:
         raise InvariantViolation("loop needs at least 3 vertices")
@@ -264,12 +302,11 @@ def make_loop(vertices: Iterable[Sequence[float]], color2: int = 1,
         if round(w) == 0:
             raise InvariantViolation("vertical loop must wind around the circle factor")
         verts = [(x0, y0, t) for _, _, t in verts]
-    else:
-        for i in range(len(verts) - 1):
-            (ax, ay, _), (bx, by, _) = verts[i], verts[i + 1]
-            if math.hypot(bx - ax, by - ay) <= COINCIDENCE_TOL:
-                raise DegenerateGeometry(f"zero-length projected segment at vertex {i}")
-    return Loop(tuple(verts), color2, bool(vertical))
+    loop = Loop(tuple(verts), color2, bool(vertical))
+    if not vertical and min(loop.lengths) <= COINCIDENCE_TOL:
+        i = next(i for i, length in enumerate(loop.lengths) if length <= COINCIDENCE_TOL)
+        raise DegenerateGeometry(f"zero-length projected segment at vertex {i}")
+    return loop
 
 
 @dataclass(frozen=True)
@@ -657,7 +694,7 @@ def _unit(v):
 
 
 def _lift_scan(loop: Loop, t0: float):
-    """Meet the loop's lift with the levels t0 + 2*pi*Z in one pass.
+    """Meet the loop's lift with the levels t0 + 2*pi*Z.
 
     Returns the crossing marks (param, point, eps, tangent), the fields of
     a `CrossingMark` after its loop, sorted by parameter, and the defects
@@ -665,51 +702,56 @@ def _lift_scan(loop: Loop, t0: float):
     constant at a level, or a vertex where the lift meets a level and turns
     back.  A level met at a vertex is handled at the end of the segment
     that reaches it, so vertex 0 is handled at the end of the last segment.
+
+    The t0-free half is the loop's `lift_table`, built once: one
+    comprehension per level picks the segments whose span holds it, and
+    only those (segment, level) hits, in that order, get the exact tests.
+    A moving segment's span is its level test itself, and a constant
+    one's holds every level its test accepts, so the marks and defects
+    are those of a pass over every segment and level.
     """
     memo = loop.lift_scans
     if (found := memo.get(t0)) is not None:
         return found
     if any(t != t0 for t in list(memo)):
         memo.clear()
-    n = loop.nseg
+    lifts, deltas, spans, bottom, top = loop.lift_table
+    n = len(deltas)
     pl = loop.planar
-    bottom, top = min(loop.lifts) - 1.0, max(loop.lifts) + 1.0
     levels = [t0 + TAU * m
               for m in range(math.ceil((bottom - t0) / TAU), math.floor((top - t0) / TAU) + 1)]
-    # vertex 0 takes the lift of its end copy: make_loop closes lifts only
-    # to 2*pi*1e-9, so the two copies can disagree about a level
-    lifts = list(loop.lifts)
-    lifts[0] = lifts[n] - TAU * round((lifts[n] - lifts[0]) / TAU)
-    deltas = [lifts[i + 1] - lifts[i] for i in range(n)]
+    hits = [(i, lv) for lv in levels for i, lo, hi in spans if lo <= lv <= hi]
+    hits.sort()
     marks, defects = [], []
-    for i, delta in enumerate(deltas):
-        la, lb = lifts[i], lifts[i + 1]
+    flat = -1  # the last constant segment found at a level
+    for i, lv in hits:
+        delta = deltas[i]
+        la = lifts[i]
         if abs(delta) <= ANGLE_TOL:
-            if any(abs(la - lv) <= ANGLE_TOL for lv in levels):
+            if i != flat and abs(la - lv) <= ANGLE_TOL:
                 defects.append(("constant-at-t0", i / n))
+                flat = i
+            continue
+        if abs(lv - la) <= ANGLE_TOL:
             continue
         eps = 1 if delta > 0 else -1
-        lo, hi = (la, lb) if delta > 0 else (lb, la)
-        for lv in levels:
-            if lv < lo - ANGLE_TOL or lv > hi + ANGLE_TOL or abs(lv - la) <= ANGLE_TOL:
-                continue
-            (ax, ay), (bx, by) = pl[i], pl[i + 1]
-            tangent = _unit((bx - ax, by - ay))
-            if abs(lv - lb) > ANGLE_TOL:
-                frac = (lv - la) / delta
-                point = (ax + frac * (bx - ax), ay + frac * (by - ay))
-                marks.append(((i + frac) / n, point, eps, tangent))
-                continue
-            # at vertex v the lift crosses only if its next non-constant
-            # segment goes on the same way (segment i ends the search)
-            v = (i + 1) % n
-            nxt = next(d for d in deltas[v:] + deltas[:v] if abs(d) > ANGLE_TOL)
-            if (nxt > 0) != (delta > 0):
-                defects.append(("tangential", v / n))
-                continue
-            d2 = _unit((pl[v + 1][0] - pl[v][0], pl[v + 1][1] - pl[v][1]))
-            marks.append((v / n, pl[v], eps,
-                          _unit((tangent[0] + d2[0], tangent[1] + d2[1]))))
+        (ax, ay), (bx, by) = pl[i], pl[i + 1]
+        tangent = _unit((bx - ax, by - ay))
+        if abs(lv - lifts[i + 1]) > ANGLE_TOL:
+            frac = (lv - la) / delta
+            point = (ax + frac * (bx - ax), ay + frac * (by - ay))
+            marks.append(((i + frac) / n, point, eps, tangent))
+            continue
+        # at vertex v the lift crosses only if its next non-constant
+        # segment goes on the same way (segment i ends the search)
+        v = (i + 1) % n
+        nxt = next(d for d in deltas[v:] + deltas[:v] if abs(d) > ANGLE_TOL)
+        if (nxt > 0) != (delta > 0):
+            defects.append(("tangential", v / n))
+            continue
+        d2 = _unit((pl[v + 1][0] - pl[v][0], pl[v + 1][1] - pl[v][1]))
+        marks.append((v / n, pl[v], eps,
+                      _unit((tangent[0] + d2[0], tangent[1] + d2[1]))))
     marks.sort(key=lambda m: m[0])
     return memo.setdefault(t0, (tuple(marks), tuple(defects)))
 
@@ -892,8 +934,8 @@ def face_complex(link: Link) -> FaceComplex:
     orient = [_loop_orientation(lp) for lp in loops]
     containers = [[] for _ in range(n)]  # containers[j]: the loops that contain loop j
     for i in range(n):
-        xs, ys = zip(*loops[i].planar)
-        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+        x0s, x1s, y0s, y1s = zip(*loops[i].boxes)
+        x0, x1, y0, y1 = min(x0s), max(x1s), min(y0s), max(y1s)
         for j in range(n):
             # a point off the open bounding box of loop i has winding number
             # 0 (validate has put every vertex off the other loops' curves)

@@ -362,13 +362,66 @@ def t0_cut_oracle(loop, t0, j=0):
         return defects, exc
 
 
+def lift_scan_reference(loop, t0):
+    """`geometry._lift_scan` as one pass over every segment and level, with
+    no table and no memo: (marks, defects) in the same tuples, for checking
+    the table-fed scan bit for bit."""
+    from shadowsum.errors import DegenerateGeometry
+    from shadowsum.geometry import ANGLE_TOL, TAU
+
+    def unit(v):
+        norm = math.hypot(v[0], v[1])
+        if norm == 0.0:
+            raise DegenerateGeometry("zero tangent vector")
+        return (v[0] / norm, v[1] / norm)
+
+    n = loop.nseg
+    pl = loop.planar
+    bottom, top = min(loop.lifts) - 1.0, max(loop.lifts) + 1.0
+    levels = [t0 + TAU * m
+              for m in range(math.ceil((bottom - t0) / TAU), math.floor((top - t0) / TAU) + 1)]
+    lifts = list(loop.lifts)
+    lifts[0] = lifts[n] - TAU * round((lifts[n] - lifts[0]) / TAU)
+    deltas = [lifts[i + 1] - lifts[i] for i in range(n)]
+    marks, defects = [], []
+    for i, delta in enumerate(deltas):
+        la, lb = lifts[i], lifts[i + 1]
+        if abs(delta) <= ANGLE_TOL:
+            if any(abs(la - lv) <= ANGLE_TOL for lv in levels):
+                defects.append(("constant-at-t0", i / n))
+            continue
+        eps = 1 if delta > 0 else -1
+        lo, hi = (la, lb) if delta > 0 else (lb, la)
+        for lv in levels:
+            if lv < lo - ANGLE_TOL or lv > hi + ANGLE_TOL or abs(lv - la) <= ANGLE_TOL:
+                continue
+            (ax, ay), (bx, by) = pl[i], pl[i + 1]
+            tangent = unit((bx - ax, by - ay))
+            if abs(lv - lb) > ANGLE_TOL:
+                frac = (lv - la) / delta
+                point = (ax + frac * (bx - ax), ay + frac * (by - ay))
+                marks.append(((i + frac) / n, point, eps, tangent))
+                continue
+            v = (i + 1) % n
+            nxt = next(d for d in deltas[v:] + deltas[:v] if abs(d) > ANGLE_TOL)
+            if (nxt > 0) != (delta > 0):
+                defects.append(("tangential", v / n))
+                continue
+            d2 = unit((pl[v + 1][0] - pl[v][0], pl[v + 1][1] - pl[v][1]))
+            marks.append((v / n, pl[v], eps, unit((tangent[0] + d2[0], tangent[1] + d2[1]))))
+    marks.sort(key=lambda m: m[0])
+    return tuple(marks), tuple(defects)
+
+
 def loop_fields_oracle(vertices):
-    """`Loop`'s projections, segment boxes and scale from whole columns:
-    (planar, lifts, boxes, scale), with min, max and abs as builtins."""
+    """`Loop`'s projections, segment boxes, segment lengths and scale from
+    whole columns: (planar, lifts, boxes, lengths, scale), with min, max,
+    abs and hypot as builtins."""
     xs, ys, ts = zip(*vertices) if vertices else ((), (), ())
     xb, yb = xs[1:], ys[1:]
     boxes = tuple(zip(map(min, xs, xb), map(max, xs, xb), map(min, ys, yb), map(max, ys, yb)))
-    return tuple(zip(xs, ys)), ts, boxes, max(map(abs, xs + ys), default=0.0)
+    lengths = tuple(map(math.hypot, map(float.__sub__, xb, xs), map(float.__sub__, yb, ys)))
+    return tuple(zip(xs, ys)), ts, boxes, lengths, max(map(abs, xs + ys), default=0.0)
 
 
 def segment_sweep_oracle(loops, selves=()):

@@ -61,3 +61,16 @@ def test_warnings():
     assert len(lines) == 2
     assert "change runs of pairs [3] failed" in lines[0]
     assert "stdout digests differ: parent ['a'], change ['a', 'b']" in lines[1]
+
+
+def test_pair_line_shows_attempted_jobs():
+    end_to_end = [{"name": "jobs_per_s"}, {"name": "peak_rss_mb"}]
+
+    def side(attempted, jobs, rss):
+        return {"attempted": attempted, "metrics": {"jobs_per_s": jobs, "peak_rss_mb": rss}}
+
+    pair = {"first": "change", "parent": side(14200, 710.25, 23.5),
+            "change": side(15900, 795.5, 24.125)}
+    assert bench_pairs.pair_line(1, 10, pair, end_to_end) == (
+        "pair 2/10 (change first): attempted 14200 -> 15900, "
+        "jobs_per_s 710.2 -> 795.5, peak_rss_mb 23.5 -> 24.12")

@@ -152,21 +152,22 @@ def loop_scans(monkeypatch):
 
 
 class _LiftReads:
-    """A loop whose `lifts` reads are recorded; a lift scan that returns
-    a kept result does not read them."""
+    """A loop whose lift reads are recorded: a scan reads its `lift_table`
+    (built from `lifts` on the loop's first scan), and a lift scan that
+    returns a kept result reads neither."""
 
     def __init__(self, loop):
         self.loop, self.read = loop, False
 
     def __getattr__(self, name):
-        self.read = self.read or name == "lifts"
+        self.read = self.read or name in ("lifts", "lift_table")
         return getattr(self.loop, name)
 
 
 @pytest.fixture
 def lift_scans(monkeypatch):
     """The lift scans that do the work, as (loop, t0): the calls of
-    `_lift_scan` that read the loop's lift."""
+    `_lift_scan` that read the loop's lift or its lift table."""
     scans = []
     real = shadowsum.geometry._lift_scan
 
@@ -876,6 +877,43 @@ def test_malformed_file_exit_2(capsys, tmp_path, command, text, message):
 
 
 ABELIAN = ("wlo", "--mode", "abelian")
+# loops with more than one defect: the first check to fail names its own,
+# (vertices, color, exit code, message).  Coordinates are checked in file
+# order before the color, the color before make_loop, and make_loop
+# checks closure before segment lengths
+PRECEDENCE_PROBES = [
+    ('[[0, 0, 0], [1, "a", 0], [1, 1, 0], [0, 0, 0]]', 0.3, 2,
+     "parse error: loop 0 vertex coordinate must be a number, got 'a'"),
+    ('[[0, 0, 0], [1, 0, 1e999], [1, true, 0], [0, 0, 0]]', 0.5, 2,
+     "parse error: loop 0 vertex coordinate is not finite"),
+    ('[[0, 0, 0], [1, 0, 0], [1, 0, 0], [1, null, 0], [0, 0, 0]]', 0.5, 2,
+     "parse error: loop 0 vertex coordinate must be a number, got None"),
+    ('[[0, 0, 0], [1, 0, 0], [1, 0], [0, 0, "a"]]', 0.5, 2,
+     "parse error: loop 0 vertices must be [x, y, theta] triples"),
+    ('[[0, 0, 0], [1, 0, 0], [1, 0, 0], [1, 1, 0], [0, 0, 0]]', 0.3, 2,
+     "parse error: loop 0 color must be a half-integer, got 0.3"),
+    ('[[0, 0, 0], [1, 0, 0], [1, 0, 0], [1, 1, 0], [0.5, 0.5, 0]]', 0.5, 2,
+     "parse error: loop 0: loop does not close in the plane"),
+    ('[[0, 0, 0], [1, 0, 0], [1, 0, 0], [1, 1, 0], [0, 0, 1]]', 0.5, 2,
+     "parse error: loop 0: circle-coordinate lift does not close"),
+    ('[[0, 0, 0], [1, 0, 0], [1, 0, 0], [1, 1, 0], [0, 0, 0]]', 0.5, 3,
+     "invariant violated: zero-length projected segment at vertex 1"),
+]
+
+
+@pytest.mark.parametrize("vertices, color, exit_code, message", PRECEDENCE_PROBES,
+                         ids=[m for *_rest, m in PRECEDENCE_PROBES])
+def test_loader_reports_the_first_defect(capsys, tmp_path, vertices, color, exit_code, message):
+    path = tmp_path / "probe.link.json"
+    path.write_text('{"t0": 0, "level": 1, "loops": [{"vertices": %s, "color": %r}]}'
+                    % (vertices, color))
+    code = main([*ABELIAN, str(path)])
+    captured = capsys.readouterr()
+    assert code == exit_code
+    assert captured.out == ""
+    assert message in captured.err
+
+
 HUGE_NUMBER_PROBES = [  # (file, command, key path, value, the parse error it raises)
     ("hopf.link.json", ABELIAN, ("loops", 0, "vertices", 1, 0), 10**400,
      "loop 0 vertex coordinate is not finite"),

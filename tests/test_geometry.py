@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -34,6 +35,7 @@ from conftest import (
     forest_winding,
     fraction_form,
     ind_oracle,
+    lift_scan_reference,
     loop_fields_oracle,
     loop_orientation_oracle,
     mark_oracle,
@@ -766,8 +768,9 @@ class TestLoopBasics:
             assert lp.nseg == 12 and lp.planar[-1] == lp.planar[0]
 
     def test_fields_match_column_expressions(self):
-        # one pass builds planar, lifts, boxes and scale with the bits of
-        # builtin min, max and abs over whole columns, NaN and -0.0 included
+        # one pass builds planar, lifts, boxes, lengths and scale with the
+        # bits of builtin min, max, abs and hypot over whole columns, NaN
+        # and -0.0 included
         def bits(v):
             return tuple(map(bits, v)) if isinstance(v, tuple) else struct.pack("<d", v)
 
@@ -781,7 +784,8 @@ class TestLoopBasics:
                 for _ in range(rng.randint(1, 7))))
         for verts in cases:
             lp = ss.Loop(verts)
-            assert bits((lp.planar, lp.lifts, lp.boxes, lp.scale)) == bits(loop_fields_oracle(verts))
+            fields = (lp.planar, lp.lifts, lp.boxes, lp.lengths, lp.scale)
+            assert bits(fields) == bits(loop_fields_oracle(verts))
 
     def test_make_loop_accepts_exactly_the_well_formed_loops(self):
         # each outcome is checked against its own input: a loop comes back
@@ -1287,6 +1291,70 @@ class TestLiftScan:
         marks = ss.crossing_marks(link)
         assert [(m.param, m.eps) for m in marks] == [(0.0, 1), (1 / 3, 1), (2 / 3, 1)]
         assert [m.point for m in marks] == [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+
+    def test_table_fed_scan_matches_reference(self):
+        # the scan fed by the loop's lift table against one pass over every
+        # segment and level, at 20 t0 per loop: the draw's own, random ones,
+        # and levels through a vertex or about ANGLE_TOL off it, where a
+        # span's ends decide.  Same tuples, and each float has the same bits
+        def bits(v):
+            return tuple(map(bits, v)) if isinstance(v, tuple) else (
+                v.hex() if isinstance(v, float) else v)
+
+        rng = random.Random(33)
+        tol = ss.geometry.ANGLE_TOL
+        offsets = (0.0, tol, -tol, 0.999 * tol, -1.001 * tol, 2 * tol, -2 * tol, 1e-6)
+        seen = Counter()
+        for _ in range(600):
+            lp, t0, _w = random_lift_loop(rng)
+            flat = any(abs(b - a) <= tol for a, b in zip(lp.lifts, lp.lifts[1:]))
+            t0s = [t0]
+            while len(t0s) < 20:
+                t = (rng.uniform(0.0, TAU) if rng.random() < 0.3
+                     else (rng.choice(lp.lifts) + rng.choice(offsets)) % TAU)
+                if t not in t0s:
+                    t0s.append(t)
+            for t in t0s:
+                got, want = ss.geometry._lift_scan(lp, t), lift_scan_reference(lp, t)
+                assert got == want and bits(got) == bits(want), (lp, t)
+                snapped = any(abs((x - t + math.pi) % TAU - math.pi) <= tol for x in lp.lifts)
+                seen["snapped"] += snapped
+                seen["flat run"] += flat
+                seen["constant at a level"] += any(d[0] == "constant-at-t0" for d in want[1])
+                seen["tangential"] += any(d[0] == "tangential" for d in want[1])
+                seen["marks"] += bool(want[0])
+        assert min(seen.values()) >= 500, seen
+
+    def test_flat_segment_on_levels_that_round_together_is_one_defect(self):
+        # near 1e18 a float step is 128, so many levels t0 + 2*pi*m round
+        # to the lift of the flat segment: it is one defect, as in a pass
+        # that asks whether any level meets it
+        lift = 1e18 + 128.0
+        m0 = math.ceil((lift - 1.0) / TAU)
+        assert sum(TAU * m == lift for m in range(m0, m0 + 100)) > 1
+        lp = ss.make_loop([(0.0, 0.0, lift), (1.0, 0.0, lift), (1.0, 1.0, lift + 4096.0),
+                           (0.0, 0.0, lift)])
+        got = ss.geometry._lift_scan(lp, 0.0)
+        assert got == lift_scan_reference(lp, 0.0)
+        assert [d for d in got[1] if d[0] == "constant-at-t0"] == [("constant-at-t0", 0.0)]
+
+    def test_scans_at_many_t0_build_the_table_once(self, monkeypatch):
+        builds = []
+        build = ss.Loop.lift_table.func
+
+        def counted(loop):
+            builds.append(loop)
+            return build(loop)
+
+        table = functools.cached_property(counted)
+        table.__set_name__(ss.Loop, "lift_table")
+        monkeypatch.setattr(ss.Loop, "lift_table", table)
+        lp = polygon_circle(0.0, 0.0, 1.0, 24, winding=2, theta0=0.4)
+        t0s = [0.25 * k for k in range(25)]
+        for t0 in t0s + t0s[:3]:
+            ss.geometry._lift_scan(lp, t0)
+            assert set(lp.lift_scans) == {t0}
+        assert len(builds) == 1 and builds[0] is lp
 
 
 class TestInd:

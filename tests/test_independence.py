@@ -87,7 +87,7 @@ def reachable(graph: dict[str, set[str]], root: str) -> set[str]:
 ABELIAN_SHARED = {
     ERRORS: "exception types only",
     "Link": "the input link both routes evaluate",
-    "Loop": "the input's loops; building one only projects its vertices",
+    "Loop": "the input's loops; building one only projects and measures its segments",
     "nseg": "a loop's segment count",
     "winding_s1": "the circle winding: both return 0 unless the windings sum to 0",
     "ind": "the planar winding number, the index the paper's formula is written in",
@@ -97,6 +97,7 @@ ABELIAN_SHARED = {
     "s1_order": "the t0-cut order of a crossing's strands, the paper's pairing",
     "_loop_marks": "a loop's crossing marks, where both routes correct by winding numbers",
     "_lift_scan": "the one scan of a loop's lift for its marks",
+    "lift_table": "the t0-free half of the one lift scan both routes read",
     "_unit": "the unit tangent at a mark",
 }
 
