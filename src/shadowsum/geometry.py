@@ -44,7 +44,8 @@ min x less a margin, COINCIDENCE_TOL for the crossing scans, and scans
 forward from each segment over the segments that start before it ends,
 so no active list is rebuilt.  It
 leaves out the adjacent segments of a loop, which share a vertex: one
-linear pass gives them the endpoint tests of the pair scan, and only if
+linear pass gives them the endpoint tests of the pair scan, where a far
+end lies in the segment's box widened by `ind`'s margin, and only if
 that pass finds a defect are they merged back, in lexicographic order,
 so the pair scan raises the defect an all-pairs scan raises first.  A
 pair of other segments is dropped after two cross products when one lies
@@ -409,7 +410,15 @@ def _pair_crossings(la: Loop, lb: Loop, same: bool, candidates):
     `_segment_sweep` leaves out, first get their endpoint tests in one
     pass: each segment against the far ends of its two neighbours.  If
     one fails, they are merged into `candidates` in lexicographic order,
-    and the loop below raises whichever defect comes first.
+    and the loop below raises whichever defect comes first.  A segment's
+    two tests are skipped when both far ends lie outside its stored box
+    widened by m (below), compared as `ind` compares a point p with a
+    box: y0 > py + m, y1 < py - m, x0 > px + m or x1 < px - m.  A far end
+    is a vertex of la, so S = la.scale bounds it as well, and by the
+    derivation at `ind` its float distance from the segment exceeds
+    COINCIDENCE_TOL: the test would have passed.  When m is taken
+    infinite no segment is skipped, and a NaN far end or box bound fails
+    every skip test, as at `ind`.
 
     The adjacent-pair pass inlines `_seg_point_dist` (same floats in the
     same order; t = 0 on a zero-length segment), so each gives the same bit.
@@ -445,13 +454,15 @@ def _pair_crossings(la: Loop, lb: Loop, same: bool, candidates):
         m = tol + 1e-12 * max(la.scale, lb.scale)
         mm = m * m
     else:  # also a NaN scale
-        mm = math.inf
+        m = mm = math.inf
     if same and na > 2:
-        for s in range(na):
+        # the far ends of segments s - 1 and s + 1, as the pair scan reads them
+        for s, (x0, x1, y0, y1), (px, py), (qx, qy) in zip(
+                range(na), la.boxes, pa[na - 1:na] + pa[:na - 1], pa[2:] + pa[1:2]):
+            if ((y0 > py + m or y1 < py - m or x0 > px + m or x1 < px - m)
+                    and (y0 > qy + m or y1 < qy - m or x0 > qx + m or x1 < qx - m)):
+                continue  # both lie farther than m from segment s's box
             (sx, sy), (sx2, sy2) = pa[s], pa[s + 1]
-            # the far ends of segments s - 1 and s + 1, as the pair scan reads them
-            px, py = pa[s - 1] if s else pa[na - 1]
-            qx, qy = pa[s + 2] if s < na - 1 else pa[1]
             sdx, sdy = sx2 - sx, sy2 - sy
             sden = sdx * sdx + sdy * sdy
             t = ((px - sx) * sdx + (py - sy) * sdy) / sden if sden else 0.0

@@ -49,9 +49,10 @@ sum) or one row of them (the vertex-free sum).  The 6j kernel is
 table-fed: state_sum_general fetches the [n]! table once per call, as far
 as its colorings can read it, and passes it to every 6j-symbol it
 evaluates; it keeps each vertex's strand colors and quadrants as one
-tuple.  The same coloring list backs the bijection check.  The pair route
-keeps its own enumeration and shares only the level, the doubled colors
-and the exception types with either state sum.
+tuple.  The bijection check sets the same coloring list against the
+images of the pair walk's records.  The pair route keeps its own
+enumeration and shares only the level, the doubled colors and the
+exception types with either state sum.
 
 The pair route costs about its output.  _pair_walk walks the sign
 vectors depth first once per level l = 1..k+1, the loops ancestor first
@@ -71,7 +72,9 @@ those of the per-pair formula, so the value is bit-identical: a file that
 lists a loop before an ancestor has each level's terms held and added in
 sign-vector order.  wlo_dpfree_pairsum and the CLI's wlo take the value
 from that one walk, the CLI its pair count too; enumerate_pairs reads the
-AdmissiblePair list off the same walk.
+AdmissiblePair list off the same walk, and check_bijection reads each
+pair's coloring straight off the walk's (l, sign key, xi) records, with
+no AdmissiblePair and no sign vector built.
 """
 
 from __future__ import annotations
@@ -637,19 +640,21 @@ class BijectionReport:
 
 def check_bijection(link: Link, level: Level, fc: FaceComplex) -> BijectionReport:
     """Verify that pair -> coloring is a bijection onto the admissible
-    colorings of the shadow with all edges colored 1/2."""
-    pairs = enumerate_pairs(link, level, fc)
-    images = [coloring_of_pair(p) for p in pairs]
+    colorings of the shadow with all edges colored 1/2.  The images are
+    read off `_pair_walk`'s records, as `coloring_of_pair` maps them; no
+    AdmissiblePair is built."""
+    record: list = []
+    _pair_walk(link, level, fc, record)
+    images = {tuple([x - 1 for x in xi]) for _, _, xi in record}
     shadow = shadow_from_dpfree(link, fc)
     admissible = set(enumerate_colorings(shadow, level))
-    image_set = set(images)
     return BijectionReport(
-        pairs_count=len(pairs),
+        pairs_count=len(record),
         colorings_count=len(admissible),
-        injective=len(image_set) == len(images),
-        surjective=admissible <= image_set,
-        missing=tuple(sorted(admissible - image_set)),
-        extra=tuple(sorted(image_set - admissible)),
+        injective=len(images) == len(record),
+        surjective=admissible <= images,
+        missing=tuple(sorted(admissible - images)),
+        extra=tuple(sorted(images - admissible)),
     )
 
 

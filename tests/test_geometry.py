@@ -315,6 +315,76 @@ class TestSweptScans:
                      "none, spike first", "none, clean"):
             assert seen[case] >= 10, seen
 
+    @pytest.mark.parametrize("center, w", [((0.0, 0.0), 1.0), ((1e6, -1e6), 1.0),
+                                           ((1e12, 1e12), 3.0), ((0.0, 0.0), 1e150),
+                                           ((4e150, -2e150), 1e150)])
+    def test_adjacent_endpoint_skip_boundary(self, center, w):
+        # segment s runs along y = Y from X - w to X + w, the rest of the
+        # loop below it; the far end P of segment s - 1 lies above or below
+        # it at tol (1 +- 1e-7), on the floats either side of its widened
+        # box's edge y = Y +- m, or a quarter w below it, on the floats
+        # either side of the edge x = X + w + m.  The skip must not change
+        # the crossings or the first defect, alone or in a link
+        tol = ss.geometry.COINCIDENCE_TOL
+        X, Y = center
+        rng = random.Random(f"{center} {w}")
+        seen = Counter()
+
+        def floats_around(v):  # v and the three floats on either side of it
+            below, above = [v], [v]
+            for _ in range(3):
+                below.append(math.nextafter(below[-1], -math.inf))
+                above.append(math.nextafter(above[-1], math.inf))
+            return below[::-1] + above[1:]
+
+        for n in range(3, 9):
+            # A, B, then the lower arc from B round to A
+            rest = [(X - w, Y), (X + w, Y)] + [
+                (X + w * math.cos(math.pi * i / (n - 2)), Y - w * math.sin(math.pi * i / (n - 2)))
+                for i in range(1, n - 2)]
+            m = tol + 1e-12 * max(abs(c) for pt in rest for c in pt)
+            places = [(X + rng.uniform(-0.9, 0.9) * w, y)
+                      for y in [Y + side * tol * (1 + e) for side in (1, -1) for e in (-1e-7, 1e-7)]
+                      + floats_around(Y + m) + floats_around(Y - m)]
+            places += [(x, Y - 0.25 * w) for x in floats_around(X + w + m)]
+            for px, py in places:
+                s = rng.randrange(n)
+                pts = rest + [(px, py)]
+                pts = pts[n - s:] + pts[:n - s]  # A at index s, P at s - 1
+                lp = polygon(pts)
+                assert lp.planar[s] == (X - w, Y)
+                x0, x1, y0, y1 = lp.boxes[s]
+                mp = tol + 1e-12 * lp.scale  # P may widen S, beside B
+                outside = y0 > py + mp or y1 < py - mp or x0 > px + mp or x1 < px - mp
+                got = self.outcome(lambda: fraction_form(lp.self_crossings))
+                assert got == self.outcome(proper_crossings_oracle, lp, lp, True)
+                link = ss.Link((lp,))
+                fresh = ss.Link((dataclasses.replace(lp),))
+                assert self.outcome(ss.validate, fresh) == self.outcome(validate_oracle, link)
+                seen["outside" if outside else "inside"] += 1
+                seen["raised" if isinstance(got, tuple) else "passed"] += 1
+        assert seen["outside"] >= 40 and seen["inside"] >= 40 and seen["passed"] >= 40, seen
+        if w == 1.0 and center == (0.0, 0.0):
+            assert seen["raised"] >= 10, seen
+
+    def test_adjacent_endpoint_pass_skips_below_1e150_only(self, monkeypatch):
+        # a clean loop's far ends all lie outside their neighbours' widened
+        # boxes; at scale 1e150 or more, or a NaN scale, every segment
+        # still gets both tests
+        clean = polygon_circle(0.3, -0.2, 1.0, 16)
+        big = polygon([(1e150 * x, 1e150 * y) for x, y in clean.planar[:-1]])
+        nan = ss.geometry.Loop(((math.nan, 0.0, 0.5),) + clean.vertices[1:])
+        assert big.scale >= 1e150 and math.isnan(nan.scale)
+        calls = []
+        real = math.hypot
+        monkeypatch.setattr(ss.geometry.math, "hypot", lambda *a: calls.append(a) or real(*a))
+        counts = []
+        for lp in (clean, big, nan):
+            del calls[:]
+            ss.geometry._pair_crossings(lp, lp, True, ())
+            counts.append(len(calls))
+        assert counts == [0, 32, 32]
+
     def test_clearance_prune_margin_covers_rounding(self):
         # two pairs at distance 0.1 whose float distances differ by 2 ulps;
         # a prune on the bare bounding-box gap would keep the larger one

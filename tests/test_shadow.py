@@ -907,6 +907,56 @@ class TestBijection:
             fc = ss.face_complex(link)
             assert ss.check_bijection(link, Level(k), fc).ok
 
+    @staticmethod
+    def pair_list_report(link, level, fc):
+        """The report built from the AdmissiblePair list: each pair's
+        coloring_of_pair image, and one set of images and one of the
+        admissible colorings."""
+        images = [ss.coloring_of_pair(p) for p in ss.enumerate_pairs(link, level, fc)]
+        admissible = set(ss.enumerate_colorings(ss.shadow_from_dpfree(link, fc), level))
+        image_set = set(images)
+        return ss.BijectionReport(
+            pairs_count=len(images),
+            colorings_count=len(admissible),
+            injective=len(image_set) == len(images),
+            surjective=admissible <= image_set,
+            missing=tuple(sorted(admissible - image_set)),
+            extra=tuple(sorted(image_set - admissible)),
+        )
+
+    def test_matches_pair_list_report(self, corpus_dir):
+        # random links at k = 1..8, also listed children first and shuffled,
+        # where the walk holds each level's records and sorts them
+        links = pair_links()
+        links += ([reversed_link(link) for link in links]
+                  + [shuffled_link(link, seed) for seed, link in enumerate(links)])
+        concentric = ss.load_link(corpus_dir / "concentric.link.json")
+        cases = [(link, Level(link.level)) for link in links]
+        cases += [(link, Level(k)) for link in (concentric, reversed_link(concentric))
+                  for k in range(1, 9)]
+        for link, level in cases:
+            fc = ss.face_complex(link)
+            assert ss.check_bijection(link, level, fc) == self.pair_list_report(link, level, fc)
+
+    def test_dropped_record_is_missing(self, monkeypatch):
+        rng = random.Random(33)
+        link = random_dpfree_link(rng, max_loops=4, level=3)
+        fc = ss.face_complex(link)
+        real = ss.shadow._pair_walk
+        dropped = []
+
+        def drop_one(link, level, fc, record=None):
+            out = real(link, level, fc, record)
+            dropped.append(record.pop(len(record) // 2))
+            return out
+
+        monkeypatch.setattr(ss.shadow, "_pair_walk", drop_one)
+        report = ss.check_bijection(link, Level(3), fc)
+        (_, _, xi), = dropped
+        assert not report.surjective and report.injective and not report.ok
+        assert report.missing == (tuple(x - 1 for x in xi),) and report.extra == ()
+        assert report.pairs_count == report.colorings_count - 1
+
 
 class TestPairSumAndFinal:
     def test_circle_w0_golden(self):
