@@ -22,7 +22,13 @@ number of pairs the change wins and a verdict:
     range;
   * `worse than bound`: its median is worse than the parent's by more
     than the metric's `bound` (a fraction of the parent's median);
-  * `within noise`: neither.
+  * `unresolved`: the parent's interquartile range is wider than the
+    bound's share of its median, so the runs cannot show a change within
+    the bound, and some run of the change is no better than some run of
+    the parent;
+  * `within noise`: none of these.
+
+The verdicts are tested in that order.
 
 A warning line is printed when the parent's and the change's stdout
 digests differ or a run fails its output checks.  An existing output file
@@ -90,10 +96,14 @@ def summary(runs: list[dict], better: str, bound: float) -> dict:
     out["change_over_parent"] = out["change"]["median"] / out["parent"]["median"]
     parent = out["parent"]
     gain = sign * (out["change"]["median"] - parent["median"])
-    if 10 * out["change_wins"] >= 9 * len(runs) and gain > parent["q3"] - parent["q1"]:
+    spread = parent["q3"] - parent["q1"]
+    if 10 * out["change_wins"] >= 9 * len(runs) and gain > spread:
         out["verdict"] = "gain"
     elif -gain > bound * parent["median"]:
         out["verdict"] = "worse than bound"
+    elif (spread > bound * parent["median"]
+          and min(sign * r["change"] for r in runs) <= max(sign * r["parent"] for r in runs)):
+        out["verdict"] = "unresolved"
     else:
         out["verdict"] = "within noise"
     return out

@@ -85,12 +85,12 @@ def wlo_vertical(k: int, genus: int, dims=()) -> float:
         sum_{l=1}^{k+1} prod_j [sin(l d_j pi/(k+2)) / sin(l pi/(k+2))]
                         * sin(l pi/(k+2))^(2-2g)
     """
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError(f"level k must be a positive integer, got {k!r}")
-    if not isinstance(genus, int) or genus < 0:
+    if isinstance(genus, bool) or not isinstance(genus, int) or genus < 0:
         raise ValueError(f"genus must be a non-negative integer, got {genus!r}")
     dims = tuple(dims)
-    if any(not isinstance(d, int) or d < 1 for d in dims):
+    if any(isinstance(d, bool) or not isinstance(d, int) or d < 1 for d in dims):
         raise ValueError("representation dimensions must be positive integers")
     r = k + 2
     total = 0.0

@@ -241,12 +241,12 @@ class Loop:
         return _min_clearance(self)
 
     @cached_property
-    def segment_frames(self) -> tuple[tuple[float, ...], tuple]:
-        """(lengths, units): each segment's hypot length and `_unit` vector,
-        None where the length is 0 and `_unit` raises."""
+    def segment_frames(self) -> tuple:
+        """Each segment's `_unit` vector, its offset over its hypot length
+        in `lengths`, None where the length is 0 and `_unit` raises."""
         pl = self.planar
-        return self.lengths, tuple(((bx - ax) / n, (by - ay) / n) if n else None
-                                   for (ax, ay), (bx, by), n in zip(pl, pl[1:], self.lengths))
+        return tuple(((bx - ax) / n, (by - ay) / n) if n else None
+                     for (ax, ay), (bx, by), n in zip(pl, pl[1:], self.lengths))
 
     @cached_property
     def lift_table(self) -> tuple:
@@ -322,7 +322,7 @@ class Link:
         object.__setattr__(self, "loops", tuple(self.loops))
         if not (0.0 <= self.t0 < TAU):
             raise InvariantViolation(f"t0 must lie in [0, 2*pi), got {self.t0}")
-        if not isinstance(self.level, int) or self.level < 1:
+        if isinstance(self.level, bool) or not isinstance(self.level, int) or self.level < 1:
             raise InvariantViolation(f"level must be a positive integer, got {self.level!r}")
         for i, lp in enumerate(self.loops):
             if not 0 <= lp.color2 <= self.level:
@@ -1008,7 +1008,7 @@ def _min_clearance(loop: Loop) -> float:
     n = loop.nseg
     pl = loop.planar
     dist = _seg_point_dist
-    shortest = min(loop.segment_frames[0])
+    shortest = min(loop.lengths)
     for margin in (shortest * (1.0 + 1e-9) + 1e-12 * loop.scale, math.inf):
         best = math.inf
         for i, j in _segment_sweep((loop,), margin=margin).get((0, 0), ()):

@@ -15,8 +15,9 @@ offset; this horizontal push-off frames every loop.  The offset must stay
 below a third of the minimum clearance between non-adjacent segments.
 `pushoff` returns the offset loop with its crossing records against `l`;
 one sweep over both also finds the offset's own pairs, which are checked
-first.  The clearance, the framing offset and the push-off read one
-table of segment lengths and unit vectors per loop (`Loop.segment_frames`).
+first.  The clearance reads each loop's segment lengths (`Loop.lengths`),
+the push-off its segments' unit vectors (`Loop.segment_frames`) and the
+framing offset both.
 `self_link` makes one push-off per loop, at an offset small
 enough that every crossing of the push-off with the loop keeps the order
 of the circle coordinates at its self double point, a lift bound derived
@@ -75,7 +76,7 @@ def pushoff(l: Loop, offset: float) -> tuple[Loop, tuple[DoublePoint, ...]]:
             f"offset {offset} is not below the admissibility threshold {threshold}")
     n = l.nseg
     pl = l.planar
-    units = l.segment_frames[1]
+    units = l.segment_frames
     if None in units:  # a zero-length segment
         raise DegenerateGeometry("zero tangent vector")
     new_pts = []
@@ -156,7 +157,7 @@ def _framing_offset(l: Loop) -> float:
     """
     clearance = loop_min_clearance(l)
     lifts, n = l.lifts, l.nseg
-    lengths, units = l.segment_frames
+    lengths, units = l.lengths, l.segment_frames
     sigma = [abs(tb - ta) / length for ta, tb, length in zip(lifts, lifts[1:], lengths)]
     # half the turn at vertex v, from segment v - 1 to segment v
     half = [math.atan2(abs(px * qy - py * qx), px * qx + py * qy) / 2.0

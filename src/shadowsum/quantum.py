@@ -64,7 +64,7 @@ class Level:
     k: int
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
+        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
             raise ValueError(f"level k must be a positive integer, got {self.k!r}")
 
     @property

@@ -59,22 +59,25 @@ vectors depth first once per level l = 1..k+1, the loops ancestor first
 in the nesting forest.  Each step sets one face's field, final from then
 on: its parent face's field (l for the outer face) plus or minus one, one
 int addition.  The walk drops a branch as soon as its field leaves
-{1, ..., k+1}; every other prefix extends, so a node costs O(1) beyond
-the factors it multiplies in and the walk O(n) per pair, where filtering
+{1, ..., k+1}; every other prefix extends, so a node costs O(1), a leaf
+O(n) at most, and the walk O(n) per pair, where filtering
 all 2^n (k+1) candidates cost O(2^n (k+1) F n): a nested chain of 50
 circles at k = 1 keeps one prefix per depth and level and has 2 pairs, in
 any order.  Each step also carries the pair's integer phase exponent, one
-int addition of its face's c x^2, and its amplitude, multiplying in the
-sin(pi x / rbar)^chi factors of the faces that complete the face-index
-prefix, both read from tables over x in {1, ..., k+1}; each phase comes
-from a memo on its exponent.  The factors and the summation order are
-those of the per-pair formula, so the value is bit-identical: a file that
-lists a loop before an ancestor has each level's terms held and added in
-sign-vector order.  wlo_dpfree_pairsum and the CLI's wlo take the value
-from that one walk, the CLI its pair count too; enumerate_pairs reads the
-AdmissiblePair list off the same walk, and check_bijection reads each
-pair's coloring straight off the walk's (l, sign key, xi) records, with
-no AdmissiblePair and no sign vector built.
+int addition of its face's c x^2, and its amplitude, multiplying in its
+own face's sin(pi x / rbar)^chi, both read from tables over x in
+{1, ..., k+1}; each phase comes from a memo on its exponent.  The value is
+bit-identical to the per-pair formula by one order rule: when the loops
+are walked in index order, the factors are multiplied and the pairs come
+out in the formula's order; otherwise, for a file that lists a loop
+before an ancestor, each leaf multiplies its amplitude anew in face-index
+order and each level's terms are held and added in sign-vector order.
+wlo_dpfree_pairsum and the CLI's wlo take the value from that one walk,
+the CLI its pair count too.  With a record list the walk appends each
+pair's (l, sign key, xi) in walk order: enumerate_pairs sorts them into
+pair order before building its AdmissiblePair list, and check_bijection
+reads each pair's coloring off them unsorted, with no AdmissiblePair and
+no sign vector built.
 """
 
 from __future__ import annotations
@@ -494,8 +497,8 @@ def _pair_walk(link: Link, level: Level, fc: FaceComplex,
                record: list | None = None) -> tuple[complex, int]:
     """The pair sum and the number of admissible pairs, from one walk of
     the sign vectors per level l = 1..k+1.  With `record`, each pair's
-    (l, sign key, xi) is appended to it, in enumerate_pairs' order; bit
-    n-1-j of the sign key is set iff s_j = +1.
+    (l, sign key, xi) is appended to it in walk order; bit n-1-j of the
+    sign key is set iff s_j = +1.
 
     The loops are taken ancestor first: in index order, each loop right
     after its ancestors in fc.parent not yet taken.  ind_j is loop j's
@@ -505,16 +508,16 @@ def _pair_walk(link: Link, level: Level, fc: FaceComplex,
     face's field, final from then on, with one int addition, and drops
     the branch unless it lies in {1, ..., k+1}.  Every kept prefix extends
     (of x - 1 and x + 1, for x in {1, ..., k+1} and k >= 1, at least one
-    is in range), so the walk costs O(n) per pair.  Each step adds its face's part c_f xi_f^2 of the
-    integer phase exponent and multiplies its amplitude by the factors
-    sin(pi xi_f / rbar)^chi_f of the faces that complete the face-index
-    prefix, its own face alone when no loop is listed before an ancestor;
-    a leaf multiplies by the outer face's, so every amplitude is the
-    product of the per-pair formula in its order.  The pairs of one level
-    come out of the walk in sign-vector order exactly when the loops are
-    listed ancestor first; otherwise the walk holds the level's terms and
-    adds them sorted by sign key.  Either way the terms are added in pair
-    order, so the value is bit-identical to the per-pair formula.
+    is in range), so the walk costs O(n) per pair.  Each step adds its
+    face's part c_f xi_f^2 of the integer phase exponent and multiplies
+    the amplitude by its own face's sin(pi xi_f / rbar)^chi_f, and a leaf
+    by the outer face's.  One order rule makes the value bit-identical to
+    the per-pair formula, which multiplies in face-index order and adds
+    in pair order.  When the walk order is index order, which a file that
+    lists every loop after its ancestors gives, both hold as walked: each
+    level's pairs come out in sign-vector order.  Otherwise a leaf
+    recomputes its amplitude in face-index order and the walk holds the
+    level's (sign key, term) and adds the terms sorted by sign key.
     """
     for j, lp in enumerate(link.loops):
         if lp.color2 != 1:
@@ -544,29 +547,22 @@ def _pair_walk(link: Link, level: Level, fc: FaceComplex,
             path.append(j)
             j = fc.parent[j]
         order += reversed(path)
-    # per step: its parent face, its face, the faces whose factors it
-    # multiplies in (None: its own face alone), its face's tables, and its
+    reordered = order != list(range(n))
+    # per step: its parent face, its face, its face's tables, and its
     # children as (field change, sign key change), s = +1 first so that
     # s = -1 is popped first, as itertools.product orders them
     steps = []
-    prefix, final = 0, [False] * n
     for j in order:
-        final[j] = True
-        first = prefix
-        while prefix < n and final[prefix]:
-            prefix += 1
         o = 1 if fc.loop_sides[j][0] == j else -1
         up = n if fc.parent[j] is None else fc.parent[j]
-        completes = None if (first, prefix) == (j, j + 1) else range(first, prefix)
-        steps.append((up, j, completes, amps[j], squares[j], ((-o, 1 << (n - 1 - j)), (o, 0))))
-    hold = record is not None or order != list(range(n))
+        steps.append((up, j, amps[j], squares[j], ((-o, 1 << (n - 1 - j)), (o, 0))))
     phases: dict[int, complex] = {}
     xi = [0] * (n + 1)
     total = 0j
     count = 0
     for l in xs:
         outer = amps[n][l]
-        held = [] if hold else None
+        held = []
         # a node: the step it takes next, the face it set to x, the
         # amplitude and phase exponent so far, and its sign key
         stack = [(0, n, l, 1.0, squares[n][l], 0)]
@@ -577,43 +573,40 @@ def _pair_walk(link: Link, level: Level, fc: FaceComplex,
                 phase = phases.get(s)
                 if phase is None:
                     phase = phases[s] = cmath.exp(complex(0.0, -math.pi * s / (2.0 * r)))
-                term = parity * (amp * outer) * phase
                 count += 1
-                if held is None:
-                    total += term
+                if record is not None:
+                    record.append((l, key, tuple(xi)))
+                if reordered:  # amp is in walk order, the formula's is face order
+                    amp = 1.0
+                    for row, v in zip(amps, xi):
+                        amp *= row[v]
+                    held.append((key, parity * amp * phase))
                 else:
-                    held.append((key, term, tuple(xi)))
+                    total += parity * (amp * outer) * phase
                 continue
-            up, j, completes, am, sq, children = steps[i]
+            up, j, am, sq, children = steps[i]
             xp = xi[up]
             for dx, dkey in children:
                 y = xp + dx
                 if 0 < y <= kp1:
-                    if completes is None:
-                        a = amp * am[y]
-                    else:
-                        xi[j] = y
-                        a = amp
-                        for g in completes:
-                            a *= amps[g][xi[g]]
-                    stack.append((i + 1, j, y, a, s + sq[y], key + dkey))
-        if held is not None:
-            held.sort()  # by sign key, unique within a level
-            for key, term, fields in held:
-                total += term
-            if record is not None:
-                record += [(l, key, fields) for key, _, fields in held]
+                    stack.append((i + 1, j, y, amp * am[y], s + sq[y], key + dkey))
+        held.sort()  # by sign key, unique within a level
+        for _, term in held:
+            total += term
     return total, count
 
 
 def enumerate_pairs(link: Link, level: Level, fc: FaceComplex) -> list[AdmissiblePair]:
     """All (l, sign-vector) pairs with xi = l - sum_j s_j ind_j mapping every
     face into {1, ..., k+1}, ordered by l and then by sign vector in
-    itertools.product order, read off `_pair_walk`.  Besides the output,
-    the walk holds at most n + 1 nodes and one level's pairs.
+    itertools.product order: `_pair_walk`'s records sorted by (l, sign
+    key), which moves records only for a file that lists a loop before an
+    ancestor.  Besides the output, the walk holds at most n + 1 nodes and,
+    for such a file, one level's terms.
     """
     record: list = []
     _pair_walk(link, level, fc, record)
+    record.sort()  # (l, sign key) is unique, so xi is never compared
     shifts = range(len(link.loops) - 1, -1, -1)
     return [AdmissiblePair(l, tuple([1 if key >> b & 1 else -1 for b in shifts]), xi)
             for l, key, xi in record]

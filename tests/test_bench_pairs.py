@@ -44,6 +44,28 @@ def test_verdict(better, parent, change, verdict):
     assert s["verdict"] == verdict
 
 
+WIDE = [60, 140, 100, 70, 130, 90, 110, 80, 120, 100]  # quartiles 82.5 and 117.5
+SKEWED = [10, 20, 30, 40, 100, 100, 100, 100, 101, 101]  # quartiles 32.5 and 100
+
+
+@pytest.mark.parametrize("better, parent, change, verdict", [
+    # the parent's interquartile range, 35% of its median, is wider than
+    # the bound of 25%: unchanged runs cannot show a change within it
+    ("higher", WIDE, WIDE, "unresolved"),
+    ("lower", WIDE, [v * 1.1 for v in WIDE], "unresolved"),
+    # a gain and a loss past the bound still read as such
+    ("higher", WIDE, [v + 100 for v in WIDE], "gain"),
+    ("higher", WIDE, [v * 0.5 for v in WIDE], "worse than bound"),
+    # every change run beats every parent run, by less than the spread
+    ("higher", SKEWED, [102] * 10, "within noise"),
+    ("lower", [200 - v for v in SKEWED], [98] * 10, "within noise"),
+    # one change run ties the parent's best: unresolved
+    ("higher", SKEWED, [102] * 9 + [101], "unresolved"),
+])
+def test_verdict_of_a_wide_parent(better, parent, change, verdict):
+    assert bench_pairs.summary(runs(parent, change), better, 0.25)["verdict"] == verdict
+
+
 def test_single_pair_has_a_verdict():
     s = bench_pairs.summary(runs([10.0], [12.0]), "higher", 0.25)
     assert s["change_wins"] == 1 and s["verdict"] == "gain"

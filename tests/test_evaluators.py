@@ -10,7 +10,12 @@ import shadowsum as ss
 import shadowsum.evaluators
 import shadowsum.geometry
 import shadowsum.linking
-from shadowsum.errors import OffsetTooLarge, PreconditionError, ShadowsumError
+from shadowsum.errors import (
+    InvariantViolation,
+    OffsetTooLarge,
+    PreconditionError,
+    ShadowsumError,
+)
 from shadowsum.geometry import COINCIDENCE_TOL
 from shadowsum.random_links import narrow_gap, polygon_circle, self_crossing_loop
 
@@ -296,3 +301,16 @@ class TestVertical:
             ss.wlo_vertical(2, -1)
         with pytest.raises(ValueError):
             ss.wlo_vertical(2, 0, (0,))
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: ss.Level(True), ValueError),
+    (lambda: ss.Link((), level=True), InvariantViolation),
+    (lambda: ss.wlo_vertical(True, 0), ValueError),
+    (lambda: ss.wlo_vertical(2, True), ValueError),
+    (lambda: ss.wlo_vertical(2, 0, (True,)), ValueError),
+], ids=["Level", "Link", "wlo_vertical-k", "wlo_vertical-genus", "wlo_vertical-dims"])
+def test_bool_is_no_level_genus_or_dimension(make, error):
+    # bool is a subclass of int: unchecked, True would evaluate as 1
+    with pytest.raises(error):
+        make()

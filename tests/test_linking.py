@@ -140,21 +140,24 @@ class TestPushoff:
         assert math.hypot(*off.planar[0]) == pytest.approx(1.01, abs=1e-3)
 
     def test_segment_frames_match_hypot_and_unit(self):
-        # the one table that the clearance, the framing offset and the
-        # push-off read: each segment's hypot length and `_unit` vector, to
-        # the bit, and None for a zero-length segment, where `_unit` raises
+        # what the clearance, the framing offset and the push-off read:
+        # each segment's hypot length (`lengths`) and `_unit` vector
+        # (`segment_frames`), to the bit, and None for a zero-length
+        # segment, where `_unit` raises
         rng = random.Random(31)
         for _ in range(200):
             lp = self_crossing_loop(rng)
-            for (a, b), n, u in zip(zip(lp.planar, lp.planar[1:]), *lp.segment_frames):
+            assert len(lp.lengths) == len(lp.segment_frames) == lp.nseg
+            for (a, b), n, u in zip(zip(lp.planar, lp.planar[1:]), lp.lengths,
+                                    lp.segment_frames):
                 d = (b[0] - a[0], b[1] - a[1])
                 assert (n.hex(), u[0].hex(), u[1].hex()) == (
                     math.hypot(*d).hex(), *(c.hex() for c in _unit(d)))
         folded = ss.Loop(((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
                           (0.0, 0.0, 0.0)))
         r = math.hypot(-1.0, 1.0)
-        assert folded.segment_frames == ((1.0, 0.0, r, 1.0),
-                                         ((1.0, 0.0), None, (-1.0 / r, 1.0 / r), (0.0, -1.0)))
+        assert folded.lengths == (1.0, 0.0, r, 1.0)
+        assert folded.segment_frames == ((1.0, 0.0), None, (-1.0 / r, 1.0 / r), (0.0, -1.0))
 
     def test_offset_too_large(self):
         lp = polygon_circle(0, 0, 1.0, 24, theta0=0.4, phase=0.1)

@@ -869,6 +869,39 @@ class TestPairs:
             got = ss.wlo_dpfree_pairsum(link, level, fc)
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
+    def test_reordered_deep_nests_bit_identical(self):
+        # chains and binary nests of 8-10 circles at k = 2..6, listed
+        # children first and shuffled: a reordered file's leaf multiplies
+        # its amplitude anew in face order, and the value and the sorted
+        # records must match the per-pair formula to the bit.  A nest's
+        # faces have chi -1, 0 or 1, and all but two of a chain's chi 0.  A
+        # row, whose loops are all roots, is walked in index order in any
+        # listing
+        rng = random.Random(43)
+        links = []
+        for n in (8, 9, 10):
+            # loop i's children are loops 2i + 1 and 2i + 2, at either side
+            discs = [(0.0, 0.0, 1.0)]
+            for i in range(1, n):
+                x, y, r = discs[(i - 1) // 2]
+                discs.append((x + (0.45 if i % 2 else -0.45) * r, y, 0.4 * r))
+            nest = tuple(polygon_circle(x, y, r, 16, winding=rng.randint(-2, 2),
+                                        theta0=rng.uniform(0.1, 6.1), ccw=rng.random() < 0.5,
+                                        phase=rng.uniform(0.0, TAU))
+                         for x, y, r in discs)
+            for link in (circle_chain(rng, n, 6), ss.Link(nest, t0=0.0, level=6)):
+                links += [reversed_link(link), shuffled_link(link, n)]
+            links.append(reversed_link(circle_row(n, 6, (0, 1, -1, 2))))
+        for link in links:
+            fc = ss.face_complex(link)
+            for k in range(2, 7):
+                level = Level(k)
+                pairs = enumerate_pairs_oracle(link, level)
+                assert ss.enumerate_pairs(link, level, fc) == pairs
+                want = pairsum_oracle(link, level, fc, pairs)
+                got = ss.wlo_dpfree_pairsum(link, level, fc)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
     def test_coloring_of_pair(self):
         link = circle_link(0, level=1)
         fc = ss.face_complex(link)
@@ -926,7 +959,7 @@ class TestBijection:
 
     def test_matches_pair_list_report(self, corpus_dir):
         # random links at k = 1..8, also listed children first and shuffled,
-        # where the walk holds each level's records and sorts them
+        # where the walk appends its records out of pair order
         links = pair_links()
         links += ([reversed_link(link) for link in links]
                   + [shuffled_link(link, seed) for seed, link in enumerate(links)])
