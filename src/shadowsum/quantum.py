@@ -13,15 +13,17 @@ package holds colors and gleams as doubled ints, so check_color is the
 only caller of doubled, and _u_exponent_doubled's int division rounds
 as float() of the exact exponent does.
 
-The 6j kernel is table-fed: _sixj_doubled(qf, k, ...) takes the [n]!
-table and the level, so a state sum fetches the table from _qfactorials
-once per call and passes it to every 6j-symbol it evaluates; sixj fetches
-it per call.  A Level holds only k: _qfactorials builds the table afresh,
-only as far as asked and never past [k+1]!.  The kernel reads the table
-only in products, quotients and square roots, so a rescaled table fits
-the same kernel: with qf[n] times lam**n every Racah term gains one factor
-lam and every triad factor lam**-0.5, so the kernel returns the 6j-symbol
-divided by lam.  The plain [n]! overflows from k = 202; with
+The 6j kernel is table-fed: _sixj_doubled(qf, k, ts) takes the [n]!
+table, the level and the six doubled colors as one tuple, so a state sum
+fetches the table from _qfactorials once per call and passes it, with
+the 6-tuple it already holds as its memo key, to every 6j-symbol it
+evaluates; sixj fetches the table per call and passes its checked tuple.
+A Level holds only k: _qfactorials builds the table afresh, only as far
+as asked and never past [k+1]!.  The kernel reads the table only in
+products, quotients and square roots, so a rescaled table fits the same
+kernel: with qf[n] times lam**n every Racah term gains one factor lam and
+every triad factor lam**-0.5, so the kernel returns the 6j-symbol divided
+by lam.  The plain [n]! overflows from k = 202; with
 lam = [k+1]!**(-1/(k+1)), taken in logs, the rescaled entries span about
 e**62 at k = 202 and e**319 at k = 1000.
 """
@@ -33,6 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ColorOutOfRange
+
+_sqrt = math.sqrt  # bound once: the 6j kernel takes four square roots per symbol
 
 __all__ = [
     "Level",
@@ -130,45 +134,77 @@ def _qfactorials(level: Level, n: int) -> tuple[float, ...]:
     return tuple(qf)
 
 
-def _sixj_doubled(qf, km: int, t1: int, t2: int, t3: int, t4: int, t5: int, t6: int) -> float:
-    """The Racah sum of the 6j-symbol at level km on doubled colors, read
-    off the table qf of [0]!, [1]!, ...; 0.0 when a triad is inadmissible.
+def _sixj_doubled(qf, km: int, ts: tuple) -> float:
+    """The Racah sum of the 6j-symbol at level km on the doubled colors
+    ts = (t1, ..., t6), read off the table qf of [0]!, [1]!, ...; 0.0
+    when a triad is inadmissible.
 
     qf must reach index min(km + 1, (t1 + ... + t6) // 2 + 1).  Each
     triad factor and each Racah term is formed in a fixed order, so the
-    value does not depend on who built the table.
+    value does not depend on who built the table.  The code is straight
+    line on scalars (no max, min or tuple packing), since a state sum
+    calls it once per distinct 6-tuple.
     """
+    t1, t2, t3, t4, t5, t6 = ts
     # a triad (a, b, c) with even sum 2h couples iff h <= km and each of
     # h - a, h - b, h - c, the three triangle inequalities, is at least 0;
     # they are its [.]! arguments besides h + 1, and an int OR of them is
     # negative iff one is
-    s1, s2, s3, s4 = t1 + t2 + t3, t1 + t5 + t6, t4 + t2 + t6, t4 + t5 + t3
+    s1 = t1 + t2 + t3
+    s2 = t1 + t5 + t6
+    s3 = t4 + t2 + t6
+    s4 = t4 + t5 + t3
     if (s1 | s2 | s3 | s4) & 1:
         return 0.0
-    h1, h2, h3, h4 = s1 >> 1, s2 >> 1, s3 >> 1, s4 >> 1
-    a1, a2, a3 = h1 - t1, h1 - t2, h1 - t3
-    b1, b5, b6 = h2 - t1, h2 - t5, h2 - t6
-    c4, c2, c6 = h3 - t4, h3 - t2, h3 - t6
-    d4, d5, d3 = h4 - t4, h4 - t5, h4 - t3
-    hmax = max(h1, h2, h3, h4)
-    if hmax > km or (a1 | a2 | a3 | b1 | b5 | b6 | c4 | c2 | c6 | d4 | d5 | d3) < 0:
+    h1 = s1 >> 1
+    h2 = s2 >> 1
+    h3 = s3 >> 1
+    h4 = s4 >> 1
+    a1 = h1 - t1
+    a2 = h1 - t2
+    a3 = h1 - t3
+    b1 = h2 - t1
+    b5 = h2 - t5
+    b6 = h2 - t6
+    c4 = h3 - t4
+    c2 = h3 - t2
+    c6 = h3 - t6
+    d4 = h4 - t4
+    d5 = h4 - t5
+    d3 = h4 - t3
+    # the Racah sum runs over z from the largest h to the smallest of km
+    # and the three halved sums of opposite pairs (each even for
+    # admissible triads); z beyond km = rbar-2 only adds terms with a
+    # vanishing [z+1]! numerator
+    z = h1
+    if h2 > z:
+        z = h2
+    if h3 > z:
+        z = h3
+    if h4 > z:
+        z = h4
+    if z > km or (a1 | a2 | a3 | b1 | b5 | b6 | c4 | c2 | c6 | d4 | d5 | d3) < 0:
         return 0.0
-
-    delta = 1.0
-    delta *= math.sqrt(qf[a1] * qf[a2] * qf[a3] / qf[h1 + 1])
-    delta *= math.sqrt(qf[b1] * qf[b5] * qf[b6] / qf[h2 + 1])
-    delta *= math.sqrt(qf[c4] * qf[c2] * qf[c6] / qf[h3 + 1])
-    delta *= math.sqrt(qf[d4] * qf[d5] * qf[d3] / qf[h4 + 1])
-
-    # the three sums of opposite pairs, halved; each is even for
-    # admissible triads
-    q1, q2, q3 = (t1 + t2 + t4 + t5) >> 1, (t2 + t3 + t5 + t6) >> 1, (t3 + t1 + t6 + t4) >> 1
-    # z beyond km = rbar-2 only adds terms with a vanishing [z+1]! numerator
+    delta = (_sqrt(qf[a1] * qf[a2] * qf[a3] / qf[h1 + 1])
+             * _sqrt(qf[b1] * qf[b5] * qf[b6] / qf[h2 + 1])
+             * _sqrt(qf[c4] * qf[c2] * qf[c6] / qf[h3 + 1])
+             * _sqrt(qf[d4] * qf[d5] * qf[d3] / qf[h4 + 1]))
+    q1 = (t1 + t2 + t4 + t5) >> 1
+    q2 = (t2 + t3 + t5 + t6) >> 1
+    q3 = (t3 + t1 + t6 + t4) >> 1
+    last = km
+    if q1 < last:
+        last = q1
+    if q2 < last:
+        last = q2
+    if q3 < last:
+        last = q3
     total = 0.0
-    for z in range(hmax, min(q1, q2, q3, km) + 1):
+    while z <= last:
         term = (qf[z + 1] / qf[z - h1] / qf[z - h2] / qf[z - h3] / qf[z - h4]
                 / qf[q1 - z] / qf[q2 - z] / qf[q3 - z])
-        total += -term if z % 2 else term
+        total += -term if z & 1 else term
+        z += 1
     return delta * total
 
 
@@ -185,4 +221,4 @@ def sixj(level: Level, i, j, k, l, m, n) -> float:
     """
     ts = tuple(map(level.check_color, (i, j, k, l, m, n)))
     qf = _qfactorials(level, sum(ts) // 2 + 1)
-    return _sixj_doubled(qf, level.k, *ts)
+    return _sixj_doubled(qf, level.k, ts)

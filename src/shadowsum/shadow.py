@@ -398,7 +398,7 @@ def state_sum_general(shadow: Shadow, level: Level,
             ts = (e1, col[j], col[k], e2, col[m], col[n])
             s = sixjs.get(ts)
             if s is None:
-                s = sixjs[ts] = _sixj_doubled(qf, km, *ts)
+                s = sixjs[ts] = _sixj_doubled(qf, km, ts)
             vertex_part *= s
         if vertex_part == 0.0:  # no face weight reads its colors, so check them here
             if min(col) < 0 or max(col) > km:

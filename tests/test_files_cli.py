@@ -205,9 +205,9 @@ def sixj_evaluations(monkeypatch):
     calls = []
     real = shadowsum.shadow._sixj_doubled
 
-    def counting(qf, km, *ts):
+    def counting(qf, km, ts):
         calls.append(ts)
-        return real(qf, km, *ts)
+        return real(qf, km, ts)
 
     monkeypatch.setattr(shadowsum.shadow, "_sixj_doubled", counting)
     return calls
