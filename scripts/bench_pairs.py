@@ -17,9 +17,12 @@ The output file holds, per workload, every pair's end-to-end metrics (the
 side's median and quartiles, the change's median over the parent's, the
 number of pairs the change wins and a verdict:
 
-  * `gain`: the change wins at least 9 of every 10 pairs, and its median
-    is better than the parent's by more than the parent's interquartile
-    range;
+  * `gain`: there are at least 10 pairs, the change wins at least 9 of
+    every 10, and its median is better than the parent's by more than the
+    parent's interquartile range;
+  * `too few pairs`: the same, but from fewer than 10 pairs, whose
+    quartiles say too little about the spread (a single pair's
+    interquartile range is 0, so any difference would pass);
   * `worse than bound`: its median is worse than the parent's by more
     than the metric's `bound` (a fraction of the parent's median);
   * `unresolved`: the parent's interquartile range is wider than the
@@ -45,6 +48,10 @@ import shutil
 import statistics
 import subprocess
 import sys
+
+# the fewest pairs that can show a gain: fewer give quartiles too coarse to
+# measure the parent's spread, down to one pair's interquartile range of 0
+MIN_GAIN_PAIRS = 10
 
 
 def byte_compile(root: pathlib.Path) -> None:
@@ -98,7 +105,7 @@ def summary(runs: list[dict], better: str, bound: float) -> dict:
     gain = sign * (out["change"]["median"] - parent["median"])
     spread = parent["q3"] - parent["q1"]
     if 10 * out["change_wins"] >= 9 * len(runs) and gain > spread:
-        out["verdict"] = "gain"
+        out["verdict"] = "gain" if len(runs) >= MIN_GAIN_PAIRS else "too few pairs"
     elif -gain > bound * parent["median"]:
         out["verdict"] = "worse than bound"
     elif (spread > bound * parent["median"]

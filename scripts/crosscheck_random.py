@@ -10,7 +10,11 @@ state sum, its state sum the original's, and its bijection check must
 pass; a configuration with any failing check counts as one bijection
 failure.  The orders are drawn from a
 generator of their own, so a seed draws the same configurations as it
-would without them.
+would without them.  A configuration whose circle windings have an odd
+sum has the exact value 0 (the centre symmetry of SU(2) at colour 1/2),
+so there, in all three loop orders, both routes' values must be at most
+1e-12 in modulus; the run prints how many such configurations it drew
+and the largest such modulus.
 
 With --route abelian, on seeded random pairs of circles that cross twice
 (`random_crossing_pair`) with a random t0, compare the push-off framed
@@ -51,6 +55,13 @@ from shadowsum.random_links import (
     self_crossing_loop,
     star_polygon_loop,
 )
+
+
+# Every loop of a dpfree config has colour 1/2, and the centre of SU(2)
+# then makes the value vanish exactly when the circle windings have an odd
+# sum: both routes must print roundoff alone there, far under any value
+# the 1e-9 comparison of the two routes could tell apart.
+ZERO_BOUND = 1e-12
 
 
 def rel_diff(a: complex, b: complex) -> float:
@@ -177,6 +188,9 @@ def dpfree(args):
     worst_rel = 0.0
     worst_case = None
     bij_failures = 0
+    odd_draws = 0
+    worst_zero = 0.0
+    worst_zero_case = None
     by_k = {}
     done = 0
     while done < args.configs:
@@ -190,6 +204,7 @@ def dpfree(args):
         a = ss.wlo_dpfree_pairsum(link, lev, fc)
         b = ss.wlo_dpfree_final(link, lev, fc)
         rel = rel_diff(a, b)
+        values = [a, b]
         reports = [ss.check_bijection(link, lev, fc)]
         shuffled = list(link.loops)
         order_rng.shuffle(shuffled)
@@ -199,7 +214,14 @@ def dpfree(args):
             other_a = ss.wlo_dpfree_pairsum(other, lev, other_fc)
             other_b = ss.wlo_dpfree_final(other, lev, other_fc)
             rel = max(rel, rel_diff(other_a, other_b), rel_diff(other_b, b))
+            values += [other_a, other_b]
             reports.append(ss.check_bijection(other, lev, other_fc))
+        if sum(ss.winding_s1(lp) for lp in link.loops) % 2:
+            odd_draws += 1
+            value = max(map(abs, values))
+            if value > worst_zero:
+                worst_zero = value
+                worst_zero_case = (done, k, len(link.loops))
         if rel > worst_rel:
             worst_rel = rel
             worst_case = (done, k, len(link.loops))
@@ -218,7 +240,9 @@ def dpfree(args):
         print(f"{k:>3} {count:>6} {worst:>16.3e}")
     print(f"overall worst rel diff: {worst_rel:.3e} at config {worst_case}")
     print(f"bijection failures: {bij_failures}")
-    ok = worst_rel <= 1e-9 and bij_failures == 0
+    print(f"odd winding sum: {odd_draws} configs, worst |value| {worst_zero:.3e}"
+          f" (bound {ZERO_BOUND:.0e}) at config {worst_zero_case}")
+    ok = worst_rel <= 1e-9 and bij_failures == 0 and worst_zero <= ZERO_BOUND
     print("RESULT:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 

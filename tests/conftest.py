@@ -666,6 +666,28 @@ def enumerate_pairs_oracle(link, level) -> list:
     return out
 
 
+def pair_count_oracle(fc, k) -> int:
+    """The number of admissible pairs at level k, counted on the nesting
+    forest alone in O(n (k+1)) ints: count_j(x), the admissible signs of
+    loop j's subtree with x on the face beyond loop j, sums over s = +-1
+    with y = x - s o_j in 1..k+1 the product of count_c(y) over loop j's
+    children c; the total sums over l = 1..k+1 the product of count_r(l)
+    over the root loops r."""
+    n = len(fc.parent)
+    children = [[] for _ in range(n)]
+    roots = []
+    for j, p in enumerate(fc.parent):
+        (roots if p is None else children[p]).append(j)
+
+    @functools.cache
+    def count(j, x) -> int:
+        o = 1 if fc.loop_sides[j][0] == j else -1
+        return sum(math.prod(count(c, x - s * o) for c in children[j])
+                   for s in (1, -1) if 1 <= x - s * o <= k + 1)
+
+    return sum(math.prod(count(r, l) for r in roots) for l in range(1, k + 2))
+
+
 def pairsum_oracle(link, level, fc, pairs) -> complex:
     """Pair sum with every sine and phase evaluated per pair: the same
     factors, in the same order, as `wlo_dpfree_pairsum`."""

@@ -67,8 +67,21 @@ def test_verdict_of_a_wide_parent(better, parent, change, verdict):
 
 
 def test_single_pair_has_a_verdict():
+    # one pair's interquartile range is 0, so any win would pass as a gain
     s = bench_pairs.summary(runs([10.0], [12.0]), "higher", 0.25)
-    assert s["change_wins"] == 1 and s["verdict"] == "gain"
+    assert s["change_wins"] == 1 and s["verdict"] == "too few pairs"
+
+
+@pytest.mark.parametrize("better, parent, change, verdict", [
+    ("lower", [10.0], [8.0], "too few pairs"),
+    # nine pairs that all win by far are still too few
+    ("higher", PARENT[:9], [v + 20 for v in PARENT[:9]], "too few pairs"),
+    # a loss past the bound needs no more pairs to show
+    ("higher", [10.0], [7.0], "worse than bound"),
+    ("higher", [10.0], [9.0], "within noise"),
+])
+def test_few_pairs_show_no_gain(better, parent, change, verdict):
+    assert bench_pairs.summary(runs(parent, change), better, 0.25)["verdict"] == verdict
 
 
 def record(correct, digest):

@@ -24,6 +24,7 @@ from conftest import (
     enumerate_pairs_oracle,
     face_of_point_oracle,
     face_weight_oracle,
+    pair_count_oracle,
     pairsum_oracle,
     sample_point_oracle,
     sixj_doubled_oracle,
@@ -901,6 +902,20 @@ class TestPairs:
                 want = pairsum_oracle(link, level, fc, pairs)
                 got = ss.wlo_dpfree_pairsum(link, level, fc)
                 assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    def test_walk_count_matches_forest_count(self):
+        # the count the walk reaches by walking, against the count read off
+        # the nesting forest: 225 draws, in file order and shuffled
+        rng = random.Random(36)
+        counted = 0
+        for trial in range(225):
+            link = random_dpfree_link(rng, max_loops=8, level=1 + trial % 8)
+            for other in (link, shuffled_link(link, trial)):
+                fc = ss.face_complex(other)
+                want = pair_count_oracle(fc, other.level)
+                assert ss.shadow._pair_walk(other, Level(other.level), fc)[1] == want
+                counted += want
+        assert counted > 10_000
 
     def test_coloring_of_pair(self):
         link = circle_link(0, level=1)
