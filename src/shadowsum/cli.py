@@ -29,7 +29,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParseError, PreconditionError, ShadowsumError
 from .evaluators import wlo_abelian, wlo_abelian_intermediate, wlo_vertical
@@ -54,12 +54,11 @@ EXIT_INVARIANT = 3
 EXIT_PRECONDITION = 4
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     command: str
     digest: str
     value: complex
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
     passed: bool = True  # a check's value is 1 or 0, and a failed check exits 1
 
     def to_json(self) -> str:

@@ -88,7 +88,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DegenerateGeometry,
@@ -532,8 +532,7 @@ def _pair_crossings(la: Loop, lb: Loop, same: bool, candidates):
 # ---------------------------------------------------------------------------
 # admissibility
 
-@dataclass(frozen=True)
-class DoublePoint:
+class DoublePoint(NamedTuple):
     """One transversal crossing of two strands of the projection."""
 
     point: tuple[float, float]
@@ -574,8 +573,7 @@ def _records(la: Loop, i: int, lb: Loop, j: int, pairs) -> tuple[DoublePoint, ..
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     ok: bool
     double_points: tuple[DoublePoint, ...]
     triple_points: tuple[tuple[float, float], ...]
@@ -686,8 +684,7 @@ def admissible_at(link: Link, report: AdmissibilityReport, t0: float) -> bool:
 # ---------------------------------------------------------------------------
 # crossings of the circle coordinate
 
-@dataclass(frozen=True)
-class CrossingMark:
+class CrossingMark(NamedTuple):
     """A parameter where the circle coordinate of a loop crosses t0."""
 
     loop: int
@@ -900,8 +897,7 @@ def _loop_orientation(loop: Loop) -> int:
 # ---------------------------------------------------------------------------
 # face complex of a double-point-free link
 
-@dataclass(frozen=True)
-class FaceComplex:
+class FaceComplex(NamedTuple):
     """Complement regions of pairwise-disjoint projected Jordan curves on
     S^2.  A face is its index: face j lies just inside loop j and face n,
     n = len(parent), is the outer face; chi and the gleams are indexed by

@@ -131,22 +131,19 @@ __all__ = [
 AreaColoring = tuple
 
 
-@dataclass(frozen=True)
-class ShadowFace:
+class ShadowFace(NamedTuple):
     chi: int
     gleam2: int | None  # twice the gleam
     z: int = 0
 
 
-@dataclass(frozen=True)
-class ShadowEdge:
+class ShadowEdge(NamedTuple):
     color2: int
     left: int
     right: int
 
 
-@dataclass(frozen=True)
-class ShadowVertex:
+class ShadowVertex(NamedTuple):
     e1_2: int
     e2_2: int
     j: int
@@ -617,8 +614,7 @@ def coloring_of_pair(pair: AdmissiblePair) -> AreaColoring:
     return tuple([x - 1 for x in pair.xi])
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(NamedTuple):
     pairs_count: int
     colorings_count: int
     injective: bool
