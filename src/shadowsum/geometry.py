@@ -24,8 +24,12 @@ correctly, so it is the float of the exact rational (Yap, "Towards exact
 geometric computation", CGTA 7, 1997).
 
 All operations are pure functions of immutable inputs and are safe to call
-concurrently.  A `Loop` builds its projections, segment boxes, segment
-lengths and scale in one pass when it is made.  It computes its
+concurrently.  `Loop` and `Link` are frozen dataclasses, since they check
+their input and a `Loop` caches on itself; the records `DoublePoint`,
+`AdmissibilityReport`, `CrossingMark` and `FaceComplex` are named tuples,
+which cost a fraction of a dataclass to define.  A `Loop` builds its
+projections, segment boxes, segment lengths and scale in one pass when it
+is made.  It computes its
 self-crossings (unless a `validate` has found them first), its clearance,
 its segments' unit vectors (`segment_frames`) and the t0-free half of its
 lift scan (`lift_table`) lazily, at most once, and its lift scan at one

@@ -6,8 +6,9 @@ faces, and vertices (double points) carry the two strand colors and the
 four quadrant faces in the frozen convention: quadrants (j, k, m, n) in
 cyclic order with (j, m) and (k, n) opposite, edge e1 between j and k,
 edge e2 between j and n.  Gleams and colors, half-integers, are held
-doubled, as the ints gleam2, color2, e1_2 and e2_2.  A Shadow checks
-these invariants once, when it is built.
+doubled, as the ints gleam2, color2, e1_2 and e2_2.  Faces, edges and
+vertices are named tuples; a Shadow, a frozen dataclass, checks these
+invariants once, when it is built.
 
 Two independent evaluation routes are implemented for double-point-free
 links with fundamental colors and must agree exactly:

@@ -1,13 +1,13 @@
 """The contract of shadowsum's plain records.
 
 Nine records neither validate nor cache: they are named tuples, so each
-is immutable, compared and hashed by value, printed as
-`Name(field=value, ...)`, and also a tuple of its fields.  `Loop`, `Link`,
-`Level` and `Shadow` stay frozen dataclasses: each validates when it is
-built or caches per-loop geometry.  A named tuple costs a fraction of a
-dataclass to define, and defining the classes was most of the package's
-import time, so a new dataclass record fails here until its reason is
-stated in `DATACLASSES`.
+is immutable, compared by value, hashed by value when its fields hash,
+printed as `Name(field=value, ...)`, and also a tuple of its fields.
+`Loop`, `Link`, `Level` and `Shadow` stay frozen dataclasses: each
+validates when it is built or caches per-loop geometry.  A named tuple
+costs a fraction of a dataclass to define, and defining the classes was
+most of the package's import time, so a new dataclass record fails here
+until its reason is stated in `DATACLASSES`.
 """
 
 import dataclasses
@@ -61,9 +61,9 @@ class TestRecord:
         assert {p.name: p.default for p in params if p.default is not p.empty} == defaults
 
     def test_named_tuple(self, name):
-        cls, fields, defaults = RECORDS[name]
+        cls, fields, _ = RECORDS[name]
         assert issubclass(cls, tuple) and not dataclasses.is_dataclass(cls)
-        assert cls._fields == fields and cls._field_defaults == defaults
+        assert cls._fields == fields
         assert tuple(cls(*sample(fields))) == sample(fields)
 
     def test_immutable(self, name):
